@@ -8,7 +8,13 @@ Boolean versions of that pipeline, plus a leverage-score row-patching route
 for column-sparse masks.
 """
 
-from .errors import NumericalError, ParameterError, ResourceError, ShapeError
+from .errors import (
+    MaskedLRAError,
+    NumericalError,
+    ParameterError,
+    ResourceError,
+    ShapeError,
+)
 from .linalg import (
     ENTRYWISE_ZERO,
     SQUARED_FROBENIUS,

@@ -19,7 +19,7 @@ from . import masks as mk
 from . import protocols as pr
 from . import solver as sv
 from . import tensor as tn
-from .errors import ParameterError
+from .errors import MaskedLRAError, ParameterError
 from .linalg import masked_cost
 
 FAMILIES = (
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError) as e:
+    except (MaskedLRAError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

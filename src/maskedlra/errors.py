@@ -1,19 +1,23 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
+class MaskedLRAError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class ShapeError(MaskedLRAError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class ParameterError(ValueError):
+class ParameterError(MaskedLRAError, ValueError):
     """A parameter is outside its documented range."""
 
 
-class ResourceError(RuntimeError):
+class ResourceError(MaskedLRAError, RuntimeError):
     """Problem size exceeds a declared desk-scale cap."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(MaskedLRAError, RuntimeError):
     """An iterative numeric routine failed to converge."""
 
     def __init__(self, message: str, iterations: int | None = None):

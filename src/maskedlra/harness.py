@@ -198,6 +198,8 @@ def parse_config(source) -> dict:
 
 def sparse_pattern(n: int, t: int, seed: int) -> mk.Sparse:
     """Deterministic random zero sets, t per row."""
+    if not 0 <= t <= n:
+        raise ParameterError(f"t={t} zeros per row out of range for n={n}")
     rng = np.random.default_rng([seed, n, t, 0x5A])
     zs = tuple(
         tuple(sorted(int(j) for j in rng.choice(n, size=t, replace=False)))

@@ -15,6 +15,10 @@ import scipy.linalg
 
 from .errors import NumericalError, ParameterError, ShapeError
 
+# Tikhonov term added to Gram matrices in the least-squares solves of the
+# matrix and tensor comparators.
+RIDGE = 1e-10
+
 # LAPACK's bidiagonal QR (xBDSQR) gives up after this many sweeps per value.
 _LAPACK_QR_MAXITER = 30
 

@@ -1,9 +1,14 @@
 """Communication protocols for mask predicates and their rectangle partitions.
 
-Each randomized protocol is evaluated exhaustively on the full input grid
-under seeded shared randomness; grouping cells by transcript yields a
-partition into combinatorial rectangles, labeled with the protocol output.
-Nondeterministic covers are built directly from their witness structure.
+Each family's decisions are written once, in decide(spec, idx, keys), which
+returns transcript codes and outputs on any broadcastable set of cells. The
+certificate's partition runs it on the full input grid with one seeded draw
+of shared randomness; grouping cells by transcript yields combinatorial
+rectangles labeled with the protocol output. empirical_error_rates runs the
+same evaluator on sampled cells with independent randomness per sample, so
+the error rate it reports is that of the decisions the partition is built
+from. Nondeterministic covers are built directly from their witness
+structure.
 
 Families:
   equality-hash       not-equal via one hashed message (1-sided)
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError, ResourceError, ShapeError
 from . import masks
 
 ENUM_CAP = 4096  # largest n for exhaustive order-2 transcript enumeration
@@ -128,18 +133,14 @@ def neq3_multiparty(n: int, delta: float) -> ProtocolSpec:
 # ---------------------------------------------------------------------------
 # hashing
 
-def _draw_key(rng) -> tuple[np.uint64, np.uint64]:
-    a, b = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-    return np.uint64(a), np.uint64(b)
-
-
 def _hash_buckets(vals: np.ndarray, key, buckets: int) -> np.ndarray:
     """Pairwise-independent multiply-shift hash of vals into [0, buckets).
 
     64-bit state; the high 32 bits of a*x+b feed a fixed-point range
     reduction, so collision probability is 1/buckets up to O(2^-32).
-    The key components may be arrays broadcasting against vals, giving
-    each entry its own independent hash function.
+    key holds a and b along its first axis; each may be an array
+    broadcasting against vals, giving each entry its own independent hash
+    function.
     """
     a, b = key
     v = vals.astype(np.uint64)
@@ -148,15 +149,8 @@ def _hash_buckets(vals: np.ndarray, key, buckets: int) -> np.ndarray:
     return ((h32 * np.uint64(buckets)) >> np.uint64(32)).astype(np.int64)
 
 
-def _draw_key_arrays(rng, count: int, size) -> tuple[np.ndarray, np.ndarray]:
-    """count independent key pairs per sample: two (count,) + size arrays."""
-    shape = (2, count) + tuple(size)
-    ks = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-    return ks[0], ks[1]
-
-
 # ---------------------------------------------------------------------------
-# greater-than engine
+# greater-than core
 
 def _compact(codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Re-index codes to small ids with a same-length sentinel bit."""
@@ -166,38 +160,29 @@ def _compact(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return inv + (1 << width), width + 1
 
 
-def _gt_grid(avals, bvals, m: int, delta: float, rng, direction: str = "a>b"):
+def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
     """Transcript codes and outputs for the hashed prefix binary search.
 
-    Row player holds avals (one per row), column player holds bvals, all
-    below 2^m. A full-prefix hash comparison either settles the answer
-    ("equal", output 0) or starts a binary search for the most significant
-    differing prefix; the final bit exchange decides the output. direction
-    "a>b" outputs [a > b], "b>a" outputs [b > a].
+    The row player holds a, the column player b, all below 2^m. A
+    full-prefix hash comparison either settles the answer ("equal", output
+    0) or starts a binary search for the most significant differing prefix;
+    the final bit exchange decides the output. direction "a>b" outputs
+    [a > b], "b>a" outputs [b > a].
     """
-    avals = np.asarray(avals, dtype=np.int64)
-    bvals = np.asarray(bvals, dtype=np.int64)
     rounds = 1 + (math.ceil(math.log2(m)) if m > 1 else 0)
     c = max(1, math.ceil(math.log2(rounds / delta)))
     nbuck = 1 << c
-    keys = [_draw_key(rng) for _ in range(m + 1)]
+    k = keys(m + 1)
 
-    A = avals[:, None]
-    B = bvals[None, :]
-    shape = (len(avals), len(bvals))
-
-    ha = _hash_buckets(np.broadcast_to(A, shape), keys[m], nbuck)
-    hb = _hash_buckets(np.broadcast_to(B, shape), keys[m], nbuck)
+    ha = _hash_buckets(a, k[:, m], nbuck)
+    hb = _hash_buckets(b, k[:, m], nbuck)
     eq = ha == hb
     codes = (np.int64(1) << (c + 1)) | (ha << 1) | eq
     bits = c + 2
-    out = np.zeros(shape, dtype=np.uint8)
 
     active = ~eq
-    lo = np.zeros(shape, dtype=np.int64)
-    hi = np.full(shape, m, dtype=np.int64)
-    ka = np.array([k[0] for k in keys], dtype=np.uint64)
-    kb = np.array([k[1] for k in keys], dtype=np.uint64)
+    lo = np.zeros(eq.shape, dtype=np.int64)
+    hi = np.full(eq.shape, m, dtype=np.int64)
     for _ in range(rounds):
         work = active & (hi - lo > 1)
         if not work.any():
@@ -205,12 +190,9 @@ def _gt_grid(avals, bvals, m: int, delta: float, rng, direction: str = "a>b"):
         if bits + c + 1 > 62:
             codes, bits = _compact(codes)
         mid = (lo + hi) >> 1
-        pa = A >> (m - mid)
-        pb = B >> (m - mid)
-        hmid = ((ka[mid] * pa.astype(np.uint64) + kb[mid]) & _MASK64) >> np.uint64(32)
-        ha = ((hmid * np.uint64(nbuck)) >> np.uint64(32)).astype(np.int64)
-        hmid = ((ka[mid] * pb.astype(np.uint64) + kb[mid]) & _MASK64) >> np.uint64(32)
-        hb = ((hmid * np.uint64(nbuck)) >> np.uint64(32)).astype(np.int64)
+        key = np.take_along_axis(k, mid[None, None], 1)[:, 0]
+        ha = _hash_buckets(a >> (m - mid), key, nbuck)
+        hb = _hash_buckets(b >> (m - mid), key, nbuck)
         eq = ha == hb
         codes = np.where(work, (codes << (c + 1)) | (ha << 1) | eq, codes)
         bits += c + 1
@@ -220,57 +202,12 @@ def _gt_grid(avals, bvals, m: int, delta: float, rng, direction: str = "a>b"):
     if bits + 2 > 62:
         codes, bits = _compact(codes)
     d = m - 1 - lo
-    xd = (A >> d) & 1
-    yd = (B >> d) & 1
-    if direction == "a>b":
-        o = ((xd == 1) & (yd == 0)).astype(np.uint8)
-    else:
-        o = ((yd == 1) & (xd == 0)).astype(np.uint8)
-    out = np.where(active, o, out).astype(np.uint8)
-    codes = np.where(active, (codes << 2) | (xd << 1) | o, codes)
-    return codes, out
-
-
-def _gt_point(avals, bvals, m: int, delta: float, ka, kb, direction: str = "a>b"):
-    """Outputs of the hashed prefix binary search on elementwise pairs.
-
-    Same decision process as _gt_grid, but each sample carries its own key
-    column (ka, kb have shape (m+1,) + sample shape), so samples are fully
-    independent draws of the protocol. Transcript codes are not tracked.
-    """
-    a = np.asarray(avals, dtype=np.int64)
-    b = np.asarray(bvals, dtype=np.int64)
-    rounds = 1 + (math.ceil(math.log2(m)) if m > 1 else 0)
-    c = max(1, math.ceil(math.log2(rounds / delta)))
-    nbuck = 1 << c
-
-    ha = _hash_buckets(a, (ka[m], kb[m]), nbuck)
-    hb = _hash_buckets(b, (ka[m], kb[m]), nbuck)
-    eq = ha == hb
-    out = np.zeros(a.shape, dtype=np.uint8)
-    active = ~eq
-    lo = np.zeros(a.shape, dtype=np.int64)
-    hi = np.full(a.shape, m, dtype=np.int64)
-    pick = tuple(np.indices(a.shape))
-    for _ in range(rounds):
-        work = active & (hi - lo > 1)
-        if not work.any():
-            break
-        mid = (lo + hi) >> 1
-        key = (ka[(mid,) + pick], kb[(mid,) + pick])
-        ha = _hash_buckets(a >> (m - mid), key, nbuck)
-        hb = _hash_buckets(b >> (m - mid), key, nbuck)
-        eq = ha == hb
-        lo = np.where(work & eq, mid, lo)
-        hi = np.where(work & ~eq, mid, hi)
-    d = m - 1 - lo
     xd = (a >> d) & 1
     yd = (b >> d) & 1
-    if direction == "a>b":
-        o = ((xd == 1) & (yd == 0)).astype(np.uint8)
-    else:
-        o = ((yd == 1) & (xd == 0)).astype(np.uint8)
-    return np.where(active, o, out).astype(np.uint8)
+    o = (xd > yd) if direction == "a>b" else (yd > xd)
+    out = (active & o).astype(np.uint8)
+    codes = np.where(active, (codes << 2) | (xd << 1) | o, codes)
+    return codes, out
 
 
 def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -319,132 +256,150 @@ def transcript_cap(spec: ProtocolSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-family transcript grids
+# one evaluator per family
 
-def _eq_style_grid(vals: np.ndarray, buckets: int, rng):
-    if buckets > 1:
-        bx = _hash_buckets(vals, _draw_key(rng), buckets)
-    else:
-        bx = np.zeros(len(vals), dtype=np.int64)
-    o = (bx[:, None] != bx[None, :]).astype(np.uint8)
-    codes = bx[:, None] * 2 + o
-    return codes, o
+def _eq_decide(u: np.ndarray, v: np.ndarray, buckets: int | None, keys):
+    """u != v through one shared hash into buckets; buckets None compares exactly."""
+    if buckets == 1:
+        u, v = np.zeros_like(u), np.zeros_like(v)
+    elif buckets:
+        key = keys(1)[:, 0]
+        u = _hash_buckets(u, key, buckets)
+        v = _hash_buckets(v, key, buckets)
+    o = (u != v).astype(np.uint8)
+    return u * 2 + o, o
 
 
-def _transcript_grid(spec: ProtocolSpec, seed: int):
-    """(codes, labels) over the full n x n grid for an order-2 family."""
-    n = spec.n
-    if n > ENUM_CAP:
-        raise ResourceError(f"n={n} exceeds the enumeration cap {ENUM_CAP}")
-    rng = np.random.default_rng(seed)
+def decide(spec: ProtocolSpec, idx, keys):
+    """(codes, out): transcript codes and outputs of the protocol on cells idx.
+
+    idx holds one int64 index array per party; they broadcast against each
+    other to the shape of the result. keys(count) returns count independent
+    hash keys (a, b) as one uint64 array of shape (2, count) + s, with s
+    broadcasting against idx. Randomness is drawn through keys only, in
+    call order, so one run of this function is one protocol run per cell:
+    shared by all cells when s is all ones (the grid), or independent per
+    cell when s is the sample shape (error-rate sampling).
+    """
     f = spec.family
+    n = spec.n
+    x, y = idx[0], idx[1]
 
     if f == "equality-hash":
         vals = np.asarray(spec.groups if spec.groups is not None else np.arange(n),
                           dtype=np.int64)
-        return _eq_style_grid(vals, math.ceil(1 / spec.delta), rng)
+        return _eq_decide(vals[x], vals[y], math.ceil(1 / spec.delta), keys)
 
     if f == "eq-mod-p":
         vals = np.arange(n, dtype=np.int64) % spec.p
-        if spec.delta:
-            return _eq_style_grid(vals, math.ceil(1 / spec.delta), rng)
-        o = (vals[:, None] != vals[None, :]).astype(np.uint8)
-        return vals[:, None] * 2 + o, o
+        buckets = math.ceil(1 / spec.delta) if spec.delta else None
+        return _eq_decide(vals[x], vals[y], buckets, keys)
 
     if f == "sparse-set-eq":
         cols = np.asarray(spec.col_groups if spec.col_groups is not None
                           else np.arange(n), dtype=np.int64)
         B = max(1, math.ceil(spec.t / spec.delta))
-        key = _draw_key(rng)
-        by = _hash_buckets(cols, key, B)
-        member = np.zeros((n, B), dtype=bool)
+        key = keys(1)[:, 0]
+        by = _hash_buckets(cols[y], key, B)
+        # zero sets padded with -1 into an (n, t) table, scanned one slot at a time
+        Z = np.full((n, max(map(len, spec.zero_sets), default=0)), -1, dtype=np.int64)
         for r, zs in enumerate(spec.zero_sets):
-            if zs:
-                member[r, _hash_buckets(np.asarray(zs, dtype=np.int64), key, B)] = True
-        o = (~member[np.arange(n)[:, None], by[None, :]]).astype(np.uint8)
-        return by[None, :] * 2 + o, o
+            Z[r, :len(zs)] = zs
+        hit = np.zeros(np.broadcast_shapes(x.shape, by.shape), dtype=bool)
+        for z in np.moveaxis(Z[x], -1, 0):
+            hit |= (z >= 0) & (_hash_buckets(z, key, B) == by)
+        o = (~hit).astype(np.uint8)
+        return by * 2 + o, o
 
     if f == "greater-than":
-        idx = np.arange(n, dtype=np.int64)
-        m = max(1, int(n - 1).bit_length())
-        return _gt_grid(idx, idx, m, spec.delta, rng)
+        return _gt(x, y, max(1, int(n - 1).bit_length()), spec.delta, keys)
 
     if f == "monotone-gt":
         px = np.asarray(spec.prefix_lengths, dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        m = max(1, int(n).bit_length())
-        return _gt_grid(px, idx, m, spec.delta, rng)
+        return _gt(px[x], y, max(1, int(n).bit_length()), spec.delta, keys)
 
     if f == "banded-gt":
         p = spec.p
-        idx = np.arange(n, dtype=np.int64)
         m = max(1, int(n + p - 2).bit_length())
         d = spec.delta / 2
-        c1, o1 = _gt_grid(idx, idx + p - 1, m, d, np.random.default_rng(rng.integers(2**63)))
-        c2, o2 = _gt_grid(idx + p - 1, idx, m, d, np.random.default_rng(rng.integers(2**63)),
-                          direction="b>a")
+        c1, o1 = _gt(x, y + p - 1, m, d, keys)
+        c2, o2 = _gt(x + p - 1, y, m, d, keys, direction="b>a")
         # short circuit: the second call only runs when the first said "no"
         _, i2 = np.unique(c2, return_inverse=True)
         i2 = i2.reshape(c2.shape).astype(np.int64)
         codes = _pair_codes(c1, np.where(o1 == 1, np.int64(0), i2 + 1))
-        labels = np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
-        return codes, labels
+        return codes, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
 
     if f == "banded2d-gt":
-        return _banded2d_grid(spec, rng)
+        p = spec.p
+        s = masks.split_index(n)
+        ahi, alo, bhi, blo = x // s, x % s, y // s, y % s
+        m1 = max(1, int(s - 1).bit_length())
+        m3 = max(1, int(2 * s + p).bit_length())
+        d = spec.delta / 3
+        cA, oA = _gt(ahi, bhi, m1, d, keys)
+        cB, oB = _gt(alo, blo, m1, d, keys)
+        # third call per announced sign pattern; L1 distance >= p rewritten as
+        # a single comparison of shifted sums/differences
+        branches = {
+            (1, 1): (ahi + alo, bhi + blo + p - 1, "a>b"),
+            (0, 0): (ahi + alo + p - 1, bhi + blo, "b>a"),
+            (1, 0): (ahi - alo + s - 1, bhi - blo + s - 1 + p - 1, "a>b"),
+            (0, 1): (alo - ahi + s - 1, blo - bhi + s - 1 + p - 1, "a>b"),
+        }
+        codes3 = np.zeros(oA.shape, dtype=np.int64)
+        out3 = np.zeros(oA.shape, dtype=np.uint8)
+        for (ba, bb), (av, bv, direction) in branches.items():
+            c3, o3 = _gt(av, bv, m3, d, keys, direction)
+            sel = (oA == ba) & (oB == bb)
+            codes3 = np.where(sel, c3, codes3)
+            out3 = np.where(sel, o3, out3)
+        return _pair_codes(_pair_codes(cA, cB), codes3), out3
 
-    raise ParameterError(f"unknown or order-3 family {f!r}")
+    if f == "neq3-multiparty":
+        B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
+        if B > 1:
+            key = keys(1)[:, 0]
+            h = [_hash_buckets(i, key, B) for i in idx]
+        else:
+            h = [np.zeros_like(i) for i in idx]
+        b2 = (h[1] == h[0]).astype(np.int64)
+        b3 = (h[2] == h[0]).astype(np.int64)
+        return h[0] * 4 + b2 * 2 + b3, (1 - (b2 & b3)).astype(np.uint8)
+
+    raise ParameterError(f"unknown family {f!r}")
 
 
-def _banded2d_grid(spec: ProtocolSpec, rng):
-    n, p = spec.n, spec.p
-    s = masks.split_index(n)
-    idx = np.arange(n, dtype=np.int64)
-    hi1, lo1 = idx // s, idx % s
-    m1 = max(1, int(s - 1).bit_length())
-    m3 = max(1, int(2 * s + p).bit_length())
-    d = spec.delta / 3
-
-    def sub():
-        return np.random.default_rng(rng.integers(2**63))
-
-    cA, oA = _gt_grid(hi1, hi1, m1, d, sub())
-    cB, oB = _gt_grid(lo1, lo1, m1, d, sub())
-
-    # third call per announced sign pattern; L1 distance >= p rewritten as
-    # a single comparison of shifted sums/differences
-    branches = {
-        (1, 1): (hi1 + lo1, hi1 + lo1 + p - 1, "a>b"),
-        (0, 0): (hi1 + lo1 + p - 1, hi1 + lo1, "b>a"),
-        (1, 0): (hi1 - lo1 + s - 1, hi1 - lo1 + s - 1 + p - 1, "a>b"),
-        (0, 1): (lo1 - hi1 + s - 1, lo1 - hi1 + s - 1 + p - 1, "a>b"),
-    }
-    codes3 = np.zeros((n, n), dtype=np.int64)
-    out3 = np.zeros((n, n), dtype=np.uint8)
-    for (ba, bb), (av, bv, direction) in branches.items():
-        c3, o3 = _gt_grid(av, bv, m3, d, sub(), direction=direction)
-        sel = (oA == ba) & (oB == bb)
-        codes3 = np.where(sel, c3, codes3)
-        out3 = np.where(sel, o3, out3)
-    combined = _pair_codes(_pair_codes(cA, cB), codes3)
-    return combined, out3
+def _order(spec: ProtocolSpec) -> int:
+    return 3 if spec.family == "neq3-multiparty" else 2
 
 
-def _neq3_grid(spec: ProtocolSpec, seed: int):
-    n = spec.n
-    if n > ENUM_CAP_3:
-        raise ResourceError(f"n={n} exceeds the order-3 enumeration cap {ENUM_CAP_3}")
+def _shared_keys(spec: ProtocolSpec, seed: int, ndim: int):
+    """Key source for one protocol run on every cell of an ndim-axis grid.
+
+    Keys come from default_rng(seed), count pairs per call. The composed
+    families give each greater-than call its own generator, seeded from the
+    protocol seed in call order.
+    """
     rng = np.random.default_rng(seed)
-    B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
-    if B > 1:
-        h = _hash_buckets(np.arange(n, dtype=np.int64), _draw_key(rng), B)
-    else:
-        h = np.zeros(n, dtype=np.int64)
-    b2 = (h[None, :, None] == h[:, None, None]).astype(np.int64)  # [x2 bucket == x1 bucket]
-    b3 = (h[None, None, :] == h[:, None, None]).astype(np.int64)
-    codes = (h[:, None, None] * 4 + b2 * 2 + b3).astype(np.int64)
-    labels = (1 - (b2 & b3)).astype(np.uint8)
-    return codes, labels
+    split = spec.family in ("banded-gt", "banded2d-gt")
+
+    def keys(count: int):
+        src = np.random.default_rng(rng.integers(2**63)) if split else rng
+        k = src.integers(0, 2**64, size=(count, 2), dtype=np.uint64)
+        return k.T.reshape((2, count) + (1,) * ndim)
+
+    return keys
+
+
+def _transcript_grid(spec: ProtocolSpec, seed: int):
+    """(codes, labels) on the full grid of the family's order."""
+    order = _order(spec)
+    cap = ENUM_CAP if order == 2 else ENUM_CAP_3
+    if spec.n > cap:
+        raise ResourceError(f"n={spec.n} exceeds the order-{order} enumeration cap {cap}")
+    idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
+    return decide(spec, idx, _shared_keys(spec, seed, order))
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +472,17 @@ def _group_cells(codes: np.ndarray, labels: np.ndarray) -> list[Rectangle]:
 
 def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
     """Run the protocol on every cell and group by transcript."""
-    if spec.family == "neq3-multiparty":
-        return multiparty_partition(spec, seed)
     codes, labels = _transcript_grid(spec, seed)
     rects = _group_cells(codes, labels)
     ones = sum(1 for r in rects if r.label == 1)
-    return PartitionSample(rects, spec.n, f"{spec.describe()}@{seed}", ones)
+    return PartitionSample(rects, spec.n, f"{spec.describe()}@{seed}", ones,
+                           order=codes.ndim)
 
 
 def multiparty_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
     if spec.family != "neq3-multiparty":
         raise ParameterError(f"{spec.family} is not an order-3 family")
-    codes, labels = _neq3_grid(spec, seed)
-    rects = _group_cells(codes, labels)
-    ones = sum(1 for r in rects if r.label == 1)
-    return PartitionSample(rects, spec.n, f"{spec.describe()}@{seed}", ones, order=3)
+    return sample_partition(spec, seed)
 
 
 def protocol_matrix(spec: ProtocolSpec, seed: int = 0) -> masks.Mask:
@@ -543,7 +494,9 @@ def protocol_matrix(spec: ProtocolSpec, seed: int = 0) -> masks.Mask:
 
 
 def protocol_cube(spec: ProtocolSpec, seed: int = 0) -> np.ndarray:
-    _, labels = _neq3_grid(spec, seed)
+    if spec.family != "neq3-multiparty":
+        raise ParameterError(f"{spec.family} is not an order-3 family")
+    _, labels = _transcript_grid(spec, seed)
     return labels
 
 
@@ -598,131 +551,27 @@ def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
     raise ParameterError(f"unknown family {f!r}")
 
 
-def _point_outputs(spec: ProtocolSpec, idx, rng) -> np.ndarray:
-    """Protocol outputs on sampled cells, one fresh seed per sample.
-
-    Mirrors _transcript_grid / _neq3_grid decision for decision; kept in
-    lockstep by the grid-consistency property checked in the test suite.
-    """
-    f = spec.family
-    n = spec.n
-    size = idx[0].shape
-
-    if f in ("equality-hash", "eq-mod-p"):
-        if f == "equality-hash":
-            vals = np.asarray(
-                spec.groups if spec.groups is not None else np.arange(n),
-                dtype=np.int64,
-            )
-            buckets = math.ceil(1 / spec.delta)
-        else:
-            vals = np.arange(n, dtype=np.int64) % spec.p
-            if not spec.delta:
-                return (vals[idx[0]] != vals[idx[1]]).astype(np.uint8)
-            buckets = math.ceil(1 / spec.delta)
-        if buckets <= 1:
-            return np.zeros(size, dtype=np.uint8)
-        ka, kb = _draw_key_arrays(rng, 1, size)
-        bx = _hash_buckets(vals[idx[0]], (ka[0], kb[0]), buckets)
-        by = _hash_buckets(vals[idx[1]], (ka[0], kb[0]), buckets)
-        return (bx != by).astype(np.uint8)
-
-    if f == "sparse-set-eq":
-        cols = np.asarray(
-            spec.col_groups if spec.col_groups is not None else np.arange(n),
-            dtype=np.int64,
-        )
-        B = max(1, math.ceil(spec.t / spec.delta))
-        width = max(1, max(len(zs) for zs in spec.zero_sets))
-        Z = np.zeros((n, width), dtype=np.int64)
-        valid = np.zeros((n, width), dtype=bool)
-        for r, zs in enumerate(spec.zero_sets):
-            Z[r, : len(zs)] = zs
-            valid[r, : len(zs)] = True
-        ka, kb = _draw_key_arrays(rng, 1, size)
-        by = _hash_buckets(cols[idx[1]], (ka[0], kb[0]), B)
-        hz = _hash_buckets(Z[idx[0]], (ka[0][..., None], kb[0][..., None]), B)
-        member = ((hz == by[..., None]) & valid[idx[0]]).any(axis=-1)
-        return (~member).astype(np.uint8)
-
-    if f == "greater-than":
-        m = max(1, int(n - 1).bit_length())
-        ka, kb = _draw_key_arrays(rng, m + 1, size)
-        return _gt_point(idx[0], idx[1], m, spec.delta, ka, kb)
-
-    if f == "monotone-gt":
-        px = np.asarray(spec.prefix_lengths, dtype=np.int64)
-        m = max(1, int(n).bit_length())
-        ka, kb = _draw_key_arrays(rng, m + 1, size)
-        return _gt_point(px[idx[0]], idx[1], m, spec.delta, ka, kb)
-
-    if f == "banded-gt":
-        p = spec.p
-        m = max(1, int(n + p - 2).bit_length())
-        d = spec.delta / 2
-        x = np.asarray(idx[0], dtype=np.int64)
-        y = np.asarray(idx[1], dtype=np.int64)
-        ka, kb = _draw_key_arrays(rng, m + 1, size)
-        o1 = _gt_point(x, y + p - 1, m, d, ka, kb)
-        ka, kb = _draw_key_arrays(rng, m + 1, size)
-        o2 = _gt_point(x + p - 1, y, m, d, ka, kb, direction="b>a")
-        return np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
-
-    if f == "banded2d-gt":
-        p = spec.p
-        s = masks.split_index(n)
-        x = np.asarray(idx[0], dtype=np.int64)
-        y = np.asarray(idx[1], dtype=np.int64)
-        ahi, alo = x // s, x % s
-        bhi, blo = y // s, y % s
-        m1 = max(1, int(s - 1).bit_length())
-        m3 = max(1, int(2 * s + p).bit_length())
-        d = spec.delta / 3
-        ka, kb = _draw_key_arrays(rng, m1 + 1, size)
-        oA = _gt_point(ahi, bhi, m1, d, ka, kb)
-        ka, kb = _draw_key_arrays(rng, m1 + 1, size)
-        oB = _gt_point(alo, blo, m1, d, ka, kb)
-        branches = {
-            (1, 1): (ahi + alo, bhi + blo + p - 1, "a>b"),
-            (0, 0): (ahi + alo + p - 1, bhi + blo, "b>a"),
-            (1, 0): (ahi - alo + s - 1, bhi - blo + s - 1 + p - 1, "a>b"),
-            (0, 1): (alo - ahi + s - 1, blo - bhi + s - 1 + p - 1, "a>b"),
-        }
-        out = np.zeros(size, dtype=np.uint8)
-        for (ba, bb), (av, bv, direction) in branches.items():
-            ka, kb = _draw_key_arrays(rng, m3 + 1, size)
-            o3 = _gt_point(av, bv, m3, d, ka, kb, direction=direction)
-            sel = (oA == ba) & (oB == bb)
-            out = np.where(sel, o3, out)
-        return out.astype(np.uint8)
-
-    if f == "neq3-multiparty":
-        B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
-        if B <= 1:
-            return np.zeros(size, dtype=np.uint8)
-        ka, kb = _draw_key_arrays(rng, 1, size)
-        h1 = _hash_buckets(np.asarray(idx[0], np.int64), (ka[0], kb[0]), B)
-        h2 = _hash_buckets(np.asarray(idx[1], np.int64), (ka[0], kb[0]), B)
-        h3 = _hash_buckets(np.asarray(idx[2], np.int64), (ka[0], kb[0]), B)
-        return (1 - ((h2 == h1) & (h3 == h1)).astype(np.uint8)).astype(np.uint8)
-
-    raise ParameterError(f"unknown family {f!r}")
-
-
 def empirical_error_rates(
     spec: ProtocolSpec, W, trials: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo disagreement rates of W_pi against W, split by W's value.
 
-    Each of the trials samples an independent (cell, protocol seed) pair,
+    Each of the trials samples an independent (cell, protocol seed) pair and
+    runs decide, the evaluator that also builds the certificate's partition,
     so the two rates are plain binomial estimates of the per-cell error
-    probabilities averaged over each side of the mask.
+    probabilities of those decisions, averaged over each side of the mask.
     """
     bitmap = np.asarray(getattr(W, "bitmap", W))
+    shape = (spec.n,) * _order(spec)
+    if bitmap.shape != shape:
+        raise ShapeError(f"W has shape {bitmap.shape}; {spec.describe()} needs {shape}")
     rng = np.random.default_rng(seed)
-    order = bitmap.ndim
-    idx = tuple(rng.integers(0, spec.n, size=trials) for _ in range(order))
-    out = _point_outputs(spec, idx, rng)
+    idx = tuple(rng.integers(0, spec.n, size=trials) for _ in shape)
+
+    def keys(count: int):
+        return rng.integers(0, 2**64, size=(2, count, trials), dtype=np.uint64)
+
+    _, out = decide(spec, idx, keys)
     w = bitmap[idx].astype(np.int64)
     disagree = out.astype(np.int64) != w
     rates = []
@@ -735,12 +584,6 @@ def empirical_error_rates(
 
 # ---------------------------------------------------------------------------
 # nondeterministic covers
-
-def _bit_sets(m: int, values: np.ndarray):
-    for i in range(m):
-        bit = (values >> i) & 1
-        yield i, bit
-
 
 def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
     """Overlapping 1-labeled rectangles witnessing f = 1.
@@ -800,3 +643,4 @@ def cover_bitmap(cover: Cover) -> np.ndarray:
     for r in cover.rectangles:
         out[np.ix_(r.row_set, r.col_set)] = 1
     return out
+

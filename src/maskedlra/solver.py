@@ -18,6 +18,7 @@ import scipy.linalg
 from . import masks, protocols
 from .errors import ParameterError
 from .linalg import (
+    RIDGE,
     LowRankFactor,
     hadamard,
     masked_cost,
@@ -25,8 +26,6 @@ from .linalg import (
     svd_truncated,
     zero_factor,
 )
-
-RIDGE = 1e-10
 
 
 @dataclass

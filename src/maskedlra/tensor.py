@@ -16,8 +16,7 @@ import scipy.linalg
 
 from . import protocols
 from .errors import ParameterError, ShapeError
-
-RIDGE = 1e-10
+from .linalg import RIDGE
 
 
 def as_tensor(T) -> np.ndarray:

@@ -120,3 +120,14 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert main(["gen", "--pattern", "nope", "--n", "8", "--out", str(tmp_path)]) == 2
     rc = main(["solve", "/nonexistent.mlra", "/nonexistent.mask", "--k", "1"])
     assert rc == 2
+
+
+def test_package_errors_exit_two(capsys):
+    # ResourceError: the grid is over the enumeration cap
+    rc = main(["protocol-stats", "--family", "greater-than", "--n", "5000"])
+    assert rc == 2
+    assert "enumeration cap" in capsys.readouterr().err
+    # ParameterError from the sparse generator: more zeros per row than columns
+    rc = main(["verify", "--theorem", "t2", "--n", "4", "--t", "8"])
+    assert rc == 2
+    assert "t=8" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Protocol families: partitions, labels, error rates, covers, and caps."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from maskedlra import (
     Diagonal,
     ParameterError,
+    ShapeError,
     banded2d_gt,
     banded_gt,
     empirical_error_rates,
@@ -22,11 +26,12 @@ from maskedlra import (
     sparse_set_eq,
     transcript_cap,
 )
+from maskedlra.io import write_partition
 from maskedlra.protocols import (
     ONE_SIDED_FAMILIES,
-    _draw_key,
-    _gt_grid,
-    _gt_point,
+    _shared_keys,
+    decide,
+    protocol_cube,
     target_bitmap,
 )
 
@@ -69,6 +74,41 @@ def _specs_under_test(n: int = 16):
         banded2d_gt(n, 2, 0.5),
         monotone_gt(prefixes, 0.25),
     ]
+
+
+def _one_spec_per_family(n: int = 16):
+    """The specs of _specs_under_test, hashed eq-mod-p, plus order-3 neq3."""
+    specs = [s for s in _specs_under_test(n) if s.family != "eq-mod-p" or s.delta]
+    return specs + [neq3_multiparty(8, 0.5)]
+
+
+# sha256 over the partition dumps for seeds 0, 3, 7, 11, 13, then the
+# little-endian float64 error-rate pairs (20 000 trials, W = target_bitmap)
+# for seeds 2, 3, 5. Any change to a family's decisions or to the order in
+# which it draws randomness moves its digest.
+GOLDEN_DIGESTS = {
+    "equality-hash": "053279aff6a470dd393328459e15f44261a6fdc6633cbc6a92be78b27ff47b6b",
+    "eq-mod-p": "444b850cca61c9d6bbd8c9c618216cbe3911ba141dc7f37e2a0acff8bc198128",
+    "sparse-set-eq": "f8924bedf114b0b4ca972b3b00dd2bd6fd37daeea32785a44455a987f98947a0",
+    "greater-than": "491bd2f028ab6a973fd6172925b853d161567658f2461acee49dc66983cc7449",
+    "banded-gt": "114b89e841f4a823b171f04c84caf9d5fd437636c3f029b0e5b398966db81efe",
+    "banded2d-gt": "b399b83c5b942b795a06e9aa35cc4bd50ea1ae3cad61556bfa91ec65ef71ef68",
+    "monotone-gt": "96c6c8d6b6301aaf3b0d1aa18a58d939f6cd114233e8601955bdf730f12080fa",
+    "neq3-multiparty": "a69f90f2e77927288356e14c7d8c088b53052f3b8a6be972ccaf73bde42aa315",
+}
+
+
+@pytest.mark.parametrize("spec", _one_spec_per_family(), ids=lambda s: s.family)
+def test_golden_partitions_and_error_rates(spec, tmp_path):
+    h = hashlib.sha256()
+    for seed in (0, 3, 7, 11, 13):
+        path = tmp_path / f"p{seed}.part"
+        write_partition(path, sample_partition(spec, seed=seed))
+        h.update(path.read_bytes())
+    for seed in (2, 3, 5):
+        rates = empirical_error_rates(spec, target_bitmap(spec), 20_000, seed=seed)
+        h.update(struct.pack("<dd", *rates))
+    assert h.hexdigest() == GOLDEN_DIGESTS[spec.family]
 
 
 def test_single_bucket_equality_partition():
@@ -194,23 +234,40 @@ def test_empirical_error_rates_two_sided():
     assert off <= 0.1 + 3 * s0
 
 
-def test_gt_point_engine_matches_grid_decisions():
-    """Point mode with the grid's keys broadcast per cell reproduces the grid
-    outputs bit for bit; the two engines must stay in lockstep."""
-    for n, delta in ((16, 0.25), (64, 0.1), (33, 0.5)):
-        m = max(1, int(np.ceil(np.log2(n))))
-        vals = np.arange(n)
-        for seed in (0, 5):
-            rng = np.random.default_rng(seed)
-            _, grid_out = _gt_grid(vals, vals, m, delta, rng)
-            rng2 = np.random.default_rng(seed)
-            keys = [_draw_key(rng2) for _ in range(m + 1)]
-            ka = np.stack([np.full((n, n), k[0], dtype=np.uint64) for k in keys])
-            kb = np.stack([np.full((n, n), k[1], dtype=np.uint64) for k in keys])
-            A = np.broadcast_to(vals[:, None], (n, n))
-            B = np.broadcast_to(vals[None, :], (n, n))
-            point_out = _gt_point(A, B, m, delta, ka, kb)
-            assert np.array_equal(grid_out, point_out), (n, delta, seed)
+@pytest.mark.parametrize(
+    "spec",
+    _one_spec_per_family()
+    + [eq_mod_p(16, 4), greater_than(64, 0.1), greater_than(33, 0.5)],
+    ids=lambda s: f"{s.family}-n{s.n}-d{s.delta:g}",
+)
+def test_sampled_mode_matches_grid_on_every_cell(spec):
+    """Sampling every cell once, with the grid's keys copied into one key
+    column per cell, reproduces the grid's outputs bit for bit."""
+    order = 3 if spec.family == "neq3-multiparty" else 2
+    cells = np.indices((spec.n,) * order).reshape(order, -1)
+    for seed in (0, 5):
+        shared = _shared_keys(spec, seed, 1)
+
+        def per_cell(count):
+            return np.repeat(shared(count), cells.shape[1], axis=-1)
+
+        _, out = decide(spec, tuple(cells), per_cell)
+        if order == 3:
+            want = protocol_cube(spec, seed)
+        else:
+            want = protocol_matrix(spec, seed).bitmap
+        assert np.array_equal(out.reshape(want.shape), want), (spec.describe(), seed)
+
+
+def test_empirical_error_rates_checks_mask_shape():
+    for spec, W in (
+        (equality_hash(64, 0.25), np.ones((128, 128), dtype=np.uint8)),
+        (equality_hash(64, 0.25), np.ones((32, 32), dtype=np.uint8)),
+        (neq3_multiparty(8, 0.5), np.ones((8, 8), dtype=np.uint8)),
+        (greater_than(8, 0.5), np.ones((8, 8, 8), dtype=np.uint8)),
+    ):
+        with pytest.raises(ShapeError):
+            empirical_error_rates(spec, W, 100, seed=0)
 
 
 def test_nondet_cover_neq_bits():
@@ -304,6 +361,15 @@ def test_sample_partition_delegates_multiparty():
     P1 = multiparty_partition(spec, seed=2)
     P2 = sample_partition(spec, seed=2)
     assert np.array_equal(_label_grid(P1), _label_grid(P2))
+
+
+def test_order_mismatch_rejected():
+    with pytest.raises(ParameterError):
+        multiparty_partition(greater_than(5, 0.5))
+    with pytest.raises(ParameterError):
+        protocol_cube(greater_than(5, 0.5))
+    with pytest.raises(ParameterError):
+        protocol_matrix(neq3_multiparty(5, 0.5))
 
 
 def test_sparse_set_eq_empty_sets_all_ones():
