@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ResourceError, ShapeError
+from .linalg import as_bitmap
 
 EXHAUSTIVE_BIT_CAP = 24
 
@@ -57,15 +58,11 @@ def bool_product(U, V) -> np.ndarray:
     return (U.astype(np.int64) @ V.astype(np.int64) > 0).astype(np.uint8)
 
 
-def _bitmap(W) -> np.ndarray:
-    return np.asarray(getattr(W, "bitmap", W)).astype(np.uint8)
-
-
 def bool_cost(A, B, W) -> int:
     """Hamming cost of B against A on W's support."""
     A = as_bool_matrix(A)
     B = as_bool_matrix(B)
-    Wb = _bitmap(W)
+    Wb = as_bitmap(W, np.uint8)
     if A.shape != B.shape or A.shape != Wb.shape:
         raise ShapeError("bool_cost shapes differ")
     return int(np.sum((A != B) & (Wb == 1)))
@@ -87,7 +84,7 @@ def bool_lra_exhaustive(A, W, k: int) -> tuple[BoolFactor, int]:
     optimum. Refuses instances whose search space exceeds 2**24 states.
     """
     A = as_bool_matrix(A)
-    Wb = _bitmap(W)
+    Wb = as_bitmap(W, np.uint8)
     if A.shape != Wb.shape:
         raise ShapeError("mask shape differs from matrix")
     if k < 1:
@@ -154,7 +151,7 @@ def bool_lra_heuristic(
     never costs more than the zero factor.
     """
     A = as_bool_matrix(A)
-    Wb = _bitmap(W)
+    Wb = as_bitmap(W, np.uint8)
     if A.shape != Wb.shape:
         raise ShapeError("mask shape differs from matrix")
     if k < 1:
@@ -204,7 +201,7 @@ def cover_based_bool_lra(
     "auto" (exhaustive whenever the rectangle fits the search cap).
     """
     A = as_bool_matrix(A)
-    Wb = _bitmap(W)
+    Wb = as_bitmap(W, np.uint8)
     if A.shape != Wb.shape:
         raise ShapeError("mask shape differs from matrix")
     if inner not in ("auto", "exhaustive", "heuristic"):

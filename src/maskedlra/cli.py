@@ -30,51 +30,11 @@ FAMILIES = (
 COVERS = ("neq-bits", "neq-blocks", "disj-coords")
 
 
-def _even_blocks(n: int, b: int) -> tuple[tuple[int, ...], ...]:
-    if b < 1 or b > n:
-        raise ParameterError(f"blocks={b} out of range for n={n}")
-    cuts = np.array_split(np.arange(n), b)
-    return tuple(tuple(int(i) for i in c) for c in cuts if len(c))
-
-
-def _monotone_prefixes(n: int, seed: int) -> tuple[int, ...]:
-    rng = np.random.default_rng([seed, n, 0x30])
-    return tuple(int(v) for v in rng.integers(0, n + 1, size=n))
-
-
-def _pattern_from_args(args) -> object:
-    tag = args.pattern
-    if tag == "all-ones":
-        return mk.AllOnes()
-    if tag == "diagonal":
-        return mk.Diagonal()
-    if tag == "block-diagonal":
-        return mk.BlockDiagonal(_even_blocks(args.n, args.blocks))
-    if tag == "sparse":
-        return hs.sparse_pattern(args.n, args.t, args.seed)
-    if tag == "toeplitz":
-        return mk.ToeplitzModP(args.p)
-    if tag == "banded":
-        return mk.Banded(args.p)
-    if tag == "banded2d":
-        return mk.Banded2D(args.p)
-    if tag == "monotone":
-        return mk.Monotone(_monotone_prefixes(args.n, args.seed))
-    if tag == "diagonal3":
-        return tn.Diagonal3()
-    if tag == "sparse-faces":
-        rng = np.random.default_rng([args.seed, args.n, 0x3F])
-        zs = []
-        for _ in range(args.n):
-            flat = rng.choice(args.n * args.n, size=args.t, replace=False)
-            zs.append(tuple((int(f) // args.n, int(f) % args.n) for f in sorted(flat)))
-        return tn.SparseFaces(tuple(zs), args.t)
-    raise ParameterError(f"unknown pattern {tag!r}")
-
-
 def _cmd_gen(args) -> int:
     domain = args.domain
-    pattern = _pattern_from_args(args)
+    pattern = hs.make_pattern(
+        args.pattern, args.n, t=args.t, p=args.p, blocks=args.blocks, seed=args.seed
+    )
     inst = hs.gen_planted(
         domain, pattern, args.n, args.k,
         noise_sigma=args.noise_sigma,
@@ -91,12 +51,8 @@ def _cmd_gen(args) -> int:
     elif domain == "boolean":
         mio.write_bitmap(out / "A.mlrb", inst.A)
         mio.write_bitmap(out / "Lstar.mlrb", inst.L_star.value())
-        if isinstance(inst.W.pattern, mk.Explicit):
-            mask_file = "W.mlrb"
-            mio.write_bitmap(out / mask_file, inst.W.bitmap)
-        else:
-            mask_file = "W.mask"
-            mio.write_mask_descriptor(out / mask_file, inst.W)
+        mask_file = "W.mask"
+        mio.write_mask_descriptor(out / mask_file, inst.W)
     else:
         mio.write_tensor(out / "A.mlrt", inst.A)
         mio.write_tensor(out / "Lstar.mlrt", inst.L_star.value())
@@ -177,7 +133,8 @@ def _spec_from_args(args) -> pr.ProtocolSpec:
     if fam == "banded2d-gt":
         return pr.banded2d_gt(args.n, args.p, args.delta)
     if fam == "monotone-gt":
-        return pr.monotone_gt(_monotone_prefixes(args.n, args.seed), args.delta)
+        px = hs.make_pattern("monotone", args.n, seed=args.seed).prefix_lengths
+        return pr.monotone_gt(px, args.delta)
     if fam == "neq3-multiparty":
         return pr.neq3_multiparty(args.n, args.delta)
     raise ParameterError(f"unknown family {fam!r}")
@@ -251,7 +208,7 @@ def _cmd_boolean(args) -> int:
     if args.cover == "neq-bits":
         pattern = mk.Diagonal()
     elif args.cover == "neq-blocks":
-        pattern = mk.BlockDiagonal(_even_blocks(args.n, args.blocks or 2))
+        pattern = hs.make_pattern("block-diagonal", args.n, blocks=args.blocks or 2)
     else:
         pattern = mk.Explicit(pr.cover_bitmap(cover))
     inst = hs.gen_planted(

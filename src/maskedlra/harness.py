@@ -22,7 +22,7 @@ from . import protocols as pr
 from . import solver as sv
 from . import structural as st
 from . import tensor as tn
-from .errors import ParameterError, ResourceError
+from .errors import MaskedLRAError, ParameterError, ResourceError
 from .linalg import LowRankFactor, masked_cost
 
 DEFAULT_CORRUPTION = 5.0
@@ -154,7 +154,8 @@ _DEFAULTS = {
     "stats_trials": "0",
 }
 
-ROUTES = ("t1", "t2", "t3", "t4", "a2")
+# the tag of the pattern each sweep route plants
+ROUTES = {"t1": "diagonal", "t2": "sparse", "t3": "toeplitz-mod-p", "t4": "banded", "a2": "sparse"}
 
 
 def parse_config(source) -> dict:
@@ -208,16 +209,34 @@ def sparse_pattern(n: int, t: int, seed: int) -> mk.Sparse:
     return mk.Sparse(zero_sets=zs, t=t)
 
 
-def _route_pattern(route: str, n: int, t: int, p: int, seed: int):
-    if route == "t1":
-        return mk.Diagonal()
-    if route in ("t2", "a2"):
+def make_pattern(tag: str, n: int, *, t: int = 2, p: int = 4, blocks: int = 2, seed: int = 0):
+    """The example pattern planted for a tag, by gen and by the sweep routes.
+
+    t is the zeros per row (per face for sparse-faces), p the modulus or
+    band width, blocks the number of even diagonal blocks; random zero sets
+    and prefixes are drawn from generators seeded by (seed, n, ...).
+    """
+    if tag in ("all-ones", "diagonal"):
+        return mk.PATTERNS[tag]()
+    if tag in ("toeplitz-mod-p", "banded", "banded-2d"):
+        return mk.PATTERNS[tag](p)
+    if tag == "block-diagonal":
+        if not 1 <= blocks <= n:
+            raise ParameterError(f"blocks={blocks} out of range for n={n}")
+        cuts = np.array_split(np.arange(n), blocks)
+        return mk.BlockDiagonal(tuple(tuple(c.tolist()) for c in cuts))
+    if tag == "sparse":
         return sparse_pattern(n, t, seed)
-    if route == "t3":
-        return mk.ToeplitzModP(p=p)
-    if route == "t4":
-        return mk.Banded(p=p)
-    raise ParameterError(f"unknown route {route!r}")
+    if tag == "monotone":
+        rng = np.random.default_rng([seed, n, 0x30])
+        return mk.Monotone(tuple(rng.integers(0, n + 1, size=n).tolist()))
+    if tag == "diagonal3":
+        return tn.Diagonal3()
+    if tag == "sparse-faces":
+        rng = np.random.default_rng([seed, n, 0x3F])
+        faces = (sorted(rng.choice(n * n, size=t, replace=False)) for _ in range(n))
+        return tn.SparseFaces(tuple(tuple(divmod(int(f), n) for f in fs) for fs in faces), t)
+    raise ParameterError(f"unknown pattern {tag!r}")
 
 
 def _row_from_bicriteria(rep: sv.BicriteriaReport) -> dict:
@@ -231,8 +250,10 @@ def _row_from_bicriteria(rep: sv.BicriteriaReport) -> dict:
 
 def run_cell(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict:
     """One sweep cell: plant, verify through the route, map to a row."""
-    t, p, k = cfg["t"], cfg["p"], cfg["k"]
-    pattern = _route_pattern(route, n, t, p, seed)
+    if route not in ROUTES:
+        raise ParameterError(f"unknown route {route!r}")
+    k = cfg["k"]
+    pattern = make_pattern(ROUTES[route], n, t=cfg["t"], p=cfg["p"], seed=seed)
     inst = gen_planted(
         "matrix", pattern, n, k,
         noise_sigma=cfg["noise_sigma"],
@@ -263,9 +284,9 @@ def run_cell(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict:
 def _stats_row(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict | None:
     if route == "a2" or cfg["stats_trials"] <= 0:
         return None
-    pattern = _route_pattern(route, n, cfg["t"], cfg["p"], seed)
+    pattern = make_pattern(ROUTES[route], n, t=cfg["t"], p=cfg["p"], seed=seed)
     W = mk.make_mask(pattern, n)
-    spec = sv._spec_for_pattern(W, eps)
+    spec = pattern.spec(n, eps)
     P = pr.sample_partition(spec, seed=seed)
     e1, e0 = pr.empirical_error_rates(spec, W, cfg["stats_trials"], seed=seed)
     return {
@@ -276,7 +297,8 @@ def _stats_row(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict | N
 
 
 def run_suite(config) -> ExperimentReport:
-    """Cross-product sweep; cell failures become unsatisfied rows."""
+    """Cross-product sweep; cells failing with a package error become
+    unsatisfied rows, and any other exception propagates."""
     cfg = parse_config(config)
     report = ExperimentReport()
     for route in cfg["routes"]:
@@ -285,7 +307,7 @@ def run_suite(config) -> ExperimentReport:
                 for seed in cfg["seeds"]:
                     try:
                         row = run_cell(route, n, eps, seed, cfg)
-                    except Exception as e:  # recorded, never aborts the sweep
+                    except MaskedLRAError as e:  # recorded, never aborts the sweep
                         row = {
                             "pattern": route, "n": n, "k": cfg["k"],
                             "k_prime": 0, "eps1": eps, "eps2": 0.0,

@@ -7,13 +7,16 @@ dimensions, then the payload in row-major (lexicographic) order.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import masks, protocols
 from .errors import ParameterError
+from .linalg import as_bitmap
 
 _MAGIC_MATRIX = b"MLRA1"
 _MAGIC_BITMAP = b"MLRB1"
@@ -56,7 +59,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_bitmap(path, W) -> None:
-    B = np.asarray(getattr(W, "bitmap", W), dtype=np.uint8)
+    B = as_bitmap(W, np.uint8)
     if B.ndim != 2:
         raise ParameterError("MLRB1 stores 2-d bitmaps")
     with open(path, "wb") as f:
@@ -94,37 +97,48 @@ def read_tensor(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mask descriptors
 
+def _join_flat(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _split_flat(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(","))) if text else ()
+
+
 def _join_nested(groups) -> str:
-    return "|".join(",".join(str(i) for i in g) for g in groups)
+    return "|".join(_join_flat(g) for g in groups)
 
 
-def _split_nested(text: str):
-    if not text:
-        return ()
-    return tuple(
-        tuple(int(v) for v in part.split(",") if v != "") for part in text.split("|")
-    )
+def _split_nested(text: str) -> tuple[tuple[int, ...], ...]:
+    # every nested field has at least one group, so "" is one empty group
+    return tuple(_split_flat(part) for part in text.split("|"))
+
+
+# text codec (write, read) of a descriptor field, by its declared type
+_CODECS = {
+    int: (str, int),
+    tuple[int, ...]: (_join_flat, _split_flat),
+    tuple[tuple[int, ...], ...]: (_join_nested, _split_nested),
+}
+
+
+def _descriptor_fields(cls) -> list:
+    """(name, (write, read)) per field of the pattern.
+
+    Integer fields come first, the line order descriptor files have always had.
+    """
+    hints = typing.get_type_hints(cls)
+    names = sorted((f.name for f in dataclasses.fields(cls)), key=lambda f: hints[f] is not int)
+    if any(hints[f] not in _CODECS for f in names):
+        raise ParameterError(f"{cls.tag} masks serialize as MLRB1 bitmaps, not descriptors")
+    return [(f, _CODECS[hints[f]]) for f in names]
 
 
 def write_mask_descriptor(path, mask: masks.Mask) -> None:
     p = mask.pattern
     lines = [f"pattern = {p.tag}", f"n = {mask.n}"]
-    if isinstance(p, masks.BlockDiagonal):
-        lines.append(f"blocks = {_join_nested(p.blocks)}")
-    elif isinstance(p, masks.Sparse):
-        lines.append(f"t = {p.t}")
-        lines.append(f"zero_sets = {_join_nested(p.zero_sets)}")
-    elif isinstance(p, masks.BlockSparse):
-        lines.append(f"t = {p.t}")
-        lines.append(f"row_blocks = {_join_nested(p.row_blocks)}")
-        lines.append(f"col_blocks = {_join_nested(p.col_blocks)}")
-        lines.append(f"block_zero_sets = {_join_nested(p.block_zero_sets)}")
-    elif isinstance(p, (masks.ToeplitzModP, masks.Banded, masks.Banded2D)):
-        lines.append(f"p = {p.p}")
-    elif isinstance(p, masks.Monotone):
-        lines.append(f"prefix_lengths = {','.join(str(v) for v in p.prefix_lengths)}")
-    elif isinstance(p, masks.Explicit):
-        raise ParameterError("explicit masks serialize as MLRB1 bitmaps, not descriptors")
+    for name, (write, _) in _descriptor_fields(type(p)):
+        lines.append(f"{name} = {write(getattr(p, name))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -149,32 +163,14 @@ def read_mask_descriptor(path) -> masks.Mask:
         n = int(kv["n"])
     except KeyError as missing:
         raise ParameterError(f"descriptor missing {missing}")
-    if tag == "all-ones":
-        pattern = masks.AllOnes()
-    elif tag == "diagonal":
-        pattern = masks.Diagonal()
-    elif tag == "block-diagonal":
-        pattern = masks.BlockDiagonal(_split_nested(kv["blocks"]))
-    elif tag == "sparse":
-        pattern = masks.Sparse(_split_nested(kv["zero_sets"]), int(kv["t"]))
-    elif tag == "block-sparse":
-        pattern = masks.BlockSparse(
-            _split_nested(kv["row_blocks"]),
-            _split_nested(kv["col_blocks"]),
-            _split_nested(kv["block_zero_sets"]),
-            int(kv["t"]),
-        )
-    elif tag == "toeplitz-mod-p":
-        pattern = masks.ToeplitzModP(int(kv["p"]))
-    elif tag == "banded":
-        pattern = masks.Banded(int(kv["p"]))
-    elif tag == "banded-2d":
-        pattern = masks.Banded2D(int(kv["p"]))
-    elif tag == "monotone":
-        pattern = masks.Monotone(tuple(int(v) for v in kv["prefix_lengths"].split(",")))
-    else:
+    if tag not in masks.PATTERNS:
         raise ParameterError(f"unknown pattern tag {tag!r}")
-    return masks.make_mask(pattern, n)
+    cls = masks.PATTERNS[tag]
+    try:
+        fields = {name: read(kv[name]) for name, (_, read) in _descriptor_fields(cls)}
+    except KeyError as missing:
+        raise ParameterError(f"descriptor missing {missing}")
+    return masks.make_mask(cls(**fields), n)
 
 
 def load_mask(path) -> masks.Mask:
@@ -189,10 +185,6 @@ def load_mask(path) -> masks.Mask:
 # ---------------------------------------------------------------------------
 # partition dumps
 
-def _fmt_idx(a) -> str:
-    return ",".join(str(int(v)) for v in a)
-
-
 def write_partition(path, sample: protocols.PartitionSample) -> None:
     # header fields are tab-separated; source strings may contain spaces
     head = "\t".join(
@@ -206,9 +198,9 @@ def write_partition(path, sample: protocols.PartitionSample) -> None:
     )
     lines = [f"# {head}"]
     for r in sample.rectangles:
-        cols = [str(r.label), _fmt_idx(r.row_set), _fmt_idx(r.col_set)]
+        cols = [str(r.label), _join_flat(r.row_set), _join_flat(r.col_set)]
         if r.depth_set is not None:
-            cols.append(_fmt_idx(r.depth_set))
+            cols.append(_join_flat(r.depth_set))
         lines.append("\t".join(cols))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -228,11 +220,11 @@ def read_partition(path) -> protocols.PartitionSample:
             continue
         parts = line.split("\t")
         label = int(parts[0])
-        row_set = np.array([int(v) for v in parts[1].split(",")], dtype=np.int64)
-        col_set = np.array([int(v) for v in parts[2].split(",")], dtype=np.int64)
+        row_set = np.array(_split_flat(parts[1]), dtype=np.int64)
+        col_set = np.array(_split_flat(parts[2]), dtype=np.int64)
         depth = None
         if len(parts) > 3:
-            depth = np.array([int(v) for v in parts[3].split(",")], dtype=np.int64)
+            depth = np.array(_split_flat(parts[3]), dtype=np.int64)
         rects.append(protocols.Rectangle(row_set, col_set, label, depth))
     ones = sum(1 for r in rects if r.label == 1)
     return protocols.PartitionSample(

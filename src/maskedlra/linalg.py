@@ -33,6 +33,11 @@ def as_matrix(A) -> np.ndarray:
     return M
 
 
+def as_bitmap(W, dtype) -> np.ndarray:
+    """The 0/1 array of W, a mask of any order or a raw array, as dtype."""
+    return np.asarray(getattr(W, "bitmap", W), dtype=dtype)
+
+
 @dataclass(frozen=True)
 class NormKind:
     """Entrywise norm: a monotone nonnegative g summed over |entries|.
@@ -179,7 +184,7 @@ def masked_cost(A, W, L: LowRankFactor, g: NormKind = SQUARED_FROBENIUS) -> floa
     W may be a Mask or a raw binary matrix.
     """
     A = as_matrix(A)
-    bitmap = np.asarray(getattr(W, "bitmap", W), dtype=np.float64)
+    bitmap = as_bitmap(W, np.float64)
     if bitmap.shape != A.shape or L.shape != A.shape:
         raise ShapeError(
             f"masked_cost shapes differ: A {A.shape}, W {bitmap.shape}, L {L.shape}"

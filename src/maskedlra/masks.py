@@ -1,49 +1,146 @@
 """Mask patterns and their rank budgets.
 
 A mask is a binary n x n matrix W; the pattern names the zero structure
-(diagonal, banded, ...) and rank_budget maps (pattern, k, eps) to the
-factorization rank k' that the concrete partition constructions certify.
+(diagonal, banded, ...). Each pattern class defines its pattern once:
+bitmap(n) evaluates the defining predicate, budget(k, eps, n) is the rank
+k' that its partition construction certifies, spec(n, eps) is the protocol
+of that construction, and the dataclass fields are its descriptor fields.
+PATTERNS maps each tag to its class.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import protocols  # used at call time only; protocols imports masks too
 from .errors import ParameterError, ShapeError
 
 
+def _check_p(p: int, n: int) -> None:
+    if not 1 <= p <= n:
+        raise ParameterError(f"p={p} out of range for n={n}")
+
+
+def _check_partition(blocks, n: int, field: str) -> None:
+    seen = sorted(i for blk in blocks for i in blk)
+    if seen != list(range(n)):
+        raise ParameterError(f"{field} must partition 0..{n - 1}")
+    if any(len(blk) == 0 for blk in blocks):
+        raise ParameterError(f"{field} contains an empty block")
+
+
+def _binary(cells, shape: tuple[int, ...]) -> np.ndarray:
+    B = np.asarray(cells)
+    if B.shape != shape:
+        raise ShapeError(f"explicit bitmap is {B.shape}, expected {shape}")
+    if not np.isin(B, (0, 1)).all():
+        raise ParameterError("explicit bitmap must be binary")
+    return B.astype(np.uint8)
+
+
+def block_index_map(blocks, n: int) -> np.ndarray:
+    """Array mapping each index to the id of its block."""
+    out = np.empty(n, dtype=np.int64)
+    for b, blk in enumerate(blocks):
+        out[list(blk)] = b
+    return out
+
+
+def split_index(n: int) -> int:
+    """Side length s of the 2-d index split; n must be a perfect square."""
+    s = math.isqrt(n)
+    if s * s != n:
+        raise ParameterError(f"n={n} is not a perfect square")
+    return s
+
+
+class _Pattern:
+    """Base of the order-2 patterns: bitmap(n), budget(k, eps, n) with n None
+    where the budget does not need it, and spec(n, eps), refused here."""
+
+    tag = ""
+
+    def spec(self, n: int, eps: float) -> protocols.ProtocolSpec:
+        raise ParameterError(f"no protocol construction for pattern {self.tag!r}")
+
+
 @dataclass(frozen=True)
-class AllOnes:
+class AllOnes(_Pattern):
     tag = "all-ones"
 
+    def bitmap(self, n):
+        return np.ones((n, n), dtype=np.uint8)
+
+    def budget(self, k, eps, n):
+        return k
+
 
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_Pattern):
     tag = "diagonal"
 
+    def bitmap(self, n):
+        return 1 - np.eye(n, dtype=np.uint8)
+
+    def budget(self, k, eps, n):
+        return k * math.ceil(1 / eps)
+
+    def spec(self, n, eps):
+        return protocols.equality_hash(n, eps)
+
 
 @dataclass(frozen=True)
-class BlockDiagonal:
+class BlockDiagonal(_Pattern):
     """Zeros exactly inside each diagonal block; blocks partition [n]."""
 
     blocks: tuple[tuple[int, ...], ...]
     tag = "block-diagonal"
 
+    def bitmap(self, n):
+        _check_partition(self.blocks, n, "blocks")
+        blk = block_index_map(self.blocks, n)
+        return (blk[:, None] != blk[None, :]).astype(np.uint8)
+
+    def budget(self, k, eps, n):
+        return k * math.ceil(1 / eps)
+
+    def spec(self, n, eps):
+        return protocols.equality_hash(n, eps, groups=block_index_map(self.blocks, n))
+
 
 @dataclass(frozen=True)
-class Sparse:
+class Sparse(_Pattern):
     """Row i is zero exactly on zero_sets[i], each of size <= t."""
 
     zero_sets: tuple[tuple[int, ...], ...]
     t: int
     tag = "sparse"
 
+    def bitmap(self, n):
+        if len(self.zero_sets) != n:
+            raise ParameterError("zero_sets must have one entry per row")
+        W = np.ones((n, n), dtype=np.uint8)
+        for r, zs in enumerate(self.zero_sets):
+            if len(zs) > self.t:
+                raise ParameterError(f"row {r} has {len(zs)} zeros, t={self.t}")
+            if any(not 0 <= c < n for c in zs):
+                raise ParameterError(f"zero_sets[{r}] has an index outside 0..{n - 1}")
+            W[r, list(zs)] = 0
+        return W
+
+    def budget(self, k, eps, n):
+        return k * max(1, math.ceil(self.t / eps))
+
+    def spec(self, n, eps):
+        return protocols.sparse_set_eq(n, self.zero_sets, max(1, self.t), eps)
+
 
 @dataclass(frozen=True)
-class BlockSparse:
+class BlockSparse(_Pattern):
     """Sparse at block granularity: row-block a is zero on <= t column blocks."""
 
     row_blocks: tuple[tuple[int, ...], ...]
@@ -52,21 +149,74 @@ class BlockSparse:
     t: int
     tag = "block-sparse"
 
+    def bitmap(self, n):
+        _check_partition(self.row_blocks, n, "row_blocks")
+        _check_partition(self.col_blocks, n, "col_blocks")
+        if len(self.block_zero_sets) != len(self.row_blocks):
+            raise ParameterError("block_zero_sets must have one entry per row block")
+        rb = block_index_map(self.row_blocks, n)
+        cb = block_index_map(self.col_blocks, n)
+        zero = np.zeros((len(self.row_blocks), len(self.col_blocks)), dtype=bool)
+        for a, zs in enumerate(self.block_zero_sets):
+            if len(zs) > self.t:
+                raise ParameterError(f"row block {a} has {len(zs)} zeros, t={self.t}")
+            if any(not 0 <= c < len(self.col_blocks) for c in zs):
+                raise ParameterError(f"block_zero_sets[{a}] names a missing column block")
+            zero[a, list(zs)] = True
+        return (~zero[rb[:, None], cb[None, :]]).astype(np.uint8)
+
+    def budget(self, k, eps, n):
+        return k * max(1, math.ceil(self.t / eps))
+
+    def spec(self, n, eps):
+        rb = block_index_map(self.row_blocks, n)
+        zero_sets = tuple(self.block_zero_sets[rb[i]] for i in range(n))
+        cb = block_index_map(self.col_blocks, n)
+        return protocols.sparse_set_eq(n, zero_sets, max(1, self.t), eps, col_groups=cb)
+
 
 @dataclass(frozen=True)
-class ToeplitzModP:
+class ToeplitzModP(_Pattern):
     p: int
     tag = "toeplitz-mod-p"
 
+    def bitmap(self, n):
+        _check_p(self.p, n)
+        i, j = np.ogrid[:n, :n]
+        return ((i - j) % self.p != 0).astype(np.uint8)
+
+    def budget(self, k, eps, n):
+        return min(k * self.p, k * math.ceil(1 / eps))
+
+    def spec(self, n, eps):
+        # hashed variant when it certifies fewer rectangles than residues
+        if math.ceil(1 / eps) < self.p:
+            return protocols.eq_mod_p(n, self.p, eps)
+        return protocols.eq_mod_p(n, self.p)
+
 
 @dataclass(frozen=True)
-class Banded:
+class Banded(_Pattern):
     p: int
     tag = "banded"
 
+    def bitmap(self, n):
+        _check_p(self.p, n)
+        i, j = np.ogrid[:n, :n]
+        return (np.abs(i - j) >= self.p).astype(np.uint8)
+
+    def budget(self, k, eps, n):
+        if n is None:
+            raise ParameterError("banded budget needs n for the transcript cap")
+        cap = protocols.transcript_cap(self.spec(n, eps))
+        return min(k * math.ceil(self.p / eps), k * cap)
+
+    def spec(self, n, eps):
+        return protocols.banded_gt(n, self.p, eps)
+
 
 @dataclass(frozen=True)
-class Banded2D:
+class Banded2D(_Pattern):
     """Zero iff the split indices are within L1 distance p.
 
     Index i maps to (i1, i2) by its high and low halves: i = i1*s + i2
@@ -77,33 +227,66 @@ class Banded2D:
     p: int
     tag = "banded-2d"
 
+    def bitmap(self, n):
+        s = split_index(n)
+        _check_p(self.p, n)
+        i, j = np.ogrid[:n, :n]
+        d = np.abs(i // s - j // s) + np.abs(i % s - j % s)
+        return (d >= self.p).astype(np.uint8)
+
+    def budget(self, k, eps, n):
+        if n is None:
+            raise ParameterError("banded-2d budget needs n for the transcript cap")
+        return k * protocols.transcript_cap(self.spec(n, eps))
+
+    def spec(self, n, eps):
+        return protocols.banded2d_gt(n, self.p, eps)
+
 
 @dataclass(frozen=True)
-class Monotone:
+class Monotone(_Pattern):
     """Row x is 1 on the first prefix_lengths[x] columns, 0 afterward."""
 
     prefix_lengths: tuple[int, ...]
     tag = "monotone"
 
+    def bitmap(self, n):
+        if len(self.prefix_lengths) != n:
+            raise ParameterError("prefix_lengths must have one entry per row")
+        px = np.asarray(self.prefix_lengths, dtype=np.int64)
+        if px.min() < 0 or px.max() > n:
+            raise ParameterError("prefix lengths must lie in 0..n")
+        return (np.arange(n) < px[:, None]).astype(np.uint8)
+
+    def budget(self, k, eps, n):
+        return k * protocols.transcript_cap(self.spec(n, eps))
+
+    def spec(self, n, eps):
+        return protocols.monotone_gt(self.prefix_lengths, eps)
+
 
 @dataclass(eq=False, frozen=True)
-class Explicit:
-    bitmap: np.ndarray
+class Explicit(_Pattern):
+    """A mask given cell by cell: cells is its (n, n) 0/1 array."""
+
+    cells: np.ndarray
     tag = "explicit"
 
+    def bitmap(self, n):
+        return _binary(self.cells, (n, n))
 
-MaskPattern = (
-    AllOnes
-    | Diagonal
-    | BlockDiagonal
-    | Sparse
-    | BlockSparse
-    | ToeplitzModP
-    | Banded
-    | Banded2D
-    | Monotone
-    | Explicit
+    def budget(self, k, eps, n):
+        raise ParameterError(
+            "explicit masks carry no construction; use k * one_count of a partition"
+        )
+
+
+_CLASSES = (
+    AllOnes, Diagonal, BlockDiagonal, Sparse, BlockSparse,
+    ToeplitzModP, Banded, Banded2D, Monotone, Explicit,
 )
+MaskPattern = typing.Union[_CLASSES]
+PATTERNS = {cls.tag: cls for cls in _CLASSES}
 
 
 @dataclass(frozen=True)
@@ -132,103 +315,13 @@ class Mask:
         return (self.n, self.n)
 
 
-def _check_partition(blocks, n: int, field: str) -> None:
-    seen = sorted(i for blk in blocks for i in blk)
-    if seen != list(range(n)):
-        raise ParameterError(f"{field} must partition 0..{n - 1}")
-    if any(len(blk) == 0 for blk in blocks):
-        raise ParameterError(f"{field} contains an empty block")
-
-
-def block_index_map(blocks, n: int) -> np.ndarray:
-    """Array mapping each index to the id of its block."""
-    out = np.empty(n, dtype=np.int64)
-    for b, blk in enumerate(blocks):
-        out[list(blk)] = b
-    return out
-
-
-def split_index(n: int) -> int:
-    """Side length s of the 2-d index split; n must be a perfect square."""
-    s = math.isqrt(n)
-    if s * s != n:
-        raise ParameterError(f"n={n} is not a perfect square")
-    return s
-
-
-def _bitmap_for(pattern: MaskPattern, n: int) -> np.ndarray:
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    if isinstance(pattern, AllOnes):
-        return np.ones((n, n), dtype=np.uint8)
-    if isinstance(pattern, Diagonal):
-        return (i != j).astype(np.uint8)
-    if isinstance(pattern, BlockDiagonal):
-        _check_partition(pattern.blocks, n, "blocks")
-        blk = block_index_map(pattern.blocks, n)
-        return (blk[:, None] != blk[None, :]).astype(np.uint8)
-    if isinstance(pattern, Sparse):
-        if len(pattern.zero_sets) != n:
-            raise ParameterError("zero_sets must have one entry per row")
-        W = np.ones((n, n), dtype=np.uint8)
-        for r, zs in enumerate(pattern.zero_sets):
-            if len(zs) > pattern.t:
-                raise ParameterError(f"row {r} has {len(zs)} zeros, t={pattern.t}")
-            if any(not 0 <= c < n for c in zs):
-                raise ParameterError(f"zero_sets[{r}] has an index outside 0..{n - 1}")
-            W[r, list(zs)] = 0
-        return W
-    if isinstance(pattern, BlockSparse):
-        _check_partition(pattern.row_blocks, n, "row_blocks")
-        _check_partition(pattern.col_blocks, n, "col_blocks")
-        if len(pattern.block_zero_sets) != len(pattern.row_blocks):
-            raise ParameterError("block_zero_sets must have one entry per row block")
-        rb = block_index_map(pattern.row_blocks, n)
-        cb = block_index_map(pattern.col_blocks, n)
-        zero = np.zeros((len(pattern.row_blocks), len(pattern.col_blocks)), dtype=bool)
-        for a, zs in enumerate(pattern.block_zero_sets):
-            if len(zs) > pattern.t:
-                raise ParameterError(f"row block {a} has {len(zs)} zeros, t={pattern.t}")
-            if any(not 0 <= c < len(pattern.col_blocks) for c in zs):
-                raise ParameterError(f"block_zero_sets[{a}] names a missing column block")
-            zero[a, list(zs)] = True
-        return (~zero[rb[:, None], cb[None, :]]).astype(np.uint8)
-    if isinstance(pattern, ToeplitzModP):
-        if not 1 <= pattern.p <= n:
-            raise ParameterError(f"p={pattern.p} out of range for n={n}")
-        return ((i - j) % pattern.p != 0).astype(np.uint8)
-    if isinstance(pattern, Banded):
-        if not 1 <= pattern.p <= n:
-            raise ParameterError(f"p={pattern.p} out of range for n={n}")
-        return (np.abs(i - j) >= pattern.p).astype(np.uint8)
-    if isinstance(pattern, Banded2D):
-        s = split_index(n)
-        if not 1 <= pattern.p <= n:
-            raise ParameterError(f"p={pattern.p} out of range for n={n}")
-        d = np.abs(i // s - j // s) + np.abs(i % s - j % s)
-        return (d >= pattern.p).astype(np.uint8)
-    if isinstance(pattern, Monotone):
-        if len(pattern.prefix_lengths) != n:
-            raise ParameterError("prefix_lengths must have one entry per row")
-        px = np.asarray(pattern.prefix_lengths, dtype=np.int64)
-        if px.min() < 0 or px.max() > n:
-            raise ParameterError("prefix lengths must lie in 0..n")
-        return (j < px[:, None]).astype(np.uint8)
-    if isinstance(pattern, Explicit):
-        B = np.asarray(pattern.bitmap)
-        if B.shape != (n, n):
-            raise ShapeError(f"explicit bitmap is {B.shape}, expected {(n, n)}")
-        if not np.isin(B, (0, 1)).all():
-            raise ParameterError("explicit bitmap must be binary")
-        return B.astype(np.uint8)
-    raise ParameterError(f"unknown pattern {pattern!r}")
-
-
 def make_mask(pattern: MaskPattern, n: int) -> Mask:
     """Evaluate the pattern's defining predicate at every cell."""
     if n < 1:
         raise ParameterError(f"n={n} must be positive")
-    bitmap = _bitmap_for(pattern, n)
+    if not isinstance(pattern, _Pattern):
+        raise ParameterError(f"unknown pattern {pattern!r}")
+    bitmap = pattern.bitmap(n)
     zeros = (bitmap == 0)
     counts = ZeroCounts(zeros.sum(axis=1), zeros.sum(axis=0))
     return Mask(n, pattern, bitmap, counts)
@@ -251,29 +344,4 @@ def rank_budget(pattern: MaskPattern, k: int, eps: float, n: int | None = None) 
         raise ParameterError(f"k={k} must be positive")
     if not 0 < eps <= 1:
         raise ParameterError(f"eps={eps} outside (0, 1]")
-    if isinstance(pattern, AllOnes):
-        return k
-    if isinstance(pattern, (Diagonal, BlockDiagonal)):
-        return k * math.ceil(1 / eps)
-    if isinstance(pattern, (Sparse, BlockSparse)):
-        return k * max(1, math.ceil(pattern.t / eps))
-    if isinstance(pattern, ToeplitzModP):
-        return min(k * pattern.p, k * math.ceil(1 / eps))
-    from . import protocols
-
-    if isinstance(pattern, Banded):
-        if n is None:
-            raise ParameterError("banded budget needs n for the transcript cap")
-        spec = protocols.banded_gt(n, pattern.p, eps)
-        return min(k * math.ceil(pattern.p / eps), k * protocols.transcript_cap(spec))
-    if isinstance(pattern, Banded2D):
-        if n is None:
-            raise ParameterError("banded-2d budget needs n for the transcript cap")
-        spec = protocols.banded2d_gt(n, pattern.p, eps)
-        return k * protocols.transcript_cap(spec)
-    if isinstance(pattern, Monotone):
-        spec = protocols.monotone_gt(pattern.prefix_lengths, eps)
-        return k * protocols.transcript_cap(spec)
-    raise ParameterError(
-        "explicit masks carry no construction; use k * one_count of a partition"
-    )
+    return pattern.budget(k, eps, n)

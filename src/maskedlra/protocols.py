@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceError, ShapeError
 from . import masks
+from .linalg import as_bitmap
 
 ENUM_CAP = 4096  # largest n for exhaustive order-2 transcript enumeration
 ENUM_CAP_3 = 256  # largest n for order-3 enumeration
@@ -75,8 +76,7 @@ def equality_hash(n: int, delta: float, groups=None) -> ProtocolSpec:
 
 
 def eq_mod_p(n: int, p: int, delta: float | None = None) -> ProtocolSpec:
-    if not 1 <= p <= n:
-        raise ParameterError(f"p={p} out of range for n={n}")
+    masks._check_p(p, n)
     if delta is not None:
         _check_delta(delta)
     return ProtocolSpec("eq-mod-p", n, delta if delta is not None else 0.0, p=p)
@@ -103,16 +103,14 @@ def greater_than(n: int, delta: float) -> ProtocolSpec:
 
 def banded_gt(n: int, p: int, delta: float) -> ProtocolSpec:
     _check_delta(delta)
-    if not 1 <= p <= n:
-        raise ParameterError(f"p={p} out of range for n={n}")
+    masks._check_p(p, n)
     return ProtocolSpec("banded-gt", n, delta, p=p)
 
 
 def banded2d_gt(n: int, p: int, delta: float) -> ProtocolSpec:
     _check_delta(delta)
     masks.split_index(n)
-    if not 1 <= p <= n:
-        raise ParameterError(f"p={p} out of range for n={n}")
+    masks._check_p(p, n)
     return ProtocolSpec("banded2d-gt", n, delta, p=p)
 
 
@@ -517,14 +515,10 @@ def partition_bitmap(sample: PartitionSample) -> np.ndarray:
 def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
     """The mask the protocol family is meant to compute."""
     n = spec.n
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
     f = spec.family
-    if f == "equality-hash":
-        g = np.asarray(spec.groups if spec.groups is not None else np.arange(n))
+    if f == "equality-hash" and spec.groups is not None:
+        g = np.asarray(spec.groups)
         return (g[:, None] != g[None, :]).astype(np.uint8)
-    if f == "eq-mod-p":
-        return ((i - j) % spec.p != 0).astype(np.uint8)
     if f == "sparse-set-eq":
         cols = np.asarray(spec.col_groups if spec.col_groups is not None
                           else np.arange(n), dtype=np.int64)
@@ -533,22 +527,21 @@ def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
             if zs:
                 W[r] &= (~np.isin(cols, np.asarray(zs))).astype(np.uint8)
         return W
-    if f == "greater-than":
-        return (i > j).astype(np.uint8)
-    if f == "banded-gt":
-        return (np.abs(i - j) >= spec.p).astype(np.uint8)
-    if f == "banded2d-gt":
-        s = masks.split_index(n)
-        d = np.abs(i // s - j // s) + np.abs(i % s - j % s)
-        return (d >= spec.p).astype(np.uint8)
-    if f == "monotone-gt":
-        px = np.asarray(spec.prefix_lengths)
-        return (j < px[:, None]).astype(np.uint8)
     if f == "neq3-multiparty":
-        x = np.arange(n)
-        eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
-        return (~eq).astype(np.uint8)
-    raise ParameterError(f"unknown family {f!r}")
+        from .tensor import Diagonal3, make_mask3  # tensor imports this module
+
+        return make_mask3(Diagonal3(), n).bitmap
+    patterns = {
+        "equality-hash": masks.Diagonal,
+        "eq-mod-p": lambda: masks.ToeplitzModP(spec.p),
+        "greater-than": lambda: masks.Monotone(tuple(range(n))),
+        "banded-gt": lambda: masks.Banded(spec.p),
+        "banded2d-gt": lambda: masks.Banded2D(spec.p),
+        "monotone-gt": lambda: masks.Monotone(spec.prefix_lengths),
+    }
+    if f not in patterns:
+        raise ParameterError(f"unknown family {f!r}")
+    return masks.make_mask(patterns[f](), n).bitmap
 
 
 def empirical_error_rates(
@@ -561,7 +554,7 @@ def empirical_error_rates(
     so the two rates are plain binomial estimates of the per-cell error
     probabilities of those decisions, averaged over each side of the mask.
     """
-    bitmap = np.asarray(getattr(W, "bitmap", W))
+    bitmap = as_bitmap(W, np.uint8)
     shape = (spec.n,) * _order(spec)
     if bitmap.shape != shape:
         raise ShapeError(f"W has shape {bitmap.shape}; {spec.describe()} needs {shape}")
@@ -602,11 +595,11 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
             bit = (idx >> i) & 1
             for b in (0, 1):
                 rects.append(Rectangle(idx[bit == b], idx[bit != b], 1))
-        target = (idx[:, None] != idx[None, :]).astype(np.uint8)
+        target = masks.Diagonal().bitmap(n)
     elif kind == "neq-blocks":
         if blocks is None:
             raise ParameterError("neq-blocks needs the block partition")
-        masks._check_partition(blocks, n, "blocks")
+        target = masks.BlockDiagonal(blocks).bitmap(n)  # checks the partition
         blk = masks.block_index_map(blocks, n)
         nb = len(blocks)
         if nb < 2:
@@ -618,7 +611,6 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
                 S, T = idx[bit == b], idx[bit != b]
                 if len(S) and len(T):
                     rects.append(Rectangle(S, T, 1))
-        target = (blk[:, None] != blk[None, :]).astype(np.uint8)
     elif kind == "disj-coords":
         if n < 2 or n & (n - 1):
             raise ParameterError(f"n={n} must be a power of two")

@@ -20,6 +20,7 @@ from .errors import ParameterError
 from .linalg import (
     RIDGE,
     LowRankFactor,
+    as_bitmap,
     hadamard,
     masked_cost,
     randomized_range_lra,
@@ -46,17 +47,13 @@ class BicriteriaReport:
     rect_count: int = 0
 
 
-def _bitmap(W) -> np.ndarray:
-    return np.asarray(getattr(W, "bitmap", W), dtype=np.float64)
-
-
 def masked_lra(A, W, k_prime: int, method: str = "exact", seed: int = 0) -> LowRankFactor:
     """Rank-k' factorization of A with masked entries zeroed out.
 
     method "exact" is a truncated SVD of A*W; "randomized" uses the seeded
     range sketch. The factor never sees the mask beyond the zero fill.
     """
-    M = hadamard(A, _bitmap(W))
+    M = hadamard(A, as_bitmap(W, np.float64))
     if method == "exact":
         return svd_truncated(M, k_prime)
     if method == "randomized":
@@ -73,7 +70,7 @@ def comparator_from_partition(
     Only 1-labeled rectangles contribute, so the result is exactly zero
     outside their union; rank_bound is k times the 1-rectangle count.
     """
-    M = hadamard(A, _bitmap(W))
+    M = hadamard(A, as_bitmap(W, np.float64))
     n, m = M.shape
     U_blocks, V_blocks = [], []
     for rect in P.rectangles:
@@ -98,43 +95,13 @@ def comparator_from_partition(
 
 def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
     """The exact solver at rank_bound(comparator) never loses to the comparator."""
-    M = hadamard(A, _bitmap(W))
+    M = hadamard(A, as_bitmap(W, np.float64))
     Lbar = comparator_from_partition(A, W, P, k)
     kp = max(1, min(k * P.one_count, min(M.shape)))
     L = masked_lra(A, W, kp, method="exact")
     lhs = float(np.sum((M - L.value()) ** 2))
     rhs = float(np.sum((M - Lbar.value()) ** 2))
     return lhs <= rhs + 1e-9 * max(1.0, rhs)
-
-
-def _spec_for_pattern(W: masks.Mask, eps: float) -> protocols.ProtocolSpec:
-    """The protocol family that certifies the mask's pattern."""
-    p = W.pattern
-    n = W.n
-    if isinstance(p, masks.Diagonal):
-        return protocols.equality_hash(n, eps)
-    if isinstance(p, masks.BlockDiagonal):
-        groups = masks.block_index_map(p.blocks, n)
-        return protocols.equality_hash(n, eps, groups=groups)
-    if isinstance(p, masks.Sparse):
-        return protocols.sparse_set_eq(n, p.zero_sets, max(1, p.t), eps)
-    if isinstance(p, masks.BlockSparse):
-        cb = masks.block_index_map(p.col_blocks, n)
-        rb = masks.block_index_map(p.row_blocks, n)
-        zero_sets = tuple(p.block_zero_sets[rb[i]] for i in range(n))
-        return protocols.sparse_set_eq(n, zero_sets, max(1, p.t), eps, col_groups=cb)
-    if isinstance(p, masks.ToeplitzModP):
-        # hashed variant when it certifies fewer rectangles than residues
-        if math.ceil(1 / eps) < p.p:
-            return protocols.eq_mod_p(n, p.p, eps)
-        return protocols.eq_mod_p(n, p.p)
-    if isinstance(p, masks.Banded):
-        return protocols.banded_gt(n, p.p, eps)
-    if isinstance(p, masks.Banded2D):
-        return protocols.banded2d_gt(n, p.p, eps)
-    if isinstance(p, masks.Monotone):
-        return protocols.monotone_gt(p.prefix_lengths, eps)
-    raise ParameterError(f"no protocol construction for pattern {p.tag!r}")
 
 
 def verify_bicriteria(
@@ -157,7 +124,7 @@ def verify_bicriteria(
     """
     A = np.asarray(A, dtype=np.float64)
     if spec is None:
-        spec = _spec_for_pattern(W, eps)
+        spec = W.pattern.spec(W.n, eps)
     sample = protocols.sample_partition(spec, seed)
 
     if isinstance(W.pattern, masks.Explicit):
@@ -173,7 +140,7 @@ def verify_bicriteria(
     if not one_sided and L_for_eps2 is None:
         raise ParameterError("two-sided protocol needs L_for_eps2 as the candidate")
 
-    M = hadamard(A, _bitmap(W))
+    M = hadamard(A, as_bitmap(W, np.float64))
     L = masked_lra(A, W, k_prime, method=method, seed=seed)
     delta_slack = 0.0
     if method == "randomized":
@@ -186,7 +153,7 @@ def verify_bicriteria(
     mass = float(np.sum(M * M))
     rhs = opt_upper + eps1 * mass + delta_slack
     if eps2:
-        off = hadamard(L_for_eps2.value(), 1.0 - _bitmap(W))
+        off = hadamard(L_for_eps2.value(), 1.0 - as_bitmap(W, np.float64))
         rhs += eps2 * float(np.sum(off * off))
     # the absolute term forgives SVD roundoff when the bound itself is zero
     satisfied = bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass)
@@ -200,7 +167,7 @@ def verify_bicriteria(
         opt_upper=opt_upper,
         rhs=rhs,
         satisfied=satisfied,
-        pattern=getattr(W.pattern, "tag", "explicit"),
+        pattern=W.pattern.tag,
         n=W.n,
         seed=seed,
         one_count=sample.one_count,
@@ -246,7 +213,7 @@ def altmin_baseline(
     baseline and an OPT-upper-bound sharpener, never as the certified path.
     """
     A = np.asarray(A, dtype=np.float64)
-    WB = np.asarray(getattr(W, "bitmap", W), dtype=np.uint8)
+    WB = as_bitmap(W, np.uint8)
     n, m = A.shape
     rng = np.random.default_rng(seed)
     best = None

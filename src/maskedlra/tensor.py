@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import protocols
+from . import masks, protocols
 from .errors import ParameterError, ShapeError
-from .linalg import RIDGE
+from .linalg import RIDGE, as_bitmap
 
 
 def as_tensor(T) -> np.ndarray:
@@ -62,6 +62,11 @@ def zero_cp(n1: int, n2: int, n3: int) -> CPFactor:
 class Diagonal3:
     tag = "diagonal3"
 
+    def bitmap(self, n: int) -> np.ndarray:
+        x = np.arange(n)
+        eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
+        return (~eq).astype(np.uint8)
+
 
 @dataclass(frozen=True)
 class SparseFaces:
@@ -71,11 +76,29 @@ class SparseFaces:
     s: int
     tag = "sparse-faces"
 
+    def bitmap(self, n: int) -> np.ndarray:
+        if len(self.zero_sets) != n:
+            raise ParameterError("zero_sets must have one entry per face")
+        bitmap = np.ones((n, n, n), dtype=np.uint8)
+        for i1, zs in enumerate(self.zero_sets):
+            if len(zs) > self.s:
+                raise ParameterError(f"face {i1} has {len(zs)} zeros, s={self.s}")
+            for (i2, i3) in zs:
+                if not (0 <= i2 < n and 0 <= i3 < n):
+                    raise ParameterError(f"face {i1} zero ({i2},{i3}) out of range")
+                bitmap[i1, i2, i3] = 0
+        return bitmap
+
 
 @dataclass(eq=False, frozen=True)
 class Explicit3:
-    bitmap: np.ndarray
+    """A mask given cell by cell: cells is its (n, n, n) 0/1 array."""
+
+    cells: np.ndarray
     tag = "explicit"
+
+    def bitmap(self, n: int) -> np.ndarray:
+        return masks._binary(self.cells, (n, n, n))
 
 
 @dataclass(frozen=True)
@@ -86,42 +109,14 @@ class Mask3:
 
 
 def make_mask3(pattern, n: int) -> Mask3:
-    if isinstance(pattern, Diagonal3):
-        x = np.arange(n)
-        eq = (x[:, None, None] == x[None, :, None]) & (
-            x[:, None, None] == x[None, None, :]
-        )
-        bitmap = (~eq).astype(np.uint8)
-    elif isinstance(pattern, SparseFaces):
-        if len(pattern.zero_sets) != n:
-            raise ParameterError("zero_sets must have one entry per face")
-        bitmap = np.ones((n, n, n), dtype=np.uint8)
-        for i1, zs in enumerate(pattern.zero_sets):
-            if len(zs) > pattern.s:
-                raise ParameterError(f"face {i1} has {len(zs)} zeros, s={pattern.s}")
-            for (i2, i3) in zs:
-                if not (0 <= i2 < n and 0 <= i3 < n):
-                    raise ParameterError(f"face {i1} zero ({i2},{i3}) out of range")
-                bitmap[i1, i2, i3] = 0
-    elif isinstance(pattern, Explicit3):
-        bitmap = np.asarray(pattern.bitmap)
-        if bitmap.shape != (n, n, n):
-            raise ShapeError(f"bitmap is {bitmap.shape}, expected {(n, n, n)}")
-        if not np.isin(bitmap, (0, 1)).all():
-            raise ParameterError("bitmap must be binary")
-        bitmap = bitmap.astype(np.uint8)
-    else:
+    if not isinstance(pattern, (Diagonal3, SparseFaces, Explicit3)):
         raise ParameterError(f"unknown order-3 pattern {pattern!r}")
-    return Mask3(n, pattern, bitmap)
-
-
-def _bitmap3(W) -> np.ndarray:
-    return np.asarray(getattr(W, "bitmap", W), dtype=np.float64)
+    return Mask3(n, pattern, pattern.bitmap(n))
 
 
 def masked_cost3(A, W, L: CPFactor) -> float:
     A = as_tensor(A)
-    B = _bitmap3(W)
+    B = as_bitmap(W, np.float64)
     if B.shape != A.shape or L.shape != A.shape:
         raise ShapeError("masked_cost3 shapes differ")
     D = (A - L.value()) * B
@@ -221,7 +216,7 @@ def masked_tensor_lra(
     With init given, ALS monotonicity guarantees the full fit never exceeds
     the init's fit, so a comparator init transfers its cost bound.
     """
-    M = as_tensor(A) * _bitmap3(W)
+    M = as_tensor(A) * as_bitmap(W, np.float64)
     return cp_als(M, k_prime, iters=iters, seed=seed, restarts=restarts, init=init)
 
 
@@ -241,7 +236,7 @@ def tensor_comparator(
     """
     if P.order != 3:
         raise ParameterError("tensor comparator needs an order-3 partition")
-    M = as_tensor(A) * _bitmap3(W)
+    M = as_tensor(A) * as_bitmap(W, np.float64)
     n1, n2, n3 = M.shape
     Ub, Vb, Zb = [], [], []
     for idx, rect in enumerate(P.rectangles):

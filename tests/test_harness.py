@@ -19,6 +19,7 @@ from maskedlra import (
     run_suite,
     verify_bicriteria,
 )
+from maskedlra import harness
 from maskedlra.harness import COLUMNS, load_rows, parse_config, sparse_pattern
 
 
@@ -117,6 +118,16 @@ def test_failed_cell_recorded_not_raised():
     row = rep.rows[0]
     assert row["satisfied"] is False
     assert "note" in row and row["note"]
+
+
+def test_programming_error_in_cell_raises(monkeypatch):
+    # only package errors become rows; a bug must not hide in a note
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(harness, "run_cell", broken)
+    with pytest.raises(TypeError):
+        run_suite({"routes": "t1", "sizes": "4", "eps": "0.5"})
 
 
 def test_sweep_row_count_and_order():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from maskedlra import (
+    AllOnes,
     Banded,
     Banded2D,
     BlockDiagonal,
+    BlockSparse,
     Diagonal,
     Explicit,
     Monotone,
@@ -81,22 +83,63 @@ def test_mask_descriptor_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     zs = tuple(tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False))) for _ in range(n))
     prefixes = tuple(int(x) for x in rng.integers(0, n + 1, size=n))
-    patterns = [
-        Diagonal(),
-        BlockDiagonal(blocks=(tuple(range(0, 4)), tuple(range(4, 16)))),
-        Sparse(zero_sets=zs, t=2),
-        ToeplitzModP(4),
-        Banded(3),
-        Banded2D(2),
-        Monotone(prefix_lengths=prefixes),
+    cases = [
+        (AllOnes(), n),
+        (Diagonal(), n),
+        (BlockDiagonal(blocks=(tuple(range(0, 4)), tuple(range(4, 16)))), n),
+        (Sparse(zero_sets=zs, t=2), n),
+        (BlockSparse(
+            ((0, 1, 2, 3, 4), tuple(range(5, 11)), tuple(range(11, 16))),
+            ((0, 1, 2, 3), tuple(range(4, 12)), tuple(range(12, 16))),
+            ((1,), (0, 2), ()),
+            2,
+        ), n),
+        (ToeplitzModP(4), n),
+        (Banded(3), n),
+        (Banded2D(2), n),
+        (Monotone(prefix_lengths=prefixes), n),
+        # a nested field holding exactly one group, and that group empty
+        (BlockSparse(((0, 1),), ((0,), (1,)), ((),), 1), 2),
+        (Sparse(((),), 0), 1),
     ]
-    for idx, pattern in enumerate(patterns):
-        W = make_mask(pattern, n)
+    for idx, (pattern, size) in enumerate(cases):
+        W = make_mask(pattern, size)
         p = tmp_path / f"m{idx}.mask"
         write_mask_descriptor(p, W)
         back = read_mask_descriptor(p)
         assert np.array_equal(back.bitmap, W.bitmap), pattern
-        assert type(back.pattern) is type(W.pattern)
+        assert back.pattern == W.pattern
+
+
+# descriptor files as every earlier version wrote them, for n = 4
+_DESCRIPTOR_FILES = [
+    ("pattern = all-ones\nn = 4\n", AllOnes()),
+    ("pattern = diagonal\nn = 4\n", Diagonal()),
+    ("pattern = block-diagonal\nn = 4\nblocks = 0,2|1,3\n", BlockDiagonal(((0, 2), (1, 3)))),
+    ("pattern = sparse\nn = 4\nt = 2\nzero_sets = 1||0,3|2\n", Sparse(((1,), (), (0, 3), (2,)), 2)),
+    (
+        "pattern = block-sparse\nn = 4\nt = 1\nrow_blocks = 0,1|2,3\ncol_blocks = 0|1,2,3\n"
+        "block_zero_sets = 1|0\n",
+        BlockSparse(((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((1,), (0,)), 1),
+    ),
+    ("pattern = toeplitz-mod-p\nn = 4\np = 2\n", ToeplitzModP(2)),
+    ("pattern = banded\nn = 4\np = 2\n", Banded(2)),
+    ("pattern = banded-2d\nn = 4\np = 2\n", Banded2D(2)),
+    ("pattern = monotone\nn = 4\nprefix_lengths = 0,4,2,1\n", Monotone((0, 4, 2, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "text,pattern", _DESCRIPTOR_FILES, ids=[p.tag for _, p in _DESCRIPTOR_FILES]
+)
+def test_existing_descriptor_files_load(tmp_path, text, pattern):
+    path = tmp_path / "w.mask"
+    path.write_text(text)
+    W = read_mask_descriptor(path)
+    assert W.pattern == pattern
+    assert np.array_equal(W.bitmap, make_mask(pattern, 4).bitmap)
+    write_mask_descriptor(path, W)
+    assert path.read_text() == text
 
 
 def test_explicit_mask_has_no_descriptor(tmp_path):

@@ -5,9 +5,15 @@ import pytest
 
 from maskedlra import (
     AllOnes,
+    Banded,
+    Banded2D,
+    BlockDiagonal,
+    BlockSparse,
     Diagonal,
     LowRankFactor,
+    Monotone,
     ParameterError,
+    ToeplitzModP,
     altmin_baseline,
     banded_gt,
     chain_inequality_check,
@@ -23,6 +29,7 @@ from maskedlra import (
     svd_truncated,
     verify_bicriteria,
 )
+from maskedlra.harness import sparse_pattern
 from maskedlra.protocols import target_bitmap
 
 
@@ -241,9 +248,55 @@ def test_masked_lra_seed_determinism_randomized():
     assert np.array_equal(L1.U, L2.U) and np.array_equal(L1.V, L2.V)
 
 
-def test_target_bitmap_matches_mask_for_patterned_routes():
-    # the protocol target and the mask constructor must agree cell for cell
-    from maskedlra import ToeplitzModP
+_N = 16
+_BLOCKS = ((0, 1, 2, 3, 4), tuple(range(5, 11)), tuple(range(11, 16)))
+_PATTERNS = {
+    "diagonal": Diagonal(),
+    "block-diagonal": BlockDiagonal(_BLOCKS),
+    "sparse": sparse_pattern(_N, 2, 3),
+    "block-sparse": BlockSparse(
+        _BLOCKS, ((0, 1, 2, 3), tuple(range(4, 12)), tuple(range(12, 16))), ((1,), (0, 2), ()), 2
+    ),
+    "toeplitz-hashed": ToeplitzModP(8),
+    "toeplitz-deterministic": ToeplitzModP(2),
+    "banded": Banded(3),
+    "banded-2d": Banded2D(2),
+    "monotone": Monotone(
+        tuple(int(v) for v in np.random.default_rng([5, _N, 0x30]).integers(0, _N + 1, size=_N))
+    ),
+}
 
-    n = 16
-    assert np.array_equal(target_bitmap(eq_mod_p(n, 4)), make_mask(ToeplitzModP(4), n).bitmap)
+# (pattern, eps, rank_budget(pattern, 2, eps, n=16), spec.describe()), as recorded
+# before patterns carried their own budgets and protocols
+_PINNED = [
+    ("diagonal", 0.25, 8, "equality-hash(n=16, delta=0.25)"),
+    ("diagonal", 0.5, 4, "equality-hash(n=16, delta=0.5)"),
+    ("block-diagonal", 0.25, 8, "equality-hash(n=16, delta=0.25)"),
+    ("block-diagonal", 0.5, 4, "equality-hash(n=16, delta=0.5)"),
+    ("sparse", 0.25, 16, "sparse-set-eq(n=16, delta=0.25, t=2)"),
+    ("sparse", 0.5, 8, "sparse-set-eq(n=16, delta=0.5, t=2)"),
+    ("block-sparse", 0.25, 16, "sparse-set-eq(n=16, delta=0.25, t=2)"),
+    ("block-sparse", 0.5, 8, "sparse-set-eq(n=16, delta=0.5, t=2)"),
+    ("toeplitz-hashed", 0.25, 8, "eq-mod-p(n=16, delta=0.25, p=8)"),
+    ("toeplitz-hashed", 0.5, 4, "eq-mod-p(n=16, delta=0.5, p=8)"),
+    ("toeplitz-deterministic", 0.25, 4, "eq-mod-p(n=16, delta=0, p=2)"),
+    ("toeplitz-deterministic", 0.5, 4, "eq-mod-p(n=16, delta=0, p=2)"),
+    ("banded", 0.25, 24, "banded-gt(n=16, delta=0.25, p=3)"),
+    ("banded", 0.5, 12, "banded-gt(n=16, delta=0.5, p=3)"),
+    ("banded-2d", 0.25, 9444732965739290427392, "banded2d-gt(n=16, delta=0.25, p=2)"),
+    ("banded-2d", 0.5, 2305843009213693952, "banded2d-gt(n=16, delta=0.5, p=2)"),
+    ("monotone", 0.25, 2147483648, "monotone-gt(n=16, delta=0.25)"),
+    ("monotone", 0.5, 33554432, "monotone-gt(n=16, delta=0.5)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,eps,budget,described", _PINNED, ids=[f"{row[0]}-{row[1]}" for row in _PINNED]
+)
+def test_target_bitmap_matches_mask_for_patterned_routes(name, eps, budget, described):
+    # the pattern's protocol computes the pattern's own mask, cell for cell
+    pattern = _PATTERNS[name]
+    spec = pattern.spec(_N, eps)
+    assert np.array_equal(target_bitmap(spec), make_mask(pattern, _N).bitmap)
+    assert rank_budget(pattern, 2, eps, n=_N) == budget
+    assert spec.describe() == described

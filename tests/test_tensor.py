@@ -221,3 +221,12 @@ def test_mask3_constructors():
             assert Wf.bitmap[face, i2, i3] == 0
     with pytest.raises(ParameterError):
         make_mask3(SparseFaces(zero_sets=zs, s=1), 4)  # face 0 exceeds s
+
+
+def test_mask_constructors_reject_the_other_order():
+    from maskedlra import Diagonal, make_mask
+
+    with pytest.raises(ParameterError):
+        make_mask3(Diagonal(), 4)
+    with pytest.raises(ParameterError):
+        make_mask(Diagonal3(), 4)
