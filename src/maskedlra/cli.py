@@ -92,23 +92,15 @@ def _cmd_solve(args) -> int:
 
 def _print_row(row: dict) -> None:
     for key in hs.COLUMNS:
-        print(f"{key} = {_plain(row[key])}")
+        print(f"{key} = {hs._fmt(row[key])}")
     if row.get("note"):
         print(f"note = {row['note']}")
-
-
-def _plain(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v!r}"
-    return str(v)
 
 
 def _cmd_verify(args) -> int:
     cfg = dict(
         hs.parse_config({}),
-        k=args.k, t=args.t, p=args.p, method=args.method,
+        k=args.k, t=args.t, p=args.p,
         noise_sigma=args.noise_sigma, corruption_scale=args.corruption_scale,
     )
     row = hs.run_cell(args.theorem, args.n, args.eps, args.seed, cfg)
@@ -165,8 +157,8 @@ def _cmd_protocol_stats(args) -> int:
     print(f"family = {spec.family}")
     print(f"rectangles = {len(P.rectangles)}  one_count = {P.one_count}  cap = {cap}")
     print(f"err_on_zeros = {e0!r}  err_on_ones = {e1!r}  delta = {delta!r}")
-    print(f"count_within_cap = {_plain(ok_count)}")
-    print(f"zero_side_ok = {_plain(ok_zero)}  one_side_ok = {_plain(ok_one)}")
+    print(f"count_within_cap = {hs._fmt(ok_count)}")
+    print(f"zero_side_ok = {hs._fmt(ok_zero)}  one_side_ok = {hs._fmt(ok_one)}")
     ok = ok_zero and ok_one and ok_count
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--eps", type=float, default=0.25)
     v.add_argument("--t", type=int, default=2)
     v.add_argument("--p", type=int, default=4)
-    v.add_argument("--method", choices=("exact", "randomized"), default="exact")
     _add_planted_flags(v)
     v.set_defaults(func=_cmd_verify)
 

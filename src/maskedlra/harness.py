@@ -113,7 +113,7 @@ def gen_planted(
             + B * noise_sigma * rng.standard_normal((n, n, n))
         )
         opt = tn.masked_cost3(A, W, L)
-    elif domain == "boolean":
+    else:  # boolean
         if corruption_scale > 1 or noise_sigma > 1:
             raise ParameterError("boolean flip probabilities must be <= 1")
         W = mk.make_mask(pattern, n)
@@ -129,8 +129,6 @@ def gen_planted(
         )
         A = (base ^ flips.astype(np.uint8)).astype(np.uint8)
         opt = float(bl.bool_cost(A, base, W))
-    else:
-        raise ParameterError(f"unknown domain {domain!r}")
     return PlantedInstance(
         domain=domain, A=A, W=W, L_star=L, opt_upper=float(opt), k=k,
         noise_sigma=noise_sigma, corruption_scale=corruption_scale, seed=seed,
@@ -148,7 +146,6 @@ _DEFAULTS = {
     "k": "2",
     "t": "2",
     "p": "4",
-    "method": "exact",
     "noise_sigma": "0.0",
     "corruption_scale": str(DEFAULT_CORRUPTION),
     "stats_trials": "0",
@@ -176,24 +173,24 @@ def parse_config(source) -> dict:
         if key not in cfg:
             raise ParameterError(f"unknown config key {key!r}")
         cfg[key] = val
-    out = {
-        "routes": tuple(s.strip() for s in cfg["routes"].split(",") if s.strip()),
-        "sizes": tuple(int(s) for s in cfg["sizes"].split(",") if s.strip()),
-        "eps": tuple(float(s) for s in cfg["eps"].split(",") if s.strip()),
-        "seeds": tuple(int(s) for s in cfg["seeds"].split(",") if s.strip()),
-        "k": int(cfg["k"]),
-        "t": int(cfg["t"]),
-        "p": int(cfg["p"]),
-        "method": cfg["method"],
-        "noise_sigma": float(cfg["noise_sigma"]),
-        "corruption_scale": float(cfg["corruption_scale"]),
-        "stats_trials": int(cfg["stats_trials"]),
-    }
+    try:
+        out = {
+            "routes": tuple(s.strip() for s in cfg["routes"].split(",") if s.strip()),
+            "sizes": tuple(int(s) for s in cfg["sizes"].split(",") if s.strip()),
+            "eps": tuple(float(s) for s in cfg["eps"].split(",") if s.strip()),
+            "seeds": tuple(int(s) for s in cfg["seeds"].split(",") if s.strip()),
+            "k": int(cfg["k"]),
+            "t": int(cfg["t"]),
+            "p": int(cfg["p"]),
+            "noise_sigma": float(cfg["noise_sigma"]),
+            "corruption_scale": float(cfg["corruption_scale"]),
+            "stats_trials": int(cfg["stats_trials"]),
+        }
+    except ValueError as e:
+        raise ParameterError(f"bad config value: {e}") from None
     for route in out["routes"]:
         if route not in ROUTES:
             raise ParameterError(f"unknown route {route!r}")
-    if out["method"] not in ("exact", "randomized"):
-        raise ParameterError(f"unknown method {cfg['method']!r}")
     return out
 
 
@@ -242,14 +239,22 @@ def make_pattern(tag: str, n: int, *, t: int = 2, p: int = 4, blocks: int = 2, s
 def _row_from_bicriteria(rep: sv.BicriteriaReport) -> dict:
     return {
         "pattern": rep.pattern, "n": rep.n, "k": rep.k, "k_prime": rep.k_prime,
-        "eps1": rep.eps1, "eps2": rep.eps2, "delta_slack": rep.delta_slack,
+        "eps1": rep.eps1, "eps2": rep.eps2, "delta_slack": 0.0,
         "seed": rep.seed, "cost": rep.cost, "opt_upper": rep.opt_upper,
         "rhs": rep.rhs, "satisfied": rep.satisfied, "note": "",
     }
 
 
-def run_cell(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict:
-    """One sweep cell: plant, verify through the route, map to a row."""
+def run_cell(
+    route: str, n: int, eps: float, seed: int, cfg: dict, stats: list | None = None
+) -> dict:
+    """One sweep cell: plant, verify through the route, map to a row.
+
+    When stats is given and cfg["stats_trials"] > 0, a cell of a
+    partition-certified route (not a2) also appends its protocol-stats row
+    to stats: the counts of the partition its certificate drew, and error
+    rates sampled on its planted mask.
+    """
     if route not in ROUTES:
         raise ParameterError(f"unknown route {route!r}")
     k = cfg["k"]
@@ -261,39 +266,28 @@ def run_cell(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict:
         seed=seed,
     )
     if route == "a2":
-        rep = st.verify_structural_bicriteria(
-            inst.A, inst.W, k, eps, inst.opt_upper,
-            method=cfg["method"], seed=seed,
-        )
+        rep = st.verify_structural_bicriteria(inst.A, inst.W, k, eps, inst.opt_upper)
         return {
             "pattern": rep.pattern, "n": rep.n, "k": rep.k,
-            "k_prime": rep.k_prime, "eps1": rep.eps1, "eps2": rep.eps,
+            "k_prime": rep.k_prime, "eps1": 0.0, "eps2": rep.eps,
             "delta_slack": 0.0, "seed": seed, "cost": rep.cost,
             "opt_upper": rep.opt_upper, "rhs": rep.rhs,
             "satisfied": rep.satisfied, "note": "",
         }
+    spec = pattern.spec(n, eps)
     L2 = inst.L_star if route == "t4" else None
     rep = sv.verify_bicriteria(
-        inst.A, inst.W, k, eps,
+        inst.A, inst.W, k, eps, spec=spec,
         opt_upper=inst.opt_upper, L_for_eps2=L2, seed=seed,
-        method=cfg["method"],
     )
+    if stats is not None and cfg["stats_trials"] > 0:
+        e1, e0 = pr.empirical_error_rates(spec, inst.W, cfg["stats_trials"], seed=seed)
+        stats.append({
+            "family": spec.family, "n": n, "delta": eps, "seed": seed,
+            "rectangles": rep.rect_count, "one_count": rep.one_count,
+            "cap": pr.transcript_cap(spec), "err_on_zeros": e0, "err_on_ones": e1,
+        })
     return _row_from_bicriteria(rep)
-
-
-def _stats_row(route: str, n: int, eps: float, seed: int, cfg: dict) -> dict | None:
-    if route == "a2" or cfg["stats_trials"] <= 0:
-        return None
-    pattern = make_pattern(ROUTES[route], n, t=cfg["t"], p=cfg["p"], seed=seed)
-    W = mk.make_mask(pattern, n)
-    spec = pattern.spec(n, eps)
-    P = pr.sample_partition(spec, seed=seed)
-    e1, e0 = pr.empirical_error_rates(spec, W, cfg["stats_trials"], seed=seed)
-    return {
-        "family": spec.family, "n": n, "delta": eps, "seed": seed,
-        "rectangles": len(P.rectangles), "one_count": P.one_count,
-        "cap": pr.transcript_cap(spec), "err_on_zeros": e0, "err_on_ones": e1,
-    }
 
 
 def run_suite(config) -> ExperimentReport:
@@ -306,7 +300,7 @@ def run_suite(config) -> ExperimentReport:
             for eps in cfg["eps"]:
                 for seed in cfg["seeds"]:
                     try:
-                        row = run_cell(route, n, eps, seed, cfg)
+                        row = run_cell(route, n, eps, seed, cfg, report.protocol_stats)
                     except MaskedLRAError as e:  # recorded, never aborts the sweep
                         row = {
                             "pattern": route, "n": n, "k": cfg["k"],
@@ -317,9 +311,6 @@ def run_suite(config) -> ExperimentReport:
                             "note": f"{type(e).__name__}: {e}",
                         }
                     report.rows.append(row)
-                    stats = _stats_row(route, n, eps, seed, cfg)
-                    if stats is not None:
-                        report.protocol_stats.append(stats)
     report.rows.sort(key=lambda r: (r["pattern"], r["n"], r["eps1"], r["seed"]))
     report.protocol_stats.sort(
         key=lambda r: (r["family"], r["n"], r["delta"], r["seed"])

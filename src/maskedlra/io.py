@@ -97,6 +97,14 @@ def read_tensor(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mask descriptors
 
+def _parse(read, text: str, what: str):
+    """read(text), with malformed text reported as a ParameterError."""
+    try:
+        return read(text)
+    except ValueError:
+        raise ParameterError(f"malformed {what}: {text!r}") from None
+
+
 def _join_flat(values) -> str:
     return ",".join(map(str, values))
 
@@ -160,14 +168,16 @@ def read_mask_descriptor(path) -> masks.Mask:
     kv = parse_kv(Path(path).read_text())
     try:
         tag = kv["pattern"]
-        n = int(kv["n"])
+        n = _parse(int, kv["n"], "n")
     except KeyError as missing:
         raise ParameterError(f"descriptor missing {missing}")
     if tag not in masks.PATTERNS:
         raise ParameterError(f"unknown pattern tag {tag!r}")
     cls = masks.PATTERNS[tag]
     try:
-        fields = {name: read(kv[name]) for name, (_, read) in _descriptor_fields(cls)}
+        fields = {
+            name: _parse(read, kv[name], name) for name, (_, read) in _descriptor_fields(cls)
+        }
     except KeyError as missing:
         raise ParameterError(f"descriptor missing {missing}")
     return masks.make_mask(cls(**fields), n)
@@ -215,22 +225,24 @@ def read_partition(path) -> protocols.PartitionSample:
         if "=" in item
     )
     rects = []
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         parts = line.split("\t")
-        label = int(parts[0])
-        row_set = np.array(_split_flat(parts[1]), dtype=np.int64)
-        col_set = np.array(_split_flat(parts[2]), dtype=np.int64)
-        depth = None
-        if len(parts) > 3:
-            depth = np.array(_split_flat(parts[3]), dtype=np.int64)
-        rects.append(protocols.Rectangle(row_set, col_set, label, depth))
+        if len(parts) not in (3, 4):
+            raise ParameterError(f"partition dump line {ln}: expected 3 or 4 tab-separated fields")
+        label = _parse(int, parts[0], f"label on line {ln}")
+        sets = [
+            np.array(_parse(_split_flat, part, f"index set on line {ln}"), dtype=np.int64)
+            for part in parts[1:]
+        ]
+        depth = sets[2] if len(sets) == 3 else None
+        rects.append(protocols.Rectangle(sets[0], sets[1], label, depth))
     ones = sum(1 for r in rects if r.label == 1)
     return protocols.PartitionSample(
         rects,
-        int(header.get("n", 0)),
+        _parse(int, header.get("n", "0"), "n"),
         header.get("source", "file"),
         ones,
-        order=int(header.get("order", 2)),
+        order=_parse(int, header.get("order", "2"), "order"),
     )

@@ -178,6 +178,20 @@ def randomized_range_lra(
     return LowRankFactor((Q @ Ub[:, :k]) * root, Vt[:k].T * root, k)
 
 
+def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:
+    """Solve G X = B for a symmetric positive semidefinite Gram matrix G.
+
+    Cholesky first; a singular G is solved with RIDGE added to its diagonal
+    instead, and each such fallback increments fallbacks[0].
+    """
+    try:
+        c = scipy.linalg.cho_factor(G, check_finite=False)
+        return scipy.linalg.cho_solve(c, B, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        fallbacks[0] += 1
+        return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), B)
+
+
 def masked_cost(A, W, L: LowRankFactor, g: NormKind = SQUARED_FROBENIUS) -> float:
     """Sum of g(|A_ij - L_ij|) over entries where the mask is 1.
 

@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import masks, protocols
 from .errors import ParameterError
 from .linalg import (
-    RIDGE,
     LowRankFactor,
+    _spd_solve,
     as_bitmap,
     hadamard,
     masked_cost,
@@ -35,7 +34,6 @@ class BicriteriaReport:
     k_prime: int
     eps1: float
     eps2: float
-    delta_slack: float
     cost: float
     opt_upper: float
     rhs: float
@@ -113,14 +111,14 @@ def verify_bicriteria(
     opt_upper: float = 0.0,
     L_for_eps2: LowRankFactor | None = None,
     seed: int = 0,
-    method: str = "exact",
 ) -> BicriteriaReport:
-    """Run the zero-fill solver at the certified rank and check the bound.
+    """Run the exact zero-fill solver at the certified rank and check the bound.
 
     k' comes from rank_budget for patterned masks and from k times the
-    sampled partition's 1-rectangle count for explicit masks. One-sided
-    protocol families contribute no eps2 term; two-sided families charge
-    eps * the off-mask mass of the supplied rank-k candidate.
+    sampled partition's 1-rectangle count for explicit masks. The one
+    partition drawn with seed also supplies the report's rectangle counts.
+    One-sided protocol families contribute no eps2 term; two-sided families
+    charge eps * the off-mask mass of the supplied rank-k candidate.
     """
     A = np.asarray(A, dtype=np.float64)
     if spec is None:
@@ -141,17 +139,10 @@ def verify_bicriteria(
         raise ParameterError("two-sided protocol needs L_for_eps2 as the candidate")
 
     M = hadamard(A, as_bitmap(W, np.float64))
-    L = masked_lra(A, W, k_prime, method=method, seed=seed)
-    delta_slack = 0.0
-    if method == "randomized":
-        exact = masked_lra(A, W, k_prime, method="exact")
-        delta_slack = max(
-            0.0,
-            float(np.sum((M - L.value()) ** 2) - np.sum((M - exact.value()) ** 2)),
-        )
+    L = masked_lra(A, W, k_prime)
     cost = masked_cost(A, W, L)
     mass = float(np.sum(M * M))
-    rhs = opt_upper + eps1 * mass + delta_slack
+    rhs = opt_upper + eps1 * mass
     if eps2:
         off = hadamard(L_for_eps2.value(), 1.0 - as_bitmap(W, np.float64))
         rhs += eps2 * float(np.sum(off * off))
@@ -162,7 +153,6 @@ def verify_bicriteria(
         k_prime=k_prime,
         eps1=eps1,
         eps2=eps2,
-        delta_slack=delta_slack,
         cost=cost,
         opt_upper=opt_upper,
         rhs=rhs,
@@ -184,14 +174,7 @@ def _solve_rows(Target, WB, F, k, ridge_count):
         if not sel.any():
             continue
         Fs = F[sel]
-        G = Fs.T @ Fs
-        b = Fs.T @ Target[i, sel]
-        try:
-            c = scipy.linalg.cho_factor(G, check_finite=False)
-            out[i] = scipy.linalg.cho_solve(c, b, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            ridge_count[0] += 1
-            out[i] = np.linalg.solve(G + RIDGE * np.eye(k), b)
+        out[i] = _spd_solve(Fs.T @ Fs, Fs.T @ Target[i, sel], ridge_count)
     return out
 
 

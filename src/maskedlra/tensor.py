@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import masks, protocols
 from .errors import ParameterError, ShapeError
-from .linalg import RIDGE, as_bitmap
+from .linalg import _spd_solve, as_bitmap
 
 
 def as_tensor(T) -> np.ndarray:
@@ -135,12 +134,7 @@ def _als_update(unfold: np.ndarray, X: np.ndarray, Y: np.ndarray, ridge_count):
     """Least-squares factor against the Khatri-Rao design of X and Y."""
     G = (X.T @ X) * (Y.T @ Y)
     rhs = unfold @ _khatri_rao(X, Y)
-    try:
-        c = scipy.linalg.cho_factor(G, check_finite=False)
-        return scipy.linalg.cho_solve(c, rhs.T, check_finite=False).T
-    except scipy.linalg.LinAlgError:
-        ridge_count[0] += 1
-        return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), rhs.T).T
+    return _spd_solve(G, rhs.T, ridge_count).T
 
 
 def cp_als(

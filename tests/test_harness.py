@@ -1,5 +1,6 @@
 """Planted generators, sweep orchestration, and report serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -19,7 +20,8 @@ from maskedlra import (
     run_suite,
     verify_bicriteria,
 )
-from maskedlra import harness
+from maskedlra import harness, protocols
+from maskedlra.cli import main
 from maskedlra.harness import COLUMNS, load_rows, parse_config, sparse_pattern
 
 
@@ -208,3 +210,70 @@ def test_sparse_pattern_is_deterministic():
     b = sparse_pattern(12, 3, seed=5)
     assert a == b
     assert all(len(z) == 3 for z in a.zero_sets)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sizes", "3x"), ("eps", "0.5,a"), ("seeds", "0.5"), ("k", "two"),
+    ("noise_sigma", "none"), ("stats_trials", "1e3"),
+])
+def test_malformed_config_value_raises_parameter_error(tmp_path, capsys, key, value):
+    with pytest.raises(ParameterError, match="bad config value"):
+        parse_config({key: value})
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"routes = t1\n{key} = {value}\n")
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "bad config value" in capsys.readouterr().err
+
+
+def test_sweep_has_no_solver_method_key():
+    # every certificate uses the exact solve
+    with pytest.raises(ParameterError, match="unknown config key"):
+        parse_config({"method": "randomized"})
+
+
+def test_failed_cell_with_stats_recorded_without_stats_row():
+    rep = run_suite({"routes": "t2", "sizes": "4", "t": "8", "stats_trials": "10"})
+    assert [r["satisfied"] for r in rep.rows] == [False] * 3
+    assert all(r["note"] for r in rep.rows)
+    assert rep.protocol_stats == []
+
+
+@pytest.mark.parametrize("route", ["t1", "t2", "t3", "t4"])
+def test_stats_row_reuses_the_certificate_partition(monkeypatch, route):
+    calls = []
+    draw = protocols.sample_partition
+
+    def counted(*args, **kwargs):
+        calls.append(draw(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(protocols, "sample_partition", counted)
+    rep = run_suite({"routes": route, "sizes": "16", "eps": "0.25", "stats_trials": "100"})
+    assert len(calls) == 1
+    (stat,) = rep.protocol_stats
+    assert stat["rectangles"] == len(calls[0].rectangles)
+    assert stat["one_count"] == calls[0].one_count
+
+
+# sha256 of a t1-t4 and a2 sweep, recorded before the stats rows were taken
+# from the certificate's own partition draw; cost, opt_upper and rhs come from
+# BLAS and are left out, so the digest does not depend on the thread count
+GOLDEN_SWEEP = {
+    "rows": "d391fca171ad1ba8e0b1bdb53adcd67598cc9740bc1574c82480380a1fffe23a",
+    "protocol_stats": "0aa3c8332819b89e966aebb692f8fadff4e2b6522ef23e89213e81571d4520f3",
+}
+
+
+def test_golden_sweep():
+    rep = run_suite({
+        "routes": "t1,t2,t3,t4,a2", "sizes": "16,32", "eps": "0.1,0.25,0.5",
+        "seeds": "0,1", "stats_trials": "2000",
+    })
+    assert (len(rep.rows), len(rep.protocol_stats)) == (60, 48)
+    blas = ("cost", "opt_upper", "rhs")
+    rows = [{c: v for c, v in r.items() if c not in blas} for r in rep.rows]
+    for name, records in (("rows", rows), ("protocol_stats", rep.protocol_stats)):
+        h = hashlib.sha256()
+        for r in records:
+            h.update(json.dumps(r, sort_keys=True).encode())
+        assert (name, h.hexdigest()) == (name, GOLDEN_SWEEP[name])

@@ -19,6 +19,7 @@ from maskedlra import (
     make_mask,
     sample_partition,
 )
+from maskedlra.cli import main
 from maskedlra.io import (
     load_mask,
     parse_kv,
@@ -184,3 +185,30 @@ def test_write_is_deterministic(tmp_path):
     write_matrix(p1, A)
     write_matrix(p2, A)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "pattern = diagonal\nn = x\n",
+    "pattern = toeplitz-mod-p\nn = 8\np = two\n",
+    "pattern = sparse\nn = 2\nt = 1\nzero_sets = 0|a\n",
+    "pattern = block-diagonal\nn = 4\nblocks = 0,1|2,3.5\n",
+])
+def test_malformed_descriptor_raises_parameter_error(tmp_path, capsys, text):
+    path = tmp_path / "W.mask"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="malformed"):
+        read_mask_descriptor(path)
+    write_matrix(tmp_path / "A.mlra", np.ones((2, 2)))
+    assert main(["solve", str(tmp_path / "A.mlra"), str(path), "--k", "1"]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["x\t0,1\t0,1", "1\t0,a\t0,1", "1\t0,1", "1", "1\t0\t1\t2\t3"])
+def test_malformed_partition_dump_raises_parameter_error(tmp_path, body):
+    path = tmp_path / "part.txt"
+    path.write_text(f"# source=test\tn=2\torder=2\trectangles=2\tone_count=1\n1\t0\t1\n{body}\n")
+    with pytest.raises(ParameterError, match="line 3"):
+        read_partition(path)
+    path.write_text("# n=two\n1\t0\t1\n")
+    with pytest.raises(ParameterError, match="malformed n"):
+        read_partition(path)

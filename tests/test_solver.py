@@ -153,7 +153,7 @@ def test_verify_bicriteria_planted_diagonal():
     assert rep.satisfied
     assert rep.k_prime == rank_budget(Diagonal(), 3, 0.25)
     assert rep.rhs == pytest.approx(inst.opt_upper + 2 * 0.25 * mass)
-    assert rep.eps2 == 0.0 and rep.delta_slack == 0.0
+    assert rep.eps2 == 0.0
 
 
 def test_verify_bicriteria_exact_matrix():
@@ -199,7 +199,7 @@ def test_verify_bicriteria_rhs_is_sum_of_summands():
     )
     mass_on = float(np.sum((inst.A * inst.W.bitmap) ** 2))
     off = float(np.sum((inst.L_star.value() * (1 - inst.W.bitmap)) ** 2))
-    want = rep.opt_upper + rep.eps1 * mass_on + rep.eps2 * off + rep.delta_slack
+    want = rep.opt_upper + rep.eps1 * mass_on + rep.eps2 * off
     assert rep.rhs == pytest.approx(want, rel=1e-12)
 
 
