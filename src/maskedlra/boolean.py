@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceError, ShapeError
 from .linalg import as_bitmap
+from .protocols import cover_bitmap
 
 EXHAUSTIVE_BIT_CAP = 24
 
@@ -43,11 +44,6 @@ class BoolFactor:
 
     def value(self) -> np.ndarray:
         return bool_product(self.U, self.V)
-
-
-def zero_bool_factor(n: int, m: int, rank_bound: int = 1) -> BoolFactor:
-    r = max(1, rank_bound)
-    return BoolFactor(np.zeros((n, r), np.uint8), np.zeros((r, m), np.uint8), r)
 
 
 def bool_product(U, V) -> np.ndarray:
@@ -183,12 +179,9 @@ def bool_lra_heuristic(
 
 
 def _check_cover(C, Wb) -> None:
-    union = np.zeros_like(Wb)
-    for rect in C.rectangles:
-        if rect.label != 1:
-            raise ParameterError("cover rectangles must be 1-labeled")
-        union[np.ix_(rect.row_set, rect.col_set)] = 1
-    if not np.array_equal(union, (Wb == 1).astype(np.uint8)):
+    if any(rect.label != 1 for rect in C.rectangles):
+        raise ParameterError("cover rectangles must be 1-labeled")
+    if not np.array_equal(cover_bitmap(C), (Wb == 1).astype(np.uint8)):
         raise ParameterError("cover union differs from the mask support")
 
 
@@ -242,29 +235,27 @@ class NondetReport:
     k: int
     cost: int
     opt_upper: int
-    delta_slack: int
     rhs: int
     satisfied: bool
 
 
 def verify_nondet_bound(
-    A, W, C, k: int, opt_upper: int, delta_slack: int = 0, inner: str = "auto",
-    seed: int = 0,
+    A, W, C, k: int, opt_upper: int, inner: str = "auto", seed: int = 0,
 ) -> NondetReport:
-    """Solve through the cover and check cost <= |C| * opt_upper + slack.
+    """Solve through the cover and check cost <= |C| * opt_upper.
 
     opt_upper is any upper bound on the optimal rank-k cost over the full
-    mask (exhaustive where affordable); delta_slack absorbs the inner
-    solver's measured suboptimality when the heuristic is used inside.
+    mask (exhaustive where affordable). The bound is proved for exact
+    per-rectangle fits; with the heuristic inner solver the verdict only
+    reports whether the bound held.
     """
     _, cost = cover_based_bool_lra(A, W, C, k, inner=inner, seed=seed)
-    rhs = len(C.rectangles) * int(opt_upper) + int(delta_slack)
+    rhs = len(C.rectangles) * int(opt_upper)
     return NondetReport(
         cover_size=len(C.rectangles),
         k=k,
         cost=cost,
         opt_upper=int(opt_upper),
-        delta_slack=int(delta_slack),
         rhs=rhs,
         satisfied=cost <= rhs,
     )

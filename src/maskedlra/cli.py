@@ -196,13 +196,13 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_boolean(args) -> int:
-    cover = pr.nondet_cover(args.cover, args.n, blocks=args.blocks)
-    if args.cover == "neq-bits":
-        pattern = mk.Diagonal()
-    elif args.cover == "neq-blocks":
+    if args.cover == "neq-blocks":
         pattern = hs.make_pattern("block-diagonal", args.n, blocks=args.blocks or 2)
+        cover = pr.nondet_cover(args.cover, args.n, blocks=pattern.blocks)
     else:
-        pattern = mk.Explicit(pr.cover_bitmap(cover))
+        cover = pr.nondet_cover(args.cover, args.n)
+        pattern = (mk.Diagonal() if args.cover == "neq-bits"
+                   else mk.Explicit(pr.cover_bitmap(cover)))
     inst = hs.gen_planted(
         "boolean", pattern, args.n, args.k,
         noise_sigma=args.noise_sigma,
@@ -215,13 +215,11 @@ def _cmd_boolean(args) -> int:
     else:
         opt = int(inst.opt_upper)
         opt_src = "planted"
-    rep = bl.verify_nondet_bound(
-        inst.A, inst.W, cover, args.k, opt,
-        delta_slack=args.delta_slack, inner=args.inner, seed=args.seed,
-    )
+    rep = bl.verify_nondet_bound(inst.A, inst.W, cover, args.k, opt,
+                                 inner=args.inner, seed=args.seed)
     print(f"cover = {args.cover}  |C| = {rep.cover_size}  k = {args.k}")
     print(f"cost = {rep.cost}  opt_upper = {rep.opt_upper} ({opt_src})")
-    print(f"rhs = {rep.rhs}  delta_slack = {rep.delta_slack}")
+    print(f"rhs = {rep.rhs}")
     print("PASS" if rep.satisfied else "FAIL")
     return 0 if rep.satisfied else 1
 
@@ -309,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--blocks", type=int, default=None)
     bc.add_argument("--inner", choices=("auto", "exhaustive", "heuristic"),
                     default="auto")
-    bc.add_argument("--delta-slack", type=int, default=0)
     # boolean corruption is a flip probability on the masked zeros
     _add_planted_flags(bc, corruption_default=0.25)
     bc.set_defaults(func=_cmd_boolean)

@@ -32,11 +32,6 @@ COLUMNS = (
     "seed", "cost", "opt_upper", "rhs", "satisfied",
 )
 
-STAT_COLUMNS = (
-    "family", "n", "delta", "seed", "rectangles", "one_count", "cap",
-    "err_on_zeros", "err_on_ones",
-)
-
 
 @dataclass
 class PlantedInstance:
@@ -367,27 +362,40 @@ def _parse_cell(col: str, text: str):
     if col in ("n", "k", "k_prime", "seed"):
         return int(text)
     if col == "satisfied":
+        if text not in ("true", "false"):
+            raise ValueError(f"satisfied is {text!r}")
         return text == "true"
     if col == "pattern":
         return text
     return float(text)
 
 
+def _parse_row(line: str) -> dict:
+    parts = line.split(",")
+    if len(parts) != len(COLUMNS):
+        raise ValueError(f"{len(parts)} fields, not {len(COLUMNS)}")
+    return {c: _parse_cell(c, v) for c, v in zip(COLUMNS, parts)}
+
+
 def load_rows(path: str) -> list:
-    """Read back an emitted report (csv or json) as row dicts."""
+    """Read back an emitted report (csv or json) as row dicts.
+
+    Malformed text raises ParameterError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise ResourceError(f"cannot read report {path}: {e}") from e
     if text.lstrip().startswith("{"):
-        return json.loads(text)["rows"]
+        try:
+            rows = json.loads(text).get("rows")
+        except ValueError as e:
+            raise ParameterError(f"malformed report {path}: {e}") from None
+        if not isinstance(rows, list):
+            raise ParameterError(f"report {path} has no rows list")
+        return rows
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if tuple(header) != COLUMNS:
+    if not lines or tuple(lines[0].split(",")) != COLUMNS:
         raise ParameterError(f"unexpected report header in {path}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append({c: _parse_cell(c, v) for c, v in zip(header, parts)})
-    return rows
+    return [mio._parse(_parse_row, ln, f"report row in {path}") for ln in lines[1:]]

@@ -137,14 +137,6 @@ def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
     return LowRankFactor(U[:, :k] * s[:k], Vt[:k].T, k)
 
 
-def singular_values(A: np.ndarray) -> np.ndarray:
-    A = as_matrix(A)
-    try:
-        return scipy.linalg.svd(A, compute_uv=False, lapack_driver="gesvd")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"svd did not converge: {exc}", _LAPACK_QR_MAXITER)
-
-
 def randomized_range_lra(
     A: np.ndarray,
     k: int,

@@ -37,8 +37,6 @@ ENUM_CAP_3 = 256  # largest n for order-3 enumeration
 
 ONE_SIDED_FAMILIES = ("equality-hash", "eq-mod-p", "sparse-set-eq", "neq3-multiparty")
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -134,16 +132,16 @@ def neq3_multiparty(n: int, delta: float) -> ProtocolSpec:
 def _hash_buckets(vals: np.ndarray, key, buckets: int) -> np.ndarray:
     """Pairwise-independent multiply-shift hash of vals into [0, buckets).
 
-    64-bit state; the high 32 bits of a*x+b feed a fixed-point range
-    reduction, so collision probability is 1/buckets up to O(2^-32).
+    64-bit state (uint64 arithmetic wraps mod 2^64); the high 32 bits of
+    a*x+b feed a fixed-point range reduction, so collision probability is
+    1/buckets up to O(2^-32), and one bucket maps every value to 0.
     key holds a and b along its first axis; each may be an array
     broadcasting against vals, giving each entry its own independent hash
     function.
     """
     a, b = key
     v = vals.astype(np.uint64)
-    h = (a * v + b) & _MASK64
-    h32 = h >> np.uint64(32)
+    h32 = (a * v + b) >> np.uint64(32)
     return ((h32 * np.uint64(buckets)) >> np.uint64(32)).astype(np.int64)
 
 
@@ -257,10 +255,12 @@ def transcript_cap(spec: ProtocolSpec) -> int:
 # one evaluator per family
 
 def _eq_decide(u: np.ndarray, v: np.ndarray, buckets: int | None, keys):
-    """u != v through one shared hash into buckets; buckets None compares exactly."""
-    if buckets == 1:
-        u, v = np.zeros_like(u), np.zeros_like(v)
-    elif buckets:
+    """u != v through one shared hash into buckets; buckets None compares exactly.
+
+    A hashed run draws one key, even with one bucket, where every value
+    hashes to 0 and the output is 0.
+    """
+    if buckets:
         key = keys(1)[:, 0]
         u = _hash_buckets(u, key, buckets)
         v = _hash_buckets(v, key, buckets)
@@ -322,10 +322,9 @@ def decide(spec: ProtocolSpec, idx, keys):
         d = spec.delta / 2
         c1, o1 = _gt(x, y + p - 1, m, d, keys)
         c2, o2 = _gt(x + p - 1, y, m, d, keys, direction="b>a")
-        # short circuit: the second call only runs when the first said "no"
-        _, i2 = np.unique(c2, return_inverse=True)
-        i2 = i2.reshape(c2.shape).astype(np.int64)
-        codes = _pair_codes(c1, np.where(o1 == 1, np.int64(0), i2 + 1))
+        # short circuit: the second call only runs when the first said "no";
+        # greater-than codes are >= 1, so 0 marks the skipped call
+        codes = _pair_codes(c1, np.where(o1 == 1, np.int64(0), c2))
         return codes, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
 
     if f == "banded2d-gt":
@@ -356,11 +355,8 @@ def decide(spec: ProtocolSpec, idx, keys):
 
     if f == "neq3-multiparty":
         B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
-        if B > 1:
-            key = keys(1)[:, 0]
-            h = [_hash_buckets(i, key, B) for i in idx]
-        else:
-            h = [np.zeros_like(i) for i in idx]
+        key = keys(1)[:, 0]
+        h = [_hash_buckets(i, key, B) for i in idx]
         b2 = (h[1] == h[0]).astype(np.int64)
         b3 = (h[2] == h[0]).astype(np.int64)
         return h[0] * 4 + b2 * 2 + b3, (1 - (b2 & b3)).astype(np.uint8)
@@ -409,14 +405,6 @@ class Rectangle:
     col_set: np.ndarray
     label: int
     depth_set: np.ndarray | None = None
-
-    @property
-    def order(self) -> int:
-        return 2 if self.depth_set is None else 3
-
-    def cells(self) -> int:
-        k = len(self.row_set) * len(self.col_set)
-        return k if self.depth_set is None else k * len(self.depth_set)
 
 
 @dataclass(frozen=True)
@@ -478,21 +466,21 @@ def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
 
 
 def multiparty_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
-    if spec.family != "neq3-multiparty":
+    if _order(spec) != 3:
         raise ParameterError(f"{spec.family} is not an order-3 family")
     return sample_partition(spec, seed)
 
 
 def protocol_matrix(spec: ProtocolSpec, seed: int = 0) -> masks.Mask:
     """The protocol's output on every cell, as a mask W_pi."""
-    if spec.family == "neq3-multiparty":
+    if _order(spec) != 2:
         raise ParameterError("order-3 output is a cube; use protocol_cube")
     _, labels = _transcript_grid(spec, seed)
     return masks.make_mask(masks.Explicit(labels), spec.n)
 
 
 def protocol_cube(spec: ProtocolSpec, seed: int = 0) -> np.ndarray:
-    if spec.family != "neq3-multiparty":
+    if _order(spec) != 3:
         raise ParameterError(f"{spec.family} is not an order-3 family")
     _, labels = _transcript_grid(spec, seed)
     return labels
@@ -503,10 +491,7 @@ def partition_bitmap(sample: PartitionSample) -> np.ndarray:
     shape = (sample.n,) * sample.order
     out = np.full(shape, 255, dtype=np.uint8)
     for r in sample.rectangles:
-        if sample.order == 2:
-            out[np.ix_(r.row_set, r.col_set)] = r.label
-        else:
-            out[np.ix_(r.row_set, r.col_set, r.depth_set)] = r.label
+        out[np.ix_(*(r.row_set, r.col_set, r.depth_set)[:sample.order])] = r.label
     if (out == 255).any():
         raise RuntimeError("partition does not tile the grid")
     return out
@@ -581,22 +566,17 @@ def empirical_error_rates(
 def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
     """Overlapping 1-labeled rectangles witnessing f = 1.
 
-    neq-bits guesses a differing bit position and its orientation;
-    neq-blocks does the same over block ids; disj-coords guesses a shared
-    coordinate of intersecting sets.
+    neq-blocks guesses a bit position where the block ids differ and its
+    orientation; neq-bits, for n a power of two, is neq-blocks on singleton
+    blocks; disj-coords guesses a shared coordinate of intersecting sets.
     """
     idx = np.arange(n, dtype=np.int64)
     rects = []
     if kind == "neq-bits":
         if n < 2 or n & (n - 1):
             raise ParameterError(f"n={n} must be a power of two")
-        m = n.bit_length() - 1
-        for i in range(m):
-            bit = (idx >> i) & 1
-            for b in (0, 1):
-                rects.append(Rectangle(idx[bit == b], idx[bit != b], 1))
-        target = masks.Diagonal().bitmap(n)
-    elif kind == "neq-blocks":
+        kind, blocks = "neq-blocks", tuple((i,) for i in range(n))
+    if kind == "neq-blocks":
         if blocks is None:
             raise ParameterError("neq-blocks needs the block partition")
         target = masks.BlockDiagonal(blocks).bitmap(n)  # checks the partition

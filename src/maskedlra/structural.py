@@ -62,12 +62,11 @@ def leverage_scores(L) -> np.ndarray:
     can place on row i.
     """
     M = _value(L)
-    s = scipy.linalg.svd(M, compute_uv=False, check_finite=False)
+    Q, s, _ = scipy.linalg.svd(M, full_matrices=False, check_finite=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros(M.shape[0])
     rank = int(np.sum(s > 1e-12 * s[0]))
-    Q = scipy.linalg.svd(M, full_matrices=False, check_finite=False)[0][:, :rank]
-    return np.sum(Q * Q, axis=1)
+    return np.sum(Q[:, :rank] ** 2, axis=1)
 
 
 _WEIGHT_FLOOR = 1e-8

@@ -220,7 +220,7 @@ def test_verify_nondet_block_diagonal_planted():
     C = nondet_cover("neq-blocks", 4, blocks=pattern.blocks)
     rep = verify_nondet_bound(inst.A, inst.W, C, 1, int(inst.opt_upper), inner="exhaustive")
     assert rep.satisfied
-    assert rep.rhs == len(C.rectangles) * int(inst.opt_upper) + rep.delta_slack
+    assert rep.rhs == len(C.rectangles) * int(inst.opt_upper)
 
 
 def _disj_pattern(n: int):

@@ -1,6 +1,7 @@
 """Command-line surface: file round-trips, bound checks, exit codes."""
 
 import numpy as np
+import pytest
 
 from maskedlra.cli import main
 from maskedlra.io import load_mask, read_matrix
@@ -99,6 +100,14 @@ def test_tensor_route(capsys):
 def test_boolean_route(capsys):
     rc = main(["boolean", "--cover", "neq-bits", "--n", "4", "--k", "1",
                "--seed", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "PASS" in out
+
+
+@pytest.mark.parametrize("blocks", [[], ["--blocks", "4"]])
+def test_boolean_route_neq_blocks(capsys, blocks):
+    rc = main(["boolean", "--cover", "neq-blocks", "--n", "8", "--k", "1"] + blocks)
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "PASS" in out

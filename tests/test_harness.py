@@ -154,6 +154,27 @@ def test_emit_csv_round_trip(tmp_path):
             assert a[col] == b[col], col
 
 
+_HEADER = ",".join(COLUMNS)
+_ROW = "diagonal,16,1,4,0.5,0,0,0,0.1,0,0.1,true"
+
+
+@pytest.mark.parametrize("text", [
+    f"{_HEADER}\n{_ROW.replace('diagonal,16', 'diagonal,x')}\n",
+    f"{_HEADER}\nbanded,4\n",
+    f"{_HEADER}\n{_ROW},extra\n",
+    f"{_HEADER}\n{_ROW.replace('true', 'yes')}\n",
+    "",
+    '{"rows": [',
+    '{"protocol_stats": []}',
+], ids=["bad-number", "short-line", "long-line", "bad-bool", "empty",
+        "truncated-json", "json-without-rows"])
+def test_load_rows_rejects_malformed_reports(tmp_path, text):
+    path = tmp_path / "rows.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError):
+        load_rows(str(path))
+
+
 def test_emit_json_round_trip(tmp_path):
     cfg = {
         "routes": "t1", "sizes": "16", "eps": "0.5", "seeds": "0",

@@ -111,6 +111,25 @@ def test_golden_partitions_and_error_rates(spec, tmp_path):
     assert h.hexdigest() == GOLDEN_DIGESTS[spec.family]
 
 
+# sha256 as for GOLDEN_DIGESTS, over all of _SINGLE_BUCKET_SPECS in turn; a
+# one-bucket hash maps every value to 0 whichever key it draws
+SINGLE_BUCKET_DIGEST = "ac50c7afd1aba6d053de2e71c27e5af66c358f1b7ca0c5c46564212ab126b16f"
+
+
+def test_golden_single_bucket_partitions_and_error_rates(tmp_path):
+    """The single-bucket specs, digested as in GOLDEN_DIGESTS, all in one."""
+    h = hashlib.sha256()
+    for spec in _SINGLE_BUCKET_SPECS:
+        for seed in (0, 3, 7, 11, 13):
+            path = tmp_path / f"p{seed}.part"
+            write_partition(path, sample_partition(spec, seed=seed))
+            h.update(path.read_bytes())
+        for seed in (2, 3, 5):
+            rates = empirical_error_rates(spec, target_bitmap(spec), 20_000, seed=seed)
+            h.update(struct.pack("<dd", *rates))
+    assert h.hexdigest() == SINGLE_BUCKET_DIGEST
+
+
 def test_single_bucket_equality_partition():
     P = sample_partition(equality_hash(4, 1.0), seed=0)
     assert len(P.rectangles) == 1
@@ -234,10 +253,15 @@ def test_empirical_error_rates_two_sided():
     assert off <= 0.1 + 3 * s0
 
 
+# protocols run with delta = 1, where every hash has one bucket
+_SINGLE_BUCKET_SPECS = [equality_hash(16, 1.0), eq_mod_p(16, 4, 1.0), neq3_multiparty(8, 1.0)]
+
+
 @pytest.mark.parametrize(
     "spec",
     _one_spec_per_family()
-    + [eq_mod_p(16, 4), greater_than(64, 0.1), greater_than(33, 0.5)],
+    + [eq_mod_p(16, 4), greater_than(64, 0.1), greater_than(33, 0.5)]
+    + _SINGLE_BUCKET_SPECS,
     ids=lambda s: f"{s.family}-n{s.n}-d{s.delta:g}",
 )
 def test_sampled_mode_matches_grid_on_every_cell(spec):
@@ -288,6 +312,17 @@ def test_nondet_cover_neq_bits():
     for r in C.rectangles:
         covered[np.ix_(r.row_set, r.col_set)] = 1
     assert np.array_equal(covered, 1 - np.eye(4, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_nondet_cover_neq_bits_is_neq_blocks_on_singletons(n):
+    bits = nondet_cover("neq-bits", n).rectangles
+    blocks = nondet_cover("neq-blocks", n, blocks=tuple((i,) for i in range(n))).rectangles
+    assert len(bits) == len(blocks)
+    for a, b in zip(bits, blocks):
+        assert np.array_equal(a.row_set, b.row_set)
+        assert np.array_equal(a.col_set, b.col_set)
+        assert a.label == b.label
 
 
 def test_nondet_cover_neq_blocks():
