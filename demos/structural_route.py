@@ -1,9 +1,9 @@
-"""Taming coherent rows instead of inflating the rank.
+"""Patching heavy rows instead of inflating the rank.
 
 When the target mask is row-sparse, a different route works: measure how
-much any single row can dominate the column space (leverage), shrink the
-offenders, and patch the few rows that carry real mass on the dropped
-entries. The rank grows by the patch size only.
+much any single row can dominate the column space (leverage), and patch the
+few rows that carry real mass on the dropped entries. The rank grows by the
+patch size only.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import numpy as np
 from maskedlra import (
     Diagonal,
     LowRankFactor,
-    coherence_reweight,
     gen_planted,
     heavy_row_set,
     leverage_scores,
@@ -27,12 +26,6 @@ rng = np.random.default_rng(1)
 L = LowRankFactor(rng.standard_normal((32, 3)), rng.standard_normal((32, 3)), 3)
 tau = leverage_scores(L)
 print(f"rank 3 factor: leverage sum {tau.sum():.6f}, max {tau.max():.4f}")
-
-# a planted spike gets all the leverage; reweighting pushes it under beta
-e = np.zeros((8, 1)); e[0, 0] = 1.0
-spike = LowRankFactor(4.0 * e, e, 1)
-res = coherence_reweight(spike, beta=0.5)
-print(f"spiked factor: converged={res.converged}, rows shrunk={res.modified}")
 
 # greedy heavy-row selection obeys the mass-ratio guarantee
 W = make_mask(Diagonal(), 32)

@@ -16,12 +16,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
-    ENTRYWISE_ZERO,
-    SQUARED_FROBENIUS,
     LowRankFactor,
-    NormKind,
-    entrywise_norm,
-    entrywise_p,
     hadamard,
     masked_cost,
     randomized_range_lra,
@@ -40,7 +35,6 @@ from .masks import (
     Monotone,
     Sparse,
     ToeplitzModP,
-    complement,
     make_mask,
     rank_budget,
 )
@@ -97,9 +91,7 @@ from .boolean import (
 )
 from .structural import (
     HeavyRowSet,
-    ReweightResult,
     StructuralReport,
-    coherence_reweight,
     heavy_row_set,
     leverage_scores,
     row_patch_comparator,

@@ -197,7 +197,7 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_boolean(args) -> int:
     if args.cover == "neq-blocks":
-        pattern = hs.make_pattern("block-diagonal", args.n, blocks=args.blocks or 2)
+        pattern = hs.make_pattern("block-diagonal", args.n, blocks=args.blocks)
         cover = pr.nondet_cover(args.cover, args.n, blocks=pattern.blocks)
     else:
         cover = pr.nondet_cover(args.cover, args.n)
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--cover", choices=COVERS, required=True)
     bc.add_argument("--n", type=int, default=8)
     bc.add_argument("--k", type=int, default=1)
-    bc.add_argument("--blocks", type=int, default=None)
+    bc.add_argument("--blocks", type=int, default=2)
     bc.add_argument("--inner", choices=("auto", "exhaustive", "heuristic"),
                     default="auto")
     # boolean corruption is a flip probability on the masked zeros

@@ -186,6 +186,8 @@ def parse_config(source) -> dict:
     for route in out["routes"]:
         if route not in ROUTES:
             raise ParameterError(f"unknown route {route!r}")
+    if out["stats_trials"] < 0:
+        raise ParameterError(f"stats_trials={out['stats_trials']} must be >= 0")
     return out
 
 
@@ -231,13 +233,16 @@ def make_pattern(tag: str, n: int, *, t: int = 2, p: int = 4, blocks: int = 2, s
     raise ParameterError(f"unknown pattern {tag!r}")
 
 
-def _row_from_bicriteria(rep: sv.BicriteriaReport) -> dict:
-    return {
-        "pattern": rep.pattern, "n": rep.n, "k": rep.k, "k_prime": rep.k_prime,
-        "eps1": rep.eps1, "eps2": rep.eps2, "delta_slack": 0.0,
-        "seed": rep.seed, "cost": rep.cost, "opt_upper": rep.opt_upper,
-        "rhs": rep.rhs, "satisfied": rep.satisfied, "note": "",
-    }
+def _row(rep=None, note: str = "", **cols) -> dict:
+    """A sweep row: the COLUMNS in order, then note.
+
+    Each column comes from cols when given there, else from rep's attribute
+    of that name; delta_slack is always 0.0.
+    """
+    cols = {"delta_slack": 0.0, **cols}
+    row = {c: cols[c] if c in cols else getattr(rep, c) for c in COLUMNS}
+    row["note"] = note
+    return row
 
 
 def run_cell(
@@ -262,13 +267,7 @@ def run_cell(
     )
     if route == "a2":
         rep = st.verify_structural_bicriteria(inst.A, inst.W, k, eps, inst.opt_upper)
-        return {
-            "pattern": rep.pattern, "n": rep.n, "k": rep.k,
-            "k_prime": rep.k_prime, "eps1": 0.0, "eps2": rep.eps,
-            "delta_slack": 0.0, "seed": seed, "cost": rep.cost,
-            "opt_upper": rep.opt_upper, "rhs": rep.rhs,
-            "satisfied": rep.satisfied, "note": "",
-        }
+        return _row(rep, eps1=0.0, eps2=rep.eps, seed=seed)
     spec = pattern.spec(n, eps)
     L2 = inst.L_star if route == "t4" else None
     rep = sv.verify_bicriteria(
@@ -282,7 +281,7 @@ def run_cell(
             "rectangles": rep.rect_count, "one_count": rep.one_count,
             "cap": pr.transcript_cap(spec), "err_on_zeros": e0, "err_on_ones": e1,
         })
-    return _row_from_bicriteria(rep)
+    return _row(rep)
 
 
 def run_suite(config) -> ExperimentReport:
@@ -297,14 +296,13 @@ def run_suite(config) -> ExperimentReport:
                     try:
                         row = run_cell(route, n, eps, seed, cfg, report.protocol_stats)
                     except MaskedLRAError as e:  # recorded, never aborts the sweep
-                        row = {
-                            "pattern": route, "n": n, "k": cfg["k"],
-                            "k_prime": 0, "eps1": eps, "eps2": 0.0,
-                            "delta_slack": 0.0, "seed": seed,
-                            "cost": float("nan"), "opt_upper": float("nan"),
-                            "rhs": float("nan"), "satisfied": False,
-                            "note": f"{type(e).__name__}: {e}",
-                        }
+                        nan = float("nan")
+                        row = _row(
+                            note=f"{type(e).__name__}: {e}",
+                            pattern=route, n=n, k=cfg["k"], k_prime=0,
+                            eps1=eps, eps2=0.0, seed=seed, cost=nan,
+                            opt_upper=nan, rhs=nan, satisfied=False,
+                        )
                     report.rows.append(row)
     report.rows.sort(key=lambda r: (r["pattern"], r["n"], r["eps1"], r["seed"]))
     report.protocol_stats.sort(

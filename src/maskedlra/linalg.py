@@ -1,5 +1,6 @@
-"""Dense real linear algebra: Hadamard products, entrywise norms, exact
-truncated SVD, and a randomized sketch-based low-rank approximation.
+"""Dense real linear algebra: Hadamard products, the masked squared
+Frobenius cost, exact truncated SVD, and a randomized sketch-based low-rank
+approximation.
 
 Matrices are 2-d float64 numpy arrays throughout. Low-rank objects are kept
 in factored form (see LowRankFactor) so downstream code can track rank
@@ -36,32 +37,6 @@ def as_matrix(A) -> np.ndarray:
 def as_bitmap(W, dtype) -> np.ndarray:
     """The 0/1 array of W, a mask of any order or a raw array, as dtype."""
     return np.asarray(getattr(W, "bitmap", W), dtype=dtype)
-
-
-@dataclass(frozen=True)
-class NormKind:
-    """Entrywise norm: a monotone nonnegative g summed over |entries|.
-
-    tag is one of "squared-frobenius" (g(x) = x^2), "entrywise-p"
-    (g(x) = x^p, requires p > 0), or "entrywise-zero" (g(x) = [x != 0]).
-    """
-
-    tag: str
-    p: float | None = None
-
-    def __post_init__(self):
-        if self.tag not in ("squared-frobenius", "entrywise-p", "entrywise-zero"):
-            raise ParameterError(f"unknown norm tag {self.tag!r}")
-        if self.tag == "entrywise-p" and (self.p is None or self.p <= 0):
-            raise ParameterError("entrywise-p requires p > 0")
-
-
-SQUARED_FROBENIUS = NormKind("squared-frobenius")
-ENTRYWISE_ZERO = NormKind("entrywise-zero")
-
-
-def entrywise_p(p: float) -> NormKind:
-    return NormKind("entrywise-p", p)
 
 
 @dataclass
@@ -108,16 +83,6 @@ def hadamard(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape != B.shape:
         raise ShapeError(f"hadamard shapes differ: {A.shape} vs {B.shape}")
     return A * B
-
-
-def entrywise_norm(A: np.ndarray, g: NormKind = SQUARED_FROBENIUS) -> float:
-    """Sum of g(|A_ij|) over all entries."""
-    A = as_matrix(A)
-    if g.tag == "squared-frobenius":
-        return float(np.sum(A * A))
-    if g.tag == "entrywise-zero":
-        return float(np.count_nonzero(A))
-    return float(np.sum(np.abs(A) ** g.p))
 
 
 def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
@@ -184,8 +149,8 @@ def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:
         return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), B)
 
 
-def masked_cost(A, W, L: LowRankFactor, g: NormKind = SQUARED_FROBENIUS) -> float:
-    """Sum of g(|A_ij - L_ij|) over entries where the mask is 1.
+def masked_cost(A, W, L: LowRankFactor) -> float:
+    """Sum of (A_ij - L_ij)^2 over entries where the mask is 1.
 
     W may be a Mask or a raw binary matrix.
     """
@@ -195,4 +160,5 @@ def masked_cost(A, W, L: LowRankFactor, g: NormKind = SQUARED_FROBENIUS) -> floa
         raise ShapeError(
             f"masked_cost shapes differ: A {A.shape}, W {bitmap.shape}, L {L.shape}"
         )
-    return entrywise_norm(hadamard(A - L.value(), bitmap), g)
+    R = hadamard(A - L.value(), bitmap)
+    return float(np.sum(R * R))

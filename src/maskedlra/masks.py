@@ -327,11 +327,6 @@ def make_mask(pattern: MaskPattern, n: int) -> Mask:
     return Mask(n, pattern, bitmap, counts)
 
 
-def complement(W: Mask) -> Mask:
-    flipped = (1 - W.bitmap).astype(np.uint8)
-    return make_mask(Explicit(flipped), W.n)
-
-
 def rank_budget(pattern: MaskPattern, k: int, eps: float, n: int | None = None) -> int:
     """Rank k' certified by the concrete partition construction for the pattern.
 

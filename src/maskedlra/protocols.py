@@ -24,7 +24,7 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -539,6 +539,8 @@ def empirical_error_rates(
     so the two rates are plain binomial estimates of the per-cell error
     probabilities of those decisions, averaged over each side of the mask.
     """
+    if trials < 1:
+        raise ParameterError(f"trials={trials} must be positive")
     bitmap = as_bitmap(W, np.uint8)
     shape = (spec.n,) * _order(spec)
     if bitmap.shape != shape:

@@ -1,6 +1,6 @@
 """Row-structure route to masked approximation bounds: leverage scores,
-coherence-capping row reweighting, heavy-row extraction, and the row-patch
-comparator with its bicriteria checker.
+heavy-row extraction, and the row-patch comparator with its bicriteria
+checker.
 
 Everything here works for masks with few zeros per column: the rows that
 carry most of the off-support mass of a low-rank candidate can be patched
@@ -18,15 +18,6 @@ from .errors import ParameterError
 from .linalg import LowRankFactor, as_matrix, masked_cost
 from .masks import Mask
 from .solver import masked_lra
-
-
-@dataclass(frozen=True)
-class ReweightResult:
-    d: np.ndarray
-    modified: tuple[int, ...]
-    beta: float
-    converged: bool
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -67,42 +58,6 @@ def leverage_scores(L) -> np.ndarray:
         return np.zeros(M.shape[0])
     rank = int(np.sum(s > 1e-12 * s[0]))
     return np.sum(Q[:, :rank] ** 2, axis=1)
-
-
-_WEIGHT_FLOOR = 1e-8
-
-
-def coherence_reweight(L, beta: float, max_iters: int = 100) -> ReweightResult:
-    """Shrink high-leverage rows by sqrt(beta/score) until all scores <= beta.
-
-    Weights only decrease and stay in [0, 1]. A row that keeps full leverage
-    regardless of shrinking (its direction has no other support) drives its
-    weight to the underflow floor and is then zeroed outright. Non-convergence
-    within max_iters is reported, not raised. The modified-row count is
-    monitored against rank/beta by callers but not enforced here: the scheme
-    is iterative while the existence argument behind that count is not.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ParameterError(f"beta={beta} must be in (0, 1]")
-    M = _value(L)
-    d = np.ones(M.shape[0])
-    tol = beta * (1.0 + 1e-6)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        tau = leverage_scores(d[:, None] * M)
-        hot = tau > tol
-        if not hot.any():
-            converged = True
-            break
-        d[hot] *= np.sqrt(beta / tau[hot])
-        d[d < _WEIGHT_FLOOR] = 0.0
-    else:
-        tau = leverage_scores(d[:, None] * M)
-        converged = bool(np.all(tau <= tol))
-    modified = tuple(int(i) for i in np.nonzero(d != 1.0)[0])
-    return ReweightResult(d=d, modified=modified, beta=beta,
-                          converged=converged, iterations=iterations)
 
 
 def heavy_row_set(L, W: Mask, eps: float, k: int) -> HeavyRowSet:

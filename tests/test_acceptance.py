@@ -23,7 +23,6 @@ from maskedlra import (
     cover_based_bool_lra,
     cp_als,
     empirical_error_rates,
-    entrywise_norm,
     eq_mod_p,
     equality_hash,
     gen_planted,

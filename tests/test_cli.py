@@ -113,6 +113,20 @@ def test_boolean_route_neq_blocks(capsys, blocks):
     assert "PASS" in out
 
 
+def test_boolean_neq_blocks_zero_blocks_exits_two(capsys):
+    rc = main(["boolean", "--cover", "neq-blocks", "--n", "8", "--k", "1", "--blocks", "0"])
+    assert rc == 2
+    assert "blocks=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_protocol_stats_nonpositive_trials_exit_two(capsys, trials):
+    rc = main(["protocol-stats", "--family", "equality-hash", "--n", "16",
+               "--trials", trials])
+    assert rc == 2
+    assert f"trials={trials}" in capsys.readouterr().err
+
+
 def test_report_sweep(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("routes = t1,t3\nsizes = 16\neps = 0.25,0.5\nseeds = 0\nk = 1\n")

@@ -233,6 +233,12 @@ def test_sparse_pattern_is_deterministic():
     assert all(len(z) == 3 for z in a.zero_sets)
 
 
+def test_parse_config_rejects_negative_stats_trials():
+    assert parse_config({"stats_trials": "0"})["stats_trials"] == 0
+    with pytest.raises(ParameterError, match="stats_trials=-1"):
+        parse_config({"stats_trials": "-1"})
+
+
 @pytest.mark.parametrize("key, value", [
     ("sizes", "3x"), ("eps", "0.5,a"), ("seeds", "0.5"), ("k", "two"),
     ("noise_sigma", "none"), ("stats_trials", "1e3"),

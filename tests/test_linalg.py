@@ -1,20 +1,17 @@
-"""Dense kernels: products, norms, truncated SVD, sketched LRA, masked cost."""
+"""Dense kernels: products, truncated SVD, sketched LRA, masked cost."""
 
 import numpy as np
 import pytest
 
 from maskedlra import (
-    ENTRYWISE_ZERO,
-    SQUARED_FROBENIUS,
     ParameterError,
     ShapeError,
-    entrywise_norm,
-    entrywise_p,
     hadamard,
     masked_cost,
     randomized_range_lra,
     svd_truncated,
 )
+from maskedlra.linalg import zero_factor
 
 
 def test_hadamard_identity_mask():
@@ -35,28 +32,15 @@ def test_hadamard_shape_mismatch():
         hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
-def test_entrywise_norm_small_values():
-    A = np.array([[3.0, 4.0]])
-    assert entrywise_norm(A, SQUARED_FROBENIUS) == 25.0
-    assert entrywise_norm(A, ENTRYWISE_ZERO) == 2.0
-    assert entrywise_norm(np.zeros((2, 2)), ENTRYWISE_ZERO) == 0.0
-
-
 def test_entrywise_norm_matches_singular_values():
-    # oracle: sum of squared singular values from a full reference SVD
+    # oracle: sum of squared singular values from a full reference SVD; the
+    # masked cost of the zero factor under an all-ones mask is ||A||_F^2
     rng = np.random.default_rng(11)
     A = rng.standard_normal((5, 5))
     sigma = np.linalg.svd(A, compute_uv=False)
     want = float(np.sum(sigma**2))
-    got = entrywise_norm(A, SQUARED_FROBENIUS)
+    got = masked_cost(A, np.ones((5, 5)), zero_factor(5, 5))
     assert abs(got - want) <= 1e-9 * want
-
-
-def test_entrywise_p_requires_positive_exponent():
-    with pytest.raises(ParameterError):
-        entrywise_p(0.0)
-    g = entrywise_p(1.0)
-    assert entrywise_norm(np.array([[-2.0, 3.0]]), g) == 5.0
 
 
 def test_svd_truncated_rank_one():
@@ -137,9 +121,9 @@ def test_randomized_lra_seed_determinism():
 
 
 def test_masked_cost_all_mismatch_masked():
-    from maskedlra import Diagonal, complement, make_mask
+    from maskedlra import Diagonal, make_mask
 
-    W = complement(make_mask(Diagonal(), 3))  # ones only on the diagonal
+    W = np.eye(3)  # ones only on the diagonal
     Wc = make_mask(Diagonal(), 3)  # zeros on the diagonal
     zero = svd_truncated(np.eye(3) * 0 + 1e-300, 1)
     # identity differs from 0 only on the diagonal, which Wc masks out
@@ -157,7 +141,7 @@ def test_masked_cost_ones_minus_identity():
 
 
 def test_masked_cost_matches_definition():
-    # definitional cross-check against hadamard + entrywise_norm
+    # definitional cross-check against hadamard + a sum of squares
     rng = np.random.default_rng(19)
     A = rng.standard_normal((6, 6))
     bits = (rng.random((6, 6)) < 0.6).astype(np.uint8)
@@ -165,7 +149,7 @@ def test_masked_cost_matches_definition():
 
     W = make_mask(Explicit(bits), 6)
     L = svd_truncated(A, 2)
-    want = entrywise_norm(hadamard(bits.astype(float), A - L.value()), SQUARED_FROBENIUS)
+    want = float(np.sum(hadamard(bits.astype(float), A - L.value()) ** 2))
     got = masked_cost(A, W, L)
     assert abs(got - want) <= 1e-12 * max(1.0, want)
 
@@ -175,9 +159,9 @@ def test_pythagorean_split():
     for trial in range(20):
         M = rng.standard_normal((8, 8))
         bits = (rng.random((8, 8)) < 0.5).astype(float)
-        total = entrywise_norm(M, SQUARED_FROBENIUS)
-        on = entrywise_norm(M * bits, SQUARED_FROBENIUS)
-        off = entrywise_norm(M * (1 - bits), SQUARED_FROBENIUS)
+        total = np.sum(M ** 2)
+        on = np.sum((M * bits) ** 2)
+        off = np.sum((M * (1 - bits)) ** 2)
         assert abs(total - on - off) <= 1e-12 * max(1.0, total)
 
 

@@ -1,4 +1,4 @@
-"""Mask constructors: defining predicates, complements, and rank budgets."""
+"""Mask constructors: defining predicates, zero counts, and rank budgets."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from maskedlra import (
     Banded,
     Banded2D,
     BlockDiagonal,
-    BlockSparse,
     Diagonal,
     Explicit,
     Monotone,
     ParameterError,
     Sparse,
     ToeplitzModP,
-    complement,
     make_mask,
     rank_budget,
 )
@@ -116,19 +114,6 @@ def test_zero_counts_track_sparsity():
     assert W.zero_counts.max_row == t
     assert np.array_equal(W.zero_counts.rows, np.full(n, t))
     assert W.zero_counts.cols.sum() == n * t
-
-
-def test_complement_involution():
-    W = make_mask(Banded(2), 8)
-    WW = complement(complement(W))
-    assert np.array_equal(WW.bitmap, W.bitmap)
-    assert isinstance(complement(W).pattern, Explicit)
-
-
-def test_complement_of_diagonal():
-    C = complement(make_mask(Diagonal(), 3))
-    assert np.array_equal(C.bitmap, np.eye(3, dtype=np.uint8))
-    assert np.array_equal(complement(make_mask(AllOnes(), 3)).bitmap, np.zeros((3, 3), np.uint8))
 
 
 def test_rank_budget_values():

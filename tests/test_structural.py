@@ -1,4 +1,4 @@
-"""Row leverage, coherence reweighting, heavy rows, and the patched bound."""
+"""Row leverage, heavy rows, and the patched bound."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from maskedlra import (
     Diagonal,
     LowRankFactor,
     ParameterError,
-    coherence_reweight,
     gen_planted,
     heavy_row_set,
     leverage_scores,
@@ -66,37 +65,6 @@ def test_leverage_sum_equals_rank_sweep():
         tau = leverage_scores(LowRankFactor(U, V, r))
         assert abs(tau.sum() - r) <= 1e-9, trial
         assert (tau >= 0).all() and (tau <= 1 + 1e-12).all()
-
-
-def test_reweight_orthonormal_noop():
-    res = coherence_reweight(_factor(np.eye(3), 3), 1.0)
-    assert res.converged
-    assert len(res.modified) == 0
-    assert np.array_equal(res.d, np.ones(3))
-
-
-def test_reweight_single_spike():
-    M = np.zeros((4, 1))
-    M[0, 0] = 1.0
-    res = coherence_reweight(_factor(M, 1), 0.5)
-    assert res.converged
-    assert tuple(res.modified) == (0,)
-    assert len(res.modified) <= 1 / 0.5  # k/beta with k = 1
-    D = np.diag(res.d)
-    tau = leverage_scores(_factor(D @ M, 1))
-    assert (tau <= 0.5 * (1 + 1e-6)).all()
-
-
-def test_reweight_random_rank3():
-    rng = np.random.default_rng(9)
-    L = LowRankFactor(rng.standard_normal((32, 3)), rng.standard_normal((32, 3)), 3)
-    res = coherence_reweight(L, 0.25)
-    assert res.converged
-    assert (res.d >= 0).all() and (res.d <= 1).all()
-    reweighted = LowRankFactor(res.d[:, None] * L.U, L.V, 3)
-    tau = leverage_scores(reweighted)
-    assert (tau <= 0.25 * (1 + 1e-6)).all()
-    assert res.iterations >= 1
 
 
 def test_heavy_rows_single_spike():
