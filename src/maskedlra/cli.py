@@ -84,6 +84,8 @@ def _cmd_solve(args) -> int:
     print(f"k = {args.k}  k_prime = {k_prime}  method = {args.method}")
     print(f"masked cost = {cost!r}")
     print(f"masked mass = {ref!r}")
+    if "svd_driver" in L.meta:
+        print(f"svd_driver = {L.meta['svd_driver']}")
     if args.out:
         mio.write_matrix(args.out, L.value())
         print(f"wrote solution to {args.out}")
@@ -197,8 +199,11 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_boolean(args) -> int:
     if args.cover == "neq-blocks":
-        pattern = hs.make_pattern("block-diagonal", args.n, blocks=args.blocks)
+        blocks = 2 if args.blocks is None else args.blocks
+        pattern = hs.make_pattern("block-diagonal", args.n, blocks=blocks)
         cover = pr.nondet_cover(args.cover, args.n, blocks=pattern.blocks)
+    elif args.blocks is not None:
+        raise ParameterError(f"--blocks applies only to neq-blocks, not {args.cover}")
     else:
         cover = pr.nondet_cover(args.cover, args.n)
         pattern = (mk.Diagonal() if args.cover == "neq-bits"
@@ -304,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--cover", choices=COVERS, required=True)
     bc.add_argument("--n", type=int, default=8)
     bc.add_argument("--k", type=int, default=1)
-    bc.add_argument("--blocks", type=int, default=2)
+    bc.add_argument("--blocks", type=int, default=None,
+                    help="block count of neq-blocks (default 2)")
     bc.add_argument("--inner", choices=("auto", "exhaustive", "heuristic"),
                     default="auto")
     # boolean corruption is a flip probability on the masked zeros

@@ -2,6 +2,11 @@
 Frobenius cost, exact truncated SVD, and a randomized sketch-based low-rank
 approximation.
 
+The exact truncated SVD picks one of three drivers from the shape alone:
+ARPACK's partial SVD (svds) when k is small next to min(n, m) and
+min(n, m) >= 128, LAPACK's divide-and-conquer gesdd otherwise, and LAPACK's
+gesvd only when gesdd fails to converge.
+
 Matrices are 2-d float64 numpy arrays throughout. Low-rank objects are kept
 in factored form (see LowRankFactor) so downstream code can track rank
 budgets without materializing products it does not need.
@@ -22,6 +27,18 @@ RIDGE = 1e-10
 
 # LAPACK's bidiagonal QR (xBDSQR) gives up after this many sweeps per value.
 _LAPACK_QR_MAXITER = 30
+
+# svd_truncated takes svds when min(n, m) >= _SVDS_MIN_DIM and
+# _SVDS_RANK_RATIO * k <= min(n, m). Measured on 2 cores (OpenBLAS, 2
+# threads), svds/gesdd/gesvd at 512 x 512: 0.03/0.09/0.92 s for k = 8 and
+# 0.03/0.08/0.84 s for k = 32; at k = 336 gesdd took 0.075 s and svds 0.60 s.
+# At 64 x 64 svds lost to gesdd for every k; at 128 x 128, k = 8, they tied.
+_SVDS_MIN_DIM = 128
+_SVDS_RANK_RATIO = 8
+
+# svds must leave ||A - L||^2 equal to ||A||^2 - sum(sigma^2) within this
+# fraction of ||A||^2.
+_SVDS_RESIDUAL_RTOL = 1e-9
 
 
 def as_matrix(A) -> np.ndarray:
@@ -88,18 +105,53 @@ def hadamard(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
     """Best rank-k approximation of A in Frobenius norm.
 
-    Uses the bidiagonalization + implicit-shift QR driver (LAPACK gesvd),
-    then truncates, so the residual is exactly the tail spectrum of A.
+    Computes the top k singular triplets, so the residual is the tail
+    spectrum of A. The driver depends only on the shape and k:
+    - svds (ARPACK, seeded start vector) when min(n, m) >= 128 and
+      8 k <= min(n, m); its residual is checked against
+      ||A||^2 - sum(sigma^2), and an ARPACK failure falls through to gesdd;
+    - gesdd (LAPACK divide and conquer) in every other case;
+    - gesvd (LAPACK bidiagonal QR) only when gesdd raises LinAlgError.
+    meta["svd_driver"] names the driver that ran. NumericalError is raised
+    when gesvd fails too, or when the svds residual check fails.
     """
     A = as_matrix(A)
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise ParameterError(f"k={k} out of range for a {n}x{m} matrix")
+    if min(n, m) >= _SVDS_MIN_DIM and _SVDS_RANK_RATIO * k <= min(n, m):
+        L = _svds_truncated(A, k)
+        if L is not None:
+            return L
+    for driver in ("gesdd", "gesvd"):
+        try:
+            U, s, Vt = scipy.linalg.svd(A, full_matrices=False, lapack_driver=driver)
+        except scipy.linalg.LinAlgError as exc:
+            error = exc
+            continue
+        return LowRankFactor(U[:, :k] * s[:k], Vt[:k].T, k, {"svd_driver": driver})
+    raise NumericalError(f"svd did not converge: {error}", _LAPACK_QR_MAXITER)
+
+
+def _svds_truncated(A: np.ndarray, k: int) -> LowRankFactor | None:
+    """Top k triplets of A from ARPACK, or None when ARPACK fails."""
+    import scipy.sparse.linalg  # only large inputs pay for this import
+
+    # a fixed start vector keeps ARPACK deterministic
+    v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     try:
-        U, s, Vt = scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesvd")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"svd did not converge: {exc}", _LAPACK_QR_MAXITER)
-    return LowRankFactor(U[:, :k] * s[:k], Vt[:k].T, k)
+        U, s, Vt = scipy.sparse.linalg.svds(A, k=k, v0=v0)
+    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+        return None
+    L = LowRankFactor(U[:, ::-1] * s[::-1], Vt[::-1].T, k, {"svd_driver": "svds"})
+    total = float(np.sum(A * A))
+    res = float(np.sum((A - L.value()) ** 2))
+    tail = total - float(np.sum(s * s))
+    if abs(res - tail) > _SVDS_RESIDUAL_RTOL * total:
+        raise NumericalError(
+            f"svds residual {res!r} disagrees with the spectral tail {tail!r}"
+        )
+    return L
 
 
 def randomized_range_lra(

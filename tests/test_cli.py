@@ -50,6 +50,7 @@ def test_solve_round_trip(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "cost" in text
+    assert "svd_driver = gesdd" in text.splitlines()
     L = read_matrix(tmp_path / "L.mlra")
     assert L.shape == (16, 16)
     assert np.linalg.matrix_rank(L) <= 8
@@ -117,6 +118,13 @@ def test_boolean_neq_blocks_zero_blocks_exits_two(capsys):
     rc = main(["boolean", "--cover", "neq-blocks", "--n", "8", "--k", "1", "--blocks", "0"])
     assert rc == 2
     assert "blocks=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cover, blocks", [("neq-bits", "0"), ("disj-coords", "-3")])
+def test_boolean_blocks_outside_neq_blocks_exits_two(capsys, cover, blocks):
+    rc = main(["boolean", "--cover", cover, "--n", "4", "--k", "1", "--blocks", blocks])
+    assert rc == 2
+    assert "--blocks applies only to neq-blocks" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

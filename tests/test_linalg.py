@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from maskedlra import (
+    NumericalError,
     ParameterError,
     ShapeError,
     hadamard,
@@ -85,6 +88,72 @@ def test_svd_truncated_deterministic():
     L1 = svd_truncated(A, 3)
     L2 = svd_truncated(A, 3)
     assert np.array_equal(L1.U, L2.U) and np.array_equal(L1.V, L2.V)
+
+
+def test_svd_truncated_svds_branch_matches_tail():
+    # oracle: the tail of the full spectrum from svdvals
+    A = np.random.default_rng(41).standard_normal((256, 256))
+    sigma = scipy.linalg.svdvals(A)
+    tail = float(np.sum(sigma[8:] ** 2))
+    total = float(np.sum(A * A))
+    L1 = svd_truncated(A, 8)
+    L2 = svd_truncated(A, 8)
+    assert L1.meta["svd_driver"] == "svds"
+    res = float(np.sum((A - L1.value()) ** 2))
+    assert abs(res - tail) <= 1e-9 * total
+    assert np.array_equal(L1.U, L2.U) and np.array_equal(L1.V, L2.V)
+
+
+def test_svd_truncated_zero_matrix_falls_back_to_gesdd():
+    # ARPACK rejects the zero matrix ("Starting vector is zero")
+    L = svd_truncated(np.zeros((256, 256)), 8)
+    assert L.meta["svd_driver"] == "gesdd"
+    assert np.array_equal(L.value(), np.zeros((256, 256)))
+
+
+def _svd_failing(drivers):
+    real = scipy.linalg.svd
+
+    def svd(a, *args, lapack_driver="gesdd", **kwargs):
+        if lapack_driver in drivers:
+            raise scipy.linalg.LinAlgError(f"{lapack_driver} did not converge")
+        return real(a, *args, lapack_driver=lapack_driver, **kwargs)
+
+    return svd
+
+
+def test_svd_truncated_gesvd_fallback(monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "svd", _svd_failing({"gesdd"}))
+    A = np.random.default_rng(43).standard_normal((10, 7))
+    sigma = np.linalg.svd(A, compute_uv=False)
+    L = svd_truncated(A, 3)
+    assert L.meta["svd_driver"] == "gesvd"
+    res = float(np.sum((A - L.value()) ** 2))
+    assert abs(res - float(np.sum(sigma[3:] ** 2))) <= 1e-9 * float(np.sum(A * A))
+
+
+def test_svd_truncated_every_driver_fails(monkeypatch):
+    def svds(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", svds)
+    monkeypatch.setattr(scipy.linalg, "svd", _svd_failing({"gesdd", "gesvd"}))
+    A = np.random.default_rng(47).standard_normal((256, 256))
+    with pytest.raises(NumericalError):
+        svd_truncated(A, 8)
+
+
+def test_svd_truncated_svds_residual_check(monkeypatch):
+    real = scipy.sparse.linalg.svds
+
+    def svds(*args, **kwargs):
+        U, s, Vt = real(*args, **kwargs)
+        return U, s * 1.01, Vt
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", svds)
+    A = np.random.default_rng(53).standard_normal((256, 256))
+    with pytest.raises(NumericalError):
+        svd_truncated(A, 8)
 
 
 def test_randomized_lra_rank_one_any_seed():
