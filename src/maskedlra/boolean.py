@@ -11,9 +11,10 @@ import numpy as np
 
 from .errors import ParameterError, ResourceError, ShapeError
 from .linalg import as_bitmap
-from .protocols import cover_bitmap
+from .protocols import assemble, cover_bitmap
 
 EXHAUSTIVE_BIT_CAP = 24
+HEURISTIC_STARTS = 8  # random rank-1 starts per heuristic round
 
 
 def as_bool_matrix(A) -> np.ndarray:
@@ -137,9 +138,7 @@ def _greedy_round(A, Wb, covered, u, max_iters: int = 25):
     return u, v, gain
 
 
-def bool_lra_heuristic(
-    A, W, k: int, seed: int = 0, starts: int = 8
-) -> tuple[BoolFactor, int]:
+def bool_lra_heuristic(A, W, k: int, seed: int = 0) -> tuple[BoolFactor, int]:
     """Greedy boolean rank-k fit: k rounds of seeded rank-1 local search.
 
     Each round keeps the best positive-gain rank-1 term over several random
@@ -160,7 +159,7 @@ def bool_lra_heuristic(
     for c in range(k):
         best_gain = 0
         best_uv = None
-        for _ in range(starts):
+        for _ in range(HEURISTIC_STARTS):
             u0 = (rng.random(n) < 0.5).astype(np.uint8)
             u, v, gain = _greedy_round(A, Wb, covered, u0)
             if gain > best_gain:
@@ -179,6 +178,8 @@ def bool_lra_heuristic(
 
 
 def _check_cover(C, Wb) -> None:
+    if not C.rectangles:
+        raise ParameterError("cover has no rectangles")
     if any(rect.label != 1 for rect in C.rectangles):
         raise ParameterError("cover rectangles must be 1-labeled")
     if not np.array_equal(cover_bitmap(C), (Wb == 1).astype(np.uint8)):
@@ -200,30 +201,24 @@ def cover_based_bool_lra(
     if inner not in ("auto", "exhaustive", "heuristic"):
         raise ParameterError(f"unknown inner solver {inner!r}")
     _check_cover(C, Wb)
-    n, m = A.shape
-    Ub, Vb, per_rect = [], [], []
-    for idx, rect in enumerate(C.rectangles):
-        sub = A[np.ix_(rect.row_set, rect.col_set)]
+    per_rect = []
+
+    def fit(i, sets):
+        rows, cols = sets
+        sub = A[np.ix_(rows, cols)]
         subW = np.ones(sub.shape, np.uint8)
         mode = inner
         if mode == "auto":
-            mode = (
-                "exhaustive"
-                if 2 * len(rect.row_set) * k <= EXHAUSTIVE_BIT_CAP
-                else "heuristic"
-            )
+            mode = "exhaustive" if 2 * len(rows) * k <= EXHAUSTIVE_BIT_CAP else "heuristic"
         if mode == "exhaustive":
-            fit, cost = bool_lra_exhaustive(sub, subW, k)
+            f, cost = bool_lra_exhaustive(sub, subW, k)
         else:
-            fit, cost = bool_lra_heuristic(sub, subW, k, seed=seed + idx)
+            f, cost = bool_lra_heuristic(sub, subW, k, seed=seed + i)
         per_rect.append(cost)
-        U = np.zeros((n, fit.U.shape[1]), np.uint8)
-        V = np.zeros((fit.V.shape[0], m), np.uint8)
-        U[rect.row_set] = fit.U
-        V[:, rect.col_set] = fit.V
-        Ub.append(U)
-        Vb.append(V)
-    fac = BoolFactor(np.hstack(Ub), np.vstack(Vb), k * len(C.rectangles))
+        return f.U, f.V.T
+
+    U, Vt = assemble(C.rectangles, A.shape, fit)
+    fac = BoolFactor(U, Vt.T, k * len(C.rectangles))
     cost = bool_cost(A, fac.value(), Wb)
     fac.meta.update(cost=cost, per_rectangle_costs=per_rect)
     return fac, cost

@@ -8,6 +8,7 @@ dimensions, then the payload in row-major (lexicographic) order.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import typing
 from pathlib import Path
@@ -23,75 +24,59 @@ _MAGIC_BITMAP = b"MLRB1"
 _MAGIC_TENSOR = b"MLRT1"
 
 
-def _read_header(raw: bytes, magic: bytes, ndims: int):
+def _write(path, magic: bytes, array: np.ndarray, ndim: int) -> None:
+    if array.ndim != ndim:
+        raise ParameterError(f"{magic.decode()} stores {ndim}-d arrays, got ndim={array.ndim}")
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack(f"<{ndim}Q", *array.shape))
+        f.write(np.ascontiguousarray(array).tobytes())
+
+
+def _read(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
+    raw = Path(path).read_bytes()
     if raw[:5] != magic:
         raise ParameterError(f"bad magic {raw[:5]!r}, expected {magic!r}")
-    if len(raw) < 5 + 8 * ndims:
+    off = 5 + 8 * ndim
+    if len(raw) < off:
         raise ParameterError(f"{magic.decode()} header truncated")
-    dims = struct.unpack_from(f"<{ndims}Q", raw, 5)
-    return dims, 5 + 8 * ndims
-
-
-def _payload(raw: bytes, off: int, dtype: str, count: int) -> np.ndarray:
+    dims = struct.unpack_from(f"<{ndim}Q", raw, 5)
+    count = math.prod(dims)
     need = count * np.dtype(dtype).itemsize
     if len(raw) - off < need:
         raise ParameterError(
             f"payload truncated: need {need} bytes, have {len(raw) - off}"
         )
-    return np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+    # a writable copy in native byte order
+    return data.reshape(dims).astype(np.dtype(dtype).newbyteorder("="))
 
 
 def write_matrix(path, A) -> None:
-    A = np.ascontiguousarray(A, dtype="<f8")
-    if A.ndim != 2:
-        raise ParameterError("MLRA1 stores 2-d matrices")
-    with open(path, "wb") as f:
-        f.write(_MAGIC_MATRIX)
-        f.write(struct.pack("<2Q", *A.shape))
-        f.write(A.tobytes())
+    _write(path, _MAGIC_MATRIX, np.asarray(A, dtype="<f8"), 2)
 
 
 def read_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    (rows, cols), off = _read_header(raw, _MAGIC_MATRIX, 2)
-    data = _payload(raw, off, "<f8", rows * cols)
-    return data.reshape(rows, cols).astype(np.float64)
+    return _read(path, _MAGIC_MATRIX, 2, "<f8")
 
 
 def write_bitmap(path, W) -> None:
-    B = as_bitmap(W, np.uint8)
-    if B.ndim != 2:
-        raise ParameterError("MLRB1 stores 2-d bitmaps")
-    with open(path, "wb") as f:
-        f.write(_MAGIC_BITMAP)
-        f.write(struct.pack("<2Q", *B.shape))
-        f.write(np.ascontiguousarray(B).tobytes())
+    _write(path, _MAGIC_BITMAP, as_bitmap(W, np.uint8), 2)
 
 
 def read_bitmap(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    (rows, cols), off = _read_header(raw, _MAGIC_BITMAP, 2)
-    data = _payload(raw, off, "u1", rows * cols)
-    if not np.isin(data, (0, 1)).all():
+    B = _read(path, _MAGIC_BITMAP, 2, "u1")
+    if not np.isin(B, (0, 1)).all():
         raise ParameterError("MLRB1 payload must be 0/1 bytes")
-    return data.reshape(rows, cols).copy()
+    return B
 
 
 def write_tensor(path, T) -> None:
-    T = np.ascontiguousarray(T, dtype="<f8")
-    if T.ndim != 3:
-        raise ParameterError("MLRT1 stores 3-d tensors")
-    with open(path, "wb") as f:
-        f.write(_MAGIC_TENSOR)
-        f.write(struct.pack("<3Q", *T.shape))
-        f.write(T.tobytes())
+    _write(path, _MAGIC_TENSOR, np.asarray(T, dtype="<f8"), 3)
 
 
 def read_tensor(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    dims, off = _read_header(raw, _MAGIC_TENSOR, 3)
-    data = _payload(raw, off, "<f8", dims[0] * dims[1] * dims[2])
-    return data.reshape(dims).astype(np.float64)
+    return _read(path, _MAGIC_TENSOR, 3, "<f8")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ rectangles labeled with the protocol output. empirical_error_rates runs the
 same evaluator on sampled cells with independent randomness per sample, so
 the error rate it reports is that of the decisions the partition is built
 from. Nondeterministic covers are built directly from their witness
-structure.
+structure. assemble turns per-rectangle fits of a partition or a cover into
+the factors of its comparator.
 
 Families:
   equality-hash       not-equal via one hashed message (1-sided)
@@ -618,3 +619,31 @@ def cover_bitmap(cover: Cover) -> np.ndarray:
         out[np.ix_(r.row_set, r.col_set)] = 1
     return out
 
+
+def assemble(rectangles, shape, fit) -> list[np.ndarray] | None:
+    """Zero-extend per-rectangle fits and place them side by side.
+
+    fit(i, sets) is called for each 1-labeled rectangle, with i its index in
+    rectangles (0-labeled ones count) and sets its index sets, one per axis
+    of shape. It returns one factor per axis, with a row per index and the
+    same width on every axis. Each full factor is allocated once at the
+    total width; the pieces fill their rows and their own column block, so
+    the factors represent the sum of the zero-extended fits. Returns None
+    when no rectangle is 1-labeled.
+    """
+    pieces = []
+    for i, r in enumerate(rectangles):
+        if r.label == 1:
+            sets = (r.row_set, r.col_set, r.depth_set)[:len(shape)]
+            pieces.append((sets, fit(i, sets)))
+    if not pieces:
+        return None
+    width = sum(factors[0].shape[1] for _, factors in pieces)
+    out = [np.zeros((size, width), dtype=f.dtype) for size, f in zip(shape, pieces[0][1])]
+    start = 0
+    for sets, factors in pieces:
+        stop = start + factors[0].shape[1]
+        for full, idx, f in zip(out, sets, factors):
+            full[idx, start:stop] = f
+        start = stop
+    return out

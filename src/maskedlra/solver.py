@@ -69,26 +69,16 @@ def comparator_from_partition(
     outside their union; rank_bound is k times the 1-rectangle count.
     """
     M = hadamard(A, as_bitmap(W, np.float64))
-    n, m = M.shape
-    U_blocks, V_blocks = [], []
-    for rect in P.rectangles:
-        if rect.label != 1:
-            continue
-        rows, cols = rect.row_set, rect.col_set
-        sub = M[np.ix_(rows, cols)]
-        r = min(k, len(rows), len(cols))
-        fit = svd_truncated(sub, r)
-        Ub = np.zeros((n, r))
-        Vb = np.zeros((m, r))
-        Ub[rows] = fit.U
-        Vb[cols] = fit.V
-        U_blocks.append(Ub)
-        V_blocks.append(Vb)
-    if not U_blocks:
-        return zero_factor(n, m)
-    return LowRankFactor(
-        np.hstack(U_blocks), np.hstack(V_blocks), k * P.one_count
-    )
+
+    def fit(i, sets):
+        rows, cols = sets
+        f = svd_truncated(M[np.ix_(rows, cols)], min(k, len(rows), len(cols)))
+        return f.U, f.V
+
+    factors = protocols.assemble(P.rectangles, M.shape, fit)
+    if factors is None:
+        return zero_factor(*M.shape)
+    return LowRankFactor(*factors, k * P.one_count)
 
 
 def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
@@ -195,6 +185,8 @@ def altmin_baseline(
     back to a ridge solve (recorded in meta). Best restart wins. Used as a
     baseline and an OPT-upper-bound sharpener, never as the certified path.
     """
+    if restarts < 1:
+        raise ParameterError(f"restarts={restarts} must be positive")
     A = np.asarray(A, dtype=np.float64)
     WB = as_bitmap(W, np.uint8)
     n, m = A.shape

@@ -17,6 +17,10 @@ from . import masks, protocols
 from .errors import ParameterError, ShapeError
 from .linalg import _spd_solve, as_bitmap
 
+# ALS runs of masked_tensor_lra. A comparator init is the first run and the
+# best run wins, so one run already keeps the init's cost bound.
+LRA_RESTARTS = 1
+
 
 def as_tensor(T) -> np.ndarray:
     T = np.asarray(T, dtype=np.float64)
@@ -155,6 +159,8 @@ def cp_als(
     T = as_tensor(T)
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
+    if iters < 1 or restarts < 1:
+        raise ParameterError(f"iters={iters} and restarts={restarts} must both be positive")
     n1, n2, n3 = T.shape
     T0 = T.reshape(n1, n2 * n3)
     T1 = np.moveaxis(T, 1, 0).reshape(n2, n1 * n3)
@@ -203,7 +209,6 @@ def masked_tensor_lra(
     init: CPFactor | None = None,
     iters: int = 100,
     seed: int = 0,
-    restarts: int = 1,
 ) -> CPFactor:
     """CP fit of A*W at rank k_prime (zero-fill heuristic, order 3).
 
@@ -211,7 +216,7 @@ def masked_tensor_lra(
     the init's fit, so a comparator init transfers its cost bound.
     """
     M = as_tensor(A) * as_bitmap(W, np.float64)
-    return cp_als(M, k_prime, iters=iters, seed=seed, restarts=restarts, init=init)
+    return cp_als(M, k_prime, iters=iters, seed=seed, restarts=LRA_RESTARTS, init=init)
 
 
 def tensor_comparator(
@@ -231,25 +236,12 @@ def tensor_comparator(
     if P.order != 3:
         raise ParameterError("tensor comparator needs an order-3 partition")
     M = as_tensor(A) * as_bitmap(W, np.float64)
-    n1, n2, n3 = M.shape
-    Ub, Vb, Zb = [], [], []
-    for idx, rect in enumerate(P.rectangles):
-        if rect.label != 1:
-            continue
-        sub = M[np.ix_(rect.row_set, rect.col_set, rect.depth_set)]
-        fit = cp_als(sub, k, iters=inner_iters, restarts=restarts, seed=seed + idx)
-        r = fit.U.shape[1]
-        U = np.zeros((n1, r))
-        V = np.zeros((n2, r))
-        Z = np.zeros((n3, r))
-        U[rect.row_set] = fit.U
-        V[rect.col_set] = fit.V
-        Z[rect.depth_set] = fit.Z
-        Ub.append(U)
-        Vb.append(V)
-        Zb.append(Z)
-    if not Ub:
-        return zero_cp(n1, n2, n3)
-    return CPFactor(
-        np.hstack(Ub), np.hstack(Vb), np.hstack(Zb), k * P.one_count
-    )
+
+    def fit(i, sets):
+        f = cp_als(M[np.ix_(*sets)], k, iters=inner_iters, restarts=restarts, seed=seed + i)
+        return f.U, f.V, f.Z
+
+    factors = protocols.assemble(P.rectangles, M.shape, fit)
+    if factors is None:
+        return zero_cp(*M.shape)
+    return CPFactor(*factors, k * P.one_count)

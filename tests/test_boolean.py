@@ -191,6 +191,49 @@ def test_cover_rejects_mismatched_mask():
         cover_based_bool_lra(A, bad, C, 1)
 
 
+def test_cover_rejects_empty_cover():
+    from maskedlra import Cover
+
+    zeros = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ParameterError, match="no rectangles"):
+        cover_based_bool_lra(zeros, zeros, Cover([], 4), 1)
+
+
+def test_cover_ors_per_rectangle_fits_in_cover_order():
+    """Three overlapping rectangles: per_rectangle_costs lists the exact fits
+    in cover order, and the value ORs each fit's product placed in its block."""
+    from maskedlra import Cover, Rectangle
+    from maskedlra.protocols import cover_bitmap
+
+    rects = [
+        Rectangle(np.array([0, 1, 2]), np.array([0, 1, 2]), 1),
+        Rectangle(np.array([3, 4]), np.array([2, 3, 4, 5]), 1),
+        Rectangle(np.array([1, 5]), np.array([4, 5]), 1),
+    ]
+    C = Cover(rects, 6)
+    W = cover_bitmap(C)
+    A = np.array([
+        [1, 0, 1, 0, 0, 0],
+        [0, 1, 0, 0, 1, 0],
+        [1, 1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 1, 1],
+        [0, 0, 0, 1, 1, 0],
+        [0, 0, 0, 0, 1, 1],
+    ], dtype=np.uint8)
+    F, cost = cover_based_bool_lra(A, W, C, 1, inner="exhaustive")
+    want_costs, want = [], np.zeros((6, 6), dtype=np.uint8)
+    for r in rects:
+        sub = A[np.ix_(r.row_set, r.col_set)]
+        fit, c = bool_lra_exhaustive(sub, np.ones(sub.shape, np.uint8), 1)
+        want_costs.append(c)
+        want[np.ix_(r.row_set, r.col_set)] |= fit.value()
+    assert len(set(want_costs)) == len(rects)  # order is visible in the list
+    assert F.meta["per_rectangle_costs"] == want_costs
+    assert np.array_equal(F.value(), want)
+    assert F.U.shape[1] == F.rank_bound == 3
+    assert cost == bool_cost(A, want, W)
+
+
 def test_cover_output_respects_mask_zeros():
     rng = np.random.default_rng(19)
     n = 8

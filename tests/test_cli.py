@@ -98,6 +98,11 @@ def test_tensor_route(capsys):
     assert "PASS" in out
 
 
+def test_tensor_zero_iters_exits_two(capsys):
+    assert main(["tensor", "--n", "8", "--iters", "0"]) == 2
+    assert "iters=0" in capsys.readouterr().err
+
+
 def test_boolean_route(capsys):
     rc = main(["boolean", "--cover", "neq-bits", "--n", "4", "--k", "1",
                "--seed", "2"])

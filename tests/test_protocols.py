@@ -30,6 +30,7 @@ from maskedlra.io import write_partition
 from maskedlra.protocols import (
     ONE_SIDED_FAMILIES,
     _shared_keys,
+    assemble,
     decide,
     protocol_cube,
     target_bitmap,
@@ -352,6 +353,30 @@ def test_nondet_cover_validates_n():
         nondet_cover("neq-bits", 5)
     with pytest.raises(ParameterError):
         nondet_cover("nope", 4)
+
+
+def test_assemble_places_each_fit_in_its_rows_and_block():
+    """fit sees every 1-rectangle with its index among all rectangles; the
+    pieces, of different widths, fill their rows and consecutive blocks."""
+    from maskedlra import Rectangle
+
+    rects = [
+        Rectangle(np.array([0]), np.array([0, 1]), 0),
+        Rectangle(np.array([1, 2]), np.array([0]), 1),
+        Rectangle(np.array([0]), np.array([2, 3]), 1),
+    ]
+    seen = []
+
+    def fit(i, sets):
+        seen.append(i)
+        rows, cols = sets
+        return np.full((len(rows), i), float(i)), np.full((len(cols), i), 10.0 * i)
+
+    U, V = assemble(rects, (3, 4), fit)
+    assert seen == [1, 2]
+    assert np.array_equal(U, [[0, 2, 2], [1, 0, 0], [1, 0, 0]])
+    assert np.array_equal(V, [[10, 0, 0], [0, 0, 0], [0, 20, 20], [0, 20, 20]])
+    assert assemble(rects[:1], (3, 4), fit) is None
 
 
 def test_multiparty_single_bucket():

@@ -126,6 +126,30 @@ def test_comparator_support_is_bitwise_zero_outside_ones():
     assert (out[~ones] == 0.0).all()
 
 
+def test_comparator_sums_per_rectangle_fits_in_their_blocks():
+    """Four 1-rectangles of widths 1, 1, 2, 2 (k = 2, the single row caps two
+    of them at 1): the factor width is their sum and the value is the sum of
+    the per-rectangle truncated SVDs, each zero-extended to its block."""
+    from maskedlra import PartitionSample, Rectangle
+
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((8, 8))
+    W = make_mask(AllOnes(), 8)
+    row_sets = (np.array([0]), np.arange(1, 8))
+    col_sets = (np.arange(4), np.arange(4, 8))
+    rects = [Rectangle(r, c, 1) for r in row_sets for c in col_sets]
+    P = PartitionSample(rects, 8, "manual", len(rects))
+    Lbar = comparator_from_partition(A, W, P, 2)
+    assert Lbar.U.shape[1] == 6
+    assert Lbar.rank_bound == 8
+    want = np.zeros((8, 8))
+    for r in rects:
+        sub = A[np.ix_(r.row_set, r.col_set)]
+        fit = svd_truncated(sub, min(2, *sub.shape))
+        want[np.ix_(r.row_set, r.col_set)] += fit.value()
+    assert np.allclose(Lbar.value(), want, atol=1e-12)
+
+
 def test_chain_inequality_trivial_cases():
     W = make_mask(Diagonal(), 6)
     P = sample_partition(equality_hash(6, 0.5), seed=1)
@@ -218,6 +242,16 @@ def test_altmin_monotone_from_planted_init():
     init_cost = masked_cost(inst.A, inst.W, inst.L_star)
     L = altmin_baseline(inst.A, inst.W, 2, iters=20, init=inst.L_star)
     assert masked_cost(inst.A, inst.W, L) <= init_cost + 1e-10
+
+
+def test_altmin_rejects_zero_restarts():
+    A = np.eye(2)
+    with pytest.raises(ParameterError):
+        altmin_baseline(A, np.ones((2, 2)), 1, restarts=0)
+    # iters=0 is no sweep: the start itself comes back
+    start = LowRankFactor(np.ones((2, 1)), np.ones((2, 1)), 1)
+    L = altmin_baseline(A, np.ones((2, 2)), 1, iters=0, init=start)
+    assert np.array_equal(L.value(), start.value())
 
 
 def test_altmin_half_step_trace_never_increases():

@@ -68,6 +68,16 @@ def test_cp_als_rejects_bad_rank():
         cp_als(np.zeros((2, 2, 2)), 0)
 
 
+@pytest.mark.parametrize("kwargs", [{"iters": 0}, {"restarts": 0}, {"iters": -1}])
+def test_cp_als_rejects_runs_without_a_sweep(kwargs):
+    T = np.ones((2, 2, 2))
+    with pytest.raises(ParameterError):
+        cp_als(T, 1, **kwargs)
+    if "iters" in kwargs:
+        with pytest.raises(ParameterError):
+            masked_tensor_lra(T, np.ones((2, 2, 2), dtype=np.uint8), 1, **kwargs)
+
+
 def test_masked_tensor_lra_empty_support():
     # diagonal tensor with the diagonal masked away leaves nothing to fit
     n = 5
