@@ -12,7 +12,7 @@ from maskedlra import (
     Diagonal3,
     cp_als,
     gen_planted,
-    masked_cost3,
+    masked_cost,
     masked_tensor_lra,
     multiparty_partition,
     neq3_multiparty,
@@ -29,11 +29,11 @@ P = multiparty_partition(spec, seed=0)
 print(f"three-party partition: {len(P.rectangles)} boxes, {P.one_count} kept")
 
 comp = tensor_comparator(inst.A, inst.W, P, k, restarts=2, seed=0)
-c0 = masked_cost3(inst.A, inst.W, comp)
+c0 = masked_cost(inst.A, inst.W, comp)
 print(f"comparator: CP rank bound {comp.rank_bound}, masked cost {c0:.6g}")
 
 F = masked_tensor_lra(inst.A, inst.W, comp.rank_bound, init=comp, seed=0)
-c1 = masked_cost3(inst.A, inst.W, F)
+c1 = masked_cost(inst.A, inst.W, F)
 bound = 2 * eps * mass + 1e-6 * float(np.sum(A * A))
 print(f"refined: {c1:.6g} <= {bound:.6g} -> {c1 <= bound}")
 

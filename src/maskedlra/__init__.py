@@ -29,11 +29,13 @@ from .masks import (
     BlockDiagonal,
     BlockSparse,
     Diagonal,
+    Diagonal3,
     Explicit,
     Mask,
     MaskPattern,
     Monotone,
     Sparse,
+    SparseFaces,
     ToeplitzModP,
     make_mask,
     rank_budget,
@@ -69,13 +71,7 @@ from .solver import (
 )
 from .tensor import (
     CPFactor,
-    Diagonal3,
-    Explicit3,
-    Mask3,
-    SparseFaces,
     cp_als,
-    make_mask3,
-    masked_cost3,
     masked_tensor_lra,
     tensor_comparator,
 )

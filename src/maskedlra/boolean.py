@@ -244,6 +244,8 @@ def verify_nondet_bound(
     per-rectangle fits; with the heuristic inner solver the verdict only
     reports whether the bound held.
     """
+    if opt_upper < 0:
+        raise ParameterError(f"opt_upper={opt_upper} must be nonnegative")
     _, cost = cover_based_bool_lra(A, W, C, k, inner=inner, seed=seed)
     rhs = len(C.rectangles) * int(opt_upper)
     return NondetReport(

@@ -168,7 +168,7 @@ def _cmd_protocol_stats(args) -> int:
 
 def _cmd_tensor(args) -> int:
     inst = hs.gen_planted(
-        "tensor3", tn.Diagonal3(), args.n, args.k,
+        "tensor3", mk.Diagonal3(), args.n, args.k,
         noise_sigma=args.noise_sigma,
         corruption_scale=args.corruption_scale,
         seed=args.seed,
@@ -178,12 +178,12 @@ def _cmd_tensor(args) -> int:
     comp = tn.tensor_comparator(
         inst.A, inst.W, P, args.k, inner_iters=args.iters, seed=args.seed
     )
-    comp_cost = tn.masked_cost3(inst.A, inst.W, comp)
+    comp_cost = masked_cost(inst.A, inst.W, comp)
     k_prime = comp.U.shape[1]
     sol = tn.masked_tensor_lra(
         inst.A, inst.W, k_prime, init=comp, iters=args.iters, seed=args.seed
     )
-    cost = tn.masked_cost3(inst.A, inst.W, sol)
+    cost = masked_cost(inst.A, inst.W, sol)
     M = inst.A * inst.W.bitmap
     mass = float(np.sum(M * M))
     norm_sq = float(np.sum(inst.A * inst.A))

@@ -79,39 +79,25 @@ def gen_planted(
     if domain not in salts:
         raise ParameterError(f"unknown domain {domain!r}")
     rng = np.random.default_rng([seed, n, k, salts[domain]])
-    if domain == "matrix":
-        W = mk.make_mask(pattern, n)
+    order = 3 if domain == "tensor3" else 2
+    W = mk.make_mask(pattern, n)
+    if pattern.order != order:
+        raise ParameterError(f"{domain} needs an order-{order} pattern, got {pattern.tag!r}")
+    if domain != "boolean":
         B = W.bitmap.astype(np.float64)
-        U = rng.standard_normal((n, k))
-        V = rng.standard_normal((n, k))
-        L = LowRankFactor(U, V, k)
-        base = U @ V.T
+        factors = [rng.standard_normal((n, k)) for _ in range(order)]
+        L = LowRankFactor(*factors, k) if order == 2 else tn.CPFactor(*factors, k)
+        base = L.value()
         scale = corruption_scale * float(np.linalg.norm(base)) / n
         A = (
             base
-            + (1.0 - B) * scale * rng.standard_normal((n, n))
-            + B * noise_sigma * rng.standard_normal((n, n))
+            + (1.0 - B) * scale * rng.standard_normal(B.shape)
+            + B * noise_sigma * rng.standard_normal(B.shape)
         )
         opt = masked_cost(A, W, L)
-    elif domain == "tensor3":
-        W = tn.make_mask3(pattern, n)
-        B = W.bitmap.astype(np.float64)
-        U = rng.standard_normal((n, k))
-        V = rng.standard_normal((n, k))
-        Z = rng.standard_normal((n, k))
-        L = tn.CPFactor(U, V, Z, k)
-        base = L.value()
-        scale = corruption_scale * float(np.sqrt(np.sum(base * base))) / n
-        A = (
-            base
-            + (1.0 - B) * scale * rng.standard_normal((n, n, n))
-            + B * noise_sigma * rng.standard_normal((n, n, n))
-        )
-        opt = tn.masked_cost3(A, W, L)
-    else:  # boolean
+    else:
         if corruption_scale > 1 or noise_sigma > 1:
             raise ParameterError("boolean flip probabilities must be <= 1")
-        W = mk.make_mask(pattern, n)
         B = W.bitmap
         U = (rng.random((n, k)) < 0.5).astype(np.uint8)
         V = (rng.random((k, n)) < 0.5).astype(np.uint8)
@@ -225,11 +211,11 @@ def make_pattern(tag: str, n: int, *, t: int = 2, p: int = 4, blocks: int = 2, s
         rng = np.random.default_rng([seed, n, 0x30])
         return mk.Monotone(tuple(rng.integers(0, n + 1, size=n).tolist()))
     if tag == "diagonal3":
-        return tn.Diagonal3()
+        return mk.Diagonal3()
     if tag == "sparse-faces":
         rng = np.random.default_rng([seed, n, 0x3F])
         faces = (sorted(rng.choice(n * n, size=t, replace=False)) for _ in range(n))
-        return tn.SparseFaces(tuple(tuple(divmod(int(f), n) for f in fs) for fs in faces), t)
+        return mk.SparseFaces(tuple(tuple(divmod(int(f), n) for f in fs) for fs in faces), t)
     raise ParameterError(f"unknown pattern {tag!r}")
 
 

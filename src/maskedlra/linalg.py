@@ -1,6 +1,6 @@
 """Dense real linear algebra: Hadamard products, the masked squared
-Frobenius cost, exact truncated SVD, and a randomized sketch-based low-rank
-approximation.
+Frobenius cost of a matrix or an order-3 tensor, exact truncated SVD, and a
+randomized sketch-based low-rank approximation.
 
 The exact truncated SVD picks one of three drivers from the shape alone:
 ARPACK's partial SVD (svds) when k is small next to min(n, m) and
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import NumericalError, ParameterError, ShapeError
 
@@ -41,13 +42,13 @@ _SVDS_RANK_RATIO = 8
 _SVDS_RESIDUAL_RTOL = 1e-9
 
 
-def as_matrix(A) -> np.ndarray:
-    """Validate and return A as a 2-d float64 array with finite entries."""
+def as_array(A, ndim: int) -> np.ndarray:
+    """Validate and return A as an ndim-d float64 array with finite entries."""
     M = np.asarray(A, dtype=np.float64)
-    if M.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
+    if M.ndim != ndim:
+        raise ShapeError(f"expected a {ndim}-d array, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):
-        raise ParameterError("matrix entries must be finite")
+        raise ParameterError("array entries must be finite")
     return M
 
 
@@ -71,8 +72,8 @@ class LowRankFactor:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.U = as_matrix(self.U)
-        self.V = as_matrix(self.V)
+        self.U = as_array(self.U, 2)
+        self.V = as_array(self.V, 2)
         if self.U.shape[1] != self.V.shape[1]:
             raise ShapeError(
                 f"factor widths differ: U has {self.U.shape[1]} columns, "
@@ -95,8 +96,8 @@ def zero_factor(n: int, m: int, rank_bound: int = 0) -> LowRankFactor:
 
 def hadamard(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Entrywise product of two same-shaped matrices."""
-    A = as_matrix(A)
-    B = as_matrix(B)
+    A = as_array(A, 2)
+    B = as_array(B, 2)
     if A.shape != B.shape:
         raise ShapeError(f"hadamard shapes differ: {A.shape} vs {B.shape}")
     return A * B
@@ -115,7 +116,7 @@ def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
     meta["svd_driver"] names the driver that ran. NumericalError is raised
     when gesvd fails too, or when the svds residual check fails.
     """
-    A = as_matrix(A)
+    A = as_array(A, 2)
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise ParameterError(f"k={k} out of range for a {n}x{m} matrix")
@@ -135,8 +136,6 @@ def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
 
 def _svds_truncated(A: np.ndarray, k: int) -> LowRankFactor | None:
     """Top k triplets of A from ARPACK, or None when ARPACK fails."""
-    import scipy.sparse.linalg  # only large inputs pay for this import
-
     # a fixed start vector keeps ARPACK deterministic
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     try:
@@ -167,7 +166,7 @@ def randomized_range_lra(
     rounds of subspace iteration with QR re-orthonormalization sharpen the
     captured range. Deterministic for a fixed seed.
     """
-    A = as_matrix(A)
+    A = as_array(A, 2)
     n, m = A.shape
     if oversample is None:
         oversample = k
@@ -201,16 +200,17 @@ def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:
         return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), B)
 
 
-def masked_cost(A, W, L: LowRankFactor) -> float:
-    """Sum of (A_ij - L_ij)^2 over entries where the mask is 1.
+def masked_cost(A, W, L) -> float:
+    """Sum of (A - L)^2 over the cells where the mask is 1.
 
-    W may be a Mask or a raw binary matrix.
+    A is a matrix with L a LowRankFactor, or an order-3 tensor with L a
+    tensor.CPFactor; W may be a Mask or a raw binary array of A's shape.
     """
-    A = as_matrix(A)
+    A = as_array(A, len(L.shape))
     bitmap = as_bitmap(W, np.float64)
     if bitmap.shape != A.shape or L.shape != A.shape:
         raise ShapeError(
             f"masked_cost shapes differ: A {A.shape}, W {bitmap.shape}, L {L.shape}"
         )
-    R = hadamard(A - L.value(), bitmap)
+    R = (A - L.value()) * bitmap
     return float(np.sum(R * R))

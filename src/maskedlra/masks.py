@@ -1,11 +1,13 @@
 """Mask patterns and their rank budgets.
 
-A mask is a binary n x n matrix W; the pattern names the zero structure
-(diagonal, banded, ...). Each pattern class defines its pattern once:
-bitmap(n) evaluates the defining predicate, budget(k, eps, n) is the rank
-k' that its partition construction certifies, spec(n, eps) is the protocol
-of that construction, and the dataclass fields are its descriptor fields.
-PATTERNS maps each tag to its class.
+A mask is a binary array with n cells per axis: an n x n matrix W for the
+order-2 patterns (diagonal, banded, ...) and an n x n x n cube for the
+order-3 ones (Diagonal3, SparseFaces); Explicit takes either. Each pattern
+class defines its pattern once: order is its number of axes, bitmap(n)
+evaluates the defining predicate, budget(k, eps, n) is the rank k' that its
+partition construction certifies, spec(n, eps) is the protocol of that
+construction, and the dataclass fields are its descriptor fields. PATTERNS
+maps each order-2 tag to its class.
 """
 
 from __future__ import annotations
@@ -59,10 +61,15 @@ def split_index(n: int) -> int:
 
 
 class _Pattern:
-    """Base of the order-2 patterns: bitmap(n), budget(k, eps, n) with n None
-    where the budget does not need it, and spec(n, eps), refused here."""
+    """Base of the patterns: bitmap(n), budget(k, eps, n) with n None where
+    the budget does not need it, and spec(n, eps); the last two are refused
+    here."""
 
     tag = ""
+    order = 2
+
+    def budget(self, k: int, eps: float, n: int | None) -> int:
+        raise ParameterError(f"no rank budget for pattern {self.tag!r}")
 
     def spec(self, n: int, eps: float) -> protocols.ProtocolSpec:
         raise ParameterError(f"no protocol construction for pattern {self.tag!r}")
@@ -267,13 +274,18 @@ class Monotone(_Pattern):
 
 @dataclass(eq=False, frozen=True)
 class Explicit(_Pattern):
-    """A mask given cell by cell: cells is its (n, n) 0/1 array."""
+    """A mask given cell by cell: cells is its (n, n) or (n, n, n) 0/1 array."""
 
     cells: np.ndarray
     tag = "explicit"
 
+    @property
+    def order(self):
+        # cells of any other ndim fail bitmap's (n, n) shape check
+        return 3 if np.ndim(self.cells) == 3 else 2
+
     def bitmap(self, n):
-        return _binary(self.cells, (n, n))
+        return _binary(self.cells, (n,) * self.order)
 
     def budget(self, k, eps, n):
         raise ParameterError(
@@ -281,16 +293,54 @@ class Explicit(_Pattern):
         )
 
 
+@dataclass(frozen=True)
+class Diagonal3(_Pattern):
+    """Zero exactly where all three indices agree."""
+
+    tag = "diagonal3"
+    order = 3
+
+    def bitmap(self, n):
+        x = np.arange(n)
+        eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
+        return (~eq).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class SparseFaces(_Pattern):
+    """Face i1 is zero exactly on the listed (i2, i3) pairs, at most s each."""
+
+    zero_sets: tuple[tuple[tuple[int, int], ...], ...]
+    s: int
+    tag = "sparse-faces"
+    order = 3
+
+    def bitmap(self, n):
+        if len(self.zero_sets) != n:
+            raise ParameterError("zero_sets must have one entry per face")
+        bitmap = np.ones((n, n, n), dtype=np.uint8)
+        for i1, zs in enumerate(self.zero_sets):
+            if len(zs) > self.s:
+                raise ParameterError(f"face {i1} has {len(zs)} zeros, s={self.s}")
+            for (i2, i3) in zs:
+                if not (0 <= i2 < n and 0 <= i3 < n):
+                    raise ParameterError(f"face {i1} zero ({i2},{i3}) out of range")
+                bitmap[i1, i2, i3] = 0
+        return bitmap
+
+
 _CLASSES = (
     AllOnes, Diagonal, BlockDiagonal, Sparse, BlockSparse,
     ToeplitzModP, Banded, Banded2D, Monotone, Explicit,
 )
-MaskPattern = typing.Union[_CLASSES]
+MaskPattern = typing.Union[_CLASSES + (Diagonal3, SparseFaces)]
 PATTERNS = {cls.tag: cls for cls in _CLASSES}
 
 
 @dataclass(frozen=True)
 class ZeroCounts:
+    """Zero cells per index of the first axis (rows) and the second (cols)."""
+
     rows: np.ndarray
     cols: np.ndarray
 
@@ -311,8 +361,8 @@ class Mask:
     zero_counts: ZeroCounts
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
+    def shape(self) -> tuple[int, ...]:
+        return self.bitmap.shape
 
 
 def make_mask(pattern: MaskPattern, n: int) -> Mask:
@@ -323,7 +373,8 @@ def make_mask(pattern: MaskPattern, n: int) -> Mask:
         raise ParameterError(f"unknown pattern {pattern!r}")
     bitmap = pattern.bitmap(n)
     zeros = (bitmap == 0)
-    counts = ZeroCounts(zeros.sum(axis=1), zeros.sum(axis=0))
+    rest = tuple(range(2, bitmap.ndim))
+    counts = ZeroCounts(zeros.sum(axis=(1,) + rest), zeros.sum(axis=(0,) + rest))
     return Mask(n, pattern, bitmap, counts)
 
 

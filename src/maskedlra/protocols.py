@@ -513,10 +513,6 @@ def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
             if zs:
                 W[r] &= (~np.isin(cols, np.asarray(zs))).astype(np.uint8)
         return W
-    if f == "neq3-multiparty":
-        from .tensor import Diagonal3, make_mask3  # tensor imports this module
-
-        return make_mask3(Diagonal3(), n).bitmap
     patterns = {
         "equality-hash": masks.Diagonal,
         "eq-mod-p": lambda: masks.ToeplitzModP(spec.p),
@@ -524,6 +520,7 @@ def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
         "banded-gt": lambda: masks.Banded(spec.p),
         "banded2d-gt": lambda: masks.Banded2D(spec.p),
         "monotone-gt": lambda: masks.Monotone(spec.prefix_lengths),
+        "neq3-multiparty": masks.Diagonal3,
     }
     if f not in patterns:
         raise ParameterError(f"unknown family {f!r}")

@@ -68,6 +68,8 @@ def comparator_from_partition(
     Only 1-labeled rectangles contribute, so the result is exactly zero
     outside their union; rank_bound is k times the 1-rectangle count.
     """
+    if k < 1:
+        raise ParameterError(f"k={k} must be positive")
     M = hadamard(A, as_bitmap(W, np.float64))
 
     def fit(i, sets):
@@ -185,8 +187,10 @@ def altmin_baseline(
     back to a ridge solve (recorded in meta). Best restart wins. Used as a
     baseline and an OPT-upper-bound sharpener, never as the certified path.
     """
-    if restarts < 1:
-        raise ParameterError(f"restarts={restarts} must be positive")
+    if k < 1 or restarts < 1:
+        raise ParameterError(f"k={k} and restarts={restarts} must both be positive")
+    if iters < 0:
+        raise ParameterError(f"iters={iters} must be nonnegative")
     A = np.asarray(A, dtype=np.float64)
     WB = as_bitmap(W, np.uint8)
     n, m = A.shape

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError
-from .linalg import LowRankFactor, as_matrix, masked_cost
+from .linalg import LowRankFactor, as_array, masked_cost
 from .masks import Mask
 from .solver import masked_lra
 
@@ -43,7 +43,7 @@ class StructuralReport:
 
 
 def _value(L) -> np.ndarray:
-    return L.value() if hasattr(L, "value") else as_matrix(L)
+    return L.value() if hasattr(L, "value") else as_array(L, 2)
 
 
 def leverage_scores(L) -> np.ndarray:
@@ -96,7 +96,7 @@ def row_patch_comparator(A, W: Mask, L: LowRankFactor, S) -> LowRankFactor:
     Patched rows enter through identity columns, so the new width (and
     rank bound) is rank(L) + |S|.
     """
-    A = as_matrix(A)
+    A = as_array(A, 2)
     B = np.asarray(W.bitmap, dtype=np.float64)
     S = tuple(sorted(int(i) for i in S))
     n, m = A.shape
@@ -126,7 +126,7 @@ def verify_structural_bicriteria(
     clamped to the exact-solve range. The asserted right-hand side is
     opt_upper + eps * ||A||_F^2.
     """
-    A = as_matrix(A)
+    A = as_array(A, 2)
     if not isinstance(W, Mask):
         raise ParameterError("structural verification needs a structured mask")
     if not (0.0 < eps < 1.0):

@@ -1,10 +1,12 @@
-"""Order-3 masked tensor approximation: CP-ALS, tensor masks, and the
-order-3 rectangle comparator.
+"""Order-3 masked tensor approximation: CP-ALS and the order-3 rectangle
+comparator.
 
-Tensors are 3-d float64 arrays. CP factors hold one matrix per mode; the
-represented value at (i,j,l) is sum_c U[i,c] V[j,c] Z[l,c]. Cost bounds are
-certified only against planted feasible candidates: the true optimum is an
-infimum that border-rank effects can make unattainable.
+Order-3 masks (Diagonal3, SparseFaces, a 3-d Explicit) live in masks, and
+linalg.masked_cost charges their cost. Tensors are 3-d float64 arrays. CP
+factors hold one matrix per mode; the represented value at (i,j,l) is
+sum_c U[i,c] V[j,c] Z[l,c]. Cost bounds are certified only against planted
+feasible candidates: the true optimum is an infimum that border-rank
+effects can make unattainable.
 """
 
 from __future__ import annotations
@@ -13,22 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import masks, protocols
+from . import protocols
 from .errors import ParameterError, ShapeError
-from .linalg import _spd_solve, as_bitmap
+from .linalg import _spd_solve, as_array, as_bitmap
+from .masks import Diagonal3  # noqa: F401  re-exported as tensor.Diagonal3
 
 # ALS runs of masked_tensor_lra. A comparator init is the first run and the
 # best run wins, so one run already keeps the init's cost bound.
 LRA_RESTARTS = 1
-
-
-def as_tensor(T) -> np.ndarray:
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim != 3:
-        raise ShapeError(f"expected a 3-d tensor, got ndim={T.ndim}")
-    if not np.all(np.isfinite(T)):
-        raise ParameterError("tensor entries must be finite")
-    return T
 
 
 @dataclass
@@ -58,77 +52,6 @@ def zero_cp(n1: int, n2: int, n3: int) -> CPFactor:
     return CPFactor(np.zeros((n1, 1)), np.zeros((n2, 1)), np.zeros((n3, 1)), 1)
 
 
-# ---------------------------------------------------------------------------
-# order-3 masks
-
-@dataclass(frozen=True)
-class Diagonal3:
-    tag = "diagonal3"
-
-    def bitmap(self, n: int) -> np.ndarray:
-        x = np.arange(n)
-        eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
-        return (~eq).astype(np.uint8)
-
-
-@dataclass(frozen=True)
-class SparseFaces:
-    """Face i1 is zero exactly on the listed (i2, i3) pairs, at most s each."""
-
-    zero_sets: tuple[tuple[tuple[int, int], ...], ...]
-    s: int
-    tag = "sparse-faces"
-
-    def bitmap(self, n: int) -> np.ndarray:
-        if len(self.zero_sets) != n:
-            raise ParameterError("zero_sets must have one entry per face")
-        bitmap = np.ones((n, n, n), dtype=np.uint8)
-        for i1, zs in enumerate(self.zero_sets):
-            if len(zs) > self.s:
-                raise ParameterError(f"face {i1} has {len(zs)} zeros, s={self.s}")
-            for (i2, i3) in zs:
-                if not (0 <= i2 < n and 0 <= i3 < n):
-                    raise ParameterError(f"face {i1} zero ({i2},{i3}) out of range")
-                bitmap[i1, i2, i3] = 0
-        return bitmap
-
-
-@dataclass(eq=False, frozen=True)
-class Explicit3:
-    """A mask given cell by cell: cells is its (n, n, n) 0/1 array."""
-
-    cells: np.ndarray
-    tag = "explicit"
-
-    def bitmap(self, n: int) -> np.ndarray:
-        return masks._binary(self.cells, (n, n, n))
-
-
-@dataclass(frozen=True)
-class Mask3:
-    n: int
-    pattern: object
-    bitmap: np.ndarray
-
-
-def make_mask3(pattern, n: int) -> Mask3:
-    if not isinstance(pattern, (Diagonal3, SparseFaces, Explicit3)):
-        raise ParameterError(f"unknown order-3 pattern {pattern!r}")
-    return Mask3(n, pattern, pattern.bitmap(n))
-
-
-def masked_cost3(A, W, L: CPFactor) -> float:
-    A = as_tensor(A)
-    B = as_bitmap(W, np.float64)
-    if B.shape != A.shape or L.shape != A.shape:
-        raise ShapeError("masked_cost3 shapes differ")
-    D = (A - L.value()) * B
-    return float(np.sum(D * D))
-
-
-# ---------------------------------------------------------------------------
-# CP-ALS
-
 def _khatri_rao(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     r = X.shape[1]
     return (X[:, None, :] * Y[None, :, :]).reshape(-1, r)
@@ -156,7 +79,7 @@ def cp_als(
     relative improvement drops below tol. Best restart wins; a provided
     init replaces the random start of the first restart.
     """
-    T = as_tensor(T)
+    T = as_array(T, 3)
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     if iters < 1 or restarts < 1:
@@ -215,7 +138,7 @@ def masked_tensor_lra(
     With init given, ALS monotonicity guarantees the full fit never exceeds
     the init's fit, so a comparator init transfers its cost bound.
     """
-    M = as_tensor(A) * as_bitmap(W, np.float64)
+    M = as_array(A, 3) * as_bitmap(W, np.float64)
     return cp_als(M, k_prime, iters=iters, seed=seed, restarts=LRA_RESTARTS, init=init)
 
 
@@ -233,9 +156,11 @@ def tensor_comparator(
     The achieved per-rectangle cost (ALS, 3 restarts by default) replaces
     the unattainable per-rectangle optimum in every recorded bound.
     """
+    if k < 1:
+        raise ParameterError(f"k={k} must be positive")
     if P.order != 3:
         raise ParameterError("tensor comparator needs an order-3 partition")
-    M = as_tensor(A) * as_bitmap(W, np.float64)
+    M = as_array(A, 3) * as_bitmap(W, np.float64)
 
     def fit(i, sets):
         f = cp_als(M[np.ix_(*sets)], k, iters=inner_iters, restarts=restarts, seed=seed + i)

@@ -31,7 +31,6 @@ from maskedlra import (
     leverage_scores,
     make_mask,
     masked_cost,
-    masked_cost3,
     masked_lra,
     masked_tensor_lra,
     monotone_gt,
@@ -220,7 +219,7 @@ def test_criterion_07_tensor_route():
         P = multiparty_partition(neq3_multiparty(16, eps), seed=0)
         comp = tensor_comparator(inst.A, inst.W, P, k, restarts=1, seed=0)
         F = masked_tensor_lra(inst.A, inst.W, comp.rank_bound, init=comp, seed=0)
-        cost = masked_cost3(inst.A, inst.W, F)
+        cost = masked_cost(inst.A, inst.W, F)
         mass = float(np.sum((np.asarray(inst.A) * inst.W.bitmap) ** 2))
         a_norm = float(np.sum(np.asarray(inst.A) ** 2))
         bound = 2 * eps * mass + 1e-6 * a_norm
@@ -339,7 +338,7 @@ def test_criterion_10_oracle_cross_checks():
     F = cp_als(T, 2, iters=20, seed=1)
     bits3 = (rng.random((5, 4, 3)) < 0.5).astype(np.uint8)
     direct3 = float(np.sum(bits3 * (T - F.value()) ** 2))
-    cost_ok = cost_ok and abs(masked_cost3(T, bits3, F) - direct3) <= 1e-12 * max(1.0, direct3)
+    cost_ok = cost_ok and abs(masked_cost(T, bits3, F) - direct3) <= 1e-12 * max(1.0, direct3)
     ok = svd_ok and bool_ok and cost_ok
     _verdict(10, ok, f"svd tails ok={svd_ok}, products ok={bool_ok}, costs ok={cost_ok}")
     assert ok

@@ -290,3 +290,10 @@ def test_verify_nondet_zero_opt_forces_zero_cost():
     rep = verify_nondet_bound(inst.A, inst.W, C, 1, 0, inner="exhaustive", seed=0)
     assert rep.cost == 0
     assert rep.satisfied
+
+
+def test_verify_nondet_rejects_negative_opt_upper():
+    inst = gen_planted("boolean", _disj_pattern(4), 4, 1, corruption_scale=0.3, seed=2)
+    C = nondet_cover("disj-coords", 4)
+    with pytest.raises(ParameterError, match="opt_upper=-1"):
+        verify_nondet_bound(inst.A, inst.W, C, 1, -1, inner="exhaustive")

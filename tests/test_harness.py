@@ -16,7 +16,6 @@ from maskedlra import (
     emit,
     gen_planted,
     masked_cost,
-    masked_cost3,
     run_suite,
     verify_bicriteria,
 )
@@ -49,7 +48,7 @@ def test_planted_opt_upper_recomputes():
 
 def test_planted_tensor_opt_upper_recomputes():
     inst = gen_planted("tensor3", Diagonal3(), 8, 1, noise_sigma=0.05, seed=3)
-    want = masked_cost3(inst.A, inst.W, inst.L_star)
+    want = masked_cost(inst.A, inst.W, inst.L_star)
     assert abs(inst.opt_upper - want) <= 1e-12 * max(1.0, want)
 
 

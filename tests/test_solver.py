@@ -254,6 +254,28 @@ def test_altmin_rejects_zero_restarts():
     assert np.array_equal(L.value(), start.value())
 
 
+def test_altmin_rejects_bad_rank_and_sweep_count():
+    A = np.eye(3)
+    W = np.ones((3, 3))
+    for k in (0, -1):
+        with pytest.raises(ParameterError, match=f"k={k}"):
+            altmin_baseline(A, W, k)
+    with pytest.raises(ParameterError, match="iters=-3"):
+        altmin_baseline(A, W, 1, iters=-3)
+
+
+def test_comparator_checks_k_before_any_fit():
+    A = np.ones((4, 4))
+    W = make_mask(Diagonal(), 4)
+    one_labeled = sample_partition(equality_hash(4, 0.5), seed=0)
+    zero_labeled = sample_partition(equality_hash(4, 1.0), seed=0)  # single 0-rectangle
+    assert one_labeled.one_count > 0 and zero_labeled.one_count == 0
+    for P in (one_labeled, zero_labeled):
+        for k in (0, -2):
+            with pytest.raises(ParameterError, match=f"^k={k} must be positive"):
+                comparator_from_partition(A, W, P, k)
+
+
 def test_altmin_half_step_trace_never_increases():
     rng = np.random.default_rng(30)
     A = rng.standard_normal((10, 10))

@@ -11,8 +11,8 @@ from maskedlra import (
     Rectangle,
     cp_als,
     gen_planted,
-    make_mask3,
-    masked_cost3,
+    make_mask,
+    masked_cost,
     masked_tensor_lra,
     multiparty_partition,
     neq3_multiparty,
@@ -84,9 +84,9 @@ def test_masked_tensor_lra_empty_support():
     A = np.zeros((n, n, n))
     idx = np.arange(n)
     A[idx, idx, idx] = 3.0
-    W = make_mask3(Diagonal3(), n)
+    W = make_mask(Diagonal3(), n)
     F = masked_tensor_lra(A, W, 2)
-    assert masked_cost3(A, W, F) == 0.0
+    assert masked_cost(A, W, F) == 0.0
     assert not F.value().any()
 
 
@@ -117,11 +117,11 @@ def test_masked_cost3_trivials_and_oracle():
             for l in range(5):
                 if W[i, j, l]:
                     want += (A[i, j, l] - val[i, j, l]) ** 2
-    got = masked_cost3(A, W, F)
+    got = masked_cost(A, W, F)
     assert abs(got - want) <= 1e-12 * max(1.0, want)
-    assert masked_cost3(val, W, F) == 0.0
+    assert masked_cost(val, W, F) == 0.0
     zeroF = CPFactor(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((5, 1)), 1)
-    assert masked_cost3(A, np.ones_like(W), zeroF) == pytest.approx(float(np.sum(A * A)))
+    assert masked_cost(A, np.ones_like(W), zeroF) == pytest.approx(float(np.sum(A * A)))
 
 
 def test_comparator_single_rectangle_matches_cp():
@@ -197,7 +197,7 @@ def test_comparator_exact_on_injective_partition():
         if not np.array_equal(labels, want):
             continue
         F = tensor_comparator(inst.A, inst.W, P, 1, restarts=3, seed=1)
-        assert masked_cost3(inst.A, inst.W, F) <= 1e-6
+        assert masked_cost(inst.A, inst.W, F) <= 1e-6
         return
     raise AssertionError("no collision-free seed among 200 tries")
 
@@ -207,9 +207,9 @@ def test_comparator_init_transfers_bound():
     inst = gen_planted("tensor3", Diagonal3(), 16, 2, seed=3)
     P = multiparty_partition(neq3_multiparty(16, eps), seed=2)
     comp = tensor_comparator(inst.A, inst.W, P, 2, restarts=1, seed=0)
-    comp_cost = masked_cost3(inst.A, inst.W, comp)
+    comp_cost = masked_cost(inst.A, inst.W, comp)
     F = masked_tensor_lra(inst.A, inst.W, comp.rank_bound, init=comp, seed=0)
-    cost = masked_cost3(inst.A, inst.W, F)
+    cost = masked_cost(inst.A, inst.W, F)
     assert cost <= comp_cost + 1e-9
     mass = float(np.sum((np.asarray(inst.A) * inst.W.bitmap) ** 2))
     a_norm = float(np.sum(np.asarray(inst.A) ** 2))
@@ -217,26 +217,67 @@ def test_comparator_init_transfers_bound():
 
 
 def test_mask3_constructors():
-    W = make_mask3(Diagonal3(), 4)
+    W = make_mask(Diagonal3(), 4)
     idx = np.arange(4)
     assert not W.bitmap[idx, idx, idx].any()
     assert W.bitmap.sum() == 4**3 - 4
     from maskedlra import SparseFaces
 
     zs = (((0, 1), (1, 1)), ((2, 3),), (), ((0, 0), (3, 3)))
-    Wf = make_mask3(SparseFaces(zero_sets=zs, s=2), 4)
+    Wf = make_mask(SparseFaces(zero_sets=zs, s=2), 4)
     for face, zeros in enumerate(zs):
         assert (Wf.bitmap[face] == 0).sum() == len(zeros)
         for i2, i3 in zeros:
             assert Wf.bitmap[face, i2, i3] == 0
     with pytest.raises(ParameterError):
-        make_mask3(SparseFaces(zero_sets=zs, s=1), 4)  # face 0 exceeds s
+        make_mask(SparseFaces(zero_sets=zs, s=1), 4)  # face 0 exceeds s
+    from maskedlra import rank_budget
+
+    with pytest.raises(ParameterError):  # the certified rank comes from a partition
+        rank_budget(Diagonal3(), 1, 0.5)
 
 
-def test_mask_constructors_reject_the_other_order():
-    from maskedlra import Diagonal, make_mask
+def test_gen_planted_rejects_a_pattern_of_the_other_order():
+    from maskedlra import Diagonal
 
+    with pytest.raises(ParameterError, match="order-3"):
+        gen_planted("tensor3", Diagonal(), 4, 1)
+    with pytest.raises(ParameterError, match="order-2"):
+        gen_planted("matrix", Diagonal3(), 4, 1)
+    with pytest.raises(ParameterError, match="order-2"):
+        gen_planted("boolean", Diagonal3(), 4, 1)
+
+
+def test_explicit_cube_is_an_order_3_mask():
+    from maskedlra import Explicit, ShapeError
+
+    cube = np.ones((3, 3, 3), dtype=np.uint8)
+    cube[0, 1, 2] = cube[2, 2, 2] = 0
+    W = make_mask(Explicit(cube), 3)
+    assert W.bitmap.dtype == np.uint8 and np.array_equal(W.bitmap, cube)
+    assert W.shape == (3, 3, 3)
     with pytest.raises(ParameterError):
-        make_mask3(Diagonal(), 4)
-    with pytest.raises(ParameterError):
-        make_mask(Diagonal3(), 4)
+        make_mask(Explicit(2 * cube), 3)
+    with pytest.raises(ShapeError):
+        make_mask(Explicit(cube), 4)
+    with pytest.raises(ShapeError):
+        make_mask(Explicit(np.ones((3, 3, 4), dtype=np.uint8)), 3)
+
+
+def test_masked_cost_charges_a_mask3_like_its_bitmap():
+    inst = gen_planted("tensor3", Diagonal3(), 6, 2, noise_sigma=0.1, seed=4)
+    F = cp_als(inst.A, 1, iters=5, seed=0)
+    assert masked_cost(inst.A, inst.W, F) == masked_cost(inst.A, inst.W.bitmap, F)
+    assert inst.W.zero_counts.max_row == 1 and inst.W.zero_counts.max_col == 1
+
+
+def test_comparator_checks_k_before_any_fit():
+    n = 4
+    A = np.ones((n, n, n))
+    W = np.ones((n, n, n), dtype=np.uint8)
+    for label in (0, 1):
+        full = Rectangle(np.arange(n), np.arange(n), label, np.arange(n))
+        P = PartitionSample([full], n, "manual", label, order=3)
+        for k in (0, -2):
+            with pytest.raises(ParameterError, match=f"k={k}"):
+                tensor_comparator(A, W, P, k)
