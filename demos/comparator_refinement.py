@@ -52,5 +52,7 @@ assert c1 <= c0 * (1 + 1e-9)
 # the full certificate, hashing slack included
 rep = verify_bicriteria(inst.A, inst.W, k, eps, spec=spec,
                         opt_upper=inst.opt_upper, L_for_eps2=inst.L_star, seed=0)
-print(f"two-term certificate: cost={rep.cost:.6g} <= rhs={rep.rhs:.6g} "
-      f"(eps1={rep.eps1}, eps2={rep.eps2}) -> satisfied={rep.satisfied}")
+summands = " + ".join(f"{c:g}*{base:.6g}" for _, c, base in rep.terms)
+print(f"two-term certificate: cost={rep.cost:.6g} <= rhs={rep.rhs:.6g} = {summands} "
+      f"(eps1={rep.coefficient('eps1')}, eps2={rep.coefficient('eps2')}) "
+      f"-> satisfied={rep.satisfied}")

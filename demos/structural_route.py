@@ -42,5 +42,5 @@ print(f"patching every row of a rank-0 base recovers the masked matrix: {exact}"
 
 # the assembled certificate on a planted row-sparse instance
 rep = verify_structural_bicriteria(inst.A, inst.W, 2, 0.5, inst.opt_upper)
-print(f"certificate: t={rep.t}, k'={rep.k_prime}, cost={rep.cost:.6g} "
-      f"<= rhs={rep.rhs:.6g} -> satisfied={rep.satisfied}")
+print(f"certificate: t={rep.diagnostics['t']}, k'={rep.k_prime}, cost={rep.cost:.6g} "
+      f"<= rhs={rep.rhs:.6g} (eps2={rep.coefficient('eps2')}) -> satisfied={rep.satisfied}")

@@ -16,10 +16,10 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
+    Certificate,
     LowRankFactor,
     hadamard,
     masked_cost,
-    randomized_range_lra,
     svd_truncated,
 )
 from .masks import (
@@ -62,7 +62,6 @@ from .protocols import (
     transcript_cap,
 )
 from .solver import (
-    BicriteriaReport,
     altmin_baseline,
     chain_inequality_check,
     comparator_from_partition,
@@ -74,10 +73,10 @@ from .tensor import (
     cp_als,
     masked_tensor_lra,
     tensor_comparator,
+    verify_tensor_bicriteria,
 )
 from .boolean import (
     BoolFactor,
-    NondetReport,
     bool_cost,
     bool_lra_exhaustive,
     bool_lra_heuristic,
@@ -87,7 +86,6 @@ from .boolean import (
 )
 from .structural import (
     HeavyRowSet,
-    StructuralReport,
     heavy_row_set,
     leverage_scores,
     row_patch_comparator,

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ResourceError, ShapeError
-from .linalg import as_bitmap
+from .linalg import Certificate, as_bitmap, rhs_of
+from .masks import Mask
 from .protocols import assemble, cover_bitmap
 
 EXHAUSTIVE_BIT_CAP = 24
@@ -224,35 +225,25 @@ def cover_based_bool_lra(
     return fac, cost
 
 
-@dataclass(frozen=True)
-class NondetReport:
-    cover_size: int
-    k: int
-    cost: int
-    opt_upper: int
-    rhs: int
-    satisfied: bool
-
-
 def verify_nondet_bound(
     A, W, C, k: int, opt_upper: int, inner: str = "auto", seed: int = 0,
-) -> NondetReport:
+) -> Certificate:
     """Solve through the cover and check cost <= |C| * opt_upper.
 
     opt_upper is any upper bound on the optimal rank-k cost over the full
-    mask (exhaustive where affordable). The bound is proved for exact
+    mask (exhaustive where affordable). The one term is opt_upper with
+    coefficient |C|, in integers. The bound is proved for exact
     per-rectangle fits; with the heuristic inner solver the verdict only
     reports whether the bound held.
     """
     if opt_upper < 0:
         raise ParameterError(f"opt_upper={opt_upper} must be nonnegative")
     _, cost = cover_based_bool_lra(A, W, C, k, inner=inner, seed=seed)
-    rhs = len(C.rectangles) * int(opt_upper)
-    return NondetReport(
-        cover_size=len(C.rectangles),
-        k=k,
-        cost=cost,
-        opt_upper=int(opt_upper),
-        rhs=rhs,
-        satisfied=cost <= rhs,
+    size = len(C.rectangles)
+    terms = (("opt_upper", size, int(opt_upper)),)
+    return Certificate(
+        route="boolean", pattern=W.pattern.tag if isinstance(W, Mask) else "explicit",
+        n=len(A), k=k, k_prime=k * size, seed=seed, cost=cost,
+        opt_upper=int(opt_upper), terms=terms, satisfied=cost <= rhs_of(terms),
+        one_count=size, rect_count=size,
     )

@@ -65,7 +65,7 @@ def _cmd_gen(args) -> int:
         f"k = {args.k}",
         f"seed = {args.seed}",
         f"noise_sigma = {args.noise_sigma!r}",
-        f"corruption_scale = {args.corruption_scale!r}",
+        f"corruption_scale = {inst.corruption_scale!r}",
         f"opt_upper = {inst.opt_upper!r}",
         f"mask_file = {mask_file}",
     ]
@@ -78,10 +78,10 @@ def _cmd_solve(args) -> int:
     A = mio.read_matrix(args.a)
     W = mio.load_mask(args.w)
     k_prime = args.kprime if args.kprime is not None else args.k
-    L = sv.masked_lra(A, W, k_prime, method=args.method, seed=args.seed)
+    L = sv.masked_lra(A, W, k_prime)
     cost = masked_cost(A, W, L)
     ref = float(np.sum((A * W.bitmap) ** 2))
-    print(f"k = {args.k}  k_prime = {k_prime}  method = {args.method}")
+    print(f"k = {args.k}  k_prime = {k_prime}")
     print(f"masked cost = {cost!r}")
     print(f"masked mass = {ref!r}")
     if "svd_driver" in L.meta:
@@ -92,11 +92,19 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _print_row(row: dict) -> None:
+def _report(cert, note: str = "") -> int:
+    """Print a certificate's sweep row, route, diagnostics and note, then
+    its verdict; the exit status is 0 exactly when it is satisfied."""
+    row = hs._row(cert)
     for key in hs.COLUMNS:
         print(f"{key} = {hs._fmt(row[key])}")
-    if row.get("note"):
-        print(f"note = {row['note']}")
+    print(f"route = {cert.route}")
+    for key, value in cert.diagnostics.items():
+        print(f"{key} = {hs._fmt(value)}")
+    if note:
+        print(f"note = {note}")
+    print("PASS" if cert.satisfied else "FAIL")
+    return 0 if cert.satisfied else 1
 
 
 def _cmd_verify(args) -> int:
@@ -105,10 +113,7 @@ def _cmd_verify(args) -> int:
         k=args.k, t=args.t, p=args.p,
         noise_sigma=args.noise_sigma, corruption_scale=args.corruption_scale,
     )
-    row = hs.run_cell(args.theorem, args.n, args.eps, args.seed, cfg)
-    _print_row(row)
-    print("PASS" if row["satisfied"] else "FAIL")
-    return 0 if row["satisfied"] else 1
+    return _report(hs.certify_cell(args.theorem, args.n, args.eps, args.seed, cfg))
 
 
 def _spec_from_args(args) -> pr.ProtocolSpec:
@@ -173,28 +178,10 @@ def _cmd_tensor(args) -> int:
         corruption_scale=args.corruption_scale,
         seed=args.seed,
     )
-    spec = pr.neq3_multiparty(args.n, args.eps)
-    P = pr.multiparty_partition(spec, seed=args.seed)
-    comp = tn.tensor_comparator(
-        inst.A, inst.W, P, args.k, inner_iters=args.iters, seed=args.seed
-    )
-    comp_cost = masked_cost(inst.A, inst.W, comp)
-    k_prime = comp.U.shape[1]
-    sol = tn.masked_tensor_lra(
-        inst.A, inst.W, k_prime, init=comp, iters=args.iters, seed=args.seed
-    )
-    cost = masked_cost(inst.A, inst.W, sol)
-    M = inst.A * inst.W.bitmap
-    mass = float(np.sum(M * M))
-    norm_sq = float(np.sum(inst.A * inst.A))
-    rhs = 2.0 * args.eps * mass + 1e-6 * norm_sq
-    ok = cost <= comp_cost + 1e-9 * max(1.0, comp_cost) and cost <= rhs
-    print(f"n = {args.n}  k = {args.k}  k_prime = {k_prime}  eps = {args.eps!r}")
-    print(f"comparator cost = {comp_cost!r}")
-    print(f"cost = {cost!r}")
-    print(f"rhs = {rhs!r}  opt_upper = {inst.opt_upper!r}")
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _report(tn.verify_tensor_bicriteria(
+        inst.A, inst.W, args.k, args.eps, opt_upper=inst.opt_upper,
+        iters=args.iters, seed=args.seed,
+    ))
 
 
 def _cmd_boolean(args) -> int:
@@ -216,17 +203,13 @@ def _cmd_boolean(args) -> int:
     )
     if 2 * args.n * args.k <= bl.EXHAUSTIVE_BIT_CAP:
         _, opt = bl.bool_lra_exhaustive(inst.A, inst.W, args.k)
-        opt_src = "exhaustive"
+        opt_src = "exhaustive search"
     else:
         opt = int(inst.opt_upper)
-        opt_src = "planted"
-    rep = bl.verify_nondet_bound(inst.A, inst.W, cover, args.k, opt,
-                                 inner=args.inner, seed=args.seed)
-    print(f"cover = {args.cover}  |C| = {rep.cover_size}  k = {args.k}")
-    print(f"cost = {rep.cost}  opt_upper = {rep.opt_upper} ({opt_src})")
-    print(f"rhs = {rep.rhs}")
-    print("PASS" if rep.satisfied else "FAIL")
-    return 0 if rep.satisfied else 1
+        opt_src = "planted factor"
+    cert = bl.verify_nondet_bound(inst.A, inst.W, cover, args.k, opt,
+                                  inner=args.inner, seed=args.seed)
+    return _report(cert, note=f"cover {args.cover}; opt_upper from the {opt_src}")
 
 
 def _cmd_report(args) -> int:
@@ -240,9 +223,12 @@ def _cmd_report(args) -> int:
     return 0 if ok else 1
 
 
-def _add_planted_flags(p, corruption_default=hs.DEFAULT_CORRUPTION):
+def _add_planted_flags(p):
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--corruption-scale", type=float, default=corruption_default)
+    p.add_argument("--corruption-scale", type=float, default=None,
+                   help="off-support corruption: a scale (default %g), or a flip "
+                   "probability for Boolean instances (default %g)"
+                   % (hs.DEFAULT_CORRUPTION, hs.BOOLEAN_CORRUPTION))
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -271,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("w", help="mask file (descriptor or MLRB1)")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--kprime", type=int, default=None)
-    s.add_argument("--method", choices=("exact", "randomized"), default="exact")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, help="unused: the exact solve is deterministic")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_solve)
 
@@ -313,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="block count of neq-blocks (default 2)")
     bc.add_argument("--inner", choices=("auto", "exhaustive", "heuristic"),
                     default="auto")
-    # boolean corruption is a flip probability on the masked zeros
-    _add_planted_flags(bc, corruption_default=0.25)
+    _add_planted_flags(bc)
     bc.set_defaults(func=_cmd_boolean)
 
     r = sub.add_parser("report", help="sweep from a config file")

@@ -23,9 +23,11 @@ from . import solver as sv
 from . import structural as st
 from . import tensor as tn
 from .errors import MaskedLRAError, ParameterError, ResourceError
-from .linalg import LowRankFactor, masked_cost
+from .linalg import Certificate, LowRankFactor, masked_cost
 
 DEFAULT_CORRUPTION = 5.0
+# the Boolean domain reads corruption_scale as a flip probability
+BOOLEAN_CORRUPTION = 0.25
 
 COLUMNS = (
     "pattern", "n", "k", "k_prime", "eps1", "eps2", "delta_slack",
@@ -62,15 +64,19 @@ def gen_planted(
     n: int,
     k: int,
     noise_sigma: float = 0.0,
-    corruption_scale: float = DEFAULT_CORRUPTION,
+    corruption_scale: float | None = None,
     seed: int = 0,
 ) -> PlantedInstance:
     """Build (A, W, L*) with corruption only off-support.
 
     Real domains scale corruption to corruption_scale * ||L*||_F / n per
     entry; the Boolean domain reads both scales as independent flip
-    probabilities (off-support and on-support respectively).
+    probabilities (off-support and on-support respectively). corruption_scale
+    defaults to DEFAULT_CORRUPTION for the real domains and to
+    BOOLEAN_CORRUPTION for the Boolean one.
     """
+    if corruption_scale is None:
+        corruption_scale = BOOLEAN_CORRUPTION if domain == "boolean" else DEFAULT_CORRUPTION
     if noise_sigma < 0 or corruption_scale < 0:
         raise ParameterError("noise and corruption scales must be nonnegative")
     if k < 1:
@@ -219,22 +225,24 @@ def make_pattern(tag: str, n: int, *, t: int = 2, p: int = 4, blocks: int = 2, s
     raise ParameterError(f"unknown pattern {tag!r}")
 
 
-def _row(rep=None, note: str = "", **cols) -> dict:
-    """A sweep row: the COLUMNS in order, then note.
+def _row(cert: Certificate) -> dict:
+    """A sweep row: the certificate projected onto COLUMNS, then an empty note.
 
-    Each column comes from cols when given there, else from rep's attribute
-    of that name; delta_slack is always 0.0.
+    eps1 and eps2 are the coefficients of the terms of those names;
+    delta_slack is always 0.0.
     """
-    cols = {"delta_slack": 0.0, **cols}
-    row = {c: cols[c] if c in cols else getattr(rep, c) for c in COLUMNS}
-    row["note"] = note
-    return row
+    values = (
+        cert.pattern, cert.n, cert.k, cert.k_prime, cert.coefficient("eps1"),
+        cert.coefficient("eps2"), 0.0, cert.seed, cert.cost, cert.opt_upper,
+        cert.rhs, cert.satisfied,
+    )
+    return dict(zip(COLUMNS, values), note="")
 
 
-def run_cell(
+def certify_cell(
     route: str, n: int, eps: float, seed: int, cfg: dict, stats: list | None = None
-) -> dict:
-    """One sweep cell: plant, verify through the route, map to a row.
+) -> Certificate:
+    """One sweep cell: plant, then verify through the route.
 
     When stats is given and cfg["stats_trials"] > 0, a cell of a
     partition-certified route (not a2) also appends its protocol-stats row
@@ -252,11 +260,10 @@ def run_cell(
         seed=seed,
     )
     if route == "a2":
-        rep = st.verify_structural_bicriteria(inst.A, inst.W, k, eps, inst.opt_upper)
-        return _row(rep, eps1=0.0, eps2=rep.eps, seed=seed)
+        return st.verify_structural_bicriteria(inst.A, inst.W, k, eps, inst.opt_upper, seed=seed)
     spec = pattern.spec(n, eps)
     L2 = inst.L_star if route == "t4" else None
-    rep = sv.verify_bicriteria(
+    cert = sv.verify_bicriteria(
         inst.A, inst.W, k, eps, spec=spec,
         opt_upper=inst.opt_upper, L_for_eps2=L2, seed=seed,
     )
@@ -264,10 +271,17 @@ def run_cell(
         e1, e0 = pr.empirical_error_rates(spec, inst.W, cfg["stats_trials"], seed=seed)
         stats.append({
             "family": spec.family, "n": n, "delta": eps, "seed": seed,
-            "rectangles": rep.rect_count, "one_count": rep.one_count,
+            "rectangles": cert.rect_count, "one_count": cert.one_count,
             "cap": pr.transcript_cap(spec), "err_on_zeros": e0, "err_on_ones": e1,
         })
-    return _row(rep)
+    return cert
+
+
+def run_cell(
+    route: str, n: int, eps: float, seed: int, cfg: dict, stats: list | None = None
+) -> dict:
+    """certify_cell's certificate as a sweep row."""
+    return _row(certify_cell(route, n, eps, seed, cfg, stats))
 
 
 def run_suite(config) -> ExperimentReport:
@@ -283,12 +297,8 @@ def run_suite(config) -> ExperimentReport:
                         row = run_cell(route, n, eps, seed, cfg, report.protocol_stats)
                     except MaskedLRAError as e:  # recorded, never aborts the sweep
                         nan = float("nan")
-                        row = _row(
-                            note=f"{type(e).__name__}: {e}",
-                            pattern=route, n=n, k=cfg["k"], k_prime=0,
-                            eps1=eps, eps2=0.0, seed=seed, cost=nan,
-                            opt_upper=nan, rhs=nan, satisfied=False,
-                        )
+                        values = (route, n, cfg["k"], 0, eps, 0.0, 0.0, seed, nan, nan, nan, False)
+                        row = dict(zip(COLUMNS, values), note=f"{type(e).__name__}: {e}")
                     report.rows.append(row)
     report.rows.sort(key=lambda r: (r["pattern"], r["n"], r["eps1"], r["seed"]))
     report.protocol_stats.sort(

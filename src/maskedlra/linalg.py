@@ -1,6 +1,6 @@
 """Dense real linear algebra: Hadamard products, the masked squared
-Frobenius cost of a matrix or an order-3 tensor, exact truncated SVD, and a
-randomized sketch-based low-rank approximation.
+Frobenius cost of a matrix or an order-3 tensor, exact truncated SVD, and
+the Certificate record every verifier returns.
 
 The exact truncated SVD picks one of three drivers from the shape alone:
 ARPACK's partial SVD (svds) when k is small next to min(n, m) and
@@ -90,6 +90,46 @@ class LowRankFactor:
         return self.U @ self.V.T
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """A rank-k' fit's masked cost against its proved bound, for any route.
+
+    route is "partition" (t1-t4), "structural" (a2), "tensor" or "boolean".
+    terms lists the summands of the bound as (name, coefficient, base); rhs
+    adds coefficient * base over them in order. satisfied is the route's own
+    verdict, with the route's own roundoff tolerance. one_count and
+    rect_count count the drawn partition or cover (0 where none is drawn);
+    diagnostics holds route-specific values such as the comparator's cost.
+    """
+
+    route: str
+    pattern: str
+    n: int
+    k: int
+    k_prime: int
+    seed: int
+    cost: float
+    opt_upper: float
+    terms: tuple
+    satisfied: bool
+    one_count: int = 0
+    rect_count: int = 0
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def rhs(self):
+        return rhs_of(self.terms)
+
+    def coefficient(self, name: str) -> float:
+        """The coefficient of the term called name, 0.0 when there is none."""
+        return next((c for term, c, _ in self.terms if term == name), 0.0)
+
+
+def rhs_of(terms):
+    """Sum of coefficient * base over (name, coefficient, base) terms, in order."""
+    return sum(coef * base for _, coef, base in terms)
+
+
 def zero_factor(n: int, m: int, rank_bound: int = 0) -> LowRankFactor:
     return LowRankFactor(np.zeros((n, 1)), np.zeros((m, 1)), max(rank_bound, 1))
 
@@ -151,39 +191,6 @@ def _svds_truncated(A: np.ndarray, k: int) -> LowRankFactor | None:
             f"svds residual {res!r} disagrees with the spectral tail {tail!r}"
         )
     return L
-
-
-def randomized_range_lra(
-    A: np.ndarray,
-    k: int,
-    oversample: int | None = None,
-    power_iters: int = 2,
-    seed: int = 0,
-) -> LowRankFactor:
-    """Rank-k approximation from a seeded Gaussian range sketch.
-
-    Sketch width is k + oversample (oversample defaults to k). power_iters
-    rounds of subspace iteration with QR re-orthonormalization sharpen the
-    captured range. Deterministic for a fixed seed.
-    """
-    A = as_array(A, 2)
-    n, m = A.shape
-    if oversample is None:
-        oversample = k
-    if k < 1 or k + oversample > min(n, m):
-        raise ParameterError(
-            f"k={k}, oversample={oversample} out of range for a {n}x{m} matrix"
-        )
-    rng = np.random.default_rng(seed)
-    Y = A @ rng.standard_normal((m, k + oversample))
-    Q, _ = np.linalg.qr(Y)
-    for _ in range(power_iters):
-        Z, _ = np.linalg.qr(A.T @ Q)
-        Q, _ = np.linalg.qr(A @ Z)
-    B = Q.T @ A
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    root = np.sqrt(s[:k])
-    return LowRankFactor((Q @ Ub[:, :k]) * root, Vt[:k].T * root, k)
 
 
 def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:

@@ -10,54 +10,30 @@ protocol draw can weaken a certificate but not the returned factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import masks, protocols
 from .errors import ParameterError
 from .linalg import (
+    Certificate,
     LowRankFactor,
     _spd_solve,
     as_bitmap,
     hadamard,
     masked_cost,
-    randomized_range_lra,
+    rhs_of,
     svd_truncated,
     zero_factor,
 )
 
 
-@dataclass
-class BicriteriaReport:
-    k: int
-    k_prime: int
-    eps1: float
-    eps2: float
-    cost: float
-    opt_upper: float
-    rhs: float
-    satisfied: bool
-    pattern: str = ""
-    n: int = 0
-    seed: int = 0
-    one_count: int = 0
-    rect_count: int = 0
+def masked_lra(A, W, k_prime: int) -> LowRankFactor:
+    """Rank-k' truncated SVD of A with masked entries zeroed out.
 
-
-def masked_lra(A, W, k_prime: int, method: str = "exact", seed: int = 0) -> LowRankFactor:
-    """Rank-k' factorization of A with masked entries zeroed out.
-
-    method "exact" is a truncated SVD of A*W; "randomized" uses the seeded
-    range sketch. The factor never sees the mask beyond the zero fill.
+    The factor never sees the mask beyond the zero fill.
     """
-    M = hadamard(A, as_bitmap(W, np.float64))
-    if method == "exact":
-        return svd_truncated(M, k_prime)
-    if method == "randomized":
-        over = min(k_prime, min(M.shape) - k_prime)
-        return randomized_range_lra(M, k_prime, oversample=over, seed=seed)
-    raise ParameterError(f"unknown method {method!r}")
+    return svd_truncated(hadamard(A, as_bitmap(W, np.float64)), k_prime)
 
 
 def comparator_from_partition(
@@ -88,7 +64,7 @@ def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
     M = hadamard(A, as_bitmap(W, np.float64))
     Lbar = comparator_from_partition(A, W, P, k)
     kp = max(1, min(k * P.one_count, min(M.shape)))
-    L = masked_lra(A, W, kp, method="exact")
+    L = masked_lra(A, W, kp)
     lhs = float(np.sum((M - L.value()) ** 2))
     rhs = float(np.sum((M - Lbar.value()) ** 2))
     return lhs <= rhs + 1e-9 * max(1.0, rhs)
@@ -103,14 +79,15 @@ def verify_bicriteria(
     opt_upper: float = 0.0,
     L_for_eps2: LowRankFactor | None = None,
     seed: int = 0,
-) -> BicriteriaReport:
+) -> Certificate:
     """Run the exact zero-fill solver at the certified rank and check the bound.
 
     k' comes from rank_budget for patterned masks and from k times the
     sampled partition's 1-rectangle count for explicit masks. The one
-    partition drawn with seed also supplies the report's rectangle counts.
-    One-sided protocol families contribute no eps2 term; two-sided families
-    charge eps * the off-mask mass of the supplied rank-k candidate.
+    partition drawn with seed also supplies the certificate's rectangle
+    counts. The terms are opt_upper, eps1 times the mass of A*W, and, for
+    two-sided protocol families only, eps2 = eps times the off-mask mass of
+    the supplied rank-k candidate.
     """
     A = np.asarray(A, dtype=np.float64)
     if spec is None:
@@ -124,9 +101,6 @@ def verify_bicriteria(
     k_prime = max(1, min(k_budget, min(A.shape)))
 
     one_sided = spec.family in protocols.ONE_SIDED_FAMILIES
-    # a zero-error protocol mislabels nothing, so it is charged no mass term
-    eps1 = 2 * eps if spec.delta > 0 else 0.0
-    eps2 = 0.0 if one_sided else eps
     if not one_sided and L_for_eps2 is None:
         raise ParameterError("two-sided protocol needs L_for_eps2 as the candidate")
 
@@ -134,26 +108,18 @@ def verify_bicriteria(
     L = masked_lra(A, W, k_prime)
     cost = masked_cost(A, W, L)
     mass = float(np.sum(M * M))
-    rhs = opt_upper + eps1 * mass
-    if eps2:
+    # a zero-error protocol mislabels nothing, so it is charged no mass term
+    terms = (("opt_upper", 1.0, opt_upper), ("eps1", 2 * eps if spec.delta > 0 else 0.0, mass))
+    if not one_sided:
         off = hadamard(L_for_eps2.value(), 1.0 - as_bitmap(W, np.float64))
-        rhs += eps2 * float(np.sum(off * off))
-    # the absolute term forgives SVD roundoff when the bound itself is zero
-    satisfied = bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass)
-    return BicriteriaReport(
-        k=k,
-        k_prime=k_prime,
-        eps1=eps1,
-        eps2=eps2,
-        cost=cost,
-        opt_upper=opt_upper,
-        rhs=rhs,
-        satisfied=satisfied,
-        pattern=W.pattern.tag,
-        n=W.n,
-        seed=seed,
-        one_count=sample.one_count,
-        rect_count=len(sample.rectangles),
+        terms += (("eps2", eps, float(np.sum(off * off))),)
+    rhs = rhs_of(terms)
+    return Certificate(
+        route="partition", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
+        seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
+        # the absolute term forgives SVD roundoff when the bound itself is zero
+        satisfied=bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass),
+        one_count=sample.one_count, rect_count=len(sample.rectangles),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError
-from .linalg import LowRankFactor, as_array, masked_cost
+from .linalg import Certificate, LowRankFactor, as_array, masked_cost, rhs_of
 from .masks import Mask
 from .solver import masked_lra
 
@@ -26,20 +26,6 @@ class HeavyRowSet:
     budget: int
     on_mass: float
     off_mass: float
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    pattern: str
-    n: int
-    k: int
-    k_prime: int
-    t: int
-    eps: float
-    cost: float
-    opt_upper: float
-    rhs: float
-    satisfied: bool
 
 
 def _value(L) -> np.ndarray:
@@ -119,12 +105,14 @@ def verify_structural_bicriteria(
     k: int,
     eps: float,
     opt_upper: float,
-) -> StructuralReport:
+    seed: int = 0,
+) -> Certificate:
     """Solve exactly at the row-structure rank budget and check the additive bound.
 
     Budget is ceil(6*k*t/eps) with t the mask's worst column zero count,
-    clamped to the exact-solve range. The asserted right-hand side is
-    opt_upper + eps * ||A||_F^2.
+    clamped to the exact-solve range; diagnostics["t"] records t. The terms
+    are opt_upper and eps2 = eps times ||A||_F^2. The route draws nothing at
+    random: seed is only recorded.
     """
     A = as_array(A, 2)
     if not isinstance(W, Mask):
@@ -137,17 +125,10 @@ def verify_structural_bicriteria(
     n, m = A.shape
     k_prime = max(1, min(int(np.ceil(6.0 * k * t / eps)), min(n, m)))
     cost = masked_cost(A, W, masked_lra(A, W, k_prime))
-    rhs = float(opt_upper) + eps * float(np.sum(A * A))
-    satisfied = cost <= rhs + 1e-9 * max(1.0, rhs)
-    return StructuralReport(
-        pattern=W.pattern.tag,
-        n=n,
-        k=k,
-        k_prime=k_prime,
-        t=t,
-        eps=eps,
-        cost=cost,
-        opt_upper=float(opt_upper),
-        rhs=rhs,
-        satisfied=satisfied,
+    terms = (("opt_upper", 1.0, float(opt_upper)), ("eps2", eps, float(np.sum(A * A))))
+    rhs = rhs_of(terms)
+    return Certificate(
+        route="structural", pattern=W.pattern.tag, n=n, k=k, k_prime=k_prime,
+        seed=seed, cost=cost, opt_upper=float(opt_upper), terms=terms,
+        satisfied=cost <= rhs + 1e-9 * max(1.0, rhs), diagnostics={"t": t},
     )

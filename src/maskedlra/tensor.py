@@ -17,8 +17,8 @@ import numpy as np
 
 from . import protocols
 from .errors import ParameterError, ShapeError
-from .linalg import _spd_solve, as_array, as_bitmap
-from .masks import Diagonal3  # noqa: F401  re-exported as tensor.Diagonal3
+from .linalg import Certificate, _spd_solve, as_array, as_bitmap, masked_cost, rhs_of
+from .masks import Diagonal3
 
 # ALS runs of masked_tensor_lra. A comparator init is the first run and the
 # best run wins, so one run already keeps the init's cost bound.
@@ -170,3 +170,41 @@ def tensor_comparator(
     if factors is None:
         return zero_cp(*M.shape)
     return CPFactor(*factors, k * P.one_count)
+
+
+def verify_tensor_bicriteria(
+    A,
+    W,
+    k: int,
+    eps: float,
+    opt_upper: float = 0.0,
+    iters: int = 60,
+    seed: int = 0,
+) -> Certificate:
+    """Comparator-initialized CP-ALS on a Diagonal3 mask, checked two ways.
+
+    The comparator comes from one draw of the three-party not-all-equal
+    protocol, and ALS from it runs at the comparator's width. The terms are
+    eps1 = 2 * eps times the mass of A*W, and a slack of 1e-6 ||A||_F^2.
+    satisfied needs the cost within both that bound and the comparator's
+    cost, recorded in diagnostics["comparator_cost"]. opt_upper is only
+    recorded: the bound does not charge it.
+    """
+    if getattr(W, "pattern", None) != Diagonal3():
+        raise ParameterError("the tensor route needs a Diagonal3 mask")
+    A = as_array(A, 3)
+    P = protocols.multiparty_partition(protocols.neq3_multiparty(W.n, eps), seed=seed)
+    comp = tensor_comparator(A, W, P, k, inner_iters=iters, seed=seed)
+    comp_cost = masked_cost(A, W, comp)
+    k_prime = comp.U.shape[1]
+    sol = masked_tensor_lra(A, W, k_prime, init=comp, iters=iters, seed=seed)
+    cost = masked_cost(A, W, sol)
+    M = A * W.bitmap
+    terms = (("eps1", 2.0 * eps, float(np.sum(M * M))), ("slack", 1e-6, float(np.sum(A * A))))
+    return Certificate(
+        route="tensor", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
+        seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
+        satisfied=cost <= comp_cost + 1e-9 * max(1.0, comp_cost) and cost <= rhs_of(terms),
+        one_count=P.one_count, rect_count=len(P.rectangles),
+        diagnostics={"comparator_cost": comp_cost},
+    )

@@ -111,7 +111,7 @@ def test_criterion_03_residue_route_zero_additive():
             rep = verify_bicriteria(
                 inst.A, inst.W, 2, 0.25, spec=spec, opt_upper=inst.opt_upper
             )
-            ok = ok and rep.satisfied and rep.eps1 == 0.0 and rep.k_prime == 2 * p
+            ok = ok and rep.satisfied and rep.coefficient("eps1") == 0.0 and rep.k_prime == 2 * p
             ok = ok and rep.rhs == inst.opt_upper
             details.append(rep.cost)
     _verdict(3, ok, f"10 residue instances, max cost {max(details):.3g} vs additive 0")

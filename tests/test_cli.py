@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from maskedlra.cli import main
+from maskedlra.harness import COLUMNS
 from maskedlra.io import load_mask, read_matrix
+
+
+def _keys(out: str) -> list:
+    return [line.split(" = ")[0] for line in out.splitlines() if " = " in line]
 
 
 def test_gen_writes_instance(tmp_path, capsys):
@@ -25,6 +30,15 @@ def test_gen_writes_instance(tmp_path, capsys):
     # exactness on the support
     on = W.bitmap.astype(bool)
     assert np.array_equal(A[on], Ls[on])
+
+
+def test_gen_boolean_uses_the_boolean_default(tmp_path, capsys):
+    out = tmp_path / "b"
+    rc = main(["gen", "--domain", "boolean", "--pattern", "diagonal", "--n", "8",
+               "--k", "1", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    meta = (out / "instance.txt").read_text().splitlines()
+    assert "corruption_scale = 0.25" in meta
 
 
 def test_gen_is_bitwise_deterministic(tmp_path):
@@ -50,6 +64,7 @@ def test_solve_round_trip(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "cost" in text
+    assert "method" not in text
     assert "svd_driver = gesdd" in text.splitlines()
     L = read_matrix(tmp_path / "L.mlra")
     assert L.shape == (16, 16)
@@ -67,6 +82,14 @@ def test_verify_routes_exit_zero(capsys):
         out = capsys.readouterr().out
         assert rc == 0, (route, out)
         assert "PASS" in out
+
+
+@pytest.mark.parametrize("route, diagnostics", [("t1", []), ("a2", ["t"])])
+def test_verify_prints_columns_route_and_diagnostics(capsys, route, diagnostics):
+    assert main(["verify", "--theorem", route, "--n", "32"]) == 0
+    out = capsys.readouterr().out
+    assert _keys(out) == [*COLUMNS, "route", *diagnostics]
+    assert out.splitlines()[-1] == "PASS"
 
 
 def test_verify_t4_reports_two_error_terms(capsys):
@@ -98,6 +121,21 @@ def test_tensor_route(capsys):
     assert "PASS" in out
 
 
+def test_tensor_prints_the_certificate(capsys):
+    assert main(["tensor", "--n", "8"]) == 0
+    out = capsys.readouterr().out
+    assert _keys(out) == [*COLUMNS, "route", "comparator_cost"]
+    assert "route = tensor" in out.splitlines()
+
+
+def test_tensor_tiny_eps_with_noise_exits_one(capsys):
+    rc = main(["tensor", "--n", "8", "--eps", "0.0001", "--noise-sigma", "0.5"])
+    out = capsys.readouterr().out
+    assert rc == 1, out
+    assert "satisfied = false" in out.splitlines()
+    assert out.splitlines()[-1] == "FAIL"
+
+
 def test_tensor_zero_iters_exits_two(capsys):
     assert main(["tensor", "--n", "8", "--iters", "0"]) == 2
     assert "iters=0" in capsys.readouterr().err
@@ -109,6 +147,8 @@ def test_boolean_route(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "PASS" in out
+    assert _keys(out) == [*COLUMNS, "route", "note"]
+    assert "note = cover neq-bits; opt_upper from the exhaustive search" in out.splitlines()
 
 
 @pytest.mark.parametrize("blocks", [[], ["--blocks", "4"]])

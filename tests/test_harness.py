@@ -64,6 +64,14 @@ def test_planted_boolean_opt_upper():
     assert np.array_equal(inst.A[on], base[on])
 
 
+def test_planted_default_corruption_per_domain():
+    # a Boolean scale is a flip probability, so the real domains' 5.0 cannot be its default
+    inst = gen_planted("boolean", Diagonal(), 8, 1, seed=0)
+    assert inst.corruption_scale == harness.BOOLEAN_CORRUPTION == 0.25
+    assert gen_planted("matrix", Diagonal(), 8, 1).corruption_scale == harness.DEFAULT_CORRUPTION
+    assert gen_planted("tensor3", Diagonal3(), 4, 1).corruption_scale == harness.DEFAULT_CORRUPTION
+
+
 def test_planted_seed_determinism():
     a = gen_planted("matrix", Diagonal(), 16, 2, seed=9)
     b = gen_planted("matrix", Diagonal(), 16, 2, seed=9)

@@ -1,4 +1,4 @@
-"""Dense kernels: products, truncated SVD, sketched LRA, masked cost."""
+"""Dense kernels: products, truncated SVD, masked cost."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from maskedlra import (
     ShapeError,
     hadamard,
     masked_cost,
-    randomized_range_lra,
     svd_truncated,
 )
 from maskedlra.linalg import zero_factor
@@ -154,39 +153,6 @@ def test_svd_truncated_svds_residual_check(monkeypatch):
     A = np.random.default_rng(53).standard_normal((256, 256))
     with pytest.raises(NumericalError):
         svd_truncated(A, 8)
-
-
-def test_randomized_lra_rank_one_any_seed():
-    rng = np.random.default_rng(9)
-    A = np.outer(rng.standard_normal(12), rng.standard_normal(12))
-    for seed in (0, 1, 17):
-        L = randomized_range_lra(A, 1, seed=seed)
-        assert np.linalg.norm(A - L.value()) <= 1e-8 * np.linalg.norm(A)
-
-
-def test_randomized_lra_near_optimal_median():
-    """Median residual over 10 seeds stays within 5% of the exact optimum."""
-    rng = np.random.default_rng(31)
-    A = rng.standard_normal((64, 64))
-    exact = np.linalg.norm(A - svd_truncated(A, 4).value())
-    resid = [
-        np.linalg.norm(A - randomized_range_lra(A, 4, oversample=8, power_iters=2, seed=s).value())
-        for s in range(10)
-    ]
-    assert np.median(resid) <= 1.05 * exact
-
-
-def test_randomized_lra_zero_matrix():
-    L = randomized_range_lra(np.zeros((5, 5)), 1, seed=2)
-    assert np.array_equal(L.value(), np.zeros((5, 5)))
-
-
-def test_randomized_lra_seed_determinism():
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((16, 16))
-    L1 = randomized_range_lra(A, 3, seed=42)
-    L2 = randomized_range_lra(A, 3, seed=42)
-    assert np.array_equal(L1.U, L2.U) and np.array_equal(L1.V, L2.V)
 
 
 def test_masked_cost_all_mismatch_masked():

@@ -61,16 +61,6 @@ def test_masked_lra_planted_bound():
         assert masked_cost(inst.A, inst.W, L) <= 2 * eps * mass + 1e-9 * mass
 
 
-def test_masked_lra_methods_agree_roughly():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((24, 24))
-    W = make_mask(Diagonal(), 24)
-    exact = masked_cost(A, W, masked_lra(A, W, 6, method="exact"))
-    rand = masked_cost(A, W, masked_lra(A, W, 6, method="randomized", seed=1))
-    assert rand >= exact - 1e-9
-    assert rand <= 2.0 * exact + 1e-9  # sketch slack stays moderate at this size
-
-
 def test_comparator_single_rectangle_is_svd():
     from maskedlra import PartitionSample, Rectangle
 
@@ -177,7 +167,7 @@ def test_verify_bicriteria_planted_diagonal():
     assert rep.satisfied
     assert rep.k_prime == rank_budget(Diagonal(), 3, 0.25)
     assert rep.rhs == pytest.approx(inst.opt_upper + 2 * 0.25 * mass)
-    assert rep.eps2 == 0.0
+    assert rep.coefficient("eps2") == 0.0
 
 
 def test_verify_bicriteria_exact_matrix():
@@ -200,7 +190,7 @@ def test_verify_bicriteria_deterministic_route_zero_additive():
     inst = gen_planted("matrix", ToeplitzModP(2), 32, 2, seed=1)
     spec = eq_mod_p(32, 2)
     rep = verify_bicriteria(inst.A, inst.W, 2, 0.25, spec=spec, opt_upper=inst.opt_upper)
-    assert rep.eps1 == 0.0  # zero-error protocol charges no mass term
+    assert rep.coefficient("eps1") == 0.0  # zero-error protocol charges no mass term
     assert rep.rhs == pytest.approx(inst.opt_upper)
     assert rep.satisfied
 
@@ -223,7 +213,7 @@ def test_verify_bicriteria_rhs_is_sum_of_summands():
     )
     mass_on = float(np.sum((inst.A * inst.W.bitmap) ** 2))
     off = float(np.sum((inst.L_star.value() * (1 - inst.W.bitmap)) ** 2))
-    want = rep.opt_upper + rep.eps1 * mass_on + rep.eps2 * off
+    want = rep.opt_upper + rep.coefficient("eps1") * mass_on + rep.coefficient("eps2") * off
     assert rep.rhs == pytest.approx(want, rel=1e-12)
 
 
@@ -293,15 +283,6 @@ def test_altmin_comparison_is_recorded_not_asserted():
     alt = masked_cost(A, W, altmin_baseline(A, W, 2, iters=30, restarts=10, seed=0))
     zf = masked_cost(A, W, masked_lra(A, W, rank_budget(Diagonal(), 2, 0.5)))
     assert np.isfinite(alt) and np.isfinite(zf)
-
-
-def test_masked_lra_seed_determinism_randomized():
-    rng = np.random.default_rng(15)
-    A = rng.standard_normal((20, 20))
-    W = make_mask(Diagonal(), 20)
-    L1 = masked_lra(A, W, 4, method="randomized", seed=11)
-    L2 = masked_lra(A, W, 4, method="randomized", seed=11)
-    assert np.array_equal(L1.U, L2.U) and np.array_equal(L1.V, L2.V)
 
 
 _N = 16

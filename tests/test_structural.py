@@ -157,7 +157,7 @@ def test_verify_structural_planted_diagonal():
     inst = gen_planted("matrix", Diagonal(), 48, 2, seed=4)
     rep = verify_structural_bicriteria(inst.A, inst.W, 2, 0.25, inst.opt_upper)
     assert rep.satisfied
-    assert rep.t == 1
+    assert rep.diagnostics["t"] == 1
     assert rep.k_prime == min(48, int(np.ceil(6 * 2 * 1 / 0.25)))
 
 
