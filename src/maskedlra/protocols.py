@@ -4,12 +4,13 @@ Each family's decisions are written once, in decide(spec, idx, keys), which
 returns transcript codes and outputs on any broadcastable set of cells. The
 certificate's partition runs it on the full input grid with one seeded draw
 of shared randomness; grouping cells by transcript yields combinatorial
-rectangles labeled with the protocol output. empirical_error_rates runs the
-same evaluator on sampled cells with independent randomness per sample, so
-the error rate it reports is that of the decisions the partition is built
-from. Nondeterministic covers are built directly from their witness
-structure. assemble turns per-rectangle fits of a partition or a cover into
-the factors of its comparator.
+rectangles labeled with the protocol output. Grouping is one sort of the
+cells plus linear passes, with no n^2-sized index grid.
+empirical_error_rates runs the same evaluator on sampled cells with
+independent randomness per sample, so the error rate it reports is that of
+the decisions the partition is built from. Nondeterministic covers are
+built directly from their witness structure. assemble turns per-rectangle
+fits of a partition or a cover into the factors of its comparator.
 
 Families:
   equality-hash       not-equal via one hashed message (1-sided)
@@ -24,6 +25,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -423,38 +425,76 @@ class Cover:
     n: int
 
 
-def _axis_sets(inv: np.ndarray, axis_index: np.ndarray, n_groups: int):
-    """Per-group sorted unique coordinates along one axis."""
-    pairs = np.unique(inv.astype(np.int64) * (axis_index.max() + 1) + axis_index)
-    g = pairs // (axis_index.max() + 1)
-    v = pairs % (axis_index.max() + 1)
-    bounds = np.searchsorted(g, np.arange(n_groups + 1))
-    return [v[bounds[i]:bounds[i + 1]] for i in range(n_groups)]
+# narrowest first: numpy's stable sort is a radix sort for 8- and 16-bit integers
+_CODE_DTYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32)
+
+
+def _narrow(codes: np.ndarray) -> np.ndarray:
+    """codes in the narrowest integer dtype that holds all of them, order kept."""
+    lo, hi = int(codes.min()), int(codes.max())
+    for dt in _CODE_DTYPES:
+        info = np.iinfo(dt)
+        if info.min <= lo and hi <= info.max:
+            return codes.astype(dt)
+    return codes
 
 
 def _group_cells(codes: np.ndarray, labels: np.ndarray) -> list[Rectangle]:
+    """Rectangles of the cells' transcript classes, in code order.
+
+    One stable sort of the codes (np.unique) gives each cell its class and
+    each class its first cell in C order, which for a box is its corner: the
+    least index on every axis. Two checks then prove every class is exactly
+    a box. Moving any cell onto its corner's index along one axis must keep
+    it in its class; so every cell of a class lies in the box spanned by the
+    class's cells on the lines through its corner, one line per axis. And
+    the class must fill that box: its cell count is the product of the
+    lines' lengths. The index set along an axis is then read off the class's
+    cells on that line, one flatnonzero, one stable argsort by class and one
+    searchsorted per axis; each Rectangle holds slices of those arrays.
+    """
     shape = codes.shape
-    order = len(shape)
-    flat = codes.ravel()
-    uniq, first, inv = np.unique(flat, return_index=True, return_inverse=True)
-    G = len(uniq)
-    counts = np.bincount(inv, minlength=G)
+    order = codes.ndim
+    _, first, inv = np.unique(_narrow(codes.ravel()), return_index=True,
+                              return_inverse=True)
+    n_classes = len(first)
     lab = labels.ravel()
-    one_mass = np.bincount(inv, weights=lab.astype(np.float64), minlength=G)
-    if not np.all((one_mass == 0) | (one_mass == counts)):
+    label = lab[first]
+    if not np.array_equal(label[inv], lab):
         raise RuntimeError("transcript class with mixed labels")
 
-    grids = np.indices(shape).reshape(order, -1)
-    axis_sets = [_axis_sets(inv, grids[a], G) for a in range(order)]
-    rects = []
-    for g in range(G):
-        sets = [axis_sets[a][g] for a in range(order)]
-        vol = math.prod(len(s) for s in sets)
-        if vol != counts[g]:
+    inv = inv.reshape(shape)
+    corner = np.unravel_index(first, shape)
+    grid = np.ogrid[tuple(slice(0, s) for s in shape)]
+    on_corner = []  # per axis: the cell shares its class corner's index
+    for a in range(order):
+        ca = corner[a][inv]
+        moved = tuple(ca if b == a else grid[b] for b in range(order))
+        if not np.array_equal(inv[moved], inv):
             raise RuntimeError("transcript class is not a rectangle")
-        depth = sets[2] if order == 3 else None
-        rects.append(Rectangle(sets[0], sets[1], int(lab[first[g]]), depth))
-    return rects
+        on_corner.append(grid[a] == ca)
+        del ca, moved  # free the n^2 gathers before the next axis's
+
+    flat_inv = inv.ravel()
+    volume = np.ones(n_classes, dtype=np.int64)
+    sets = []
+    for a in range(order):
+        line = functools.reduce(np.logical_and, [on_corner[b] for b in range(order) if b != a])
+        cells = np.flatnonzero(line)
+        cls = flat_inv[cells]
+        by_class = np.argsort(cls, kind="stable")
+        vals = np.unravel_index(cells[by_class], shape)[a].astype(np.int64)
+        bounds = np.searchsorted(cls[by_class], np.arange(n_classes + 1))
+        volume *= np.diff(bounds)
+        sets.append((vals, bounds.tolist()))
+    if not np.array_equal(volume, np.bincount(flat_inv, minlength=n_classes)):
+        raise RuntimeError("transcript class is not a rectangle")
+
+    per_axis = [[v[i:j] for i, j in zip(b[:-1], b[1:])] for v, b in sets]
+    if order == 2:
+        per_axis.append([None] * n_classes)
+    rows, cols, depths = per_axis
+    return [Rectangle(r, c, g, d) for r, c, d, g in zip(rows, cols, depths, label.tolist())]
 
 
 def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:

@@ -29,7 +29,9 @@ from maskedlra import (
 from maskedlra.io import write_partition
 from maskedlra.protocols import (
     ONE_SIDED_FAMILIES,
+    _group_cells,
     _shared_keys,
+    _transcript_grid,
     assemble,
     decide,
     protocol_cube,
@@ -451,3 +453,121 @@ def test_enumeration_cap():
 
     with pytest.raises(ResourceError):
         sample_partition(equality_hash(5000, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# grouping cells into rectangles
+
+
+def _codes_with_class(shape, cells):
+    """Distinct codes on every cell except those listed, which share code 0."""
+    codes = np.arange(1, int(np.prod(shape)) + 1, dtype=np.int64).reshape(shape)
+    for c in cells:
+        codes[c] = 0
+    return codes
+
+
+@pytest.mark.parametrize("shape, cells", [
+    # the lines through the corner span 2 x 2 = 4 cells, the class count;
+    # (2, 2) lies off that box
+    ((3, 3), [(0, 0), (0, 1), (1, 0), (2, 2)]),
+    ((3, 3, 3), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 2, 2)]),
+    # an L: every cell moves onto the corner's lines inside the class, but
+    # 3 cells do not fill the 2 x 2 box
+    ((3, 3), [(0, 0), (0, 1), (1, 0)]),
+    ((2, 2, 2), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+], ids=["off-box-2", "off-box-3", "short-2", "short-3"])
+def test_group_cells_rejects_a_class_that_is_not_a_rectangle(shape, cells):
+    codes = _codes_with_class(shape, cells)
+    with pytest.raises(RuntimeError, match="not a rectangle"):
+        _group_cells(codes, np.zeros(shape, dtype=np.uint8))
+
+
+def test_group_cells_rejects_a_class_with_mixed_labels():
+    codes = np.zeros((2, 2), dtype=np.int64)
+    labels = np.array([[0, 0], [0, 1]], dtype=np.uint8)
+    with pytest.raises(RuntimeError, match="mixed labels"):
+        _group_cells(codes, labels)
+
+
+def _reference_groups(codes, labels):
+    """(index sets, label) per distinct code, in code order, one class at a time."""
+    out = []
+    for c in np.unique(codes):
+        cells = np.nonzero(codes == c)
+        assert len(np.unique(labels[cells])) == 1
+        out.append(([np.unique(ax) for ax in cells], int(labels[cells][0])))
+    return out
+
+
+def _assert_matches_reference(codes, labels):
+    rects = _group_cells(codes, labels)
+    want = _reference_groups(codes, labels)
+    assert len(rects) == len(want)
+    for r, (sets, label) in zip(rects, want):
+        got = (r.row_set, r.col_set, r.depth_set)
+        assert (r.depth_set is None) == (codes.ndim == 2)
+        assert r.label == label
+        for g, w in zip(got, sets):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+
+def _random_box_partition(rng, shape, splits):
+    """Boxes from repeatedly cutting one box's index set on one axis in two."""
+    boxes = [[np.arange(s) for s in shape]]
+    for _ in range(splits):
+        box = boxes[rng.integers(len(boxes))]
+        a = rng.integers(len(shape))
+        if len(box[a]) < 2:
+            continue
+        cut = np.zeros(len(box[a]), dtype=bool)
+        cut[rng.permutation(len(box[a]))[:rng.integers(1, len(box[a]))]] = True
+        boxes.append(box[:a] + [box[a][cut]] + box[a + 1:])
+        box[a] = box[a][~cut]
+    return boxes
+
+
+# code ranges that land the codes in each integer dtype the grouping sorts
+_CODE_RANGES = {
+    "uint8": (0, 256),
+    "int8": (-128, 128),
+    "uint16": (0, 1 << 16),
+    "int16": (-(1 << 15), 1 << 15),
+    "uint32": (0, 1 << 32),
+    "int32": (-(1 << 31), 1 << 31),
+    "negative": (-(1 << 62), 0),
+    "above-2^32": ((1 << 32) + 1, 1 << 62),
+    "both-signs": (-(1 << 62), 1 << 62),
+}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("span", list(_CODE_RANGES), ids=list(_CODE_RANGES))
+def test_group_cells_matches_reference_on_random_box_partitions(order, span):
+    lo, hi = _CODE_RANGES[span]
+    rng = np.random.default_rng([order, lo & 0xFFFF, hi & 0xFFFF])
+    shape = (9, 9) if order == 2 else (6, 6, 6)
+    for _ in range(5):
+        boxes = _random_box_partition(rng, shape, splits=30)
+        # distinct codes, the range's two ends among them, so the range's
+        # dtype is the narrowest that holds them
+        ends = np.array([lo, hi - 1], dtype=np.int64)
+        rest = np.setdiff1d(rng.integers(lo, hi, size=4 * len(boxes)), ends)
+        assert len(rest) >= len(boxes) - 2
+        values = rng.permutation(np.concatenate([ends, rng.permutation(rest)[:len(boxes) - 2]]))
+        codes = np.empty(shape, dtype=np.int64)
+        labels = np.empty(shape, dtype=np.uint8)
+        for box, v in zip(boxes, values):
+            codes[np.ix_(*box)] = v
+            labels[np.ix_(*box)] = rng.integers(2)
+        _assert_matches_reference(codes, labels)
+
+
+@pytest.mark.parametrize(
+    "spec", _specs_under_test(64) + [neq3_multiparty(16, 0.25)],
+    ids=lambda s: f"{s.family}-d{s.delta:g}",
+)
+def test_group_cells_matches_reference_on_family_grids(spec):
+    for seed in (0, 1):
+        _assert_matches_reference(*_transcript_grid(spec, seed))
