@@ -22,9 +22,7 @@ def as_bool_matrix(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={A.ndim}")
-    if not np.isin(A, (0, 1)).all():
-        raise ParameterError("boolean matrix entries must be 0 or 1")
-    return A.astype(np.uint8)
+    return as_bitmap(A, np.uint8)
 
 
 @dataclass
@@ -60,9 +58,9 @@ def bool_cost(A, B, W) -> int:
     """Hamming cost of B against A on W's support."""
     A = as_bool_matrix(A)
     B = as_bool_matrix(B)
-    Wb = as_bitmap(W, np.uint8)
-    if A.shape != B.shape or A.shape != Wb.shape:
+    if A.shape != B.shape:
         raise ShapeError("bool_cost shapes differ")
+    Wb = as_bitmap(W, np.uint8, A.shape)
     return int(np.sum((A != B) & (Wb == 1)))
 
 
@@ -82,9 +80,7 @@ def bool_lra_exhaustive(A, W, k: int) -> tuple[BoolFactor, int]:
     optimum. Refuses instances whose search space exceeds 2**24 states.
     """
     A = as_bool_matrix(A)
-    Wb = as_bitmap(W, np.uint8)
-    if A.shape != Wb.shape:
-        raise ShapeError("mask shape differs from matrix")
+    Wb = as_bitmap(W, np.uint8, A.shape)
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     n, m = A.shape
@@ -147,9 +143,7 @@ def bool_lra_heuristic(A, W, k: int, seed: int = 0) -> tuple[BoolFactor, int]:
     never costs more than the zero factor.
     """
     A = as_bool_matrix(A)
-    Wb = as_bitmap(W, np.uint8)
-    if A.shape != Wb.shape:
-        raise ShapeError("mask shape differs from matrix")
+    Wb = as_bitmap(W, np.uint8, A.shape)
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     n, m = A.shape
@@ -173,7 +167,7 @@ def bool_lra_heuristic(A, W, k: int, seed: int = 0) -> tuple[BoolFactor, int]:
         V[c, :] = v
         covered |= np.outer(u, v)
     fac = BoolFactor(U, V, k)
-    cost = bool_cost(A, fac.value(), Wb)
+    cost = bool_cost(A, fac.value(), W)
     fac.meta["cost"] = cost
     return fac, cost
 
@@ -183,7 +177,7 @@ def _check_cover(C, Wb) -> None:
         raise ParameterError("cover has no rectangles")
     if any(rect.label != 1 for rect in C.rectangles):
         raise ParameterError("cover rectangles must be 1-labeled")
-    if not np.array_equal(cover_bitmap(C), (Wb == 1).astype(np.uint8)):
+    if not np.array_equal(cover_bitmap(C), Wb):
         raise ParameterError("cover union differs from the mask support")
 
 
@@ -196,9 +190,7 @@ def cover_based_bool_lra(
     "auto" (exhaustive whenever the rectangle fits the search cap).
     """
     A = as_bool_matrix(A)
-    Wb = as_bitmap(W, np.uint8)
-    if A.shape != Wb.shape:
-        raise ShapeError("mask shape differs from matrix")
+    Wb = as_bitmap(W, np.uint8, A.shape)
     if inner not in ("auto", "exhaustive", "heuristic"):
         raise ParameterError(f"unknown inner solver {inner!r}")
     _check_cover(C, Wb)
@@ -220,7 +212,7 @@ def cover_based_bool_lra(
 
     U, Vt = assemble(C.rectangles, A.shape, fit)
     fac = BoolFactor(U, Vt.T, k * len(C.rectangles))
-    cost = bool_cost(A, fac.value(), Wb)
+    cost = bool_cost(A, fac.value(), W)
     fac.meta.update(cost=cost, per_rectangle_costs=per_rect)
     return fac, cost
 

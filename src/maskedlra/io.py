@@ -65,10 +65,7 @@ def write_bitmap(path, W) -> None:
 
 
 def read_bitmap(path) -> np.ndarray:
-    B = _read(path, _MAGIC_BITMAP, 2, "u1")
-    if not np.isin(B, (0, 1)).all():
-        raise ParameterError("MLRB1 payload must be 0/1 bytes")
-    return B
+    return as_bitmap(_read(path, _MAGIC_BITMAP, 2, "u1"), np.uint8)
 
 
 def write_tensor(path, T) -> None:
@@ -172,7 +169,8 @@ def load_mask(path) -> masks.Mask:
     """Mask from either a descriptor file or an MLRB1 bitmap."""
     raw = Path(path).read_bytes()
     if raw[:5] == _MAGIC_BITMAP:
-        bitmap = read_bitmap(path)
+        # Explicit checks the payload
+        bitmap = _read(path, _MAGIC_BITMAP, 2, "u1")
         return masks.make_mask(masks.Explicit(bitmap), bitmap.shape[0])
     return read_mask_descriptor(path)
 

@@ -52,9 +52,22 @@ def as_array(A, ndim: int) -> np.ndarray:
     return M
 
 
-def as_bitmap(W, dtype) -> np.ndarray:
-    """The 0/1 array of W, a mask of any order or a raw array, as dtype."""
-    return np.asarray(getattr(W, "bitmap", W), dtype=dtype)
+def as_bitmap(W, dtype, shape=None) -> np.ndarray:
+    """The 0/1 array of W, a mask of any order or a raw array, as dtype.
+
+    This is the one check of a mask argument. A Mask's bitmap is binary by
+    construction and is not checked again; a raw array holding anything but
+    0 and 1 raises ParameterError. With shape given, a mask of any other
+    shape raises ShapeError.
+    """
+    B = getattr(W, "bitmap", None)
+    if B is None:
+        B = np.asarray(W)
+        if not ((B == 0) | (B == 1)).all():
+            raise ParameterError("bitmap entries must be 0 or 1")
+    if shape is not None and B.shape != shape:
+        raise ShapeError(f"mask shape {B.shape} differs from the data's {shape}")
+    return np.asarray(B, dtype=dtype)
 
 
 @dataclass
@@ -130,8 +143,8 @@ def rhs_of(terms):
     return sum(coef * base for _, coef, base in terms)
 
 
-def zero_factor(n: int, m: int, rank_bound: int = 0) -> LowRankFactor:
-    return LowRankFactor(np.zeros((n, 1)), np.zeros((m, 1)), max(rank_bound, 1))
+def zero_factor(n: int, m: int) -> LowRankFactor:
+    return LowRankFactor(np.zeros((n, 1)), np.zeros((m, 1)), 1)
 
 
 def hadamard(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -214,10 +227,8 @@ def masked_cost(A, W, L) -> float:
     tensor.CPFactor; W may be a Mask or a raw binary array of A's shape.
     """
     A = as_array(A, len(L.shape))
-    bitmap = as_bitmap(W, np.float64)
-    if bitmap.shape != A.shape or L.shape != A.shape:
-        raise ShapeError(
-            f"masked_cost shapes differ: A {A.shape}, W {bitmap.shape}, L {L.shape}"
-        )
+    bitmap = as_bitmap(W, np.float64, A.shape)
+    if L.shape != A.shape:
+        raise ShapeError(f"masked_cost shapes differ: A {A.shape}, L {L.shape}")
     R = (A - L.value()) * bitmap
     return float(np.sum(R * R))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols  # used at call time only; protocols imports masks too
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
+from .linalg import as_bitmap
 
 
 def _check_p(p: int, n: int) -> None:
@@ -33,15 +34,6 @@ def _check_partition(blocks, n: int, field: str) -> None:
         raise ParameterError(f"{field} must partition 0..{n - 1}")
     if any(len(blk) == 0 for blk in blocks):
         raise ParameterError(f"{field} contains an empty block")
-
-
-def _binary(cells, shape: tuple[int, ...]) -> np.ndarray:
-    B = np.asarray(cells)
-    if B.shape != shape:
-        raise ShapeError(f"explicit bitmap is {B.shape}, expected {shape}")
-    if not np.isin(B, (0, 1)).all():
-        raise ParameterError("explicit bitmap must be binary")
-    return B.astype(np.uint8)
 
 
 def block_index_map(blocks, n: int) -> np.ndarray:
@@ -285,7 +277,8 @@ class Explicit(_Pattern):
         return 3 if np.ndim(self.cells) == 3 else 2
 
     def bitmap(self, n):
-        return _binary(self.cells, (n,) * self.order)
+        # a copy, so that later writes to cells do not reach the mask
+        return as_bitmap(self.cells, np.uint8, (n,) * self.order).copy()
 
     def budget(self, k, eps, n):
         raise ParameterError(

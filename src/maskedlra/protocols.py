@@ -31,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError, ShapeError
+from .errors import ParameterError, ResourceError
 from . import masks
 from .linalg import as_bitmap
 
-ENUM_CAP = 4096  # largest n for exhaustive order-2 transcript enumeration
-ENUM_CAP_3 = 256  # largest n for order-3 enumeration
+# most cells of an exhaustive transcript enumeration: n <= 4096 at order 2,
+# n <= 256 at order 3
+ENUM_CELLS = 2**24
 
 ONE_SIDED_FAMILIES = ("equality-hash", "eq-mod-p", "sparse-set-eq", "neq3-multiparty")
 
@@ -392,9 +393,10 @@ def _shared_keys(spec: ProtocolSpec, seed: int, ndim: int):
 def _transcript_grid(spec: ProtocolSpec, seed: int):
     """(codes, labels) on the full grid of the family's order."""
     order = _order(spec)
-    cap = ENUM_CAP if order == 2 else ENUM_CAP_3
-    if spec.n > cap:
-        raise ResourceError(f"n={spec.n} exceeds the order-{order} enumeration cap {cap}")
+    if spec.n**order > ENUM_CELLS:
+        raise ResourceError(
+            f"n={spec.n} exceeds the enumeration cap: {spec.n}^{order} cells > {ENUM_CELLS}"
+        )
     idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
     return decide(spec, idx, _shared_keys(spec, seed, order))
 
@@ -579,10 +581,8 @@ def empirical_error_rates(
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
-    bitmap = as_bitmap(W, np.uint8)
     shape = (spec.n,) * _order(spec)
-    if bitmap.shape != shape:
-        raise ShapeError(f"W has shape {bitmap.shape}; {spec.describe()} needs {shape}")
+    bitmap = as_bitmap(W, np.uint8, shape)
     rng = np.random.default_rng(seed)
     idx = tuple(rng.integers(0, spec.n, size=trials) for _ in shape)
 

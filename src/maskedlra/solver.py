@@ -19,6 +19,7 @@ from .linalg import (
     Certificate,
     LowRankFactor,
     _spd_solve,
+    as_array,
     as_bitmap,
     hadamard,
     masked_cost,
@@ -157,8 +158,8 @@ def altmin_baseline(
         raise ParameterError(f"k={k} and restarts={restarts} must both be positive")
     if iters < 0:
         raise ParameterError(f"iters={iters} must be nonnegative")
-    A = np.asarray(A, dtype=np.float64)
-    WB = as_bitmap(W, np.uint8)
+    A = as_array(A, 2)
+    WB = as_bitmap(W, np.uint8, A.shape)
     n, m = A.shape
     rng = np.random.default_rng(seed)
     best = None
@@ -179,12 +180,12 @@ def altmin_baseline(
         for _ in range(iters):
             U = _solve_rows(A, WB, V, k, ridge_count)
             if trace:
-                half_costs.append(masked_cost(A, WB, LowRankFactor(U, V, k)))
+                half_costs.append(masked_cost(A, W, LowRankFactor(U, V, k)))
             V = _solve_rows(A.T, WB.T, U, k, ridge_count)
             if trace:
-                half_costs.append(masked_cost(A, WB, LowRankFactor(U, V, k)))
+                half_costs.append(masked_cost(A, W, LowRankFactor(U, V, k)))
         fac = LowRankFactor(U, V, k)
-        cost = masked_cost(A, WB, fac)
+        cost = masked_cost(A, W, fac)
         fac.meta.update(ridge_fallbacks=ridge_count[0], cost=cost)
         if trace:
             fac.meta["trace"] = half_costs

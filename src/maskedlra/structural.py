@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError
-from .linalg import Certificate, LowRankFactor, as_array, masked_cost, rhs_of
+from .linalg import Certificate, LowRankFactor, as_array, as_bitmap, masked_cost, rhs_of
 from .masks import Mask
 from .solver import masked_lra
 
@@ -60,9 +60,7 @@ def heavy_row_set(L, W: Mask, eps: float, k: int) -> HeavyRowSet:
     if getattr(L, "rank_bound", k) > k:
         raise ParameterError("candidate rank bound exceeds k")
     M = _value(L)
-    B = np.asarray(W.bitmap, dtype=np.float64)
-    if M.shape != B.shape:
-        raise ParameterError("mask shape differs from candidate shape")
+    B = as_bitmap(W, np.float64, M.shape)
     t = W.zero_counts.max_col
     budget = int(np.ceil(t * k / eps))
     sq = M * M
@@ -83,7 +81,7 @@ def row_patch_comparator(A, W: Mask, L: LowRankFactor, S) -> LowRankFactor:
     rank bound) is rank(L) + |S|.
     """
     A = as_array(A, 2)
-    B = np.asarray(W.bitmap, dtype=np.float64)
+    B = as_bitmap(W, np.float64, A.shape)
     S = tuple(sorted(int(i) for i in S))
     n, m = A.shape
     r = L.U.shape[1]

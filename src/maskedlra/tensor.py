@@ -138,7 +138,8 @@ def masked_tensor_lra(
     With init given, ALS monotonicity guarantees the full fit never exceeds
     the init's fit, so a comparator init transfers its cost bound.
     """
-    M = as_array(A, 3) * as_bitmap(W, np.float64)
+    A = as_array(A, 3)
+    M = A * as_bitmap(W, np.float64, A.shape)
     return cp_als(M, k_prime, iters=iters, seed=seed, restarts=LRA_RESTARTS, init=init)
 
 
@@ -160,7 +161,8 @@ def tensor_comparator(
         raise ParameterError(f"k={k} must be positive")
     if P.order != 3:
         raise ParameterError("tensor comparator needs an order-3 partition")
-    M = as_array(A, 3) * as_bitmap(W, np.float64)
+    A = as_array(A, 3)
+    M = A * as_bitmap(W, np.float64, A.shape)
 
     def fit(i, sets):
         f = cp_als(M[np.ix_(*sets)], k, iters=inner_iters, restarts=restarts, seed=seed + i)
@@ -193,13 +195,13 @@ def verify_tensor_bicriteria(
     if getattr(W, "pattern", None) != Diagonal3():
         raise ParameterError("the tensor route needs a Diagonal3 mask")
     A = as_array(A, 3)
+    M = A * as_bitmap(W, np.float64, A.shape)
     P = protocols.multiparty_partition(protocols.neq3_multiparty(W.n, eps), seed=seed)
     comp = tensor_comparator(A, W, P, k, inner_iters=iters, seed=seed)
     comp_cost = masked_cost(A, W, comp)
     k_prime = comp.U.shape[1]
     sol = masked_tensor_lra(A, W, k_prime, init=comp, iters=iters, seed=seed)
     cost = masked_cost(A, W, sol)
-    M = A * W.bitmap
     terms = (("eps1", 2.0 * eps, float(np.sum(M * M))), ("slack", 1e-6, float(np.sum(A * A))))
     return Certificate(
         route="tensor", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,

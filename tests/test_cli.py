@@ -5,7 +5,7 @@ import pytest
 
 from maskedlra.cli import main
 from maskedlra.harness import COLUMNS
-from maskedlra.io import load_mask, read_matrix
+from maskedlra.io import load_mask, read_matrix, read_tensor
 
 
 def _keys(out: str) -> list:
@@ -39,6 +39,21 @@ def test_gen_boolean_uses_the_boolean_default(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     meta = (out / "instance.txt").read_text().splitlines()
     assert "corruption_scale = 0.25" in meta
+
+
+def test_gen_tensor3_sparse_faces_round_trips(tmp_path):
+    out = tmp_path / "t"
+    rc = main(["gen", "--domain", "tensor3", "--pattern", "sparse-faces",
+               "--n", "6", "--k", "1", "--out", str(out)])
+    assert rc == 0
+    A = read_tensor(out / "A.mlrt")
+    W = read_tensor(out / "W.mlrt")
+    Ls = read_tensor(out / "Lstar.mlrt")
+    assert A.shape == W.shape == Ls.shape == (6, 6, 6)
+    assert set(np.unique(W)) == {0.0, 1.0}
+    # planted: exact on the support, corrupted only off it
+    assert np.array_equal(A * W, Ls * W)
+    assert "pattern = sparse-faces" in (out / "instance.txt").read_text()
 
 
 def test_gen_is_bitwise_deterministic(tmp_path):
@@ -106,6 +121,10 @@ def test_protocol_stats_families(capsys):
         ("eq-mod-p", ["--p", "4"]),
         ("greater-than", []),
         ("neq3-multiparty", []),
+        ("sparse-set-eq", []),
+        ("banded-gt", []),
+        ("monotone-gt", []),
+        ("banded2d-gt", ["--n", "16"]),
     ):
         rc = main(["protocol-stats", "--family", family, "--n", "32",
                    "--delta", "0.25", "--trials", "20000", "--seed", "0", *extra])

@@ -205,3 +205,103 @@ def test_rejects_nonfinite_input():
     A[0, 0] = np.nan
     with pytest.raises(ParameterError):
         svd_truncated(A, 1)
+
+
+# ---------------------------------------------------------------------------
+# mask arguments: linalg.as_bitmap is the one check of every solver's W
+
+
+def _with_entry(value, order=2, n=4):
+    """An all-ones raw mask with one off-diagonal cell set to value."""
+    W = np.ones((n,) * order)
+    W[(1,) + (0,) * (order - 1)] = value
+    return W
+
+
+def _entry_cases():
+    from maskedlra import (
+        altmin_baseline,
+        bool_cost,
+        comparator_from_partition,
+        cover_based_bool_lra,
+        empirical_error_rates,
+        equality_hash,
+        masked_lra,
+        masked_tensor_lra,
+        nondet_cover,
+        sample_partition,
+    )
+    from maskedlra.io import write_bitmap
+
+    A, B = np.ones((4, 4)), np.ones((4, 4), dtype=np.uint8)
+    return {
+        "masked_cost": (2, lambda W, tmp: masked_cost(A, W, zero_factor(4, 4))),
+        "masked_lra": (2, lambda W, tmp: masked_lra(A, W, 1)),
+        "comparator_from_partition": (2, lambda W, tmp: comparator_from_partition(
+            A, W, sample_partition(equality_hash(4, 0.5)), 1)),
+        "altmin_baseline": (2, lambda W, tmp: altmin_baseline(A, W, 1, iters=1)),
+        "empirical_error_rates": (2, lambda W, tmp: empirical_error_rates(
+            equality_hash(4, 0.5), W, 10)),
+        "bool_cost": (2, lambda W, tmp: bool_cost(B, B, W)),
+        "cover_based_bool_lra": (2, lambda W, tmp: cover_based_bool_lra(
+            B, W, nondet_cover("neq-bits", 4), 1)),
+        "masked_tensor_lra": (3, lambda W, tmp: masked_tensor_lra(np.ones((4, 4, 4)), W, 1)),
+        "write_bitmap": (2, lambda W, tmp: write_bitmap(tmp / "w.mlrb", W)),
+    }
+
+
+@pytest.mark.parametrize("value", [2, 0.5])
+@pytest.mark.parametrize("name", list(_entry_cases()))
+def test_raw_mask_entries_must_be_binary(tmp_path, name, value):
+    order, call = _entry_cases()[name]
+    with pytest.raises(ParameterError, match="bitmap entries must be 0 or 1"):
+        call(_with_entry(value, order), tmp_path)
+
+
+def _shape_cases():
+    from maskedlra import (
+        Diagonal,
+        Diagonal3,
+        LowRankFactor,
+        altmin_baseline,
+        heavy_row_set,
+        make_mask,
+        masked_tensor_lra,
+        multiparty_partition,
+        neq3_multiparty,
+        row_patch_comparator,
+        tensor_comparator,
+        verify_tensor_bicriteria,
+    )
+
+    A, T = np.ones((4, 4)), np.ones((4, 4, 4))
+    L = LowRankFactor(np.ones((4, 1)), np.ones((4, 1)), 1)
+    P = multiparty_partition(neq3_multiparty(4, 0.5))
+    return {
+        "altmin_baseline": lambda: altmin_baseline(A, np.ones((4, 5)), 1, iters=1),
+        "masked_tensor_lra": lambda: masked_tensor_lra(T, np.ones((4, 4, 5)), 1),
+        "tensor_comparator": lambda: tensor_comparator(T, np.ones((5, 5, 5)), P, 1),
+        "row_patch_comparator": lambda: row_patch_comparator(
+            A, make_mask(Diagonal(), 5), L, ()),
+        "heavy_row_set": lambda: heavy_row_set(L, make_mask(Diagonal(), 5), 0.5, 1),
+        "verify_tensor_bicriteria": lambda: verify_tensor_bicriteria(
+            T, make_mask(Diagonal3(), 5), 1, 0.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_shape_cases()))
+def test_mask_of_another_shape_is_a_shape_error(name):
+    with pytest.raises(ShapeError, match="mask shape"):
+        _shape_cases()[name]()
+
+
+def test_as_bitmap_keeps_a_mask_unchecked_and_a_binary_array_as_is():
+    from maskedlra import Diagonal, make_mask
+    from maskedlra.linalg import as_bitmap
+
+    W = make_mask(Diagonal(), 3)
+    assert as_bitmap(W, np.uint8, (3, 3)) is W.bitmap
+    bits = np.array([[False, True], [True, False]])
+    assert np.array_equal(as_bitmap(bits, np.float64), [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ParameterError):
+        as_bitmap(np.array([[np.nan, 1.0]]), np.uint8)

@@ -9,6 +9,7 @@ import pytest
 from maskedlra import (
     Diagonal,
     ParameterError,
+    ResourceError,
     ShapeError,
     banded2d_gt,
     banded_gt,
@@ -26,6 +27,7 @@ from maskedlra import (
     sparse_set_eq,
     transcript_cap,
 )
+from maskedlra import protocols
 from maskedlra.io import write_partition
 from maskedlra.protocols import (
     ONE_SIDED_FAMILIES,
@@ -34,6 +36,7 @@ from maskedlra.protocols import (
     _transcript_grid,
     assemble,
     decide,
+    partition_bitmap,
     protocol_cube,
     target_bitmap,
 )
@@ -571,3 +574,36 @@ def test_group_cells_matches_reference_on_random_box_partitions(order, span):
 def test_group_cells_matches_reference_on_family_grids(spec):
     for seed in (0, 1):
         _assert_matches_reference(*_transcript_grid(spec, seed))
+
+
+def test_one_cell_cap_for_both_orders(monkeypatch):
+    # 2^24 cells is n = 4096 at order 2 and n = 256 at order 3; a smaller cap
+    # shows the same rule at sizes a test can enumerate: 64 = 8^2 = 4^3
+    monkeypatch.setattr(protocols, "ENUM_CELLS", 64)
+    sample_partition(equality_hash(8, 0.5))
+    sample_partition(neq3_multiparty(4, 0.5))
+    for spec in (equality_hash(9, 0.5), neq3_multiparty(5, 0.5)):
+        with pytest.raises(ResourceError, match="enumeration cap"):
+            sample_partition(spec)
+    monkeypatch.undo()
+    with pytest.raises(ResourceError, match="enumeration cap"):
+        sample_partition(neq3_multiparty(257, 0.5))
+
+
+@pytest.mark.parametrize("spec", [
+    greater_than(64, 1e-6),
+    monotone_gt(tuple(range(64)), 1e-6),
+], ids=["greater-than", "monotone-gt"])
+def test_partition_matches_protocol_when_gt_compacts_its_codes(spec):
+    # at delta = 1e-6 the transcript outgrows 62 bits, so _gt re-indexes its codes
+    P = sample_partition(spec)
+    got = partition_bitmap(P)
+    assert np.array_equal(got, protocol_matrix(spec).bitmap)
+    assert np.array_equal(got, target_bitmap(spec))
+
+
+def test_order3_partition_matches_protocol_cube():
+    spec = neq3_multiparty(8, 0.5)
+    for seed in (0, 1):
+        P = multiparty_partition(spec, seed=seed)
+        assert np.array_equal(partition_bitmap(P), protocol_cube(spec, seed))

@@ -10,6 +10,7 @@ from maskedlra import (
     BlockDiagonal,
     BlockSparse,
     Diagonal,
+    Explicit,
     LowRankFactor,
     Monotone,
     ParameterError,
@@ -337,3 +338,23 @@ def test_target_bitmap_matches_mask_for_patterned_routes(name, eps, budget, desc
     assert np.array_equal(target_bitmap(spec), make_mask(pattern, _N).bitmap)
     assert rank_budget(pattern, 2, eps, n=_N) == budget
     assert spec.describe() == described
+
+
+def test_verify_bicriteria_on_an_explicit_mask_budgets_from_the_draw():
+    spec = equality_hash(32, 0.5)
+    W = make_mask(Explicit(target_bitmap(spec)), 32)
+    A = np.random.default_rng(0).standard_normal((32, 32))
+    cert = verify_bicriteria(A, W, 2, 0.5, spec=spec)
+    assert cert.pattern == "explicit"
+    assert cert.k_prime == 2 * cert.one_count == 4
+    assert cert.rect_count == 4
+    assert cert.satisfied
+
+
+def test_altmin_pads_a_narrow_init_with_zero_columns():
+    inst = gen_planted("matrix", Diagonal(), 8, 1, seed=4)
+    L = altmin_baseline(inst.A, inst.W, 3, iters=0, init=inst.L_star)
+    assert L.U.shape == (8, 3) and L.V.shape == (8, 3)
+    assert np.array_equal(L.U, np.hstack([inst.L_star.U, np.zeros((8, 2))]))
+    assert np.array_equal(L.V, np.hstack([inst.L_star.V, np.zeros((8, 2))]))
+    assert L.meta["cost"] == masked_cost(inst.A, inst.W, inst.L_star)

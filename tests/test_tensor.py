@@ -281,3 +281,17 @@ def test_comparator_checks_k_before_any_fit():
         for k in (0, -2):
             with pytest.raises(ParameterError, match=f"k={k}"):
                 tensor_comparator(A, W, P, k)
+
+
+def test_cp_als_pads_a_narrow_init_with_zero_columns():
+    rng = np.random.default_rng(6)
+    u, v, z = rng.standard_normal((3, 5))
+    T = _rank1(u, v, z) + 0.1 * rng.standard_normal((5, 5, 5))
+    init = CPFactor(u[:, None], v[:, None], z[:, None], 1)
+    F = cp_als(T, 3, iters=5, init=init)
+    assert F.U.shape == F.V.shape == F.Z.shape == (5, 3)
+    # a zero column makes the Gram matrix singular; the ridge solve keeps it zero
+    for X in (F.U, F.V, F.Z):
+        assert not X[:, 1:].any()
+    assert F.meta["ridge_fallbacks"] > 0
+    assert F.meta["residual"] <= float(np.sum((T - init.value()) ** 2))
