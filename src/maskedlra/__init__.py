@@ -18,7 +18,6 @@ from .errors import (
 from .linalg import (
     Certificate,
     LowRankFactor,
-    hadamard,
     masked_cost,
     svd_truncated,
 )
@@ -69,7 +68,6 @@ from .solver import (
     verify_bicriteria,
 )
 from .tensor import (
-    CPFactor,
     cp_als,
     masked_tensor_lra,
     tensor_comparator,

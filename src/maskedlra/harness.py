@@ -21,7 +21,6 @@ from . import masks as mk
 from . import protocols as pr
 from . import solver as sv
 from . import structural as st
-from . import tensor as tn
 from .errors import MaskedLRAError, ParameterError, ResourceError
 from .linalg import Certificate, LowRankFactor, masked_cost
 
@@ -91,8 +90,8 @@ def gen_planted(
         raise ParameterError(f"{domain} needs an order-{order} pattern, got {pattern.tag!r}")
     if domain != "boolean":
         B = W.bitmap.astype(np.float64)
-        factors = [rng.standard_normal((n, k)) for _ in range(order)]
-        L = LowRankFactor(*factors, k) if order == 2 else tn.CPFactor(*factors, k)
+        U, V, *Z = (rng.standard_normal((n, k)) for _ in range(order))
+        L = LowRankFactor(U, V, k, Z=Z[0] if Z else None)
         base = L.value()
         scale = corruption_scale * float(np.linalg.norm(base)) / n
         A = (

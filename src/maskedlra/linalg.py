@@ -1,6 +1,6 @@
-"""Dense real linear algebra: Hadamard products, the masked squared
-Frobenius cost of a matrix or an order-3 tensor, exact truncated SVD, and
-the Certificate record every verifier returns.
+"""Dense real linear algebra: the low-rank factor of a matrix or an order-3
+tensor, its masked squared Frobenius cost, exact truncated SVD, the start
+of both ALS solvers, and the Certificate record every verifier returns.
 
 The exact truncated SVD picks one of three drivers from the shape alone:
 ARPACK's partial SVD (svds) when k is small next to min(n, m) and
@@ -72,35 +72,44 @@ def as_bitmap(W, dtype, shape=None) -> np.ndarray:
 
 @dataclass
 class LowRankFactor:
-    """Rank-bounded factorization: the represented value is U @ V.T.
+    """Rank-bounded factorization of a matrix, or of an order-3 tensor.
 
-    U is n x r, V is m x r, and rank_bound = r bounds the rank of the
-    product. meta carries solver annotations (e.g. ridge fallbacks) and
-    does not participate in the represented value.
+    The represented value is U @ V.T; with a third-axis factor Z it is the
+    CP sum over c of U[i,c] V[j,c] Z[l,c]. Every factor has the same width
+    r, and rank_bound >= r bounds the (CP) rank. meta carries solver
+    annotations (e.g. ridge fallbacks) and does not participate in the
+    represented value.
     """
 
     U: np.ndarray
     V: np.ndarray
     rank_bound: int
     meta: dict = field(default_factory=dict)
+    Z: np.ndarray | None = None
 
     def __post_init__(self):
         self.U = as_array(self.U, 2)
         self.V = as_array(self.V, 2)
-        if self.U.shape[1] != self.V.shape[1]:
-            raise ShapeError(
-                f"factor widths differ: U has {self.U.shape[1]} columns, "
-                f"V has {self.V.shape[1]}"
-            )
-        if self.rank_bound < self.U.shape[1]:
+        if self.Z is not None:
+            self.Z = as_array(self.Z, 2)
+        widths = [X.shape[1] for X in self.factors]
+        if len(set(widths)) != 1:
+            raise ShapeError(f"factor widths differ: {widths}")
+        if self.rank_bound < widths[0]:
             raise ParameterError("rank_bound below factor width")
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.U.shape[0], self.V.shape[0])
+    def factors(self) -> tuple:
+        return (self.U, self.V) if self.Z is None else (self.U, self.V, self.Z)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(X.shape[0] for X in self.factors)
 
     def value(self) -> np.ndarray:
-        return self.U @ self.V.T
+        if self.Z is None:
+            return self.U @ self.V.T
+        return np.einsum("ic,jc,lc->ijl", self.U, self.V, self.Z)
 
 
 @dataclass(frozen=True)
@@ -143,17 +152,10 @@ def rhs_of(terms):
     return sum(coef * base for _, coef, base in terms)
 
 
-def zero_factor(n: int, m: int) -> LowRankFactor:
-    return LowRankFactor(np.zeros((n, 1)), np.zeros((m, 1)), 1)
-
-
-def hadamard(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    A = as_array(A, 2)
-    B = as_array(B, 2)
-    if A.shape != B.shape:
-        raise ShapeError(f"hadamard shapes differ: {A.shape} vs {B.shape}")
-    return A * B
+def zero_factor(*shape) -> LowRankFactor:
+    """The zero matrix or order-3 tensor of the given shape, at width 1."""
+    U, V, *Z = (np.zeros((size, 1)) for size in shape)
+    return LowRankFactor(U, V, 1, Z=Z[0] if Z else None)
 
 
 def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
@@ -220,11 +222,25 @@ def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:
         return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), B)
 
 
+def _als_start(init, shape, k: int, rng) -> list:
+    """The first factors of an ALS run at width k, one per axis of shape.
+
+    init's factors are cut or zero-padded to width k; with no init, each
+    axis draws a standard-normal (size, k) block from rng, in axis order.
+    """
+    if init is None:
+        return [rng.standard_normal((size, k)) for size in shape]
+    if init.shape != shape:
+        raise ShapeError(f"init shape {init.shape} differs from the data's {shape}")
+    return [np.hstack([X[:, :k], np.zeros((len(X), max(0, k - X.shape[1])))])
+            for X in init.factors]
+
+
 def masked_cost(A, W, L) -> float:
     """Sum of (A - L)^2 over the cells where the mask is 1.
 
-    A is a matrix with L a LowRankFactor, or an order-3 tensor with L a
-    tensor.CPFactor; W may be a Mask or a raw binary array of A's shape.
+    A is a matrix or an order-3 tensor, L a LowRankFactor of the same
+    order; W may be a Mask or a raw binary array of A's shape.
     """
     A = as_array(A, len(L.shape))
     bitmap = as_bitmap(W, np.float64, A.shape)

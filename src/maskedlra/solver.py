@@ -18,10 +18,10 @@ from .errors import ParameterError
 from .linalg import (
     Certificate,
     LowRankFactor,
+    _als_start,
     _spd_solve,
     as_array,
     as_bitmap,
-    hadamard,
     masked_cost,
     rhs_of,
     svd_truncated,
@@ -34,7 +34,8 @@ def masked_lra(A, W, k_prime: int) -> LowRankFactor:
 
     The factor never sees the mask beyond the zero fill.
     """
-    return svd_truncated(hadamard(A, as_bitmap(W, np.float64)), k_prime)
+    A = as_array(A, 2)
+    return svd_truncated(A * as_bitmap(W, np.float64, A.shape), k_prime)
 
 
 def comparator_from_partition(
@@ -47,7 +48,8 @@ def comparator_from_partition(
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
-    M = hadamard(A, as_bitmap(W, np.float64))
+    A = as_array(A, 2)
+    M = A * as_bitmap(W, np.float64, A.shape)
 
     def fit(i, sets):
         rows, cols = sets
@@ -62,7 +64,8 @@ def comparator_from_partition(
 
 def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
     """The exact solver at rank_bound(comparator) never loses to the comparator."""
-    M = hadamard(A, as_bitmap(W, np.float64))
+    A = as_array(A, 2)
+    M = A * as_bitmap(W, np.float64, A.shape)
     Lbar = comparator_from_partition(A, W, P, k)
     kp = max(1, min(k * P.one_count, min(M.shape)))
     L = masked_lra(A, W, kp)
@@ -90,7 +93,9 @@ def verify_bicriteria(
     two-sided protocol families only, eps2 = eps times the off-mask mass of
     the supplied rank-k candidate.
     """
-    A = np.asarray(A, dtype=np.float64)
+    if not isinstance(W, masks.Mask):
+        raise ParameterError("bicriteria verification needs a structured mask")
+    A = as_array(A, 2)
     if spec is None:
         spec = W.pattern.spec(W.n, eps)
     sample = protocols.sample_partition(spec, seed)
@@ -105,14 +110,14 @@ def verify_bicriteria(
     if not one_sided and L_for_eps2 is None:
         raise ParameterError("two-sided protocol needs L_for_eps2 as the candidate")
 
-    M = hadamard(A, as_bitmap(W, np.float64))
+    M = A * as_bitmap(W, np.float64, A.shape)
     L = masked_lra(A, W, k_prime)
     cost = masked_cost(A, W, L)
     mass = float(np.sum(M * M))
     # a zero-error protocol mislabels nothing, so it is charged no mass term
     terms = (("opt_upper", 1.0, opt_upper), ("eps1", 2 * eps if spec.delta > 0 else 0.0, mass))
     if not one_sided:
-        off = hadamard(L_for_eps2.value(), 1.0 - as_bitmap(W, np.float64))
+        off = L_for_eps2.value() * (1.0 - as_bitmap(W, np.float64, L_for_eps2.shape))
         terms += (("eps2", eps, float(np.sum(off * off))),)
     rhs = rhs_of(terms)
     return Certificate(
@@ -160,22 +165,13 @@ def altmin_baseline(
         raise ParameterError(f"iters={iters} must be nonnegative")
     A = as_array(A, 2)
     WB = as_bitmap(W, np.uint8, A.shape)
-    n, m = A.shape
     rng = np.random.default_rng(seed)
     best = None
     best_cost = math.inf
     costs = []
     for r in range(restarts):
         ridge_count = [0]
-        if init is not None and r == 0:
-            U = init.U[:, :k].copy()
-            V = init.V[:, :k].copy()
-            if U.shape[1] < k:
-                U = np.hstack([U, np.zeros((n, k - U.shape[1]))])
-                V = np.hstack([V, np.zeros((m, k - V.shape[1]))])
-        else:
-            U = rng.standard_normal((n, k))
-            V = rng.standard_normal((m, k))
+        U, V = _als_start(init if r == 0 else None, A.shape, k, rng)
         half_costs = []
         for _ in range(iters):
             U = _solve_rows(A, WB, V, k, ridge_count)

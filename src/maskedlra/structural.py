@@ -46,8 +46,11 @@ def leverage_scores(L) -> np.ndarray:
     return np.sum(Q[:, :rank] ** 2, axis=1)
 
 
-def heavy_row_set(L, W: Mask, eps: float, k: int) -> HeavyRowSet:
+def heavy_row_set(L, W, eps: float, k: int) -> HeavyRowSet:
     """Top rows of L by mass on W's zeros, with the ceil(tk/eps) budget.
+
+    t is the largest zero count in any column of W, a Mask or a raw binary
+    array of L's shape.
 
     Greedy selection minimizes the remaining off-support mass over all sets
     of the budgeted size, so the guaranteed existence of a good set makes
@@ -61,7 +64,7 @@ def heavy_row_set(L, W: Mask, eps: float, k: int) -> HeavyRowSet:
         raise ParameterError("candidate rank bound exceeds k")
     M = _value(L)
     B = as_bitmap(W, np.float64, M.shape)
-    t = W.zero_counts.max_col
+    t = int((B == 0).sum(axis=0).max(initial=0))
     budget = int(np.ceil(t * k / eps))
     sq = M * M
     zero_mass = (sq * (1.0 - B)).sum(axis=1)

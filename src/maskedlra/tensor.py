@@ -2,54 +2,35 @@
 comparator.
 
 Order-3 masks (Diagonal3, SparseFaces, a 3-d Explicit) live in masks, and
-linalg.masked_cost charges their cost. Tensors are 3-d float64 arrays. CP
-factors hold one matrix per mode; the represented value at (i,j,l) is
-sum_c U[i,c] V[j,c] Z[l,c]. Cost bounds are certified only against planted
-feasible candidates: the true optimum is an infimum that border-rank
-effects can make unattainable.
+linalg.masked_cost charges their cost. Tensors are 3-d float64 arrays. A CP
+fit is a linalg.LowRankFactor with a third-axis factor Z; the represented
+value at (i,j,l) is sum_c U[i,c] V[j,c] Z[l,c]. Cost bounds are certified
+only against planted feasible candidates: the true optimum is an infimum
+that border-rank effects can make unattainable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import protocols
-from .errors import ParameterError, ShapeError
-from .linalg import Certificate, _spd_solve, as_array, as_bitmap, masked_cost, rhs_of
+from .errors import ParameterError
+from .linalg import (
+    Certificate,
+    LowRankFactor,
+    _als_start,
+    _spd_solve,
+    as_array,
+    as_bitmap,
+    masked_cost,
+    rhs_of,
+    zero_factor,
+)
 from .masks import Diagonal3
 
 # ALS runs of masked_tensor_lra. A comparator init is the first run and the
 # best run wins, so one run already keeps the init's cost bound.
 LRA_RESTARTS = 1
-
-
-@dataclass
-class CPFactor:
-    U: np.ndarray
-    V: np.ndarray
-    Z: np.ndarray
-    rank_bound: int
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        r = self.U.shape[1]
-        if self.V.shape[1] != r or self.Z.shape[1] != r:
-            raise ShapeError("CP factor widths differ")
-        if self.rank_bound < r:
-            raise ParameterError("rank_bound below factor width")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.U.shape[0], self.V.shape[0], self.Z.shape[0])
-
-    def value(self) -> np.ndarray:
-        return np.einsum("ic,jc,lc->ijl", self.U, self.V, self.Z)
-
-
-def zero_cp(n1: int, n2: int, n3: int) -> CPFactor:
-    return CPFactor(np.zeros((n1, 1)), np.zeros((n2, 1)), np.zeros((n3, 1)), 1)
 
 
 def _khatri_rao(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -71,13 +52,14 @@ def cp_als(
     tol: float = 1e-8,
     seed: int = 0,
     restarts: int = 1,
-    init: CPFactor | None = None,
-) -> CPFactor:
+    init: LowRankFactor | None = None,
+) -> LowRankFactor:
     """Alternating least squares CP fit, sweep order U then V then Z.
 
     The full Frobenius fit is nonincreasing per sweep; stops early when the
     relative improvement drops below tol. Best restart wins; a provided
-    init replaces the random start of the first restart.
+    init, cut or zero-padded to width k, replaces the random start of the
+    first restart.
     """
     T = as_array(T, 3)
     if k < 1:
@@ -95,30 +77,19 @@ def cp_als(
     best_res = np.inf
     for r in range(restarts):
         ridge_count = [0]
-        if init is not None and r == 0:
-            U, V, Z = init.U.copy(), init.V.copy(), init.Z.copy()
-            if U.shape[1] < k:
-                pad = k - U.shape[1]
-                U = np.hstack([U, np.zeros((n1, pad))])
-                V = np.hstack([V, np.zeros((n2, pad))])
-                Z = np.hstack([Z, np.zeros((n3, pad))])
-        else:
-            U = rng.standard_normal((n1, k))
-            V = rng.standard_normal((n2, k))
-            Z = rng.standard_normal((n3, k))
+        U, V, Z = _als_start(init if r == 0 else None, T.shape, k, rng)
         prev = np.inf
         sweeps = 0
         for sweeps in range(1, iters + 1):
             U = _als_update(T0, V, Z, ridge_count)
             V = _als_update(T1, U, Z, ridge_count)
             Z = _als_update(T2, U, V, ridge_count)
-            fit = CPFactor(U, V, Z, max(k, U.shape[1]))
-            res = float(np.sum((T - fit.value()) ** 2))
+            res = float(np.sum((T - np.einsum("ic,jc,lc->ijl", U, V, Z)) ** 2))
             if prev - res <= tol * max(norm_T, 1e-300):
                 prev = res
                 break
             prev = res
-        fac = CPFactor(U, V, Z, max(k, U.shape[1]))
+        fac = LowRankFactor(U, V, k, Z=Z)
         fac.meta.update(residual=prev, sweeps=sweeps, ridge_fallbacks=ridge_count[0])
         if prev < best_res:
             best, best_res = fac, prev
@@ -129,10 +100,10 @@ def masked_tensor_lra(
     A,
     W,
     k_prime: int,
-    init: CPFactor | None = None,
+    init: LowRankFactor | None = None,
     iters: int = 100,
     seed: int = 0,
-) -> CPFactor:
+) -> LowRankFactor:
     """CP fit of A*W at rank k_prime (zero-fill heuristic, order 3).
 
     With init given, ALS monotonicity guarantees the full fit never exceeds
@@ -151,7 +122,7 @@ def tensor_comparator(
     inner_iters: int = 100,
     restarts: int = 3,
     seed: int = 0,
-) -> CPFactor:
+) -> LowRankFactor:
     """Per-1-rectangle CP fits of A*W, zero-extended and concatenated.
 
     The achieved per-rectangle cost (ALS, 3 restarts by default) replaces
@@ -170,8 +141,9 @@ def tensor_comparator(
 
     factors = protocols.assemble(P.rectangles, M.shape, fit)
     if factors is None:
-        return zero_cp(*M.shape)
-    return CPFactor(*factors, k * P.one_count)
+        return zero_factor(*M.shape)
+    U, V, Z = factors
+    return LowRankFactor(U, V, k * P.one_count, Z=Z)
 
 
 def verify_tensor_bicriteria(

@@ -8,30 +8,14 @@ import scipy.sparse.linalg
 from maskedlra import (
     NumericalError,
     ParameterError,
+    LowRankFactor,
     ShapeError,
-    hadamard,
+    altmin_baseline,
+    cp_als,
     masked_cost,
     svd_truncated,
 )
-from maskedlra.linalg import zero_factor
-
-
-def test_hadamard_identity_mask():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = hadamard(A, np.eye(2))
-    assert np.array_equal(out, np.array([[1.0, 0.0], [0.0, 4.0]]))
-
-
-def test_hadamard_ones_and_zeros():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((3, 5))
-    assert np.array_equal(hadamard(A, np.ones((3, 5))), A)
-    assert np.array_equal(hadamard(A, np.zeros((3, 5))), np.zeros((3, 5)))
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ShapeError):
-        hadamard(np.ones((2, 2)), np.ones((2, 3)))
+from maskedlra.linalg import _als_start, zero_factor
 
 
 def test_entrywise_norm_matches_singular_values():
@@ -176,7 +160,7 @@ def test_masked_cost_ones_minus_identity():
 
 
 def test_masked_cost_matches_definition():
-    # definitional cross-check against hadamard + a sum of squares
+    # definitional cross-check against an entrywise product + a sum of squares
     rng = np.random.default_rng(19)
     A = rng.standard_normal((6, 6))
     bits = (rng.random((6, 6)) < 0.6).astype(np.uint8)
@@ -184,7 +168,7 @@ def test_masked_cost_matches_definition():
 
     W = make_mask(Explicit(bits), 6)
     L = svd_truncated(A, 2)
-    want = float(np.sum(hadamard(bits.astype(float), A - L.value()) ** 2))
+    want = float(np.sum((bits * (A - L.value())) ** 2))
     got = masked_cost(A, W, L)
     assert abs(got - want) <= 1e-12 * max(1.0, want)
 
@@ -305,3 +289,67 @@ def test_as_bitmap_keeps_a_mask_unchecked_and_a_binary_array_as_is():
     assert np.array_equal(as_bitmap(bits, np.float64), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ParameterError):
         as_bitmap(np.array([[np.nan, 1.0]]), np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# LowRankFactor of order 3 and the start both ALS solvers share
+
+
+def test_order3_factor_checks_its_factors():
+    col = np.ones((3, 1))
+    with pytest.raises(ShapeError):
+        LowRankFactor(np.ones(3), np.ones(3), 1, Z=np.ones(3))
+    with pytest.raises(ShapeError):
+        LowRankFactor(col, col, 1, Z=np.ones(3))
+    with pytest.raises(ShapeError, match="widths differ"):
+        LowRankFactor(col, col, 2, Z=np.ones((3, 2)))
+    with pytest.raises(ParameterError, match="finite"):
+        LowRankFactor(col, col, 1, Z=np.array([[1.0], [np.nan], [1.0]]))
+
+
+def test_zero_factor_of_order_3():
+    A = np.random.default_rng(2).standard_normal((4, 3, 5))
+    F = zero_factor(4, 3, 5)
+    assert F.shape == (4, 3, 5) and len(F.factors) == 3
+    assert masked_cost(A, np.ones((4, 3, 5)), F) == float(np.sum(A * A))
+
+
+def _factor(factors, k):
+    return LowRankFactor(factors[0], factors[1], k, Z=factors[2] if len(factors) == 3 else None)
+
+
+_SOLVERS = {
+    2: lambda A, k, **kw: altmin_baseline(A, np.ones(A.shape), k, iters=2, **kw),
+    3: lambda A, k, **kw: cp_als(A, k, iters=2, **kw),
+}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_both_als_solvers_share_one_start(order):
+    solve = _SOLVERS[order]
+    shape, k = (5, 4, 6)[:order], 2
+    rng = np.random.default_rng(order)
+    A = rng.standard_normal(shape)
+    narrow = [rng.standard_normal((size, 1)) for size in shape]
+    wide = [rng.standard_normal((size, 3)) for size in shape]
+    padded = [np.hstack([X, np.zeros((len(X), 1))]) for X in narrow]
+    # a narrow init is zero-padded to width k, a wide one cut to width k
+    for init, same in ((narrow, padded), (wide, [X[:, :k] for X in wide])):
+        F = solve(A, k, init=_factor(init, init[0].shape[1]))
+        G = solve(A, k, init=_factor(same, k))
+        assert [X.shape for X in F.factors] == [(size, k) for size in shape]
+        assert all(np.array_equal(X, Y) for X, Y in zip(F.factors, G.factors))
+    # without an init, each axis draws standard_normal((size, k)) in axis order
+    old = np.random.default_rng(7)
+    draws = [old.standard_normal((size, k)) for size in shape]
+    start = _als_start(None, shape, k, np.random.default_rng(7))
+    assert all(np.array_equal(X, Y) for X, Y in zip(start, draws))
+    F, G = solve(A, k, seed=7), solve(A, k, init=_factor(draws, k))
+    assert all(np.array_equal(X, Y) for X, Y in zip(F.factors, G.factors))
+
+
+def test_als_start_rejects_an_init_of_another_shape():
+    with pytest.raises(ShapeError, match="init shape"):
+        cp_als(np.ones((3, 3, 3)), 1, init=zero_factor(3, 3, 4))
+    with pytest.raises(ShapeError, match="init shape"):
+        altmin_baseline(np.ones((3, 3)), np.ones((3, 3)), 1, init=zero_factor(3, 3, 3))

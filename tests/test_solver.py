@@ -358,3 +358,10 @@ def test_altmin_pads_a_narrow_init_with_zero_columns():
     assert np.array_equal(L.U, np.hstack([inst.L_star.U, np.zeros((8, 2))]))
     assert np.array_equal(L.V, np.hstack([inst.L_star.V, np.zeros((8, 2))]))
     assert L.meta["cost"] == masked_cost(inst.A, inst.W, inst.L_star)
+
+
+def test_verify_bicriteria_rejects_a_raw_mask():
+    A = np.ones((4, 4))
+    for spec in (None, equality_hash(4, 0.5)):
+        with pytest.raises(ParameterError, match="structured mask"):
+            verify_bicriteria(A, np.ones((4, 4)), 1, 0.5, spec=spec)

@@ -173,3 +173,12 @@ def test_verify_structural_zero_matrix():
     rep = verify_structural_bicriteria(np.zeros((12, 12)), W, 1, 0.5, 0.0)
     assert rep.cost == 0.0
     assert rep.satisfied
+
+
+def test_heavy_rows_read_t_from_a_raw_mask():
+    M = np.random.default_rng(3).standard_normal((8, 8))
+    W = make_mask(Diagonal(), 8)
+    want = heavy_row_set(_factor(M, 8), W, 0.5, 8)
+    assert heavy_row_set(_factor(M, 8), W.bitmap, 0.5, 8) == want
+    assert want.budget == 16  # t = 1 zero per column
+    assert heavy_row_set(_factor(M, 8), np.ones((8, 8)), 0.5, 8).budget == 0

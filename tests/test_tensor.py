@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from maskedlra import (
-    CPFactor,
     Diagonal3,
+    LowRankFactor,
     ParameterError,
     PartitionSample,
     Rectangle,
@@ -107,7 +107,7 @@ def test_masked_cost3_trivials_and_oracle():
     U = rng.standard_normal((4, 2))
     V = rng.standard_normal((3, 2))
     Z = rng.standard_normal((5, 2))
-    F = CPFactor(U, V, Z, 2)
+    F = LowRankFactor(U, V, 2, Z=Z)
     W = (rng.random((4, 3, 5)) < 0.5).astype(np.uint8)
     # direct triple-loop summation oracle
     want = 0.0
@@ -120,7 +120,7 @@ def test_masked_cost3_trivials_and_oracle():
     got = masked_cost(A, W, F)
     assert abs(got - want) <= 1e-12 * max(1.0, want)
     assert masked_cost(val, W, F) == 0.0
-    zeroF = CPFactor(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((5, 1)), 1)
+    zeroF = LowRankFactor(np.zeros((4, 1)), np.zeros((3, 1)), 1, Z=np.zeros((5, 1)))
     assert masked_cost(A, np.ones_like(W), zeroF) == pytest.approx(float(np.sum(A * A)))
 
 
@@ -287,7 +287,7 @@ def test_cp_als_pads_a_narrow_init_with_zero_columns():
     rng = np.random.default_rng(6)
     u, v, z = rng.standard_normal((3, 5))
     T = _rank1(u, v, z) + 0.1 * rng.standard_normal((5, 5, 5))
-    init = CPFactor(u[:, None], v[:, None], z[:, None], 1)
+    init = LowRankFactor(u[:, None], v[:, None], 1, Z=z[:, None])
     F = cp_als(T, 3, iters=5, init=init)
     assert F.U.shape == F.V.shape == F.Z.shape == (5, 3)
     # a zero column makes the Gram matrix singular; the ridge solve keeps it zero
