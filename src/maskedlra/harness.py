@@ -296,7 +296,8 @@ def run_suite(config) -> ExperimentReport:
                         row = run_cell(route, n, eps, seed, cfg, report.protocol_stats)
                     except MaskedLRAError as e:  # recorded, never aborts the sweep
                         nan = float("nan")
-                        values = (route, n, cfg["k"], 0, eps, 0.0, 0.0, seed, nan, nan, nan, False)
+                        values = (ROUTES[route], n, cfg["k"], 0, eps, 0.0, 0.0, seed,
+                                  nan, nan, nan, False)
                         row = dict(zip(COLUMNS, values), note=f"{type(e).__name__}: {e}")
                     report.rows.append(row)
     report.rows.sort(key=lambda r: (r["pattern"], r["n"], r["eps1"], r["seed"]))

@@ -1,6 +1,7 @@
 """Dense real linear algebra: the low-rank factor of a matrix or an order-3
 tensor, its masked squared Frobenius cost, exact truncated SVD, the start
-of both ALS solvers, and the Certificate record every verifier returns.
+and the Gram solves of both ALS solvers, and the Certificate record every
+verifier returns.
 
 The exact truncated SVD picks one of three drivers from the shape alone:
 ARPACK's partial SVD (svds) when k is small next to min(n, m) and
@@ -22,8 +23,8 @@ import scipy.sparse.linalg
 
 from .errors import NumericalError, ParameterError, ShapeError
 
-# Tikhonov term added to Gram matrices in the least-squares solves of the
-# matrix and tensor comparators.
+# Tikhonov term added to a Gram matrix that is not positive definite in the
+# least-squares solves of both ALS solvers.
 RIDGE = 1e-10
 
 # LAPACK's bidiagonal QR (xBDSQR) gives up after this many sweeps per value.
@@ -209,15 +210,23 @@ def _svds_truncated(A: np.ndarray, k: int) -> LowRankFactor | None:
 
 
 def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:
-    """Solve G X = B for a symmetric positive semidefinite Gram matrix G.
+    """Solve G X = B for a symmetric positive semidefinite Gram matrix G, or
+    for each of a stack of them.
 
-    Cholesky first; a singular G is solved with RIDGE added to its diagonal
-    instead, and each such fallback increments fallbacks[0].
+    G is (k, k) with B (k, r) or (k,), or a stack (n, k, k) with B (n, k).
+    A successful Cholesky factorization certifies G positive definite, and
+    np.linalg.solve then solves. When a stack fails, each of its matrices is
+    solved alone; a singular G is solved with RIDGE added to its diagonal,
+    and each such fallback increments fallbacks[0]. Only numpy's LAPACK
+    runs here, so the solves share one BLAS runtime with numpy's products.
     """
+    stacked = G.ndim == 3
     try:
-        c = scipy.linalg.cho_factor(G, check_finite=False)
-        return scipy.linalg.cho_solve(c, B, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(G)
+        return np.linalg.solve(G, B[..., None])[..., 0] if stacked else np.linalg.solve(G, B)
+    except np.linalg.LinAlgError:
+        if stacked:
+            return np.stack([_spd_solve(g, b, fallbacks) for g, b in zip(G, B)])
         fallbacks[0] += 1
         return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), B)
 

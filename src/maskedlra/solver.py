@@ -129,16 +129,20 @@ def verify_bicriteria(
     )
 
 
-def _solve_rows(Target, WB, F, k, ridge_count):
-    """Per-row weighted least squares: rows of the output fit Target's rows
-    on the columns where WB is 1, in the span of F's rows."""
-    out = np.zeros((Target.shape[0], k))
-    for i in range(Target.shape[0]):
-        sel = WB[i] == 1
-        if not sel.any():
-            continue
-        Fs = F[sel]
-        out[i] = _spd_solve(Fs.T @ Fs, Fs.T @ Target[i, sel], ridge_count)
+def _solve_rows(M, Wf, F, ridge_count):
+    """Weighted least squares for every row at once: row i of the output
+    fits M[i] (the target, zero off the mask) on the columns where Wf[i] is
+    1, in the span of F's rows. A row with no observed entry stays zero.
+
+    The n Grams F.T diag(Wf[i]) F come from one product with the m outer
+    products of F's rows, and one _spd_solve call solves the whole stack.
+    """
+    n, m = M.shape
+    k = F.shape[1]
+    G = (Wf @ (F[:, :, None] * F[:, None, :]).reshape(m, k * k)).reshape(n, k, k)
+    seen = Wf.any(axis=1)
+    out = np.zeros((n, k))
+    out[seen] = _spd_solve(G[seen], (M @ F)[seen], ridge_count)
     return out
 
 
@@ -164,7 +168,8 @@ def altmin_baseline(
     if iters < 0:
         raise ParameterError(f"iters={iters} must be nonnegative")
     A = as_array(A, 2)
-    WB = as_bitmap(W, np.uint8, A.shape)
+    Wf = as_bitmap(W, np.float64, A.shape)
+    M = A * Wf
     rng = np.random.default_rng(seed)
     best = None
     best_cost = math.inf
@@ -174,10 +179,10 @@ def altmin_baseline(
         U, V = _als_start(init if r == 0 else None, A.shape, k, rng)
         half_costs = []
         for _ in range(iters):
-            U = _solve_rows(A, WB, V, k, ridge_count)
+            U = _solve_rows(M, Wf, V, ridge_count)
             if trace:
                 half_costs.append(masked_cost(A, W, LowRankFactor(U, V, k)))
-            V = _solve_rows(A.T, WB.T, U, k, ridge_count)
+            V = _solve_rows(M.T, Wf.T, U, ridge_count)
             if trace:
                 half_costs.append(masked_cost(A, W, LowRankFactor(U, V, k)))
         fac = LowRankFactor(U, V, k)

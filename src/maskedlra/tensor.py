@@ -84,7 +84,8 @@ def cp_als(
             U = _als_update(T0, V, Z, ridge_count)
             V = _als_update(T1, U, Z, ridge_count)
             Z = _als_update(T2, U, V, ridge_count)
-            res = float(np.sum((T - np.einsum("ic,jc,lc->ijl", U, V, Z)) ** 2))
+            # the fit on the third unfolding: one matrix product, no 3-d temporary
+            res = float(np.sum((T2 - Z @ _khatri_rao(U, V).T) ** 2))
             if prev - res <= tol * max(norm_T, 1e-300):
                 prev = res
                 break

@@ -129,6 +129,13 @@ def test_failed_cell_recorded_not_raised():
     assert "note" in row and row["note"]
 
 
+def test_failed_cell_names_the_pattern_of_its_route():
+    # n = 4 fails (t > n), n = 16 is satisfied; both rows carry the route's tag
+    rep = run_suite({"routes": "t2", "sizes": "4,16", "t": "8", "eps": "0.5"})
+    assert sorted(r["satisfied"] for r in rep.rows) == [False, True]
+    assert [r["pattern"] for r in rep.rows] == ["sparse", "sparse"]
+
+
 def test_programming_error_in_cell_raises(monkeypatch):
     # only package errors become rows; a bug must not hide in a note
     def broken(*args, **kwargs):

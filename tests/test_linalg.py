@@ -13,6 +13,7 @@ from maskedlra import (
     altmin_baseline,
     cp_als,
     masked_cost,
+    masked_tensor_lra,
     svd_truncated,
 )
 from maskedlra.linalg import _als_start, zero_factor
@@ -353,3 +354,26 @@ def test_als_start_rejects_an_init_of_another_shape():
         cp_als(np.ones((3, 3, 3)), 1, init=zero_factor(3, 3, 4))
     with pytest.raises(ShapeError, match="init shape"):
         altmin_baseline(np.ones((3, 3)), np.ones((3, 3)), 1, init=zero_factor(3, 3, 3))
+
+
+def test_als_solves_need_no_scipy_cholesky(monkeypatch):
+    # the ALS solves stay on numpy's LAPACK, so they never alternate numpy's
+    # BLAS runtime with the second one scipy links
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ALS solve called scipy's Cholesky")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((9, 7))
+    W = (rng.random((9, 7)) < 0.6).astype(np.float64)
+    W[0] = 0.0
+    L = altmin_baseline(A, W, 2, iters=3)
+    assert np.isfinite(L.meta["cost"])
+    T = rng.standard_normal((5, 4, 6))
+    F = masked_tensor_lra(T, (rng.random(T.shape) < 0.7).astype(np.float64), 2, iters=3)
+    assert np.isfinite(F.meta["residual"])
+    # a zero-padded init makes the Grams singular, so the ridge path runs too
+    narrow = _factor([rng.standard_normal((size, 1)) for size in T.shape], 1)
+    F = cp_als(T, 2, iters=3, init=narrow)
+    assert F.meta["ridge_fallbacks"] > 0

@@ -32,6 +32,7 @@ from maskedlra import (
 )
 from maskedlra.harness import sparse_pattern
 from maskedlra.protocols import target_bitmap
+from maskedlra.solver import _solve_rows
 
 
 def test_masked_lra_vanishing_support():
@@ -365,3 +366,40 @@ def test_verify_bicriteria_rejects_a_raw_mask():
     for spec in (None, equality_hash(4, 0.5)):
         with pytest.raises(ParameterError, match="structured mask"):
             verify_bicriteria(A, np.ones((4, 4)), 1, 0.5, spec=spec)
+
+
+def _row_problem(seed, n=24, m=16):
+    """Rank-2 row solves where row 0 has no observed entry and row 1 one,
+    at a column j whose factor row makes row 1's Gram exactly singular."""
+    rng = np.random.default_rng(seed)
+    W = (rng.random((n, m)) < 0.5).astype(np.float64)
+    for i in range(2, n):  # at least 3 observed entries elsewhere
+        W[i, rng.choice(m, 3, replace=False)] = 1.0
+    W[:2] = 0.0
+    j = rng.integers(m)
+    W[1, j] = 1.0
+    F = rng.standard_normal((m, 2))
+    F[j] = (2.0, 3.0)  # Cholesky of [[4, 6], [6, 9]] meets an exact zero pivot
+    return rng.standard_normal((n, m)) * W, W, F, j
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_row_solves_match_per_row_least_squares(seed):
+    M, W, F, j = _row_problem(seed)
+    ridge = [0]
+    X = _solve_rows(M, W, F, ridge)
+    assert not X[0].any()  # no observed entry: exactly zero
+    assert ridge == [1]  # only row 1 takes the ridge solve
+    assert X[1] @ F[j] == pytest.approx(M[1, j], rel=1e-8)
+    for i in range(2, len(M)):
+        sel = W[i] == 1
+        ref = np.linalg.lstsq(F[sel], M[i, sel], rcond=None)[0]
+        assert np.linalg.norm(X[i] - ref) <= 1e-10 * np.linalg.norm(ref), i
+
+
+def test_altmin_counts_ridge_fallbacks_for_a_singular_row():
+    M, W, F, _ = _row_problem(0)
+    init = LowRankFactor(np.ones((len(M), 2)), F, 2)
+    L = altmin_baseline(M, W, 2, iters=2, init=init)
+    assert L.meta["ridge_fallbacks"] >= 1
+    assert not L.U[0].any()
