@@ -6,7 +6,9 @@ verifier returns.
 The exact truncated SVD picks one of three drivers from the shape alone:
 ARPACK's partial SVD (svds) when k is small next to min(n, m) and
 min(n, m) >= 128, LAPACK's divide-and-conquer gesdd otherwise, and LAPACK's
-gesvd only when gesdd fails to converge.
+gesvd only when gesdd fails to converge. gesdd runs through np.linalg.svd,
+one call for a whole stack of same-shape matrices, so it shares numpy's
+BLAS runtime with numpy's products; scipy runs only svds and gesvd.
 
 Matrices are 2-d float64 numpy arrays throughout. Low-rank objects are kept
 in factored form (see LowRankFactor) so downstream code can track rank
@@ -167,46 +169,82 @@ def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
     - svds (ARPACK, seeded start vector) when min(n, m) >= 128 and
       8 k <= min(n, m); its residual is checked against
       ||A||^2 - sum(sigma^2), and an ARPACK failure falls through to gesdd;
-    - gesdd (LAPACK divide and conquer) in every other case;
-    - gesvd (LAPACK bidiagonal QR) only when gesdd raises LinAlgError.
-    meta["svd_driver"] names the driver that ran. NumericalError is raised
-    when gesvd fails too, or when the svds residual check fails.
+    - gesdd (LAPACK divide and conquer, through np.linalg.svd) in every
+      other case;
+    - gesvd (scipy's LAPACK bidiagonal QR) only when gesdd raises
+      LinAlgError.
+    This is _svd_stack on the one-matrix stack A[None]. meta["svd_driver"]
+    names the driver that ran. NumericalError is raised when gesvd fails
+    too, or when the svds residual check fails.
     """
     A = as_array(A, 2)
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise ParameterError(f"k={k} out of range for a {n}x{m} matrix")
-    if min(n, m) >= _SVDS_MIN_DIM and _SVDS_RANK_RATIO * k <= min(n, m):
-        L = _svds_truncated(A, k)
-        if L is not None:
-            return L
-    for driver in ("gesdd", "gesvd"):
+    U, V, drivers = _svd_stack(A[None], k)
+    return LowRankFactor(U[0], V[0], k, {"svd_driver": drivers[0]})
+
+
+def _svd_stack(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Best rank-k factors of each matrix of the stack X, shape (b, r, c).
+
+    Returns U (b, r, k), the left singular vectors scaled by the singular
+    values, V (b, c, k), and the driver that fit each matrix. The driver
+    follows from (r, c, k) as in svd_truncated: svds runs matrix by matrix,
+    and otherwise one np.linalg.svd call (gesdd) covers the whole stack.
+    """
+    r, c = X.shape[1:]
+    if min(r, c) >= _SVDS_MIN_DIM and _SVDS_RANK_RATIO * k <= min(r, c):
+        fits = [_svds_truncated(A, k) or _gesdd_stack(A[None], k) for A in X]
+        return _concat(fits)
+    return _gesdd_stack(X, k)
+
+
+def _gesdd_stack(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """_svd_stack's dense drivers: gesdd on the stack, gesvd on a failure.
+
+    When the stacked gesdd raises LinAlgError each matrix is redone alone,
+    and scipy's gesvd runs only for a matrix whose own gesdd fails; its
+    failure raises NumericalError.
+    """
+    try:
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        drivers = ["gesdd"] * len(X)
+    except np.linalg.LinAlgError:
+        if len(X) > 1:
+            return _concat([_gesdd_stack(A[None], k) for A in X])
         try:
-            U, s, Vt = scipy.linalg.svd(A, full_matrices=False, lapack_driver=driver)
+            U, s, Vt = scipy.linalg.svd(X[0], full_matrices=False, lapack_driver="gesvd")
         except scipy.linalg.LinAlgError as exc:
-            error = exc
-            continue
-        return LowRankFactor(U[:, :k] * s[:k], Vt[:k].T, k, {"svd_driver": driver})
-    raise NumericalError(f"svd did not converge: {error}", _LAPACK_QR_MAXITER)
+            raise NumericalError(f"svd did not converge: {exc}", _LAPACK_QR_MAXITER) from exc
+        U, s, Vt, drivers = U[None], s[None], Vt[None], ["gesvd"]
+    return U[:, :, :k] * s[:, None, :k], Vt[:, :k].transpose(0, 2, 1), drivers
 
 
-def _svds_truncated(A: np.ndarray, k: int) -> LowRankFactor | None:
-    """Top k triplets of A from ARPACK, or None when ARPACK fails."""
+def _concat(fits) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Join (U, V, drivers) results of consecutive stacks into one."""
+    Us, Vs, drivers = zip(*fits)
+    return np.concatenate(Us), np.concatenate(Vs), [d for ds in drivers for d in ds]
+
+
+def _svds_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """Top k factors of A from ARPACK as a one-matrix _svd_stack result, or
+    None when ARPACK fails."""
     # a fixed start vector keeps ARPACK deterministic
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     try:
         U, s, Vt = scipy.sparse.linalg.svds(A, k=k, v0=v0)
     except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
         return None
-    L = LowRankFactor(U[:, ::-1] * s[::-1], Vt[::-1].T, k, {"svd_driver": "svds"})
+    U, V = U[:, ::-1] * s[::-1], Vt[::-1].T
     total = float(np.sum(A * A))
-    res = float(np.sum((A - L.value()) ** 2))
+    res = float(np.sum((A - U @ V.T) ** 2))
     tail = total - float(np.sum(s * s))
     if abs(res - tail) > _SVDS_RESIDUAL_RTOL * total:
         raise NumericalError(
             f"svds residual {res!r} disagrees with the spectral tail {tail!r}"
         )
-    return L
+    return U[None], V[None], ["svds"]
 
 
 def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:

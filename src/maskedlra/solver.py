@@ -20,6 +20,7 @@ from .linalg import (
     LowRankFactor,
     _als_start,
     _spd_solve,
+    _svd_stack,
     as_array,
     as_bitmap,
     masked_cost,
@@ -44,19 +45,28 @@ def comparator_from_partition(
     """Per-rectangle best rank-k fits of A*W, zero-extended and summed.
 
     Only 1-labeled rectangles contribute, so the result is exactly zero
-    outside their union; rank_bound is k times the 1-rectangle count.
+    outside their union; rank_bound is k times the 1-rectangle count. The
+    fits are batched by shape: the 1-rectangles with the same (rows, cols)
+    sizes are gathered into one stack and fit by one _svd_stack call, which
+    gives each the factors svd_truncated gives it alone.
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     A = as_array(A, 2)
     M = A * as_bitmap(W, np.float64, A.shape)
 
-    def fit(i, sets):
-        rows, cols = sets
-        f = svd_truncated(M[np.ix_(rows, cols)], min(k, len(rows), len(cols)))
-        return f.U, f.V
+    groups = {}
+    for i, r in enumerate(P.rectangles):
+        if r.label == 1:
+            groups.setdefault((len(r.row_set), len(r.col_set)), []).append(i)
+    fits = {}
+    for (rows, cols), members in groups.items():
+        R = np.stack([P.rectangles[i].row_set for i in members])
+        C = np.stack([P.rectangles[i].col_set for i in members])
+        U, V, _ = _svd_stack(M[R[:, :, None], C[:, None, :]], min(k, rows, cols))
+        fits.update(zip(members, zip(U, V)))
 
-    factors = protocols.assemble(P.rectangles, M.shape, fit)
+    factors = protocols.assemble(P.rectangles, M.shape, lambda i, sets: fits[i])
     if factors is None:
         return zero_factor(*M.shape)
     return LowRankFactor(*factors, k * P.one_count)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError
 from .linalg import Certificate, LowRankFactor, as_array, as_bitmap, masked_cost, rhs_of
@@ -39,7 +38,7 @@ def leverage_scores(L) -> np.ndarray:
     can place on row i.
     """
     M = _value(L)
-    Q, s, _ = scipy.linalg.svd(M, full_matrices=False, check_finite=False)
+    Q, s, _ = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros(M.shape[0])
     rank = int(np.sum(s > 1e-12 * s[0]))

@@ -10,13 +10,20 @@ from maskedlra import (
     ParameterError,
     LowRankFactor,
     ShapeError,
+    Banded,
     altmin_baseline,
+    banded_gt,
+    chain_inequality_check,
+    comparator_from_partition,
     cp_als,
+    gen_planted,
+    leverage_scores,
     masked_cost,
     masked_tensor_lra,
+    sample_partition,
     svd_truncated,
 )
-from maskedlra.linalg import _als_start, zero_factor
+from maskedlra.linalg import _als_start, _svd_stack, zero_factor
 
 
 def test_entrywise_norm_matches_singular_values():
@@ -95,21 +102,25 @@ def test_svd_truncated_zero_matrix_falls_back_to_gesdd():
     assert np.array_equal(L.value(), np.zeros((256, 256)))
 
 
-def _svd_failing(drivers):
-    real = scipy.linalg.svd
+def _gesdd_failing(bad=None):
+    """np.linalg.svd raising LinAlgError on a stack that holds the matrix
+    bad, or on every call when bad is None."""
+    real = np.linalg.svd
 
-    def svd(a, *args, lapack_driver="gesdd", **kwargs):
-        if lapack_driver in drivers:
-            raise scipy.linalg.LinAlgError(f"{lapack_driver} did not converge")
-        return real(a, *args, lapack_driver=lapack_driver, **kwargs)
+    def svd(a, *args, **kwargs):
+        X = np.asarray(a)
+        mats = X.reshape(-1, *X.shape[-2:])
+        if bad is None or any(np.array_equal(M, bad) for M in mats):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
 
     return svd
 
 
 def test_svd_truncated_gesvd_fallback(monkeypatch):
-    monkeypatch.setattr(scipy.linalg, "svd", _svd_failing({"gesdd"}))
     A = np.random.default_rng(43).standard_normal((10, 7))
     sigma = np.linalg.svd(A, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "svd", _gesdd_failing())
     L = svd_truncated(A, 3)
     assert L.meta["svd_driver"] == "gesvd"
     res = float(np.sum((A - L.value()) ** 2))
@@ -120,11 +131,32 @@ def test_svd_truncated_every_driver_fails(monkeypatch):
     def svds(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
+    def gesvd(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("gesvd did not converge")
+
     monkeypatch.setattr(scipy.sparse.linalg, "svds", svds)
-    monkeypatch.setattr(scipy.linalg, "svd", _svd_failing({"gesdd", "gesvd"}))
+    monkeypatch.setattr(np.linalg, "svd", _gesdd_failing())
+    monkeypatch.setattr(scipy.linalg, "svd", gesvd)
     A = np.random.default_rng(47).standard_normal((256, 256))
     with pytest.raises(NumericalError):
         svd_truncated(A, 8)
+
+
+def test_svd_stack_redoes_only_the_matrix_whose_gesdd_fails(monkeypatch):
+    X = np.random.default_rng(59).standard_normal((3, 6, 5))
+    U, V, drivers = _svd_stack(X, 2)
+    assert drivers == ["gesdd"] * 3
+    for j in range(3):
+        alone = svd_truncated(X[j], 2)
+        assert np.array_equal(U[j], alone.U) and np.array_equal(V[j], alone.V)
+    sigma = np.linalg.svd(X[1], compute_uv=False)
+    monkeypatch.setattr(np.linalg, "svd", _gesdd_failing(X[1]))
+    U2, V2, drivers = _svd_stack(X, 2)
+    assert drivers == ["gesdd", "gesvd", "gesdd"]
+    for j in (0, 2):
+        assert np.array_equal(U2[j], U[j]) and np.array_equal(V2[j], V[j])
+    res = float(np.sum((X[1] - U2[1] @ V2[1].T) ** 2))
+    assert abs(res - float(np.sum(sigma[2:] ** 2))) <= 1e-9 * float(np.sum(X[1] ** 2))
 
 
 def test_svd_truncated_svds_residual_check(monkeypatch):
@@ -377,3 +409,26 @@ def test_als_solves_need_no_scipy_cholesky(monkeypatch):
     narrow = _factor([rng.standard_normal((size, 1)) for size in T.shape], 1)
     F = cp_als(T, 2, iters=3, init=narrow)
     assert F.meta["ridge_fallbacks"] > 0
+
+
+def test_gesdd_runs_through_numpy_alone(monkeypatch):
+    # every gesdd goes through np.linalg.svd, so the SVDs never alternate
+    # numpy's BLAS runtime with the second one scipy links; scipy keeps only
+    # the gesvd fallback
+    real = scipy.linalg.svd
+
+    def svd(a, *args, lapack_driver="gesdd", **kwargs):
+        if lapack_driver == "gesdd":
+            raise AssertionError("a gesdd ran through scipy")
+        return real(a, *args, lapack_driver=lapack_driver, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", svd)
+    A = np.random.default_rng(61).standard_normal((10, 7))
+    assert svd_truncated(A, 3).meta["svd_driver"] == "gesdd"
+    inst = gen_planted("matrix", Banded(4), 32, 2, seed=0)
+    P = sample_partition(banded_gt(32, 4, 0.25), seed=0)
+    L = comparator_from_partition(inst.A, inst.W, P, 2)
+    assert L.rank_bound == 2 * P.one_count
+    assert chain_inequality_check(inst.A, inst.W, P, 2)
+    tau = leverage_scores(L)
+    assert tau.shape == (32,) and np.all((tau >= -1e-12) & (tau <= 1 + 1e-12))

@@ -31,7 +31,8 @@ from maskedlra import (
     verify_bicriteria,
 )
 from maskedlra.harness import sparse_pattern
-from maskedlra.protocols import target_bitmap
+from maskedlra.linalg import zero_factor
+from maskedlra.protocols import assemble, target_bitmap
 from maskedlra.solver import _solve_rows
 
 
@@ -140,6 +141,82 @@ def test_comparator_sums_per_rectangle_fits_in_their_blocks():
         fit = svd_truncated(sub, min(2, *sub.shape))
         want[np.ix_(r.row_set, r.col_set)] += fit.value()
     assert np.allclose(Lbar.value(), want, atol=1e-12)
+
+
+def _assert_batched_comparator_is_per_rectangle(A, W, P, k):
+    """The shape-batched comparator is bit-identical to one svd_truncated
+    per 1-rectangle, assembled in rectangle order."""
+    M = A * W.bitmap
+
+    def fit(i, sets):
+        rows, cols = sets
+        f = svd_truncated(M[np.ix_(rows, cols)], min(k, len(rows), len(cols)))
+        return f.U, f.V
+
+    factors = assemble(P.rectangles, M.shape, fit)
+    if factors is None:
+        want = zero_factor(*M.shape)
+    else:
+        want = LowRankFactor(*factors, k * P.one_count)
+    got = comparator_from_partition(A, W, P, k)
+    assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
+    assert got.rank_bound == want.rank_bound
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_batched_comparator_on_protocol_partitions(n):
+    for pattern, spec in ((Diagonal(), equality_hash(n, 0.25)), (Banded(4), banded_gt(n, 4, 0.25))):
+        for seed in (0, 1):
+            inst = gen_planted("matrix", pattern, n, 2, seed=seed)
+            P = sample_partition(spec, seed=seed)
+            _assert_batched_comparator_is_per_rectangle(inst.A, inst.W, P, 2)
+
+
+def test_batched_comparator_on_random_box_partitions():
+    """Rows and columns cut at random into blocks of 1 to 4 indices, in a
+    shuffled order, give many shapes with several rectangles each, and
+    widths k above min(rows, cols)."""
+    from maskedlra import PartitionSample, Rectangle
+
+    rng = np.random.default_rng(67)
+    n = 24
+    for trial in range(12):
+        blocks = []
+        for _ in range(2):
+            cuts = np.cumsum(rng.integers(1, 5, size=n))
+            cuts = cuts[cuts < n]
+            blocks.append(np.split(rng.permutation(n), cuts))
+        rects = [Rectangle(r, c, int(rng.random() < 0.7)) for r in blocks[0] for c in blocks[1]]
+        P = PartitionSample(rects, n, "manual", sum(r.label for r in rects))
+        A = rng.standard_normal((n, n))
+        W = make_mask(AllOnes(), n) if trial % 2 else make_mask(Diagonal(), n)
+        for k in (1, 2, 3):
+            _assert_batched_comparator_is_per_rectangle(A, W, P, k)
+
+
+def test_batched_comparator_with_the_svds_driver(monkeypatch):
+    import scipy.sparse.linalg
+
+    real, calls = scipy.sparse.linalg.svds, []
+
+    def svds(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", svds)
+    n = 1024
+    A = np.random.default_rng(71).standard_normal((n, n))
+    P = sample_partition(equality_hash(n, 0.25), seed=0)
+    _assert_batched_comparator_is_per_rectangle(A, make_mask(Diagonal(), n), P, 2)
+    # both the batched fit and the reference take svds on every 1-rectangle
+    assert len(calls) == 2 * P.one_count > 0
+
+
+def test_batched_comparator_without_one_rectangles():
+    P = sample_partition(equality_hash(8, 1.0), seed=0)
+    assert P.one_count == 0
+    A = np.random.default_rng(73).standard_normal((8, 8))
+    _assert_batched_comparator_is_per_rectangle(A, make_mask(Diagonal(), 8), P, 2)
 
 
 def test_chain_inequality_trivial_cases():
