@@ -121,7 +121,7 @@ def _spec_from_args(args) -> pr.ProtocolSpec:
     if fam == "equality-hash":
         return pr.equality_hash(args.n, args.delta)
     if fam == "eq-mod-p":
-        return pr.eq_mod_p(args.n, args.p)
+        return mk.ToeplitzModP(args.p).spec(args.n, args.delta)
     if fam == "sparse-set-eq":
         zs = hs.sparse_pattern(args.n, args.t, args.seed).zero_sets
         return pr.sparse_set_eq(args.n, zs, args.t, args.delta)
@@ -213,7 +213,7 @@ def _cmd_boolean(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = hs.run_suite(args.config)
+    report = hs.run_suite(Path(args.config).read_text(encoding="utf-8"))
     hs.emit(report, args.format, args.out)
     good = sum(1 for r in report.rows if r["satisfied"])
     print(f"rows = {len(report.rows)}  satisfied = {good}")
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("w", help="mask file (descriptor or MLRB1)")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--kprime", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0, help="unused: the exact solve is deterministic")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_solve)
 

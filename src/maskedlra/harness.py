@@ -142,18 +142,12 @@ ROUTES = {"t1": "diagonal", "t2": "sparse", "t3": "toeplitz-mod-p", "t4": "bande
 
 
 def parse_config(source) -> dict:
-    """Accept a config dict, key-value text, or a path to such text."""
+    """A sweep config from a dict or from 'key = value' text (never a path:
+    report --config reads its file), over the defaults."""
     if isinstance(source, dict):
         raw = {k: str(v) for k, v in source.items()}
     else:
-        text = str(source)
-        if "=" not in text and "\n" not in text:
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as e:
-                raise ResourceError(f"cannot read config {source}: {e}") from e
-        raw = mio.parse_kv(text)
+        raw = mio.parse_kv(source)
     cfg = dict(_DEFAULTS)
     for key, val in raw.items():
         if key not in cfg:

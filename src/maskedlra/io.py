@@ -199,6 +199,9 @@ def write_partition(path, sample: protocols.PartitionSample) -> None:
 
 
 def read_partition(path) -> protocols.PartitionSample:
+    """A partition dump read back; a dump without n, with a line that has
+    not 1 + order fields, with a label other than 0 or 1, or with an index
+    outside 0..n-1 is a ParameterError."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParameterError("partition dump missing its header line")
@@ -207,25 +210,30 @@ def read_partition(path) -> protocols.PartitionSample:
         for item in lines[0][1:].split("\t")
         if "=" in item
     )
-    rects = []
+    if "n" not in header:
+        raise ParameterError("partition dump header missing n")
+    n = _parse(int, header["n"], "n")
+    order = _parse(int, header.get("order", "2"), "order")
+    rects, index_sets = [], [np.zeros(0, np.int64)]
     for ln, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise ParameterError(f"partition dump line {ln}: expected 3 or 4 tab-separated fields")
+        if len(parts) != 1 + order:
+            raise ParameterError(f"partition dump line {ln}: expected {1 + order} fields")
         label = _parse(int, parts[0], f"label on line {ln}")
+        if label not in (0, 1):
+            raise ParameterError(f"partition dump line {ln}: label {label} is not 0 or 1")
         sets = [
             np.array(_parse(_split_flat, part, f"index set on line {ln}"), dtype=np.int64)
             for part in parts[1:]
         ]
+        index_sets += sets
         depth = sets[2] if len(sets) == 3 else None
         rects.append(protocols.Rectangle(sets[0], sets[1], label, depth))
+    # one range check over all index sets, not one per rectangle, keeps reads fast
+    flat = np.concatenate(index_sets)
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        raise ParameterError(f"partition dump has an index outside 0..{n - 1}")
     ones = sum(1 for r in rects if r.label == 1)
-    return protocols.PartitionSample(
-        rects,
-        _parse(int, header.get("n", "0"), "n"),
-        header.get("source", "file"),
-        ones,
-        order=_parse(int, header.get("order", "2"), "order"),
-    )
+    return protocols.PartitionSample(rects, n, header.get("source", "file"), ones, order=order)

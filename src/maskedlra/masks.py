@@ -188,6 +188,7 @@ class ToeplitzModP(_Pattern):
         return min(k * self.p, k * math.ceil(1 / eps))
 
     def spec(self, n, eps):
+        protocols._check_delta(eps)
         # hashed variant when it certifies fewer rectangles than residues
         if math.ceil(1 / eps) < self.p:
             return protocols.eq_mod_p(n, self.p, eps)

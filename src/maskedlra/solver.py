@@ -97,17 +97,20 @@ def verify_bicriteria(
     """Run the exact zero-fill solver at the certified rank and check the bound.
 
     k' comes from rank_budget for patterned masks and from k times the
-    sampled partition's 1-rectangle count for explicit masks. The one
-    partition drawn with seed also supplies the certificate's rectangle
-    counts. The terms are opt_upper, eps1 times the mass of A*W, and, for
-    two-sided protocol families only, eps2 = eps times the off-mask mass of
-    the supplied rank-k candidate.
+    sampled partition's 1-rectangle count for explicit masks. A given spec
+    must be an order-2 family on the mask's n. The one partition drawn with
+    seed also supplies the certificate's rectangle counts. The terms are
+    opt_upper, eps1 times the mass of A*W, and, for two-sided protocol
+    families only, eps2 = eps times the off-mask mass of the supplied rank-k
+    candidate.
     """
     if not isinstance(W, masks.Mask):
         raise ParameterError("bicriteria verification needs a structured mask")
     A = as_array(A, 2)
     if spec is None:
         spec = W.pattern.spec(W.n, eps)
+    if spec.n != W.n or protocols._order(spec) != 2:
+        raise ParameterError(f"{spec.describe()} does not partition an n={W.n} matrix mask")
     sample = protocols.sample_partition(spec, seed)
 
     if isinstance(W.pattern, masks.Explicit):
@@ -164,14 +167,14 @@ def altmin_baseline(
     restarts: int = 1,
     seed: int = 0,
     init: LowRankFactor | None = None,
-    trace: bool = False,
 ) -> LowRankFactor:
-    """Alternating least squares on the masked objective.
+    """Alternating least squares on the masked objective: iters sweeps, each
+    solving every row, then every column, exactly.
 
-    Each half-step solves every row (or column) exactly, so the masked cost
-    is nonincreasing half-step by half-step; singular normal matrices fall
-    back to a ridge solve (recorded in meta). Best restart wins. Used as a
-    baseline and an OPT-upper-bound sharpener, never as the certified path.
+    So meta["cost"] never grows with iters at a fixed seed; singular normal
+    matrices fall back to a ridge solve (recorded in meta). Best restart
+    wins. Used as a baseline and an OPT-upper-bound sharpener, never as the
+    certified path.
     """
     if k < 1 or restarts < 1:
         raise ParameterError(f"k={k} and restarts={restarts} must both be positive")
@@ -187,19 +190,12 @@ def altmin_baseline(
     for r in range(restarts):
         ridge_count = [0]
         U, V = _als_start(init if r == 0 else None, A.shape, k, rng)
-        half_costs = []
         for _ in range(iters):
             U = _solve_rows(M, Wf, V, ridge_count)
-            if trace:
-                half_costs.append(masked_cost(A, W, LowRankFactor(U, V, k)))
             V = _solve_rows(M.T, Wf.T, U, ridge_count)
-            if trace:
-                half_costs.append(masked_cost(A, W, LowRankFactor(U, V, k)))
         fac = LowRankFactor(U, V, k)
         cost = masked_cost(A, W, fac)
         fac.meta.update(ridge_fallbacks=ridge_count[0], cost=cost)
-        if trace:
-            fac.meta["trace"] = half_costs
         costs.append(cost)
         if cost < best_cost:
             best, best_cost = fac, cost

@@ -27,17 +27,14 @@ class HeavyRowSet:
     off_mass: float
 
 
-def _value(L) -> np.ndarray:
-    return L.value() if hasattr(L, "value") else as_array(L, 2)
-
-
-def leverage_scores(L) -> np.ndarray:
-    """Squared row norms of an orthonormal column basis; sums to the rank.
+def leverage_scores(L: LowRankFactor) -> np.ndarray:
+    """Squared row norms of an orthonormal basis of L's column space; sums
+    to the rank of L's value.
 
     Score i is the largest fraction of squared mass any column-space vector
     can place on row i.
     """
-    M = _value(L)
+    M = L.value()
     Q, s, _ = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros(M.shape[0])
@@ -45,8 +42,9 @@ def leverage_scores(L) -> np.ndarray:
     return np.sum(Q[:, :rank] ** 2, axis=1)
 
 
-def heavy_row_set(L, W, eps: float, k: int) -> HeavyRowSet:
-    """Top rows of L by mass on W's zeros, with the ceil(tk/eps) budget.
+def heavy_row_set(L: LowRankFactor, W, eps: float, k: int) -> HeavyRowSet:
+    """Top rows of the factor L by mass on W's zeros, with the ceil(tk/eps)
+    budget; L's rank_bound must be at most k.
 
     t is the largest zero count in any column of W, a Mask or a raw binary
     array of L's shape.
@@ -59,9 +57,9 @@ def heavy_row_set(L, W, eps: float, k: int) -> HeavyRowSet:
         raise ParameterError(f"eps={eps} must be in (0, 1)")
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
-    if getattr(L, "rank_bound", k) > k:
+    if L.rank_bound > k:
         raise ParameterError("candidate rank bound exceeds k")
-    M = _value(L)
+    M = L.value()
     B = as_bitmap(W, np.float64, M.shape)
     t = int((B == 0).sum(axis=0).max(initial=0))
     budget = int(np.ceil(t * k / eps))

@@ -28,9 +28,8 @@ from .linalg import (
 )
 from .masks import Diagonal3
 
-# ALS runs of masked_tensor_lra. A comparator init is the first run and the
-# best run wins, so one run already keeps the init's cost bound.
-LRA_RESTARTS = 1
+# cp_als stops once a sweep improves the fit by at most CP_TOL times ||T||_F^2
+CP_TOL = 1e-8
 
 
 def _khatri_rao(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -49,17 +48,16 @@ def cp_als(
     T,
     k: int,
     iters: int = 100,
-    tol: float = 1e-8,
     seed: int = 0,
     restarts: int = 1,
     init: LowRankFactor | None = None,
 ) -> LowRankFactor:
     """Alternating least squares CP fit, sweep order U then V then Z.
 
-    The full Frobenius fit is nonincreasing per sweep; stops early when the
-    relative improvement drops below tol. Best restart wins; a provided
-    init, cut or zero-padded to width k, replaces the random start of the
-    first restart.
+    The full Frobenius fit is nonincreasing per sweep; stops early when a
+    sweep improves it by at most CP_TOL times ||T||_F^2. Best restart wins;
+    a provided init, cut or zero-padded to width k, replaces the random
+    start of the first restart.
     """
     T = as_array(T, 3)
     if k < 1:
@@ -86,7 +84,7 @@ def cp_als(
             Z = _als_update(T2, U, V, ridge_count)
             # the fit on the third unfolding: one matrix product, no 3-d temporary
             res = float(np.sum((T2 - Z @ _khatri_rao(U, V).T) ** 2))
-            if prev - res <= tol * max(norm_T, 1e-300):
+            if prev - res <= CP_TOL * max(norm_T, 1e-300):
                 prev = res
                 break
             prev = res
@@ -108,11 +106,13 @@ def masked_tensor_lra(
     """CP fit of A*W at rank k_prime (zero-fill heuristic, order 3).
 
     With init given, ALS monotonicity guarantees the full fit never exceeds
-    the init's fit, so a comparator init transfers its cost bound.
+    the init's fit, so a comparator init transfers its cost bound. ALS runs
+    once, cp_als's default: the init starts the first run and the best run
+    wins, so one run already keeps the init's cost bound.
     """
     A = as_array(A, 3)
     M = A * as_bitmap(W, np.float64, A.shape)
-    return cp_als(M, k_prime, iters=iters, seed=seed, restarts=LRA_RESTARTS, init=init)
+    return cp_als(M, k_prime, iters=iters, seed=seed, init=init)
 
 
 def tensor_comparator(

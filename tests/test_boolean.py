@@ -234,6 +234,26 @@ def test_cover_ors_per_rectangle_fits_in_cover_order():
     assert cost == bool_cost(A, want, W)
 
 
+def test_cover_heuristic_inner_fits_each_rectangle_with_its_own_seed():
+    # rectangle i gets bool_lra_heuristic at seed + i, ORed into its block
+    rng = np.random.default_rng(29)
+    n, k, seed = 8, 2, 4
+    W = make_mask(Diagonal(), n)
+    C = nondet_cover("neq-bits", n)
+    A = (rng.random((n, n)) < 0.5).astype(np.uint8)
+    F, cost = cover_based_bool_lra(A, W, C, k, inner="heuristic", seed=seed)
+    want_costs, want = [], np.zeros((n, n), dtype=np.uint8)
+    for i, r in enumerate(C.rectangles):
+        sub = A[np.ix_(r.row_set, r.col_set)]
+        fit, c = bool_lra_heuristic(sub, np.ones(sub.shape, np.uint8), k, seed=seed + i)
+        want_costs.append(c)
+        want[np.ix_(r.row_set, r.col_set)] |= fit.value()
+    assert F.meta["per_rectangle_costs"] == want_costs
+    assert np.array_equal(F.value(), want)
+    assert F.rank_bound == k * len(C.rectangles)
+    assert cost == bool_cost(A, want, W)
+
+
 def test_cover_output_respects_mask_zeros():
     rng = np.random.default_rng(19)
     n = 8

@@ -86,6 +86,16 @@ def test_solve_round_trip(tmp_path, capsys):
     assert np.linalg.matrix_rank(L) <= 8
 
 
+def test_solve_has_no_seed_flag(tmp_path, capsys):
+    # the exact solve is deterministic, so there is no seed to pass
+    out = tmp_path / "inst"
+    main(["gen", "--pattern", "diagonal", "--n", "8", "--k", "2", "--out", str(out)])
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", str(out / "A.mlra"), str(out / "W.mask"), "--k", "2", "--seed", "0"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
 def test_verify_routes_exit_zero(capsys):
     for route, extra in (
         ("t1", []),
@@ -191,6 +201,24 @@ def test_boolean_blocks_outside_neq_blocks_exits_two(capsys, cover, blocks):
     assert "--blocks applies only to neq-blocks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p, printed", [
+    ("16", "delta = 0.25"),  # hashed: 4 buckets beat 16 residues
+    ("4", "delta = 0.0"),  # deterministic: 4 residues
+])
+def test_protocol_stats_eq_mod_p_reads_delta(capsys, p, printed):
+    rc = main(["protocol-stats", "--family", "eq-mod-p", "--n", "32", "--p", p,
+               "--delta", "0.25", "--trials", "2000"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.splitlines()[2].endswith(printed)
+
+
+def test_protocol_stats_eq_mod_p_rejects_zero_delta(capsys):
+    rc = main(["protocol-stats", "--family", "eq-mod-p", "--n", "16", "--delta", "0"])
+    assert rc == 2
+    assert "delta=0.0 outside (0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_protocol_stats_nonpositive_trials_exit_two(capsys, trials):
     rc = main(["protocol-stats", "--family", "equality-hash", "--n", "16",
@@ -211,6 +239,20 @@ def test_report_sweep(tmp_path, capsys):
     assert len(lines) == 1 + 4
 
 
+def test_report_reads_a_config_path_that_holds_an_equals_sign(tmp_path, capsys):
+    text = "routes = t1\nsizes = 16\neps = 0.5\nk = 1\n"
+    plain, odd = tmp_path / "sweep.cfg", tmp_path / "cfg=1" / "sweep.cfg"
+    odd.parent.mkdir()
+    plain.write_text(text)
+    odd.write_text(text)
+    for cfg in (plain, odd):
+        rc = main(["report", "--config", str(cfg), "--out", str(cfg.with_suffix(".csv"))])
+        assert rc == 0, capsys.readouterr().err
+    assert odd.with_suffix(".csv").read_text() == plain.with_suffix(".csv").read_text()
+    assert main(["report", "--config", str(tmp_path / "missing.cfg"),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+
+
 def test_bad_arguments_exit_two(tmp_path, capsys):
     assert main(["gen", "--pattern", "nope", "--n", "8", "--out", str(tmp_path)]) == 2
     rc = main(["solve", "/nonexistent.mlra", "/nonexistent.mask", "--k", "1"])
@@ -226,3 +268,17 @@ def test_package_errors_exit_two(capsys):
     rc = main(["verify", "--theorem", "t2", "--n", "4", "--t", "8"])
     assert rc == 2
     assert "t=8" in capsys.readouterr().err
+
+
+def test_boolean_route_takes_opt_upper_from_the_planted_factor_above_the_search_cap(capsys):
+    # 2 * n * k = 32 bits exceeds the exhaustive search cap of 24
+    from maskedlra import Diagonal, gen_planted
+
+    rc = main(["boolean", "--cover", "neq-bits", "--n", "16", "--k", "1",
+               "--noise-sigma", "0.1", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    inst = gen_planted("boolean", Diagonal(), 16, 1, noise_sigma=0.1, seed=3)
+    assert inst.opt_upper > 0
+    assert f"opt_upper = {int(inst.opt_upper)}\n" in out
+    assert "note = cover neq-bits; opt_upper from the planted factor" in out

@@ -94,6 +94,13 @@ def test_parse_config_defaults_and_overrides():
     assert cfg["sizes"] == (16,)
 
 
+def test_parse_config_reads_text_never_a_path(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("sizes = 16\n")
+    with pytest.raises(ParameterError, match="line 1: expected 'key = value'"):
+        parse_config(str(path))
+
+
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ParameterError):
         parse_config({"sizzes": "16"})
@@ -318,3 +325,27 @@ def test_golden_sweep():
         for r in records:
             h.update(json.dumps(r, sort_keys=True).encode())
         assert (name, h.hexdigest()) == (name, GOLDEN_SWEEP[name])
+
+
+@pytest.mark.parametrize("domain, kwargs, match", [
+    ("matrix", {"noise_sigma": -0.1}, "scales must be nonnegative"),
+    ("matrix", {"corruption_scale": -1.0}, "scales must be nonnegative"),
+    ("boolean", {"corruption_scale": 1.5}, "flip probabilities must be <= 1"),
+    ("boolean", {"noise_sigma": 1.5}, "flip probabilities must be <= 1"),
+    ("matrix", {"k": 0}, "k=0 must be positive"),
+    ("tensor3", {}, "tensor3 needs an order-3 pattern"),
+])
+def test_bad_planted_argument_is_a_parameter_error(domain, kwargs, match):
+    kwargs = {"k": 1, **kwargs}
+    with pytest.raises(ParameterError, match=match):
+        gen_planted(domain, Diagonal(), 4, **kwargs)
+
+
+def test_json_writes_a_failed_row_nan_fields_as_null(tmp_path):
+    rep = run_suite({"routes": "t2", "sizes": "4", "t": "8", "eps": "0.5"})
+    path = tmp_path / "r.json"
+    emit(rep, "json", path)
+    (row,) = json.loads(path.read_text())["rows"]
+    assert row["cost"] is None and row["opt_upper"] is None and row["rhs"] is None
+    assert row["satisfied"] is False and row["note"].startswith("ParameterError")
+    assert load_rows(path) == [row]

@@ -212,3 +212,48 @@ def test_malformed_partition_dump_raises_parameter_error(tmp_path, body):
     path.write_text("# n=two\n1\t0\t1\n")
     with pytest.raises(ParameterError, match="malformed n"):
         read_partition(path)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("# source=test\torder=2\n1\t0\t1\n", "missing n"),
+    ("# n=2\n1\t0,5\t1\n", "outside 0..1"),
+    ("# n=2\n0\t0\t1\n1\t-1\t1\n", "outside 0..1"),
+    ("# n=2\torder=3\n1\t0\t1\t2\n", "outside 0..1"),
+    ("# n=2\n2\t0\t1\n", "line 2: label 2 is not 0 or 1"),
+    ("# n=2\torder=3\n1\t0,1\t0,1\n", "line 2: expected 4 fields"),
+    ("# n=2\torder=2\n1\t0,1\t0,1\t0\n", "line 2: expected 3 fields"),
+    ("1\t0\t1\n", "missing its header line"),
+])
+def test_bad_partition_dump_is_a_parameter_error(tmp_path, text, match):
+    path = tmp_path / "part.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=match):
+        read_partition(path)
+
+
+def _reading(content, read):
+    """Write content (bytes or text) to a path, then read it back with read."""
+    def call(path):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return read(path)
+    return call
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda path: write_matrix(path, np.ones(3)), "stores 2-d arrays"),
+    (lambda path: write_tensor(path, np.ones((2, 2))), "stores 3-d arrays"),
+    (_reading(b"MLRA1\x01\x00", read_matrix), "header truncated"),
+    (_reading(b"MLRT1" + bytes(16), read_tensor), "header truncated"),
+    (_reading("pattern diagonal\n", read_mask_descriptor), "line 1: expected 'key = value'"),
+    (_reading("n = 4\n", read_mask_descriptor), "descriptor missing 'pattern'"),
+    (_reading("pattern = diagonal\n", read_mask_descriptor), "descriptor missing 'n'"),
+    (_reading("pattern = spiral\nn = 4\n", read_mask_descriptor), "unknown pattern tag"),
+    (_reading("pattern = banded\nn = 4\n", read_mask_descriptor), "descriptor missing 'p'"),
+    (_reading("pattern = explicit\nn = 2\n", load_mask), "serialize as MLRB1 bitmaps"),
+])
+def test_bad_descriptor_or_binary_file_is_a_parameter_error(tmp_path, call, match):
+    with pytest.raises(ParameterError, match=match):
+        call(tmp_path / "file")

@@ -432,3 +432,18 @@ def test_gesdd_runs_through_numpy_alone(monkeypatch):
     assert chain_inequality_check(inst.A, inst.W, P, 2)
     tau = leverage_scores(L)
     assert tau.shape == (32,) and np.all((tau >= -1e-12) & (tau <= 1 + 1e-12))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: LowRankFactor(np.ones((4, 2)), np.ones((4, 2)), 1), ParameterError,
+     "rank_bound below factor width"),
+    (lambda: LowRankFactor(np.ones((4, 2)), np.ones((4, 2)), 1, Z=np.ones((4, 2))),
+     ParameterError, "rank_bound below factor width"),
+    (lambda: masked_cost(np.ones((4, 4)), np.ones((4, 4)), zero_factor(3, 4)), ShapeError,
+     r"masked_cost shapes differ: A \(4, 4\), L \(3, 4\)"),
+    (lambda: masked_cost(np.ones((2, 2, 2)), np.ones((2, 2, 2)),
+                         zero_factor(2, 2, 3)), ShapeError, "masked_cost shapes differ"),
+])
+def test_factor_width_and_cost_shape_errors_are_typed(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

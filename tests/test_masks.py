@@ -8,11 +8,13 @@ from maskedlra import (
     Banded,
     Banded2D,
     BlockDiagonal,
+    BlockSparse,
     Diagonal,
     Explicit,
     Monotone,
     ParameterError,
     Sparse,
+    SparseFaces,
     ToeplitzModP,
     make_mask,
     rank_budget,
@@ -167,3 +169,26 @@ def test_make_mask_parameter_validation():
         make_mask(Sparse(zero_sets=((0, 1),), t=1), 1)  # row exceeds t
     with pytest.raises(ParameterError):
         make_mask(Monotone(prefix_lengths=(5,)), 1)  # prefix longer than row
+
+
+_TWO_BLOCKS = ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("pattern, n, match", [
+    (Sparse(zero_sets=((0,),), t=1), 2, "one entry per row"),
+    (Sparse(zero_sets=((), (2,)), t=1), 2, "outside 0..1"),
+    (BlockSparse(((0, 1), (1, 2, 3)), _TWO_BLOCKS, ((), ()), 1), 4, "row_blocks must partition"),
+    (BlockSparse(((0, 1, 2, 3), ()), _TWO_BLOCKS, ((), ()), 1), 4, "row_blocks contains an empty"),
+    (BlockSparse(_TWO_BLOCKS, ((0, 1, 2),), ((),), 1), 4, "col_blocks must partition"),
+    (BlockSparse(_TWO_BLOCKS, _TWO_BLOCKS, ((),), 1), 4, "one entry per row block"),
+    (BlockSparse(_TWO_BLOCKS, _TWO_BLOCKS, ((0, 1), ()), 1), 4, "row block 0 has 2 zeros"),
+    (BlockSparse(_TWO_BLOCKS, _TWO_BLOCKS, ((), (2,)), 1), 4, "names a missing column block"),
+    (SparseFaces(zero_sets=((),), s=1), 2, "one entry per face"),
+    (SparseFaces(zero_sets=(((0, 0), (1, 1)), ()), s=1), 2, "face 0 has 2 zeros"),
+    (SparseFaces(zero_sets=((), ((0, 2),)), s=1), 2, r"face 1 zero \(0,2\) out of range"),
+    (Diagonal(), 0, "n=0 must be positive"),
+    ("diagonal", 4, "unknown pattern"),
+])
+def test_bad_pattern_is_a_parameter_error(pattern, n, match):
+    with pytest.raises(ParameterError, match=match):
+        make_mask(pattern, n)

@@ -607,3 +607,17 @@ def test_order3_partition_matches_protocol_cube():
     for seed in (0, 1):
         P = multiparty_partition(spec, seed=seed)
         assert np.array_equal(partition_bitmap(P), protocol_cube(spec, seed))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: equality_hash(4, 0.0), r"delta=0.0 outside \(0, 1\]"),
+    (lambda: greater_than(4, 1.5), r"delta=1.5 outside \(0, 1\]"),
+    (lambda: equality_hash(4, 0.5, groups=(0, 1)), "groups must assign an id to every index"),
+    (lambda: sparse_set_eq(4, ((),) * 3, 1, 0.5), "zero_sets must have one entry per row"),
+    (lambda: sparse_set_eq(2, ((0, 1), ()), 1, 0.5), "a zero set exceeds t=1"),
+    (lambda: sparse_set_eq(2, ((), ()), 1, 0.5, col_groups=(0,)), "col_groups must assign"),
+    (lambda: monotone_gt((0, 3), 0.5), "prefix lengths must lie in 0..n"),
+])
+def test_bad_protocol_spec_is_a_parameter_error(build, match):
+    with pytest.raises(ParameterError, match=match):
+        build()

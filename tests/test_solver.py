@@ -25,6 +25,7 @@ from maskedlra import (
     make_mask,
     masked_cost,
     masked_lra,
+    neq3_multiparty,
     rank_budget,
     sample_partition,
     svd_truncated,
@@ -281,6 +282,20 @@ def test_verify_bicriteria_two_sided_needs_candidate():
         verify_bicriteria(inst.A, inst.W, 1, 0.25, spec=spec, opt_upper=0.0)
 
 
+@pytest.mark.parametrize("explicit, spec", [
+    (True, equality_hash(64, 0.25)),  # a 64-point partition of a 16-point mask
+    (True, neq3_multiparty(8, 0.5)),  # a cube of another size
+    (True, neq3_multiparty(16, 0.5)),  # a cube of the mask's size
+    (False, banded_gt(64, 4, 0.25)),
+])
+def test_verify_bicriteria_rejects_a_spec_of_another_size_or_order(explicit, spec):
+    n = 16
+    W = make_mask(Explicit(1 - np.eye(n, dtype=np.uint8)) if explicit else Diagonal(), n)
+    A = np.random.default_rng(0).standard_normal((n, n))
+    with pytest.raises(ParameterError, match=f"does not partition an n={n} matrix mask"):
+        verify_bicriteria(A, W, 2, 0.25, spec=spec, L_for_eps2=zero_factor(n, n))
+
+
 def test_verify_bicriteria_rhs_is_sum_of_summands():
     from maskedlra import Banded
 
@@ -345,13 +360,13 @@ def test_comparator_checks_k_before_any_fit():
                 comparator_from_partition(A, W, P, k)
 
 
-def test_altmin_half_step_trace_never_increases():
+def test_altmin_sweeps_never_increase_cost():
+    # rerun with growing sweep counts; same seed gives the same trajectory
     rng = np.random.default_rng(30)
     A = rng.standard_normal((10, 10))
     W = make_mask(Diagonal(), 10)
-    L = altmin_baseline(A, W, 2, iters=15, seed=4, trace=True)
-    costs = L.meta["trace"]
-    assert all(b <= a + 1e-10 for a, b in zip(costs, costs[1:]))
+    costs = [altmin_baseline(A, W, 2, iters=iters, seed=4).meta["cost"] for iters in range(16)]
+    assert all(b <= a + 1e-10 for a, b in zip(costs, costs[1:])), costs
 
 
 def test_altmin_comparison_is_recorded_not_asserted():

@@ -182,3 +182,25 @@ def test_heavy_rows_read_t_from_a_raw_mask():
     assert heavy_row_set(_factor(M, 8), W.bitmap, 0.5, 8) == want
     assert want.budget == 16  # t = 1 zero per column
     assert heavy_row_set(_factor(M, 8), np.ones((8, 8)), 0.5, 8).budget == 0
+
+
+def _rank_one(n):
+    return LowRankFactor(np.ones((n, 1)), np.ones((n, 1)), 1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda W: heavy_row_set(_rank_one(4), W, 0.0, 1), r"eps=0.0 must be in \(0, 1\)"),
+    (lambda W: heavy_row_set(_rank_one(4), W, 1.0, 1), r"eps=1.0 must be in \(0, 1\)"),
+    (lambda W: heavy_row_set(_rank_one(4), W, 0.5, 0), "k=0 must be positive"),
+    (lambda W: row_patch_comparator(np.ones((4, 4)), W, _rank_one(4), (0, 1, 2, 3)),
+     "patched rank bound exceeds min dimension"),
+    (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W.bitmap, 1, 0.5, 0.0),
+     "needs a structured mask"),
+    (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W, 1, 1.5, 0.0),
+     r"eps=1.5 must be in \(0, 1\)"),
+    (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W, 0, 0.5, 0.0),
+     "k=0 must be positive"),
+])
+def test_bad_structural_argument_is_a_parameter_error(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call(make_mask(Diagonal(), 4))

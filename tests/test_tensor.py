@@ -58,7 +58,7 @@ def test_cp_als_sweeps_never_increase_residual():
     T = rng.standard_normal((5, 5, 5))
     resid = []
     for iters in range(1, 9):
-        F = cp_als(T, 2, iters=iters, tol=0.0, seed=3)
+        F = cp_als(T, 2, iters=iters, seed=3)
         resid.append(float(np.sum((T - F.value()) ** 2)))
     assert all(b <= a + 1e-10 for a, b in zip(resid, resid[1:])), resid
 
