@@ -200,8 +200,10 @@ def write_partition(path, sample: protocols.PartitionSample) -> None:
 
 def read_partition(path) -> protocols.PartitionSample:
     """A partition dump read back; a dump without n, with a line that has
-    not 1 + order fields, with a label other than 0 or 1, or with an index
-    outside 0..n-1 is a ParameterError."""
+    not 1 + order fields, with a label other than 0 or 1, with an index
+    outside 0..n-1, whose rectangles' cells do not add up to n^order, or
+    whose header's rectangles or one_count differs from what was read is a
+    ParameterError."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParameterError("partition dump missing its header line")
@@ -214,7 +216,7 @@ def read_partition(path) -> protocols.PartitionSample:
         raise ParameterError("partition dump header missing n")
     n = _parse(int, header["n"], "n")
     order = _parse(int, header.get("order", "2"), "order")
-    rects, index_sets = [], [np.zeros(0, np.int64)]
+    rects, index_sets, cells = [], [np.zeros(0, np.int64)], 0
     for ln, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -229,11 +231,19 @@ def read_partition(path) -> protocols.PartitionSample:
             for part in parts[1:]
         ]
         index_sets += sets
+        cells += math.prod(map(len, sets))
         depth = sets[2] if len(sets) == 3 else None
         rects.append(protocols.Rectangle(sets[0], sets[1], label, depth))
     # one range check over all index sets, not one per rectangle, keeps reads fast
     flat = np.concatenate(index_sets)
     if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise ParameterError(f"partition dump has an index outside 0..{n - 1}")
+    # a partition tiles the grid, so its cells add up to n^order; checking the
+    # sum keeps the read linear in the rectangles
+    if cells != n**order:
+        raise ParameterError(f"partition dump covers {cells} cells, not {n}^{order}")
     ones = sum(1 for r in rects if r.label == 1)
+    for name, read in (("rectangles", len(rects)), ("one_count", ones)):
+        if name in header and _parse(int, header[name], name) != read:
+            raise ParameterError(f"partition dump header says {name}={header[name]}, read {read}")
     return protocols.PartitionSample(rects, n, header.get("source", "file"), ones, order=order)

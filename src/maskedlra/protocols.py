@@ -2,11 +2,15 @@
 
 Each family's decisions are written once, in decide(spec, idx, keys), which
 returns transcript codes and outputs on any broadcastable set of cells. The
-certificate's partition runs it on the full input grid with one seeded draw
-of shared randomness; grouping cells by transcript yields combinatorial
-rectangles labeled with the protocol output. Grouping is one sort of the
-cells plus linear passes, with no n^2-sized index grid.
-empirical_error_rates runs the same evaluator on sampled cells with
+certificate's partition takes one seeded draw of shared randomness, and its
+transcript classes are combinatorial rectangles labeled with the protocol
+output. A one-sided family's decisions are a sender's hash bucket and one
+reply bit per other party (_one_sided), so its rectangles are built directly
+as products of bucket index sets, in O(n + rectangles) with no cell
+enumerated. The greater-than families run decide on the full input grid and
+group the cells by transcript: one sort of the cells plus linear passes,
+with no n^2-sized index grid; protocol_matrix and protocol_cube enumerate
+the grid too. empirical_error_rates runs decide on sampled cells with
 independent randomness per sample, so the error rate it reports is that of
 the decisions the partition is built from. Nondeterministic covers are
 built directly from their witness structure. assemble turns per-rectangle
@@ -26,6 +30,7 @@ Families:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +40,9 @@ from .errors import ParameterError, ResourceError
 from . import masks
 from .linalg import as_bitmap
 
-# most cells of an exhaustive transcript enumeration: n <= 4096 at order 2,
-# n <= 256 at order 3
+# most cells of an exhaustive transcript enumeration, which the greater-than
+# families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
+# order 2, n <= 256 at order 3
 ENUM_CELLS = 2**24
 
 ONE_SIDED_FAMILIES = ("equality-hash", "eq-mod-p", "sparse-set-eq", "neq3-multiparty")
@@ -258,18 +264,73 @@ def transcript_cap(spec: ProtocolSpec) -> int:
 # ---------------------------------------------------------------------------
 # one evaluator per family
 
-def _eq_decide(u: np.ndarray, v: np.ndarray, buckets: int | None, keys):
-    """u != v through one shared hash into buckets; buckets None compares exactly.
+def _one_sided(spec: ProtocolSpec, idx, keys):
+    """(sender, s, reply, label): a one-sided family as a bucket and a reply rule.
 
-    A hashed run draws one key, even with one bucket, where every value
-    hashes to 0 and the output is 0.
+    Party number sender announces its bucket, or its residue for exact
+    eq-mod-p: s holds it for each of idx[sender]. Every other party answers
+    with one bit: reply(s) returns their bits in party order, each
+    broadcasting against s and that party's indices, and label(bits) is the
+    output. The transcript code is s followed by the bits, so one s and one
+    bit per receiver single out a rectangle: the sender's indices in bucket
+    s times each receiver's indices that give its bit. idx and keys are as
+    for decide; every key is drawn here, before reply is called.
     """
-    if buckets:
+    f = spec.family
+    n = spec.n
+
+    if f in ("equality-hash", "eq-mod-p"):
+        # u != v through one shared hash; exact eq-mod-p compares residues.
+        # A hashed run draws one key, even with one bucket, where every value
+        # hashes to 0 and the output is 0.
+        if f == "equality-hash":
+            vals = np.asarray(spec.groups if spec.groups is not None else np.arange(n),
+                              dtype=np.int64)
+            buckets = math.ceil(1 / spec.delta)
+        else:
+            vals = np.arange(n, dtype=np.int64) % spec.p
+            buckets = math.ceil(1 / spec.delta) if spec.delta else None
+        u, v = vals[idx[0]], vals[idx[1]]
+        if buckets:
+            key = keys(1)[:, 0]
+            u = _hash_buckets(u, key, buckets)
+            v = _hash_buckets(v, key, buckets)
+        return 0, u, lambda s: [(v != s).astype(np.uint8)], lambda bits: bits[0]
+
+    if f == "sparse-set-eq":
+        # the column announces its bucket; the row answers 0 when that bucket
+        # holds a member of its zero set
+        cols = np.asarray(spec.col_groups if spec.col_groups is not None
+                          else np.arange(n), dtype=np.int64)
+        B = max(1, math.ceil(spec.t / spec.delta))
         key = keys(1)[:, 0]
-        u = _hash_buckets(u, key, buckets)
-        v = _hash_buckets(v, key, buckets)
-    o = (u != v).astype(np.uint8)
-    return u * 2 + o, o
+        # zero sets padded with -1 into an (n, t) table, hashed one slot at a
+        # time; a padded slot stays -1, which no bucket equals
+        Z = np.full((n, max(map(len, spec.zero_sets), default=0)), -1, dtype=np.int64)
+        for r, zs in enumerate(spec.zero_sets):
+            Z[r, :len(zs)] = zs
+        x = idx[0]
+        hz = [np.where(z >= 0, _hash_buckets(z, key, B), -1)
+              for z in np.moveaxis(Z[x], -1, 0)]
+
+        def reply(s):
+            hit = np.zeros(np.broadcast_shapes(x.shape, np.shape(s)), dtype=bool)
+            for h in hz:
+                hit |= h == s
+            return [(~hit).astype(np.uint8)]
+
+        return 1, _hash_buckets(cols[idx[1]], key, B), reply, lambda bits: bits[0]
+
+    # neq3-multiparty: the other two parties each say whether their bucket
+    # is the first's
+    B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
+    key = keys(1)[:, 0]
+    h = [_hash_buckets(i, key, B) for i in idx]
+
+    def reply(s):
+        return [(h[1] == s).astype(np.uint8), (h[2] == s).astype(np.uint8)]
+
+    return 0, h[0], reply, lambda bits: 1 - (bits[0] & bits[1])
 
 
 def decide(spec: ProtocolSpec, idx, keys):
@@ -287,31 +348,13 @@ def decide(spec: ProtocolSpec, idx, keys):
     n = spec.n
     x, y = idx[0], idx[1]
 
-    if f == "equality-hash":
-        vals = np.asarray(spec.groups if spec.groups is not None else np.arange(n),
-                          dtype=np.int64)
-        return _eq_decide(vals[x], vals[y], math.ceil(1 / spec.delta), keys)
-
-    if f == "eq-mod-p":
-        vals = np.arange(n, dtype=np.int64) % spec.p
-        buckets = math.ceil(1 / spec.delta) if spec.delta else None
-        return _eq_decide(vals[x], vals[y], buckets, keys)
-
-    if f == "sparse-set-eq":
-        cols = np.asarray(spec.col_groups if spec.col_groups is not None
-                          else np.arange(n), dtype=np.int64)
-        B = max(1, math.ceil(spec.t / spec.delta))
-        key = keys(1)[:, 0]
-        by = _hash_buckets(cols[y], key, B)
-        # zero sets padded with -1 into an (n, t) table, scanned one slot at a time
-        Z = np.full((n, max(map(len, spec.zero_sets), default=0)), -1, dtype=np.int64)
-        for r, zs in enumerate(spec.zero_sets):
-            Z[r, :len(zs)] = zs
-        hit = np.zeros(np.broadcast_shapes(x.shape, by.shape), dtype=bool)
-        for z in np.moveaxis(Z[x], -1, 0):
-            hit |= (z >= 0) & (_hash_buckets(z, key, B) == by)
-        o = (~hit).astype(np.uint8)
-        return by * 2 + o, o
+    if f in ONE_SIDED_FAMILIES:
+        _, s, reply, label = _one_sided(spec, idx, keys)
+        bits = reply(s)
+        codes = s
+        for bit in bits:
+            codes = codes * 2 + bit
+        return codes, np.asarray(label(bits), dtype=np.uint8)
 
     if f == "greater-than":
         return _gt(x, y, max(1, int(n - 1).bit_length()), spec.delta, keys)
@@ -356,14 +399,6 @@ def decide(spec: ProtocolSpec, idx, keys):
             codes3 = np.where(sel, c3, codes3)
             out3 = np.where(sel, o3, out3)
         return _pair_codes(_pair_codes(cA, cB), codes3), out3
-
-    if f == "neq3-multiparty":
-        B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
-        key = keys(1)[:, 0]
-        h = [_hash_buckets(i, key, B) for i in idx]
-        b2 = (h[1] == h[0]).astype(np.int64)
-        b3 = (h[2] == h[0]).astype(np.int64)
-        return h[0] * 4 + b2 * 2 + b3, (1 - (b2 & b3)).astype(np.uint8)
 
     raise ParameterError(f"unknown family {f!r}")
 
@@ -499,13 +534,46 @@ def _group_cells(codes: np.ndarray, labels: np.ndarray) -> list[Rectangle]:
     return [Rectangle(r, c, g, d) for r, c, d, g in zip(rows, cols, depths, label.tolist())]
 
 
+def _bucket_products(spec: ProtocolSpec, seed: int) -> list[Rectangle]:
+    """Rectangles of a one-sided family's transcript classes, in code order.
+
+    The same keys as the grid's hash each party's n indices once, each on
+    its own axis of an open grid, so no array spans two parties. A class is
+    one sender bucket s, ascending, and one reply bit per receiver, taken
+    in party order: the sender's indices in bucket s times each receiver's
+    indices giving its bit. Empty classes are skipped, as they have no cell.
+    """
+    order = _order(spec)
+    idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
+    sender, s, reply, label = _one_sided(spec, idx, _shared_keys(spec, seed, order))
+    s = s.ravel()
+    rects = []
+    for b in np.unique(s):
+        senders = np.flatnonzero(s == b)
+        bits = [r.ravel() for r in reply(b)]
+        for answer in itertools.product((0, 1), repeat=len(bits)):
+            sets = [np.flatnonzero(r == a) for r, a in zip(bits, answer)]
+            if all(len(r) for r in sets):
+                sets.insert(sender, senders)
+                rects.append(Rectangle(sets[0], sets[1], int(label(answer)), *sets[2:]))
+    return rects
+
+
 def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
-    """Run the protocol on every cell and group by transcript."""
-    codes, labels = _transcript_grid(spec, seed)
-    rects = _group_cells(codes, labels)
+    """The protocol's rectangles under one seeded draw of shared randomness.
+
+    A one-sided family's rectangles are built as products of hash buckets,
+    in O(n + rectangles) memory with no cell enumerated; any other family
+    runs decide on every cell and groups the cells by transcript, within
+    ENUM_CELLS. Both give the transcript classes in ascending code order.
+    """
+    if spec.family in ONE_SIDED_FAMILIES:
+        rects = _bucket_products(spec, seed)
+    else:
+        rects = _group_cells(*_transcript_grid(spec, seed))
     ones = sum(1 for r in rects if r.label == 1)
     return PartitionSample(rects, spec.n, f"{spec.describe()}@{seed}", ones,
-                           order=codes.ndim)
+                           order=_order(spec))
 
 
 def multiparty_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:

@@ -223,11 +223,25 @@ def test_malformed_partition_dump_raises_parameter_error(tmp_path, body):
     ("# n=2\torder=3\n1\t0,1\t0,1\n", "line 2: expected 4 fields"),
     ("# n=2\torder=2\n1\t0,1\t0,1\t0\n", "line 2: expected 3 fields"),
     ("1\t0\t1\n", "missing its header line"),
+    # header counts that disagree with rectangles which do tile the grid
+    ("# n=1\trectangles=2\n1\t0\t0\n", "header says rectangles=2, read 1"),
+    ("# n=1\tone_count=0\n1\t0\t0\n", "header says one_count=0, read 1"),
+    # a gap, and an order-3 dump that covers one slice of the cube
+    ("# n=2\torder=2\trectangles=1\tone_count=1\n1\t0\t0,1\n", r"covers 2 cells, not 2\^2"),
+    ("# n=2\torder=3\n1\t0,1\t0,1\t0\n", r"covers 4 cells, not 2\^3"),
 ])
 def test_bad_partition_dump_is_a_parameter_error(tmp_path, text, match):
     path = tmp_path / "part.txt"
     path.write_text(text)
     with pytest.raises(ParameterError, match=match):
+        read_partition(path)
+
+
+def test_overlapping_partition_dump_is_a_parameter_error(tmp_path):
+    # two overlapping rectangles under a header whose counts match neither
+    path = tmp_path / "part.txt"
+    path.write_text("# n=2\torder=2\trectangles=5\tone_count=3\n1\t0,1\t0,1\n0\t0\t0\n")
+    with pytest.raises(ParameterError, match="covers 5 cells"):
         read_partition(path)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,10 +453,12 @@ def test_seed_determinism():
 
 
 def test_enumeration_cap():
-    from maskedlra import ResourceError
-
+    # a greater-than partition groups the cells of the grid, and a protocol
+    # matrix is one; both stop at the cap before allocating
     with pytest.raises(ResourceError):
-        sample_partition(equality_hash(5000, 0.5))
+        sample_partition(greater_than(5000, 0.5))
+    with pytest.raises(ResourceError):
+        protocol_matrix(equality_hash(5000, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +583,81 @@ def test_one_cell_cap_for_both_orders(monkeypatch):
     # 2^24 cells is n = 4096 at order 2 and n = 256 at order 3; a smaller cap
     # shows the same rule at sizes a test can enumerate: 64 = 8^2 = 4^3
     monkeypatch.setattr(protocols, "ENUM_CELLS", 64)
-    sample_partition(equality_hash(8, 0.5))
-    sample_partition(neq3_multiparty(4, 0.5))
-    for spec in (equality_hash(9, 0.5), neq3_multiparty(5, 0.5)):
-        with pytest.raises(ResourceError, match="enumeration cap"):
-            sample_partition(spec)
+    sample_partition(greater_than(8, 0.5))
+    protocol_cube(neq3_multiparty(4, 0.5))
+    with pytest.raises(ResourceError, match="enumeration cap"):
+        sample_partition(greater_than(9, 0.5))
+    with pytest.raises(ResourceError, match="enumeration cap"):
+        protocol_cube(neq3_multiparty(5, 0.5))
     monkeypatch.undo()
     with pytest.raises(ResourceError, match="enumeration cap"):
-        sample_partition(neq3_multiparty(257, 0.5))
+        protocol_cube(neq3_multiparty(257, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# one-sided families: rectangles as products of hash buckets
+
+
+def _bucket_product_specs(n):
+    rng = np.random.default_rng(n)
+    zs = tuple(tuple(sorted(rng.choice(n, min(n, int(rng.integers(0, 4))), replace=False).tolist()))
+               for _ in range(n))
+    specs = []
+    for delta in (1.0, 0.5, 0.25, 0.1):
+        specs += [
+            equality_hash(n, delta),
+            equality_hash(n, delta, groups=rng.integers(0, 5, size=n)),
+            eq_mod_p(n, min(n, 4), delta),
+            sparse_set_eq(n, zs, 3, delta),
+            sparse_set_eq(n, zs, 3, delta, col_groups=rng.integers(0, 7, size=n)),
+            sparse_set_eq(n, ((),) * n, 0, delta),
+            neq3_multiparty(min(n, 17), delta),
+        ]
+    return specs + [eq_mod_p(n, min(n, 3))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_bucket_products_equal_grouped_grid(n):
+    """The bucket-product partition is the grid's grouping, rectangle for
+    rectangle: order, labels, every index set and one_count."""
+    for spec in _bucket_product_specs(n):
+        assert spec.family in ONE_SIDED_FAMILIES
+        for seed in range(4):
+            P = sample_partition(spec, seed=seed)
+            want = _group_cells(*_transcript_grid(spec, seed))
+            assert len(P.rectangles) == len(want) <= transcript_cap(spec)
+            assert P.one_count == sum(r.label for r in want)
+            assert P.order == (3 if spec.family == "neq3-multiparty" else 2)
+            for got, w in zip(P.rectangles, want):
+                assert got.label == w.label
+                for a, b in zip((got.row_set, got.col_set, got.depth_set),
+                                (w.row_set, w.col_set, w.depth_set)):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_bucket_products_enumerate_no_cell(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-sided partition enumerated cells")
+
+    monkeypatch.setattr(protocols, "_transcript_grid", refuse)
+    monkeypatch.setattr(protocols, "_group_cells", refuse)
+    for spec in _one_spec_per_family() + [eq_mod_p(16, 4)]:
+        if spec.family in ONE_SIDED_FAMILIES:
+            sample_partition(spec, seed=1)
+    multiparty_partition(neq3_multiparty(8, 0.5), seed=1)
+
+
+def test_equality_partition_far_above_the_cell_cap():
+    tracemalloc.start()
+    try:
+        P = sample_partition(equality_hash(65536, 0.25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(P.rectangles) == 8
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("spec", [
