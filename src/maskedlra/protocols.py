@@ -10,7 +10,11 @@ as products of bucket index sets, in O(n + rectangles) with no cell
 enumerated. The greater-than families run decide on the full input grid and
 group the cells by transcript: one sort of the cells plus linear passes,
 with no n^2-sized index grid; protocol_matrix and protocol_cube enumerate
-the grid too. empirical_error_rates runs decide on sampled cells with
+the grid too. Their core, _gt, walks the cells down a static binary-search
+tree in cache-sized row stripes: each party hashes its prefixes once per
+tree node over its own indices, a cell's state is one small node id, and on
+a grid the transcript codes come from one ranked table per (leaf, row),
+which the cells gather. empirical_error_rates runs decide on sampled cells with
 independent randomness per sample, so the error rate it reports is that of
 the decisions the partition is built from. Nondeterministic covers are
 built directly from their witness structure. assemble turns per-rectangle
@@ -44,6 +48,10 @@ from .linalg import as_bitmap
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
 # order 2, n <= 256 at order 3
 ENUM_CELLS = 2**24
+
+# cells per row stripe of a greater-than walk, so that its working arrays
+# stay in cache
+_STRIPE_CELLS = 2**15
 
 ONE_SIDED_FAMILIES = ("equality-hash", "eq-mod-p", "sparse-set-eq", "neq3-multiparty")
 
@@ -150,20 +158,93 @@ def _hash_buckets(vals: np.ndarray, key, buckets: int) -> np.ndarray:
     function.
     """
     a, b = key
-    v = vals.astype(np.uint64)
-    h32 = (a * v + b) >> np.uint64(32)
-    return ((h32 * np.uint64(buckets)) >> np.uint64(32)).astype(np.int64)
+    h = a * vals.astype(np.uint64)
+    h += b
+    h >>= np.uint64(32)
+    h *= np.uint64(buckets)
+    h >>= np.uint64(32)
+    return h.view(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # greater-than core
 
-def _compact(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Re-index codes to small ids with a same-length sentinel bit."""
+def _rank(codes: np.ndarray) -> np.ndarray:
+    """Dense ranks of codes, from 1, in their order and shape."""
     _, inv = np.unique(codes, return_inverse=True)
-    inv = inv.reshape(codes.shape).astype(np.int64)
-    width = max(1, int(inv.max()).bit_length())
-    return inv + (1 << width), width + 1
+    return inv.reshape(codes.shape) + 1
+
+
+def _pack(fields, widths) -> np.ndarray:
+    """One int64 per entry, ordered as the fields are lexicographically.
+
+    Field i holds non-negative values below 2^widths[i] and is appended in
+    that width. When the next field would take the codes past 62 bits, the
+    codes so far are first replaced by their ranks, which keeps their order.
+    """
+    code, bits = np.asarray(fields[0], dtype=np.int64), widths[0]
+    for f, w in zip(fields[1:], widths[1:]):
+        if bits + w > 62:
+            code = _rank(code)
+            bits = int(code.max()).bit_length()
+        code = (code << w) | f
+        bits += w
+    return code
+
+
+@functools.cache
+def _search_tree(m: int):
+    """The hashed binary search on m-bit inputs as a static tree, in tables.
+
+    Node j < m compares the parties' (j+1)-bit prefixes, so the root, node
+    m - 1, compares whole inputs. On "equal" it settles the answer (output
+    0): leaf 2m. Otherwise the search runs on (lo, hi) from (0, m): node
+    mid - 1, mid = (lo + hi) // 2, moves to (mid, hi) on "equal", else to
+    (lo, mid), until hi - lo = 1, at leaf m + lo. The tree depends on m
+    alone, so it is built once per m.
+
+    Returns child, indexed by 2 * node + eq (a leaf is its own child), and
+    per leaf i = id - m: path (rounds, m + 1), the node met in each round
+    (m once the leaf is reached); eqs, the answer given there; group, which
+    orders transcripts by length: 0 for the settled leaf, else the leaf's
+    round count; and shift, the bit read by the final exchange: m - 1 - lo,
+    or m (a zero bit) at the settled leaf.
+    """
+    rounds = 1 + (m - 1).bit_length()
+    child = np.repeat(np.arange(2 * m + 1, dtype=np.uint8), 2)
+    path = np.full((rounds, m + 1), m, dtype=np.uint8)
+    eqs = np.zeros((rounds, m + 1), dtype=np.uint8)
+    group = np.zeros(m + 1, dtype=np.uint8)
+    shift = np.full(m + 1, m, dtype=np.int64)
+
+    def build(lo, hi, met, answers):
+        if hi - lo == 1:
+            path[:len(met), lo], eqs[:len(met), lo] = met, answers
+            group[lo], shift[lo] = len(met), m - 1 - lo
+            return m + lo
+        node = ((lo + hi) >> 1) - 1
+        child[2 * node] = build(lo, node + 1, met + [node], answers + [0])
+        child[2 * node + 1] = build(node + 1, hi, met + [node], answers + [1])
+        return node
+
+    path[0, m], eqs[0, m] = m - 1, 1
+    child[2 * m - 1] = 2 * m
+    child[2 * m - 2] = build(0, m, [m - 1], [0])
+    tables = child, path, eqs, group, shift
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _prefix_hashes(v, m: int, k, c: int) -> np.ndarray:
+    """(m, positions) table: row j hashes v's (j+1)-bit prefixes with key
+    j + 1 into 2^c buckets, over v broadcast against the keys' sample shape.
+    int16 holds the buckets while c < 15."""
+    v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v), k.shape[2:]))
+    h = np.empty((m,) + v.shape, dtype=np.int16 if c < 15 else np.int64)
+    for j in range(m):
+        h[j] = _hash_buckets(v >> (m - 1 - j), k[:, j + 1], 1 << c)
+    return h
 
 
 def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
@@ -174,55 +255,87 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
     0) or starts a binary search for the most significant differing prefix;
     the final bit exchange decides the output. direction "a>b" outputs
     [a > b], "b>a" outputs [b > a].
+
+    The search is a walk on _search_tree(m). Each party hashes its own
+    prefixes once per node, into a table over its own positions, and a
+    cell's state is one node id: a round is two table gathers, one compare
+    and one child lookup. A cell's transcript (the row's hash at each node
+    met, the answers, the row's final bit, the output) is fixed by its
+    leaf, its row position and its output. Codes are >= 1 and follow the
+    transcripts' order, shorter first, then bitwise. When there are fewer
+    (leaf, row) pairs than cells, as on a grid, their codes are built and
+    ranked once in a table that the cells gather; otherwise (independent
+    keys per cell) each cell's code is built from its own path.
     """
-    rounds = 1 + (math.ceil(math.log2(m)) if m > 1 else 0)
+    child, path, eqs, group, shift = _search_tree(m)
+    rounds = len(path)
     c = max(1, math.ceil(math.log2(rounds / delta)))
-    nbuck = 1 << c
     k = keys(m + 1)
+    ha, hb = _prefix_hashes(a, m, k, c), _prefix_hashes(b, m, k, c)
+    del k
+    R, S = ha[0].size, hb[0].size
+    it = np.int32 if (2 * m + 1) * max(R, S) < 2**31 else np.int64
+    cells = np.broadcast_shapes(ha.shape[1:], hb.shape[1:])
 
-    ha = _hash_buckets(a, k[:, m], nbuck)
-    hb = _hash_buckets(b, k[:, m], nbuck)
-    eq = ha == hb
-    codes = (np.int64(1) << (c + 1)) | (ha << 1) | eq
-    bits = c + 2
+    def on_cells(h, v):
+        # a party's positions and values, with the cells' number of axes
+        shape = (1,) * (len(cells) + 1 - h.ndim) + h.shape[1:]
+        return np.arange(h[0].size, dtype=it).reshape(shape), np.broadcast_to(v, shape)
 
-    active = ~eq
-    lo = np.zeros(eq.shape, dtype=np.int64)
-    hi = np.full(eq.shape, m, dtype=np.int64)
-    for _ in range(rounds):
-        work = active & (hi - lo > 1)
-        if not work.any():
-            break
-        if bits + c + 1 > 62:
-            codes, bits = _compact(codes)
-        mid = (lo + hi) >> 1
-        key = np.take_along_axis(k, mid[None, None], 1)[:, 0]
-        ha = _hash_buckets(a >> (m - mid), key, nbuck)
-        hb = _hash_buckets(b >> (m - mid), key, nbuck)
-        eq = ha == hb
-        codes = np.where(work, (codes << (c + 1)) | (ha << 1) | eq, codes)
-        bits += c + 1
-        lo = np.where(work & eq, mid, lo)
-        hi = np.where(work & ~eq, mid, hi)
+    (pa, va), (pb, vb) = on_cells(ha, a), on_cells(hb, b)
 
-    if bits + 2 > 62:
-        codes, bits = _compact(codes)
-    d = m - 1 - lo
-    xd = (a >> d) & 1
-    yd = (b >> d) & 1
-    o = (xd > yd) if direction == "a>b" else (yd > xd)
-    out = (active & o).astype(np.uint8)
-    codes = np.where(active, (codes << 2) | (xd << 1) | o, codes)
-    return codes, out
+    # transcript fields: the leaf's group; per round the row's hash and the
+    # answer, a constant once the leaf is reached; the row's final bit
+    widths = [rounds.bit_length()] + [c + 1] * rounds + [1]
+    if (m + 1) * R < math.prod(cells):
+        lf = np.arange(m + 1)[:, None]
+        fields = [group[lf]]
+        for r in range(rounds):
+            h = ha.take(path[r][lf] * it(R) + pa.ravel(), mode="clip")
+            fields.append((h << 1) | eqs[r][lf])
+        fields.append((va.ravel() >> shift[lf]) & 1)
+        table = _rank(_pack(fields, widths))
+        codes = np.empty(cells, dtype=np.int32 if 2 * table.size < 2**31 else np.int64)
+    else:
+        table = None
+        fields = np.empty((rounds + 2,) + cells, dtype=ha.dtype)
+    o = np.empty(cells, dtype=bool)
+    # row stripes small enough for the cache, each walked down the tree
+    step = max(1, _STRIPE_CELLS // math.prod(cells[1:]))
+    for lo in range(0, cells[0], step):
+        cut = slice(lo, lo + step)
+        ra, rb, xa, xb = (v[cut] if v.shape[0] > 1 else v for v in (pa, pb, va, vb))
+        node = np.full(np.broadcast_shapes(ra.shape, rb.shape), m - 1, dtype=np.uint8)
+        for r in range(rounds):
+            h = ha.take(node * it(R) + ra, mode="clip")
+            eq = h == hb.take(node * it(S) + rb, mode="clip")
+            if table is None:
+                fields[1 + r, cut] = (h << 1) | eq
+            node = child.take(node * 2 + eq)
+        leaf = node - np.uint8(m)
+        xd = (xa >> shift[leaf]) & 1
+        yd = (xb >> shift[leaf]) & 1
+        o[cut] = (xd > yd) if direction == "a>b" else (yd > xd)
+        if table is None:
+            fields[0, cut], fields[-1, cut] = group[leaf], xd
+        else:
+            codes[cut] = table.take(leaf * it(R) + ra) * 2 + o[cut]
+    if table is None:
+        codes = _pack(fields, widths) * 2 + o
+    return codes, o.view(np.uint8)
 
 
 def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Injective combination of two compacted code grids."""
-    _, i1 = np.unique(c1, return_inverse=True)
-    _, i2 = np.unique(c2, return_inverse=True)
-    i1 = i1.reshape(c1.shape).astype(np.int64)
-    i2 = i2.reshape(c2.shape).astype(np.int64)
-    return i1 * (int(i2.max()) + 1) + i2
+    """Injective, order-keeping combination of two non-negative code grids.
+
+    (c1, c2) in lexicographic order, as c1 * (max c2 + 1) + c2; codes too
+    wide for that to fit 63 bits are ranked first.
+    """
+    k = int(c2.max()) + 1
+    if (int(c1.max()) + 1) * k > 2**62:
+        c1, c2 = _rank(c1), _rank(c2)
+        k = int(c2.max()) + 1
+    return c1.astype(np.int64) * k + c2
 
 
 def cap_gt(domain: int, delta: float) -> int:

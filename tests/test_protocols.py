@@ -1,6 +1,7 @@
 """Protocol families: partitions, labels, error rates, covers, and caps."""
 
 import hashlib
+import math
 import struct
 import tracemalloc
 
@@ -273,7 +274,8 @@ _SINGLE_BUCKET_SPECS = [equality_hash(16, 1.0), eq_mod_p(16, 4, 1.0), neq3_multi
 )
 def test_sampled_mode_matches_grid_on_every_cell(spec):
     """Sampling every cell once, with the grid's keys copied into one key
-    column per cell, reproduces the grid's outputs bit for bit."""
+    column per cell, reproduces the grid's outputs bit for bit and its code
+    classes in their order: per-cell codes against the greater-than table's."""
     order = 3 if spec.family == "neq3-multiparty" else 2
     cells = np.indices((spec.n,) * order).reshape(order, -1)
     for seed in (0, 5):
@@ -282,12 +284,14 @@ def test_sampled_mode_matches_grid_on_every_cell(spec):
         def per_cell(count):
             return np.repeat(shared(count), cells.shape[1], axis=-1)
 
-        _, out = decide(spec, tuple(cells), per_cell)
+        codes, out = decide(spec, tuple(cells), per_cell)
         if order == 3:
             want = protocol_cube(spec, seed)
         else:
             want = protocol_matrix(spec, seed).bitmap
         assert np.array_equal(out.reshape(want.shape), want), (spec.describe(), seed)
+        want_codes, _ = _transcript_grid(spec, seed)
+        assert np.array_equal(_classes(codes), _classes(want_codes)), (spec.describe(), seed)
 
 
 def test_empirical_error_rates_checks_mask_shape():
@@ -665,11 +669,169 @@ def test_equality_partition_far_above_the_cell_cap():
     monotone_gt(tuple(range(64)), 1e-6),
 ], ids=["greater-than", "monotone-gt"])
 def test_partition_matches_protocol_when_gt_compacts_its_codes(spec):
-    # at delta = 1e-6 the transcript outgrows 62 bits, so _gt re-indexes its codes
+    # at delta = 1e-6 the transcript outgrows 62 bits, so _pack ranks the
+    # codes part way
     P = sample_partition(spec)
     got = partition_bitmap(P)
     assert np.array_equal(got, protocol_matrix(spec).bitmap)
     assert np.array_equal(got, target_bitmap(spec))
+
+
+# ---------------------------------------------------------------------------
+# greater-than: the tree walk against the per-cell search it replaced
+
+
+def _ref_compact(codes):
+    _, inv = np.unique(codes, return_inverse=True)
+    inv = inv.reshape(codes.shape).astype(np.int64)
+    width = max(1, int(inv.max()).bit_length())
+    return inv + (1 << width), width + 1
+
+
+def _ref_gt(a, b, m, delta, keys, direction="a>b"):
+    """The binary search run on every cell: each round gathers a key per cell,
+    hashes both parties' prefixes and appends to an int64 code, re-indexed
+    whenever it would pass 62 bits."""
+    rounds = 1 + (math.ceil(math.log2(m)) if m > 1 else 0)
+    c = max(1, math.ceil(math.log2(rounds / delta)))
+    nbuck = 1 << c
+    k = keys(m + 1)
+    hash_ = protocols._hash_buckets
+    ha, hb = hash_(a, k[:, m], nbuck), hash_(b, k[:, m], nbuck)
+    eq = ha == hb
+    codes = (np.int64(1) << (c + 1)) | (ha << 1) | eq
+    bits = c + 2
+    active = ~eq
+    lo = np.zeros(eq.shape, dtype=np.int64)
+    hi = np.full(eq.shape, m, dtype=np.int64)
+    for _ in range(rounds):
+        work = active & (hi - lo > 1)
+        if not work.any():
+            break
+        if bits + c + 1 > 62:
+            codes, bits = _ref_compact(codes)
+        mid = (lo + hi) >> 1
+        key = np.take_along_axis(k, mid[None, None], 1)[:, 0]
+        ha, hb = hash_(a >> (m - mid), key, nbuck), hash_(b >> (m - mid), key, nbuck)
+        eq = ha == hb
+        codes = np.where(work, (codes << (c + 1)) | (ha << 1) | eq, codes)
+        bits += c + 1
+        lo = np.where(work & eq, mid, lo)
+        hi = np.where(work & ~eq, mid, hi)
+    if bits + 2 > 62:
+        codes, bits = _ref_compact(codes)
+    d = m - 1 - lo
+    xd, yd = (a >> d) & 1, (b >> d) & 1
+    o = (xd > yd) if direction == "a>b" else (yd > xd)
+    out = (active & o).astype(np.uint8)
+    codes = np.where(active, (codes << 2) | (xd << 1) | o, codes)
+    return codes, out
+
+
+def _ref_pair_codes(c1, c2):
+    _, i1 = np.unique(c1, return_inverse=True)
+    _, i2 = np.unique(c2, return_inverse=True)
+    i1 = i1.reshape(c1.shape).astype(np.int64)
+    i2 = i2.reshape(c2.shape).astype(np.int64)
+    return i1 * (int(i2.max()) + 1) + i2
+
+
+def _classes(codes):
+    """Each cell's class as its rank among the distinct codes."""
+    return np.unique(codes, return_inverse=True)[1].ravel()
+
+
+def _reference_decide(monkeypatch, spec, idx, keys):
+    with monkeypatch.context() as mp:
+        mp.setattr(protocols, "_gt", _ref_gt)
+        mp.setattr(protocols, "_pair_codes", _ref_pair_codes)
+        return decide(spec, idx, keys)
+
+
+def _gt_specs():
+    """Random greater-than specs of every family, with delta down to 1e-6,
+    where the codes pass 62 bits, and m = 1 (n = 2, banded2d-gt at n = 4)."""
+    rng = np.random.default_rng(19)
+    specs = [greater_than(2, 0.5), greater_than(2, 1e-3), banded2d_gt(4, 1, 0.5),
+             banded2d_gt(4, 2, 1e-4), monotone_gt((2, 0), 0.25)]
+    for delta in (1.0, 0.3, 1e-3, 1e-6):
+        n = int(rng.integers(3, 70))
+        s = int(rng.integers(2, 9))
+        specs += [
+            greater_than(n, delta),
+            banded_gt(n, int(rng.integers(1, n + 1)), delta),
+            banded2d_gt(s * s, int(rng.integers(1, s * s + 1)), delta),
+            monotone_gt(tuple(int(v) for v in rng.integers(0, n + 1, size=n)), delta),
+        ]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _gt_specs(), ids=lambda s: s.describe())
+def test_gt_decide_matches_reference_on_grid(spec, monkeypatch):
+    """Same outputs and the same classes in the same order as the per-cell
+    search, so the partitions are the same rectangles in the same order."""
+    for seed in (0, 7):
+        codes, out = _transcript_grid(spec, seed)
+        idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * 2)
+        want_codes, want_out = _reference_decide(monkeypatch, spec, idx,
+                                                 _shared_keys(spec, seed, 2))
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(_classes(codes), _classes(want_codes))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
+@pytest.mark.parametrize("direction", ["a>b", "b>a"])
+def test_gt_kernel_matches_reference(m, direction, monkeypatch):
+    """Random inputs below 2^m on random rows x cols grids, walked in row
+    stripes of an odd size, against the per-cell search, codes class for
+    class."""
+    rng = np.random.default_rng([m, direction == "a>b"])
+    monkeypatch.setattr(protocols, "_STRIPE_CELLS", 37)
+    for delta in (0.5, 1e-3):
+        rows, cols = rng.integers(1, 40, size=2)
+        a = rng.integers(0, 1 << m, size=(rows, 1))
+        b = rng.integers(0, 1 << m, size=(1, cols))
+        seed = int(rng.integers(2**32))
+
+        def keys(count):
+            return np.random.default_rng(seed).integers(
+                0, 2**64, size=(2, count, 1, 1), dtype=np.uint64)
+
+        codes, out = protocols._gt(a, b, m, delta, keys, direction)
+        want_codes, want_out = _ref_gt(a, b, m, delta, keys, direction)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(_classes(codes), _classes(want_codes))
+
+
+@pytest.mark.parametrize("spec", _gt_specs()[::3], ids=lambda s: s.describe())
+def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
+    rng = np.random.default_rng(spec.n)
+    idx = tuple(rng.integers(0, spec.n, size=500) for _ in range(2))
+    draws = rng.integers(0, 2**64, size=(64, 2, spec.n.bit_length() + 8, 500),
+                         dtype=np.uint64)
+
+    def keys_from(draws):
+        it = iter(draws)
+        return lambda count: next(it)[:, :count]
+
+    codes, out = decide(spec, idx, keys_from(draws))
+    want_codes, want_out = _reference_decide(monkeypatch, spec, idx, keys_from(draws))
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(_classes(codes), _classes(want_codes))
+
+
+def test_banded_gt_partition_memory():
+    # 71.4 traced bytes per grid cell with the tree walk, 118 with the
+    # per-cell search; the bound is 10% above the former
+    n = 512
+    tracemalloc.start()
+    try:
+        P = sample_partition(banded_gt(n, 4, 0.25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert P.n == n
+    assert peak < 79 * n * n
 
 
 def test_order3_partition_matches_protocol_cube():
