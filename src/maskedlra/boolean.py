@@ -173,9 +173,9 @@ def bool_lra_heuristic(A, W, k: int, seed: int = 0) -> tuple[BoolFactor, int]:
 
 
 def _check_cover(C, Wb) -> None:
-    if not C.rectangles:
+    if not len(C.boxes):
         raise ParameterError("cover has no rectangles")
-    if any(rect.label != 1 for rect in C.rectangles):
+    if (C.boxes.labels != 1).any():
         raise ParameterError("cover rectangles must be 1-labeled")
     if not np.array_equal(cover_bitmap(C), Wb):
         raise ParameterError("cover union differs from the mask support")
@@ -210,8 +210,8 @@ def cover_based_bool_lra(
         per_rect.append(cost)
         return f.U, f.V.T
 
-    U, Vt = assemble(C.rectangles, A.shape, fit)
-    fac = BoolFactor(U, Vt.T, k * len(C.rectangles))
+    U, Vt = assemble(C.boxes, A.shape, fit)
+    fac = BoolFactor(U, Vt.T, k * len(C.boxes))
     cost = bool_cost(A, fac.value(), W)
     fac.meta.update(cost=cost, per_rectangle_costs=per_rect)
     return fac, cost
@@ -231,7 +231,7 @@ def verify_nondet_bound(
     if opt_upper < 0:
         raise ParameterError(f"opt_upper={opt_upper} must be nonnegative")
     _, cost = cover_based_bool_lra(A, W, C, k, inner=inner, seed=seed)
-    size = len(C.rectangles)
+    size = len(C.boxes)
     terms = (("opt_upper", size, int(opt_upper)),)
     return Certificate(
         route="boolean", pattern=W.pattern.tag if isinstance(W, Mask) else "explicit",

@@ -160,9 +160,9 @@ def _cmd_protocol_stats(args) -> int:
     one_sided = spec.family in pr.ONE_SIDED_FAMILIES
     ok_zero = (e0 == 0.0) if one_sided else gate(e0, dens0)
     ok_one = gate(e1, dens1)
-    ok_count = len(P.rectangles) <= cap
+    ok_count = len(P.boxes) <= cap
     print(f"family = {spec.family}")
-    print(f"rectangles = {len(P.rectangles)}  one_count = {P.one_count}  cap = {cap}")
+    print(f"rectangles = {len(P.boxes)}  one_count = {P.one_count}  cap = {cap}")
     print(f"err_on_zeros = {e0!r}  err_on_ones = {e1!r}  delta = {delta!r}")
     print(f"count_within_cap = {hs._fmt(ok_count)}")
     print(f"zero_side_ok = {hs._fmt(ok_zero)}  one_side_ok = {hs._fmt(ok_one)}")

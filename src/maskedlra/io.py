@@ -178,32 +178,60 @@ def load_mask(path) -> masks.Mask:
 # ---------------------------------------------------------------------------
 # partition dumps
 
+# deletes every character of a plain index list, so nothing else is left
+_INDEX_CHARS = str.maketrans("", "", "0123456789,")
+
+
+def _index_texts(ix: np.ndarray) -> list[str]:
+    """Decimal text of each entry. Indices repeat, so over a dense range of
+    values each text is made once, in a table the entries gather."""
+    if not ix.size:
+        return []
+    lo, hi = int(ix.min()), int(ix.max())
+    if hi - lo >= ix.size:
+        return list(map(str, ix.tolist()))
+    table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+    return table[ix - lo].tolist()
+
+
+def _parse_indices(joined: str) -> np.ndarray:
+    """The comma-separated integers of joined, as int64, read as int() reads
+    them. Plain unsigned decimals with no empty entry parse in one numpy
+    call, where one past the int64 range reads as the int64 maximum, which
+    no index range admits; any other text goes through int(), which raises
+    ValueError on a malformed entry."""
+    if joined.translate(_INDEX_CHARS) or ",," in joined or "," in (joined[:1], joined[-1:]):
+        return np.array(joined.split(","), dtype=np.int64)
+    return np.fromstring(joined, dtype=np.int64, sep=",")
+
+
 def write_partition(path, sample: protocols.PartitionSample) -> None:
+    B = sample.boxes
     # header fields are tab-separated; source strings may contain spaces
     head = "\t".join(
         (
             f"source={sample.source}",
             f"n={sample.n}",
             f"order={sample.order}",
-            f"rectangles={len(sample.rectangles)}",
+            f"rectangles={len(B)}",
             f"one_count={sample.one_count}",
         )
     )
+    fields = []
+    for ix, off in zip(B.index, B.offsets):
+        texts, bounds = _index_texts(ix), off.tolist()
+        fields.append([",".join(texts[i:j]) for i, j in zip(bounds, bounds[1:])])
     lines = [f"# {head}"]
-    for r in sample.rectangles:
-        cols = [str(r.label), _join_flat(r.row_set), _join_flat(r.col_set)]
-        if r.depth_set is not None:
-            cols.append(_join_flat(r.depth_set))
-        lines.append("\t".join(cols))
+    lines += map("\t".join, zip(map(str, B.labels.tolist()), *fields))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_partition(path) -> protocols.PartitionSample:
-    """A partition dump read back; a dump without n, with a line that has
-    not 1 + order fields, with a label other than 0 or 1, with an index
-    outside 0..n-1, whose rectangles' cells do not add up to n^order, or
-    whose header's rectangles or one_count differs from what was read is a
-    ParameterError."""
+    """A partition dump read back into Boxes; a dump without n, with an
+    order other than 2 or 3, with a line that has not 1 + order fields,
+    with a label other than 0 or 1, with an index outside 0..n-1, whose
+    rectangles' cells do not add up to n^order, or whose header's
+    rectangles or one_count differs from what was read is a ParameterError."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParameterError("partition dump missing its header line")
@@ -216,7 +244,9 @@ def read_partition(path) -> protocols.PartitionSample:
         raise ParameterError("partition dump header missing n")
     n = _parse(int, header["n"], "n")
     order = _parse(int, header.get("order", "2"), "order")
-    rects, index_sets, cells = [], [np.zeros(0, np.int64)], 0
+    if order not in (2, 3):
+        raise ParameterError(f"partition dump order {order} is not 2 or 3")
+    labels, rows = [], []  # rows: (line number, index-set texts)
     for ln, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -226,24 +256,34 @@ def read_partition(path) -> protocols.PartitionSample:
         label = _parse(int, parts[0], f"label on line {ln}")
         if label not in (0, 1):
             raise ParameterError(f"partition dump line {ln}: label {label} is not 0 or 1")
-        sets = [
-            np.array(_parse(_split_flat, part, f"index set on line {ln}"), dtype=np.int64)
-            for part in parts[1:]
-        ]
-        index_sets += sets
-        cells += math.prod(map(len, sets))
-        depth = sets[2] if len(sets) == 3 else None
-        rects.append(protocols.Rectangle(sets[0], sets[1], label, depth))
+        labels.append(label)
+        rows.append((ln, parts[1:]))
+    # each axis's index sets parse as one list; a malformed one is then
+    # looked for line by line, to name its line
+    index, offsets = [], []
+    for a in range(order):
+        texts = [parts[a] for _, parts in rows]
+        joined = ",".join(t for t in texts if t)
+        try:
+            index.append(_parse_indices(joined))
+        except ValueError:
+            for ln, parts in rows:
+                for part in parts:
+                    _parse(_split_flat, part, f"index set on line {ln}")
+            raise
+        offsets.append(np.cumsum([0] + [t.count(",") + 1 if t else 0 for t in texts]))
+    boxes = protocols.Boxes(np.array(labels, dtype=np.uint8), tuple(offsets), tuple(index))
     # one range check over all index sets, not one per rectangle, keeps reads fast
-    flat = np.concatenate(index_sets)
-    if flat.size and (flat.min() < 0 or flat.max() >= n):
-        raise ParameterError(f"partition dump has an index outside 0..{n - 1}")
+    for ix in index:
+        if ix.size and (ix.min() < 0 or ix.max() >= n):
+            raise ParameterError(f"partition dump has an index outside 0..{n - 1}")
     # a partition tiles the grid, so its cells add up to n^order; checking the
     # sum keeps the read linear in the rectangles
+    cells = int(math.prod(boxes.sizes(a) for a in range(order)).sum())
     if cells != n**order:
         raise ParameterError(f"partition dump covers {cells} cells, not {n}^{order}")
-    ones = sum(1 for r in rects if r.label == 1)
-    for name, read in (("rectangles", len(rects)), ("one_count", ones)):
+    ones = int(np.count_nonzero(boxes.labels))
+    for name, read in (("rectangles", len(boxes)), ("one_count", ones)):
         if name in header and _parse(int, header[name], name) != read:
             raise ParameterError(f"partition dump header says {name}={header[name]}, read {read}")
-    return protocols.PartitionSample(rects, n, header.get("source", "file"), ones, order=order)
+    return protocols.PartitionSample(boxes, n, header.get("source", "file"), ones, order=order)

@@ -8,17 +8,24 @@ output. A one-sided family's decisions are a sender's hash bucket and one
 reply bit per other party (_one_sided), so its rectangles are built directly
 as products of bucket index sets, in O(n + rectangles) with no cell
 enumerated. The greater-than families run decide on the full input grid and
-group the cells by transcript: one sort of the cells plus linear passes,
-with no n^2-sized index grid; protocol_matrix and protocol_cube enumerate
-the grid too. Their core, _gt, walks the cells down a static binary-search
-tree in cache-sized row stripes: each party hashes its prefixes once per
-tree node over its own indices, a cell's state is one small node id, and on
-a grid the transcript codes come from one ranked table per (leaf, row),
-which the cells gather. empirical_error_rates runs decide on sampled cells with
-independent randomness per sample, so the error rate it reports is that of
-the decisions the partition is built from. Nondeterministic covers are
-built directly from their witness structure. assemble turns per-rectangle
-fits of a partition or a cover into the factors of its comparator.
+group the cells by transcript: one stable argsort of the cells' codes
+lists each class's cells in C order, and its index sets are read off them
+in linear passes; protocol_matrix and protocol_cube enumerate the grid
+too. Their core, _gt, walks the cells down a static binary-search tree in
+cache-sized row stripes: each party hashes its prefixes once per tree node
+over its own indices, a cell's state is one small node id, and on a grid
+the transcript codes come from one ranked table per (leaf, row), which the
+cells gather. empirical_error_rates runs the same decisions on sampled
+cells with independent randomness per sample, so the error rate it reports
+is that of the decisions the partition is built from; it, protocol_matrix
+and protocol_cube read only outputs, so no transcript code is built for
+them. A partition or a cover holds its rectangles as Boxes: a label per
+box and, per axis, int64 offsets into one int64 index array (CSR).
+Certificates, comparators, bitmaps and dumps read those arrays, and
+Rectangle objects are views built only when .rectangles is read.
+Nondeterministic covers are built directly from their witness structure.
+assemble turns per-box fits of a partition or a cover into the factors of
+its comparator.
 
 Families:
   equality-hash       not-equal via one hashed message (1-sided)
@@ -46,7 +53,9 @@ from .linalg import as_bitmap
 
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
-# order 2, n <= 256 at order 3
+# order 2, n <= 256 at order 3. A banded-gt partition peaked at 26 traced
+# bytes per cell for n = 512 to 2048 (the transcript grid's own peak;
+# grouping it into CSR arrays adds less), about 0.45 GB at the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, so that its working arrays
@@ -247,7 +256,7 @@ def _prefix_hashes(v, m: int, k, c: int) -> np.ndarray:
     return h
 
 
-def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
+def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = True):
     """Transcript codes and outputs for the hashed prefix binary search.
 
     The row player holds a, the column player b, all below 2^m. A
@@ -265,7 +274,8 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
     transcripts' order, shorter first, then bitwise. When there are fewer
     (leaf, row) pairs than cells, as on a grid, their codes are built and
     ranked once in a table that the cells gather; otherwise (independent
-    keys per cell) each cell's code is built from its own path.
+    keys per cell) each cell's code is built from its own path. With codes
+    False only the outputs are computed, and None stands for the codes.
     """
     child, path, eqs, group, shift = _search_tree(m)
     rounds = len(path)
@@ -287,17 +297,17 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
     # transcript fields: the leaf's group; per round the row's hash and the
     # answer, a constant once the leaf is reached; the row's final bit
     widths = [rounds.bit_length()] + [c + 1] * rounds + [1]
-    if (m + 1) * R < math.prod(cells):
+    table = fields = gathered = None
+    if codes and (m + 1) * R < math.prod(cells):
         lf = np.arange(m + 1)[:, None]
-        fields = [group[lf]]
+        parts = [group[lf]]
         for r in range(rounds):
             h = ha.take(path[r][lf] * it(R) + pa.ravel(), mode="clip")
-            fields.append((h << 1) | eqs[r][lf])
-        fields.append((va.ravel() >> shift[lf]) & 1)
-        table = _rank(_pack(fields, widths))
-        codes = np.empty(cells, dtype=np.int32 if 2 * table.size < 2**31 else np.int64)
-    else:
-        table = None
+            parts.append((h << 1) | eqs[r][lf])
+        parts.append((va.ravel() >> shift[lf]) & 1)
+        table = _rank(_pack(parts, widths))
+        gathered = np.empty(cells, dtype=np.int32 if 2 * table.size < 2**31 else np.int64)
+    elif codes:
         fields = np.empty((rounds + 2,) + cells, dtype=ha.dtype)
     o = np.empty(cells, dtype=bool)
     # row stripes small enough for the cache, each walked down the tree
@@ -309,20 +319,20 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b"):
         for r in range(rounds):
             h = ha.take(node * it(R) + ra, mode="clip")
             eq = h == hb.take(node * it(S) + rb, mode="clip")
-            if table is None:
+            if fields is not None:
                 fields[1 + r, cut] = (h << 1) | eq
             node = child.take(node * 2 + eq)
         leaf = node - np.uint8(m)
         xd = (xa >> shift[leaf]) & 1
         yd = (xb >> shift[leaf]) & 1
         o[cut] = (xd > yd) if direction == "a>b" else (yd > xd)
-        if table is None:
+        if fields is not None:
             fields[0, cut], fields[-1, cut] = group[leaf], xd
-        else:
-            codes[cut] = table.take(leaf * it(R) + ra) * 2 + o[cut]
-    if table is None:
-        codes = _pack(fields, widths) * 2 + o
-    return codes, o.view(np.uint8)
+        elif table is not None:
+            gathered[cut] = table.take(leaf * it(R) + ra) * 2 + o[cut]
+    if fields is not None:
+        return _pack(fields, widths) * 2 + o, o.view(np.uint8)
+    return gathered, o.view(np.uint8)
 
 
 def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -457,35 +467,44 @@ def decide(spec: ProtocolSpec, idx, keys):
     shared by all cells when s is all ones (the grid), or independent per
     cell when s is the sample shape (error-rate sampling).
     """
+    return _decide(spec, idx, keys, codes=True)
+
+
+def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
+    """decide, with codes None instead of built when codes is False; the
+    keys drawn and the outputs are the same either way."""
     f = spec.family
     n = spec.n
     x, y = idx[0], idx[1]
+    gt = _gt if codes else functools.partial(_gt, codes=False)
 
     if f in ONE_SIDED_FAMILIES:
         _, s, reply, label = _one_sided(spec, idx, keys)
         bits = reply(s)
-        codes = s
+        out = np.asarray(label(bits), dtype=np.uint8)
+        if not codes:
+            return None, out
         for bit in bits:
-            codes = codes * 2 + bit
-        return codes, np.asarray(label(bits), dtype=np.uint8)
+            s = s * 2 + bit
+        return s, out
 
     if f == "greater-than":
-        return _gt(x, y, max(1, int(n - 1).bit_length()), spec.delta, keys)
+        return gt(x, y, max(1, int(n - 1).bit_length()), spec.delta, keys)
 
     if f == "monotone-gt":
         px = np.asarray(spec.prefix_lengths, dtype=np.int64)
-        return _gt(px[x], y, max(1, int(n).bit_length()), spec.delta, keys)
+        return gt(px[x], y, max(1, int(n).bit_length()), spec.delta, keys)
 
     if f == "banded-gt":
         p = spec.p
         m = max(1, int(n + p - 2).bit_length())
         d = spec.delta / 2
-        c1, o1 = _gt(x, y + p - 1, m, d, keys)
-        c2, o2 = _gt(x + p - 1, y, m, d, keys, direction="b>a")
+        c1, o1 = gt(x, y + p - 1, m, d, keys)
+        c2, o2 = gt(x + p - 1, y, m, d, keys, direction="b>a")
         # short circuit: the second call only runs when the first said "no";
         # greater-than codes are >= 1, so 0 marks the skipped call
-        codes = _pair_codes(c1, np.where(o1 == 1, np.int64(0), c2))
-        return codes, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
+        pairs = _pair_codes(c1, np.where(o1 == 1, np.int64(0), c2)) if codes else None
+        return pairs, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
 
     if f == "banded2d-gt":
         p = spec.p
@@ -494,8 +513,8 @@ def decide(spec: ProtocolSpec, idx, keys):
         m1 = max(1, int(s - 1).bit_length())
         m3 = max(1, int(2 * s + p).bit_length())
         d = spec.delta / 3
-        cA, oA = _gt(ahi, bhi, m1, d, keys)
-        cB, oB = _gt(alo, blo, m1, d, keys)
+        cA, oA = gt(ahi, bhi, m1, d, keys)
+        cB, oB = gt(alo, blo, m1, d, keys)
         # third call per announced sign pattern; L1 distance >= p rewritten as
         # a single comparison of shifted sums/differences
         branches = {
@@ -504,14 +523,15 @@ def decide(spec: ProtocolSpec, idx, keys):
             (1, 0): (ahi - alo + s - 1, bhi - blo + s - 1 + p - 1, "a>b"),
             (0, 1): (alo - ahi + s - 1, blo - bhi + s - 1 + p - 1, "a>b"),
         }
-        codes3 = np.zeros(oA.shape, dtype=np.int64)
+        codes3 = np.zeros(oA.shape, dtype=np.int64) if codes else None
         out3 = np.zeros(oA.shape, dtype=np.uint8)
         for (ba, bb), (av, bv, direction) in branches.items():
-            c3, o3 = _gt(av, bv, m3, d, keys, direction)
+            c3, o3 = gt(av, bv, m3, d, keys, direction)
             sel = (oA == ba) & (oB == bb)
-            codes3 = np.where(sel, c3, codes3)
+            if codes:
+                codes3 = np.where(sel, c3, codes3)
             out3 = np.where(sel, o3, out3)
-        return _pair_codes(_pair_codes(cA, cB), codes3), out3
+        return (_pair_codes(_pair_codes(cA, cB), codes3) if codes else None), out3
 
     raise ParameterError(f"unknown family {f!r}")
 
@@ -538,15 +558,16 @@ def _shared_keys(spec: ProtocolSpec, seed: int, ndim: int):
     return keys
 
 
-def _transcript_grid(spec: ProtocolSpec, seed: int):
-    """(codes, labels) on the full grid of the family's order."""
+def _transcript_grid(spec: ProtocolSpec, seed: int, codes: bool = True):
+    """(codes, labels) on the full grid of the family's order; codes is None
+    unless asked for."""
     order = _order(spec)
     if spec.n**order > ENUM_CELLS:
         raise ResourceError(
             f"n={spec.n} exceeds the enumeration cap: {spec.n}^{order} cells > {ENUM_CELLS}"
         )
     idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
-    return decide(spec, idx, _shared_keys(spec, seed, order))
+    return _decide(spec, idx, _shared_keys(spec, seed, order), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +581,86 @@ class Rectangle:
     depth_set: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class PartitionSample:
-    rectangles: list[Rectangle]
+def _offsets(sizes) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given sizes, from 0, as int64."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Boxes:
+    """Labeled combinatorial boxes (rectangles at order 2) in CSR arrays.
+
+    Box i has label labels[i] (uint8) and, on axis a, the index set
+    index[a][offsets[a][i]:offsets[a][i + 1]]; index and offsets are int64.
+    Partitions, covers, dumps and comparators read these arrays, and
+    Rectangle objects are built only by rectangles().
+    """
+
+    labels: np.ndarray
+    offsets: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]
+
+    @classmethod
+    def pack(cls, labels, sets, order: int) -> Boxes:
+        """Boxes from one label and one tuple of order index sets per box."""
+        axes = list(zip(*sets)) if len(sets) else [()] * order
+        return cls(
+            np.asarray(labels, dtype=np.uint8),
+            tuple(_offsets([len(s) for s in ax]) for ax in axes),
+            tuple(np.concatenate((np.zeros(0, np.int64), *ax)).astype(np.int64, copy=False)
+                  for ax in axes),
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def sizes(self, axis: int) -> np.ndarray:
+        """Each box's index-set size on the axis."""
+        return np.diff(self.offsets[axis])
+
+    def each(self):
+        """(label, index sets) per box, in order; the sets are views into index."""
+        bounds = [o.tolist() for o in self.offsets]
+        for i, label in enumerate(self.labels.tolist()):
+            yield label, tuple(ix[b[i]:b[i + 1]] for ix, b in zip(self.index, bounds))
+
+    def rectangles(self) -> list[Rectangle]:
+        return [Rectangle(sets[0], sets[1], label, *sets[2:]) for label, sets in self.each()]
+
+
+class _Packed:
+    """A partition or cover: a Rectangle sequence given as its boxes is
+    packed into Boxes, and rectangles holds Rectangle views of the boxes,
+    built on first access."""
+
+    def __post_init__(self):
+        if not isinstance(self.boxes, Boxes):
+            rects = list(self.boxes)
+            sets = [(r.row_set, r.col_set, r.depth_set)[:self.order] for r in rects]
+            object.__setattr__(self, "boxes",
+                               Boxes.pack([r.label for r in rects], sets, self.order))
+
+    @functools.cached_property
+    def rectangles(self) -> list[Rectangle]:
+        return self.boxes.rectangles()
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionSample(_Packed):
+    boxes: Boxes  # or a sequence of Rectangles, packed on construction
     n: int
     source: str
     one_count: int
     order: int = 2
 
 
-@dataclass(frozen=True)
-class Cover:
-    rectangles: list[Rectangle]
+@dataclass(frozen=True, eq=False)
+class Cover(_Packed):
+    boxes: Boxes  # or a sequence of Rectangles, packed on construction
     n: int
+    order = 2  # a cover is of a matrix; not a field
 
 
 # narrowest first: numpy's stable sort is a radix sort for 8- and 16-bit integers
@@ -589,66 +677,88 @@ def _narrow(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _group_cells(codes: np.ndarray, labels: np.ndarray) -> list[Rectangle]:
-    """Rectangles of the cells' transcript classes, in code order.
+def _group_cells(codes: np.ndarray, labels: np.ndarray) -> Boxes:
+    """Boxes of the cells' transcript classes, in code order.
 
-    One stable sort of the codes (np.unique) gives each cell its class and
-    each class its first cell in C order, which for a box is its corner: the
-    least index on every axis. Two checks then prove every class is exactly
-    a box. Moving any cell onto its corner's index along one axis must keep
-    it in its class; so every cell of a class lies in the box spanned by the
-    class's cells on the lines through its corner, one line per axis. And
-    the class must fill that box: its cell count is the product of the
-    lines' lengths. The index set along an axis is then read off the class's
-    cells on that line, one flatnonzero, one stable argsort by class and one
-    searchsorted per axis; each Rectangle holds slices of those arrays.
+    One stable argsort of the narrowed codes lists each class's cells
+    together, in C order, as flat positions; the label must not change
+    inside a class. Then, one axis at a time, _split_axis reads each class
+    off its sorted cells as its index set on that axis times a set of
+    positions over the axes after it, which are again in C order for the
+    next axis. Every class must be such a product on every axis, so it is
+    exactly the box of its index sets.
     """
     shape = codes.shape
-    order = codes.ndim
-    _, first, inv = np.unique(_narrow(codes.ravel()), return_index=True,
-                              return_inverse=True)
-    n_classes = len(first)
-    lab = labels.ravel()
-    label = lab[first]
-    if not np.array_equal(label[inv], lab):
+    flat = _narrow(codes.ravel())
+    pos = np.argsort(flat, kind="stable")
+    flat = flat[pos]
+    new = np.empty(pos.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    del flat
+    lab = labels.ravel()[pos]
+    if ((lab[1:] != lab[:-1]) & ~new[1:]).any():
         raise RuntimeError("transcript class with mixed labels")
+    starts = np.flatnonzero(new)
+    label = lab[starts]
+    del new, lab
+    index, offsets = [], []
+    it = np.int32 if pos.size < 2**31 else np.int64
+    for a in range(len(shape) - 1):
+        inner = math.prod(shape[a + 1:])
+        hi = np.floor_divide(pos, inner, out=np.empty(pos.size, it), casting="unsafe")
+        lo = np.remainder(pos, inner, out=np.empty(pos.size, it), casting="unsafe")
+        del pos
+        ix, off, pos, starts = _split_axis(hi, lo, starts)
+        del hi, lo
+        index.append(ix)
+        offsets.append(off)
+    index.append(pos.astype(np.int64))
+    offsets.append(np.append(starts, pos.size))
+    return Boxes(label, tuple(offsets), tuple(index))
 
-    inv = inv.reshape(shape)
-    corner = np.unravel_index(first, shape)
-    grid = np.ogrid[tuple(slice(0, s) for s in shape)]
-    on_corner = []  # per axis: the cell shares its class corner's index
-    for a in range(order):
-        ca = corner[a][inv]
-        moved = tuple(ca if b == a else grid[b] for b in range(order))
-        if not np.array_equal(inv[moved], inv):
-            raise RuntimeError("transcript class is not a rectangle")
-        on_corner.append(grid[a] == ca)
-        del ca, moved  # free the n^2 gathers before the next axis's
 
-    flat_inv = inv.ravel()
-    volume = np.ones(n_classes, dtype=np.int64)
-    sets = []
-    for a in range(order):
-        line = functools.reduce(np.logical_and, [on_corner[b] for b in range(order) if b != a])
-        cells = np.flatnonzero(line)
-        cls = flat_inv[cells]
-        by_class = np.argsort(cls, kind="stable")
-        vals = np.unravel_index(cells[by_class], shape)[a].astype(np.int64)
-        bounds = np.searchsorted(cls[by_class], np.arange(n_classes + 1))
-        volume *= np.diff(bounds)
-        sets.append((vals, bounds.tolist()))
-    if not np.array_equal(volume, np.bincount(flat_inv, minlength=n_classes)):
+def _split_axis(hi: np.ndarray, lo: np.ndarray, starts: np.ndarray):
+    """Each class as its index set on one axis times its inner positions.
+
+    Cell j has index hi[j] on the axis and position lo[j] over the axes
+    after it; the classes start at starts and list their cells in C order,
+    so a class is a sequence of runs of one hi. It is a product exactly
+    when every run has its first run's length and repeats its first run's
+    lo values, which are then its inner set. Returns the index sets (int64)
+    with their offsets, and the inner sets with their starts; a class that
+    is not a product raises.
+    """
+    size = hi.size
+    new = np.empty(size, dtype=bool)
+    new[:1] = True
+    np.not_equal(hi[1:], hi[:-1], out=new[1:])
+    new[starts] = True
+    run = np.flatnonzero(new)
+    del new
+    length = np.diff(run, append=size)
+    first = np.searchsorted(run, starts)
+    count = np.diff(first, append=run.size)  # runs per class
+    width = length[first]  # cells per run
+    if not np.array_equal(length, np.repeat(width, count)):
         raise RuntimeError("transcript class is not a rectangle")
+    # each cell against its counterpart in the first run of its class, in
+    # stripes of whole runs, so that no index array spans every cell
+    shift = run - np.repeat(starts, count)
+    edges = np.append(run, size)
+    cuts = np.unique(np.searchsorted(edges, np.append(np.arange(0, size, _STRIPE_CELLS), size)))
+    for r0, r1 in itertools.pairwise(cuts.tolist()):
+        src = np.arange(edges[r0], edges[r1]) - np.repeat(shift[r0:r1], length[r0:r1])
+        if not np.array_equal(lo[src], lo[edges[r0]:edges[r1]]):
+            raise RuntimeError("transcript class is not a rectangle")
+    first_run = np.zeros(run.size, dtype=bool)
+    first_run[first] = True
+    inner = lo[np.repeat(first_run, length)]
+    return hi[run].astype(np.int64), _offsets(count), inner, np.cumsum(width) - width
 
-    per_axis = [[v[i:j] for i, j in zip(b[:-1], b[1:])] for v, b in sets]
-    if order == 2:
-        per_axis.append([None] * n_classes)
-    rows, cols, depths = per_axis
-    return [Rectangle(r, c, g, d) for r, c, d, g in zip(rows, cols, depths, label.tolist())]
 
-
-def _bucket_products(spec: ProtocolSpec, seed: int) -> list[Rectangle]:
-    """Rectangles of a one-sided family's transcript classes, in code order.
+def _bucket_products(spec: ProtocolSpec, seed: int) -> Boxes:
+    """Boxes of a one-sided family's transcript classes, in code order.
 
     The same keys as the grid's hash each party's n indices once, each on
     its own axis of an open grid, so no array spans two parties. A class is
@@ -660,16 +770,17 @@ def _bucket_products(spec: ProtocolSpec, seed: int) -> list[Rectangle]:
     idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
     sender, s, reply, label = _one_sided(spec, idx, _shared_keys(spec, seed, order))
     s = s.ravel()
-    rects = []
+    labels, sets = [], []
     for b in np.unique(s):
         senders = np.flatnonzero(s == b)
         bits = [r.ravel() for r in reply(b)]
         for answer in itertools.product((0, 1), repeat=len(bits)):
-            sets = [np.flatnonzero(r == a) for r, a in zip(bits, answer)]
-            if all(len(r) for r in sets):
-                sets.insert(sender, senders)
-                rects.append(Rectangle(sets[0], sets[1], int(label(answer)), *sets[2:]))
-    return rects
+            box = [np.flatnonzero(r == a) for r, a in zip(bits, answer)]
+            if all(len(r) for r in box):
+                box.insert(sender, senders)
+                sets.append(box)
+                labels.append(label(answer))
+    return Boxes.pack(labels, sets, order)
 
 
 def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
@@ -678,15 +789,15 @@ def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
     A one-sided family's rectangles are built as products of hash buckets,
     in O(n + rectangles) memory with no cell enumerated; any other family
     runs decide on every cell and groups the cells by transcript, within
-    ENUM_CELLS. Both give the transcript classes in ascending code order.
+    ENUM_CELLS. Both give the transcript classes in ascending code order,
+    as Boxes.
     """
     if spec.family in ONE_SIDED_FAMILIES:
-        rects = _bucket_products(spec, seed)
+        boxes = _bucket_products(spec, seed)
     else:
-        rects = _group_cells(*_transcript_grid(spec, seed))
-    ones = sum(1 for r in rects if r.label == 1)
-    return PartitionSample(rects, spec.n, f"{spec.describe()}@{seed}", ones,
-                           order=_order(spec))
+        boxes = _group_cells(*_transcript_grid(spec, seed))
+    return PartitionSample(boxes, spec.n, f"{spec.describe()}@{seed}",
+                           int(np.count_nonzero(boxes.labels)), order=_order(spec))
 
 
 def multiparty_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
@@ -699,23 +810,22 @@ def protocol_matrix(spec: ProtocolSpec, seed: int = 0) -> masks.Mask:
     """The protocol's output on every cell, as a mask W_pi."""
     if _order(spec) != 2:
         raise ParameterError("order-3 output is a cube; use protocol_cube")
-    _, labels = _transcript_grid(spec, seed)
+    _, labels = _transcript_grid(spec, seed, codes=False)
     return masks.make_mask(masks.Explicit(labels), spec.n)
 
 
 def protocol_cube(spec: ProtocolSpec, seed: int = 0) -> np.ndarray:
     if _order(spec) != 3:
         raise ParameterError(f"{spec.family} is not an order-3 family")
-    _, labels = _transcript_grid(spec, seed)
+    _, labels = _transcript_grid(spec, seed, codes=False)
     return labels
 
 
 def partition_bitmap(sample: PartitionSample) -> np.ndarray:
-    """Reassemble the label grid from a partition's rectangles."""
-    shape = (sample.n,) * sample.order
-    out = np.full(shape, 255, dtype=np.uint8)
-    for r in sample.rectangles:
-        out[np.ix_(*(r.row_set, r.col_set, r.depth_set)[:sample.order])] = r.label
+    """Reassemble the label grid from a partition's boxes."""
+    out = np.full((sample.n,) * sample.order, 255, dtype=np.uint8)
+    for label, sets in sample.boxes.each():
+        out[np.ix_(*sets)] = label
     if (out == 255).any():
         raise RuntimeError("partition does not tile the grid")
     return out
@@ -757,8 +867,9 @@ def empirical_error_rates(
 
     Each of the trials samples an independent (cell, protocol seed) pair and
     runs decide, the evaluator that also builds the certificate's partition,
-    so the two rates are plain binomial estimates of the per-cell error
-    probabilities of those decisions, averaged over each side of the mask.
+    without its transcript codes, so the two rates are plain binomial
+    estimates of the per-cell error probabilities of those decisions,
+    averaged over each side of the mask.
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
@@ -770,7 +881,7 @@ def empirical_error_rates(
     def keys(count: int):
         return rng.integers(0, 2**64, size=(2, count, trials), dtype=np.uint64)
 
-    _, out = decide(spec, idx, keys)
+    _, out = _decide(spec, idx, keys, codes=False)
     w = bitmap[idx].astype(np.int64)
     disagree = out.astype(np.int64) != w
     rates = []
@@ -792,7 +903,7 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
     blocks; disj-coords guesses a shared coordinate of intersecting sets.
     """
     idx = np.arange(n, dtype=np.int64)
-    rects = []
+    sets = []
     if kind == "neq-bits":
         if n < 2 or n & (n - 1):
             raise ParameterError(f"n={n} must be a power of two")
@@ -811,7 +922,7 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
             for b in (0, 1):
                 S, T = idx[bit == b], idx[bit != b]
                 if len(S) and len(T):
-                    rects.append(Rectangle(S, T, 1))
+                    sets.append((S, T))
     elif kind == "disj-coords":
         if n < 2 or n & (n - 1):
             raise ParameterError(f"n={n} must be a power of two")
@@ -820,40 +931,36 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
             bit = (idx >> i) & 1
             S = idx[bit == 1]
             if len(S):
-                rects.append(Rectangle(S, S.copy(), 1))
+                sets.append((S, S))
         target = ((idx[:, None] & idx[None, :]) != 0).astype(np.uint8)
     else:
         raise ParameterError(f"unknown cover kind {kind!r}")
 
-    union = cover_bitmap(Cover(rects, n))
-    if not np.array_equal(union, target):
+    cover = Cover(Boxes.pack([1] * len(sets), sets, 2), n)
+    if not np.array_equal(cover_bitmap(cover), target):
         raise RuntimeError("cover does not match its target mask")
-    return Cover(rects, n)
+    return cover
 
 
 def cover_bitmap(cover: Cover) -> np.ndarray:
     out = np.zeros((cover.n, cover.n), dtype=np.uint8)
-    for r in cover.rectangles:
-        out[np.ix_(r.row_set, r.col_set)] = 1
+    for _, sets in cover.boxes.each():
+        out[np.ix_(*sets)] = 1
     return out
 
 
-def assemble(rectangles, shape, fit) -> list[np.ndarray] | None:
-    """Zero-extend per-rectangle fits and place them side by side.
+def assemble(boxes: Boxes, shape, fit) -> list[np.ndarray] | None:
+    """Zero-extend per-box fits and place them side by side.
 
-    fit(i, sets) is called for each 1-labeled rectangle, with i its index in
-    rectangles (0-labeled ones count) and sets its index sets, one per axis
-    of shape. It returns one factor per axis, with a row per index and the
+    fit(i, sets) is called for each 1-labeled box, with i its index in
+    boxes (0-labeled ones count) and sets its index sets, one per axis of
+    shape. It returns one factor per axis, with a row per index and the
     same width on every axis. Each full factor is allocated once at the
     total width; the pieces fill their rows and their own column block, so
     the factors represent the sum of the zero-extended fits. Returns None
-    when no rectangle is 1-labeled.
+    when no box is 1-labeled.
     """
-    pieces = []
-    for i, r in enumerate(rectangles):
-        if r.label == 1:
-            sets = (r.row_set, r.col_set, r.depth_set)[:len(shape)]
-            pieces.append((sets, fit(i, sets)))
+    pieces = [(sets, fit(i, sets)) for i, (label, sets) in enumerate(boxes.each()) if label == 1]
     if not pieces:
         return None
     width = sum(factors[0].shape[1] for _, factors in pieces)

@@ -47,26 +47,30 @@ def comparator_from_partition(
     Only 1-labeled rectangles contribute, so the result is exactly zero
     outside their union; rank_bound is k times the 1-rectangle count. The
     fits are batched by shape: the 1-rectangles with the same (rows, cols)
-    sizes are gathered into one stack and fit by one _svd_stack call, which
-    gives each the factors svd_truncated gives it alone.
+    sizes, read off the partition's offsets, are gathered into one stack
+    and fit by one _svd_stack call, which gives each the factors
+    svd_truncated gives it alone.
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     A = as_array(A, 2)
     M = A * as_bitmap(W, np.float64, A.shape)
 
-    groups = {}
-    for i, r in enumerate(P.rectangles):
-        if r.label == 1:
-            groups.setdefault((len(r.row_set), len(r.col_set)), []).append(i)
+    B = P.boxes
+    ones = np.flatnonzero(B.labels == 1)
+    widths = B.sizes(1)[ones]
+    wide = int(widths.max(initial=0)) + 1
+    shapes = B.sizes(0)[ones] * wide + widths  # (rows, cols) as one key
     fits = {}
-    for (rows, cols), members in groups.items():
-        R = np.stack([P.rectangles[i].row_set for i in members])
-        C = np.stack([P.rectangles[i].col_set for i in members])
+    for key in np.unique(shapes).tolist():
+        members = ones[shapes == key]
+        rows, cols = divmod(key, wide)
+        R = B.index[0][B.offsets[0][members, None] + np.arange(rows)]
+        C = B.index[1][B.offsets[1][members, None] + np.arange(cols)]
         U, V, _ = _svd_stack(M[R[:, :, None], C[:, None, :]], min(k, rows, cols))
-        fits.update(zip(members, zip(U, V)))
+        fits.update(zip(members.tolist(), zip(U, V)))
 
-    factors = protocols.assemble(P.rectangles, M.shape, lambda i, sets: fits[i])
+    factors = protocols.assemble(B, M.shape, lambda i, sets: fits[i])
     if factors is None:
         return zero_factor(*M.shape)
     return LowRankFactor(*factors, k * P.one_count)
@@ -138,7 +142,7 @@ def verify_bicriteria(
         seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
         # the absolute term forgives SVD roundoff when the bound itself is zero
         satisfied=bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass),
-        one_count=sample.one_count, rect_count=len(sample.rectangles),
+        one_count=sample.one_count, rect_count=len(sample.boxes),
     )
 
 

@@ -140,7 +140,7 @@ def tensor_comparator(
         f = cp_als(M[np.ix_(*sets)], k, iters=inner_iters, restarts=restarts, seed=seed + i)
         return f.U, f.V, f.Z
 
-    factors = protocols.assemble(P.rectangles, M.shape, fit)
+    factors = protocols.assemble(P.boxes, M.shape, fit)
     if factors is None:
         return zero_factor(*M.shape)
     U, V, Z = factors
@@ -180,6 +180,6 @@ def verify_tensor_bicriteria(
         route="tensor", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
         seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
         satisfied=cost <= comp_cost + 1e-9 * max(1.0, comp_cost) and cost <= rhs_of(terms),
-        one_count=P.one_count, rect_count=len(P.rectangles),
+        one_count=P.one_count, rect_count=len(P.boxes),
         diagnostics={"comparator_cost": comp_cost},
     )

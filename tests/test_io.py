@@ -15,8 +15,10 @@ from maskedlra import (
     ParameterError,
     Sparse,
     ToeplitzModP,
+    banded2d_gt,
     equality_hash,
     make_mask,
+    neq3_multiparty,
     sample_partition,
 )
 from maskedlra.cli import main
@@ -178,6 +180,35 @@ def test_partition_round_trip(tmp_path):
         assert tuple(r1.col_set) == tuple(r2.col_set)
 
 
+@pytest.mark.parametrize("spec", [banded2d_gt(64, 2, 0.25), neq3_multiparty(16, 0.5)],
+                         ids=lambda s: s.family)
+def test_partition_dump_round_trip_is_byte_identical(tmp_path, spec):
+    """write, read, write again: the same bytes, and the read partition
+    holds the drawn one's arrays."""
+    P = sample_partition(spec, seed=3)
+    first, second = tmp_path / "a.part", tmp_path / "b.part"
+    write_partition(first, P)
+    back = read_partition(first)
+    write_partition(second, back)
+    assert first.read_bytes() == second.read_bytes()
+    assert (back.n, back.order, back.source, back.one_count) == (P.n, P.order, P.source, P.one_count)
+    assert np.array_equal(back.boxes.labels, P.boxes.labels)
+    for a in range(P.order):
+        assert back.boxes.index[a].dtype == np.int64
+        assert np.array_equal(back.boxes.offsets[a], P.boxes.offsets[a])
+        assert np.array_equal(back.boxes.index[a], P.boxes.index[a])
+
+
+@pytest.mark.parametrize("rows, cols", [("00,01", "0,1"), ("+0, 1", " 0,0_1")],
+                         ids=["plain", "as-int-reads"])
+def test_partition_dump_reads_index_sets_as_int_does(tmp_path, rows, cols):
+    path = tmp_path / "part.txt"
+    path.write_text(f"# n=2\trectangles=1\tone_count=1\n1\t{rows}\t{cols}\n")
+    P = read_partition(path)
+    assert [r.row_set.tolist() for r in P.rectangles] == [[0, 1]]
+    assert [r.col_set.tolist() for r in P.rectangles] == [[0, 1]]
+
+
 def test_write_is_deterministic(tmp_path):
     rng = np.random.default_rng(13)
     A = rng.standard_normal((4, 4))
@@ -218,10 +249,12 @@ def test_malformed_partition_dump_raises_parameter_error(tmp_path, body):
     ("# source=test\torder=2\n1\t0\t1\n", "missing n"),
     ("# n=2\n1\t0,5\t1\n", "outside 0..1"),
     ("# n=2\n0\t0\t1\n1\t-1\t1\n", "outside 0..1"),
+    ("# n=2\n1\t0,99999999999999999999\t0,1\n", "outside 0..1"),
     ("# n=2\torder=3\n1\t0\t1\t2\n", "outside 0..1"),
     ("# n=2\n2\t0\t1\n", "line 2: label 2 is not 0 or 1"),
     ("# n=2\torder=3\n1\t0,1\t0,1\n", "line 2: expected 4 fields"),
     ("# n=2\torder=2\n1\t0,1\t0,1\t0\n", "line 2: expected 3 fields"),
+    ("# n=2\torder=1\n1\t0,1\n", "order 1 is not 2 or 3"),
     ("1\t0\t1\n", "missing its header line"),
     # header counts that disagree with rectangles which do tile the grid
     ("# n=1\trectangles=2\n1\t0\t0\n", "header says rectangles=2, read 1"),

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from maskedlra import (
+    Cover,
     Diagonal,
+    PartitionSample,
+    Rectangle,
     ParameterError,
     ResourceError,
     ShapeError,
@@ -33,6 +36,7 @@ from maskedlra import protocols
 from maskedlra.io import write_partition
 from maskedlra.protocols import (
     ONE_SIDED_FAMILIES,
+    Boxes,
     _group_cells,
     _shared_keys,
     _transcript_grid,
@@ -294,6 +298,23 @@ def test_sampled_mode_matches_grid_on_every_cell(spec):
         assert np.array_equal(_classes(codes), _classes(want_codes)), (spec.describe(), seed)
 
 
+def test_error_rates_build_no_transcript_code(monkeypatch):
+    """Error rates need only the outputs: the greater-than families pack,
+    rank and pair no codes for them, nor do protocol_matrix and
+    protocol_cube."""
+    def refuse(*args):
+        raise AssertionError("transcript codes were built")
+
+    for name in ("_pack", "_rank", "_pair_codes"):
+        monkeypatch.setattr(protocols, name, refuse)
+    for spec in _specs_under_test(64):
+        if spec.family not in ONE_SIDED_FAMILIES:
+            ones, zeros = empirical_error_rates(spec, target_bitmap(spec), 2_000, seed=1)
+            assert 0.0 <= ones <= 1.0 and 0.0 <= zeros <= 1.0
+            protocol_matrix(spec, seed=1)
+    protocol_cube(neq3_multiparty(8, 0.5), seed=1)
+
+
 def test_empirical_error_rates_checks_mask_shape():
     for spec, W in (
         (equality_hash(64, 0.25), np.ones((128, 128), dtype=np.uint8)),
@@ -368,13 +389,12 @@ def test_nondet_cover_validates_n():
 def test_assemble_places_each_fit_in_its_rows_and_block():
     """fit sees every 1-rectangle with its index among all rectangles; the
     pieces, of different widths, fill their rows and consecutive blocks."""
-    from maskedlra import Rectangle
-
-    rects = [
-        Rectangle(np.array([0]), np.array([0, 1]), 0),
-        Rectangle(np.array([1, 2]), np.array([0]), 1),
-        Rectangle(np.array([0]), np.array([2, 3]), 1),
+    sets = [
+        (np.array([0]), np.array([0, 1])),
+        (np.array([1, 2]), np.array([0])),
+        (np.array([0]), np.array([2, 3])),
     ]
+    labels = [0, 1, 1]
     seen = []
 
     def fit(i, sets):
@@ -382,11 +402,11 @@ def test_assemble_places_each_fit_in_its_rows_and_block():
         rows, cols = sets
         return np.full((len(rows), i), float(i)), np.full((len(cols), i), 10.0 * i)
 
-    U, V = assemble(rects, (3, 4), fit)
+    U, V = assemble(Boxes.pack(labels, sets, 2), (3, 4), fit)
     assert seen == [1, 2]
     assert np.array_equal(U, [[0, 2, 2], [1, 0, 0], [1, 0, 0]])
     assert np.array_equal(V, [[10, 0, 0], [0, 0, 0], [0, 20, 20], [0, 20, 20]])
-    assert assemble(rects[:1], (3, 4), fit) is None
+    assert assemble(Boxes.pack(labels[:1], sets[:1], 2), (3, 4), fit) is None
 
 
 def test_multiparty_single_bucket():
@@ -510,16 +530,35 @@ def _reference_groups(codes, labels):
     return out
 
 
+def _assert_csr(boxes, order):
+    """Boxes hold uint8 labels and, per axis, int64 offsets that start at 0
+    and end at the length of an int64 index array."""
+    assert boxes.labels.dtype == np.uint8
+    assert len(boxes.offsets) == len(boxes.index) == order
+    for off, ix in zip(boxes.offsets, boxes.index):
+        assert off.dtype == np.int64 and ix.dtype == np.int64
+        assert len(off) == len(boxes) + 1
+        assert off[0] == 0 and off[-1] == len(ix) and (np.diff(off) >= 0).all()
+
+
 def _assert_matches_reference(codes, labels):
-    rects = _group_cells(codes, labels)
+    boxes = _group_cells(codes, labels)
     want = _reference_groups(codes, labels)
+    _assert_csr(boxes, codes.ndim)
+    assert len(boxes) == len(want)
+    for (label, got), (sets, want_label) in zip(boxes.each(), want):
+        assert label == want_label
+        assert len(got) == len(sets) == codes.ndim
+        for g, w in zip(got, sets):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+    rects = boxes.rectangles()
     assert len(rects) == len(want)
     for r, (sets, label) in zip(rects, want):
         got = (r.row_set, r.col_set, r.depth_set)
         assert (r.depth_set is None) == (codes.ndim == 2)
         assert r.label == label
         for g, w in zip(got, sets):
-            assert g.dtype == np.int64
             assert np.array_equal(g, w)
 
 
@@ -583,6 +622,30 @@ def test_group_cells_matches_reference_on_family_grids(spec):
         _assert_matches_reference(*_transcript_grid(spec, seed))
 
 
+@pytest.mark.parametrize("stripe", [1, 7, 64])
+def test_group_cells_matches_reference_in_any_stripe(stripe, monkeypatch):
+    """The per-class check runs in stripes of whole runs; stripes shorter
+    than a run, cut inside the last run, or longer than the grid give the
+    same boxes and the same rejections."""
+    monkeypatch.setattr(protocols, "_STRIPE_CELLS", stripe)
+    rng = np.random.default_rng(stripe)
+    for shape in ((9, 9), (6, 6, 6), (5, 7)):
+        for _ in range(3):
+            boxes = _random_box_partition(rng, shape, splits=20)
+            codes = np.empty(shape, dtype=np.int64)
+            labels = np.empty(shape, dtype=np.uint8)
+            for box, v in zip(boxes, rng.permutation(len(boxes))):
+                codes[np.ix_(*box)] = v
+                labels[np.ix_(*box)] = rng.integers(2)
+            _assert_matches_reference(codes, labels)
+    _assert_matches_reference(*_transcript_grid(neq3_multiparty(9, 0.5), 1))
+    for shape, cells in [((3, 3), [(0, 0), (0, 1), (1, 0), (2, 2)]),
+                         ((3, 3, 3), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 2, 2)]),
+                         ((3, 3), [(0, 0), (0, 2), (1, 0), (1, 1)])]:
+        with pytest.raises(RuntimeError, match="not a rectangle"):
+            _group_cells(_codes_with_class(shape, cells), np.zeros(shape, dtype=np.uint8))
+
+
 def test_one_cell_cap_for_both_orders(monkeypatch):
     # 2^24 cells is n = 4096 at order 2 and n = 256 at order 3; a smaller cap
     # shows the same rule at sizes a test can enumerate: 64 = 8^2 = 4^3
@@ -629,16 +692,50 @@ def test_bucket_products_equal_grouped_grid(n):
         for seed in range(4):
             P = sample_partition(spec, seed=seed)
             want = _group_cells(*_transcript_grid(spec, seed))
-            assert len(P.rectangles) == len(want) <= transcript_cap(spec)
-            assert P.one_count == sum(r.label for r in want)
             assert P.order == (3 if spec.family == "neq3-multiparty" else 2)
-            for got, w in zip(P.rectangles, want):
+            _assert_csr(P.boxes, P.order)
+            assert len(P.rectangles) == len(want) <= transcript_cap(spec)
+            assert P.one_count == int(want.labels.sum())
+            assert np.array_equal(P.boxes.labels, want.labels)
+            for a in range(P.order):
+                assert np.array_equal(P.boxes.offsets[a], want.offsets[a])
+                assert np.array_equal(P.boxes.index[a], want.index[a])
+            for got, w in zip(P.rectangles, want.rectangles()):
                 assert got.label == w.label
                 for a, b in zip((got.row_set, got.col_set, got.depth_set),
                                 (w.row_set, w.col_set, w.depth_set)):
                     assert (a is None) == (b is None)
                     if a is not None:
                         assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_partition_packed_from_rectangles_equals_the_grids_arrays():
+    """A PartitionSample or Cover built from a Rectangle list packs it into
+    the same CSR arrays as the drawn partition, and reads back the same
+    rectangles."""
+    for spec in _one_spec_per_family(16):
+        P = sample_partition(spec, seed=2)
+        rects = [Rectangle(r.row_set.copy(), r.col_set.copy(), r.label,
+                           None if r.depth_set is None else r.depth_set.copy())
+                 for r in P.rectangles]
+        packed = [PartitionSample(rects, P.n, P.source, P.one_count, order=P.order)]
+        if P.order == 2:
+            packed.append(Cover(rects, P.n))
+        for Q in packed:
+            _assert_csr(Q.boxes, P.order)
+            assert np.array_equal(Q.boxes.labels, P.boxes.labels)
+            for a in range(P.order):
+                assert np.array_equal(Q.boxes.offsets[a], P.boxes.offsets[a])
+                assert np.array_equal(Q.boxes.index[a], P.boxes.index[a])
+            for r, q in zip(rects, Q.rectangles):
+                assert q.label == r.label
+                assert np.array_equal(q.row_set, r.row_set)
+                assert np.array_equal(q.col_set, r.col_set)
+                assert (q.depth_set is None) == (r.depth_set is None)
+        assert Q.rectangles is Q.rectangles  # built once, on first access
+    empty = Cover([], 4)
+    assert len(empty.boxes) == 0 and empty.rectangles == []
+    _assert_csr(empty.boxes, 2)
 
 
 def test_bucket_products_enumerate_no_cell(monkeypatch):
@@ -821,8 +918,10 @@ def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
 
 
 def test_banded_gt_partition_memory():
-    # 71.4 traced bytes per grid cell with the tree walk, 118 with the
-    # per-cell search; the bound is 10% above the former
+    # 26.0 traced bytes per grid cell with the grouping's one argsort into
+    # CSR arrays (now the transcript grid's own peak), 71.4 with the
+    # np.unique grouping and its Rectangle list, 118 with the per-cell
+    # search; the bound is 10% above the first
     n = 512
     tracemalloc.start()
     try:
@@ -831,7 +930,7 @@ def test_banded_gt_partition_memory():
     finally:
         tracemalloc.stop()
     assert P.n == n
-    assert peak < 79 * n * n
+    assert peak < 29 * n * n
 
 
 def test_order3_partition_matches_protocol_cube():

@@ -31,7 +31,9 @@ from maskedlra import (
     svd_truncated,
     verify_bicriteria,
 )
-from maskedlra.harness import sparse_pattern
+from maskedlra import protocols
+from maskedlra.harness import make_pattern, sparse_pattern
+from maskedlra.io import read_partition, write_partition
 from maskedlra.linalg import zero_factor
 from maskedlra.protocols import assemble, target_bitmap
 from maskedlra.solver import _solve_rows
@@ -154,7 +156,7 @@ def _assert_batched_comparator_is_per_rectangle(A, W, P, k):
         f = svd_truncated(M[np.ix_(rows, cols)], min(k, len(rows), len(cols)))
         return f.U, f.V
 
-    factors = assemble(P.rectangles, M.shape, fit)
+    factors = assemble(P.boxes, M.shape, fit)
     if factors is None:
         want = zero_factor(*M.shape)
     else:
@@ -495,3 +497,23 @@ def test_altmin_counts_ridge_fallbacks_for_a_singular_row():
     L = altmin_baseline(M, W, 2, iters=2, init=init)
     assert L.meta["ridge_fallbacks"] >= 1
     assert not L.U[0].any()
+
+
+def test_certificates_comparators_and_dumps_build_no_rectangle(monkeypatch, tmp_path):
+    """verify_bicriteria on the greater-than patterns, the comparator and a
+    dump round trip read the partition's arrays: none builds a Rectangle."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Rectangle was built")
+
+    n = 36
+    monkeypatch.setattr(protocols, "Rectangle", refuse)
+    for tag in ("banded", "banded-2d", "monotone"):
+        pattern = make_pattern(tag, n, p=2, seed=1)
+        inst = gen_planted("matrix", pattern, n, 2, seed=1)
+        cert = verify_bicriteria(inst.A, inst.W, 2, 0.25, opt_upper=inst.opt_upper,
+                                 L_for_eps2=inst.L_star, seed=1)
+        assert cert.rect_count > cert.one_count > 0
+        P = sample_partition(pattern.spec(n, 0.25), seed=1)
+        comparator_from_partition(inst.A, inst.W, P, 2)
+        write_partition(tmp_path / "p", P)
+        assert len(read_partition(tmp_path / "p").boxes) == cert.rect_count
