@@ -194,26 +194,25 @@ def cover_based_bool_lra(
     if inner not in ("auto", "exhaustive", "heuristic"):
         raise ParameterError(f"unknown inner solver {inner!r}")
     _check_cover(C, Wb)
-    per_rect = []
+    per_rect = np.zeros(len(C.boxes), dtype=np.int64)
 
-    def fit(i, sets):
-        rows, cols = sets
-        sub = A[np.ix_(rows, cols)]
-        subW = np.ones(sub.shape, np.uint8)
+    def fit(group, ix):
+        subs = A[ix]
+        subW = np.ones(subs.shape[1:], np.uint8)
         mode = inner
         if mode == "auto":
-            mode = "exhaustive" if 2 * len(rows) * k <= EXHAUSTIVE_BIT_CAP else "heuristic"
-        if mode == "exhaustive":
-            f, cost = bool_lra_exhaustive(sub, subW, k)
-        else:
-            f, cost = bool_lra_heuristic(sub, subW, k, seed=seed + i)
-        per_rect.append(cost)
-        return f.U, f.V.T
+            mode = "exhaustive" if 2 * subs.shape[1] * k <= EXHAUSTIVE_BIT_CAP else "heuristic"
+        fits = []
+        for i, sub in zip(group.tolist(), subs):
+            f, per_rect[i] = (bool_lra_exhaustive(sub, subW, k) if mode == "exhaustive"
+                              else bool_lra_heuristic(sub, subW, k, seed=seed + i))
+            fits.append((f.U, f.V.T))
+        return [np.stack(x) for x in zip(*fits)]
 
-    U, Vt = assemble(C.boxes, A.shape, fit)
+    U, Vt = assemble(C, A.shape, fit)
     fac = BoolFactor(U, Vt.T, k * len(C.boxes))
     cost = bool_cost(A, fac.value(), W)
-    fac.meta.update(cost=cost, per_rectangle_costs=per_rect)
+    fac.meta.update(cost=cost, per_rectangle_costs=per_rect.tolist())
     return fac, cost
 
 

@@ -247,26 +247,25 @@ def _svds_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list
     return U[None], V[None], ["svds"]
 
 
-def _spd_solve(G: np.ndarray, B: np.ndarray, fallbacks: list) -> np.ndarray:
-    """Solve G X = B for a symmetric positive semidefinite Gram matrix G, or
-    for each of a stack of them.
+def _spd_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve G[i] X[i] = B[i] for a stack of symmetric positive semidefinite
+    Gram matrices G (b, k, k) and right-hand sides B (b, k, r).
 
-    G is (k, k) with B (k, r) or (k,), or a stack (n, k, k) with B (n, k).
-    A successful Cholesky factorization certifies G positive definite, and
-    np.linalg.solve then solves. When a stack fails, each of its matrices is
-    solved alone; a singular G is solved with RIDGE added to its diagonal,
-    and each such fallback increments fallbacks[0]. Only numpy's LAPACK
-    runs here, so the solves share one BLAS runtime with numpy's products.
+    A successful Cholesky factorization of the stack certifies every G[i]
+    positive definite, and np.linalg.solve then solves the stack. When
+    either fails, each member is redone alone, and a member that fails
+    alone is solved with RIDGE added to its diagonal. Returns X and which
+    members took the ridge, a (b,) boolean array. Only numpy's LAPACK runs
+    here, so the solves share one BLAS runtime with numpy's products.
     """
-    stacked = G.ndim == 3
     try:
         np.linalg.cholesky(G)
-        return np.linalg.solve(G, B[..., None])[..., 0] if stacked else np.linalg.solve(G, B)
+        return np.linalg.solve(G, B), np.zeros(len(G), dtype=bool)
     except np.linalg.LinAlgError:
-        if stacked:
-            return np.stack([_spd_solve(g, b, fallbacks) for g, b in zip(G, B)])
-        fallbacks[0] += 1
-        return np.linalg.solve(G + RIDGE * np.eye(G.shape[0]), B)
+        if len(G) == 1:
+            return np.linalg.solve(G + RIDGE * np.eye(G.shape[-1]), B), np.ones(1, dtype=bool)
+    X, ridged = zip(*(_spd_solve(G[i:i + 1], B[i:i + 1]) for i in range(len(G))))
+    return np.concatenate(X), np.concatenate(ridged)
 
 
 def _als_start(init, shape, k: int, rng) -> list:

@@ -24,8 +24,8 @@ box and, per axis, int64 offsets into one int64 index array (CSR).
 Certificates, comparators, bitmaps and dumps read those arrays, and
 Rectangle objects are views built only when .rectangles is read.
 Nondeterministic covers are built directly from their witness structure.
-assemble turns per-box fits of a partition or a cover into the factors of
-its comparator.
+assemble checks a partition's or cover's n and order against the data and
+places its comparator's fits one shape group (Boxes.groups) at a time.
 
 Families:
   equality-hash       not-equal via one hashed message (1-sided)
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError, ResourceError, ShapeError
 from . import masks
 from .linalg import as_bitmap
 
@@ -161,14 +161,18 @@ def _hash_buckets(vals: np.ndarray, key, buckets: int) -> np.ndarray:
 
     64-bit state (uint64 arithmetic wraps mod 2^64); the high 32 bits of
     a*x+b feed a fixed-point range reduction, so collision probability is
-    1/buckets up to O(2^-32), and one bucket maps every value to 0.
-    key holds a and b along its first axis; each may be an array
+    1/buckets up to O(2^-32), and one bucket maps every value to 0. For
+    2^c buckets, c <= 32, the reduction is the top c bits of a*x+b, taken
+    in one shift. key holds a and b along its first axis; each may be an array
     broadcasting against vals, giving each entry its own independent hash
     function.
     """
     a, b = key
     h = a * vals.astype(np.uint64)
     h += b
+    c = int(buckets).bit_length() - 1
+    if buckets == 1 << c <= 1 << 32:  # numpy's uint64 >> 64 is 0
+        return np.right_shift(h, np.uint64(64 - c), out=h).view(np.int64)
     h >>= np.uint64(32)
     h *= np.uint64(buckets)
     h >>= np.uint64(32)
@@ -629,6 +633,21 @@ class Boxes:
     def rectangles(self) -> list[Rectangle]:
         return [Rectangle(sets[0], sets[1], label, *sets[2:]) for label, sets in self.each()]
 
+    def groups(self, members: np.ndarray):
+        """The boxes members (ascending indices) grouped by shape: per
+        distinct tuple of sizes, the group's indices and ix, where X[ix]
+        stacks each box's cells of X, shape (len(group), *sizes); ix is
+        np.ix_ of one box's sets with the group on a leading axis."""
+        d = len(self.index)
+        shapes, inverse = np.unique([self.sizes(a)[members] for a in range(d)],
+                                    axis=1, return_inverse=True)
+        for g, shape in enumerate(shapes.T.tolist()):
+            group = members[inverse.ravel() == g]
+            yield group, tuple(
+                self.index[a][self.offsets[a][group].reshape((-1,) + (1,) * d)
+                              + np.arange(size).reshape((-1,) + (1,) * (d - 1 - a))]
+                for a, size in enumerate(shape))
+
 
 class _Packed:
     """A partition or cover: a Rectangle sequence given as its boxes is
@@ -944,31 +963,36 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
 
 def cover_bitmap(cover: Cover) -> np.ndarray:
     out = np.zeros((cover.n, cover.n), dtype=np.uint8)
-    for _, sets in cover.boxes.each():
-        out[np.ix_(*sets)] = 1
+    for _, ix in cover.boxes.groups(np.arange(len(cover.boxes))):
+        out[ix] = 1
     return out
 
 
-def assemble(boxes: Boxes, shape, fit) -> list[np.ndarray] | None:
-    """Zero-extend per-box fits and place them side by side.
+def assemble(P, shape, fit) -> list[np.ndarray] | None:
+    """Zero-extend the fits of the 1-labeled boxes of P, a partition or a
+    cover, and place them side by side.
 
-    fit(i, sets) is called for each 1-labeled box, with i its index in
-    boxes (0-labeled ones count) and sets its index sets, one per axis of
-    shape. It returns one factor per axis, with a row per index and the
-    same width on every axis. Each full factor is allocated once at the
-    total width; the pieces fill their rows and their own column block, so
-    the factors represent the sum of the zero-extended fits. Returns None
-    when no box is 1-labeled.
+    shape must be P.order axes of size P.n (ShapeError otherwise). fit is
+    called once per shape group of 1-labeled boxes as fit(group, ix), see
+    Boxes.groups, and returns per axis a (len(group), size, width) stack.
+    The factors are allocated once at the total width; each group fills,
+    with one assignment per axis, its boxes' rows and one column block per
+    box, blocks in box order. Returns None when no box is 1-labeled.
     """
-    pieces = [(sets, fit(i, sets)) for i, (label, sets) in enumerate(boxes.each()) if label == 1]
-    if not pieces:
+    if tuple(shape) != (P.n,) * P.order:
+        raise ShapeError(f"an n={P.n} order-{P.order} partition does not fit shape {shape}")
+    B = P.boxes
+    ones = np.flatnonzero(B.labels == 1)
+    if not len(ones):
         return None
-    width = sum(factors[0].shape[1] for _, factors in pieces)
-    out = [np.zeros((size, width), dtype=f.dtype) for size, f in zip(shape, pieces[0][1])]
-    start = 0
-    for sets, factors in pieces:
-        stop = start + factors[0].shape[1]
-        for full, idx, f in zip(out, sets, factors):
-            full[idx, start:stop] = f
-        start = stop
+    fits = [(group, ix, fit(group, ix)) for group, ix in B.groups(ones)]
+    widths = np.zeros(len(B), dtype=np.int64)
+    for group, _, factors in fits:
+        widths[group] = factors[0].shape[2]
+    starts = _offsets(widths)
+    out = [np.zeros((size, starts[-1]), dtype=f.dtype) for size, f in zip(shape, fits[0][2])]
+    for group, ix, factors in fits:
+        cols = starts[group, None, None] + np.arange(factors[0].shape[2])
+        for full, idx, f in zip(out, ix, factors):
+            full[idx.reshape(len(group), -1, 1), cols] = f
     return out

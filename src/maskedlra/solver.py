@@ -46,38 +46,29 @@ def comparator_from_partition(
 
     Only 1-labeled rectangles contribute, so the result is exactly zero
     outside their union; rank_bound is k times the 1-rectangle count. The
-    fits are batched by shape: the 1-rectangles with the same (rows, cols)
-    sizes, read off the partition's offsets, are gathered into one stack
-    and fit by one _svd_stack call, which gives each the factors
-    svd_truncated gives it alone.
+    fits are batched by shape: protocols.assemble hands over each group of
+    same-shape 1-rectangles, whose blocks of A*W one _svd_stack call fits,
+    giving each the factors svd_truncated gives it alone. A partition of
+    another n or order than A raises ShapeError.
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     A = as_array(A, 2)
     M = A * as_bitmap(W, np.float64, A.shape)
 
-    B = P.boxes
-    ones = np.flatnonzero(B.labels == 1)
-    widths = B.sizes(1)[ones]
-    wide = int(widths.max(initial=0)) + 1
-    shapes = B.sizes(0)[ones] * wide + widths  # (rows, cols) as one key
-    fits = {}
-    for key in np.unique(shapes).tolist():
-        members = ones[shapes == key]
-        rows, cols = divmod(key, wide)
-        R = B.index[0][B.offsets[0][members, None] + np.arange(rows)]
-        C = B.index[1][B.offsets[1][members, None] + np.arange(cols)]
-        U, V, _ = _svd_stack(M[R[:, :, None], C[:, None, :]], min(k, rows, cols))
-        fits.update(zip(members.tolist(), zip(U, V)))
+    def fit(group, ix):
+        blocks = M[ix]
+        return _svd_stack(blocks, min(k, *blocks.shape[1:]))[:2]
 
-    factors = protocols.assemble(B, M.shape, lambda i, sets: fits[i])
+    factors = protocols.assemble(P, M.shape, fit)
     if factors is None:
         return zero_factor(*M.shape)
     return LowRankFactor(*factors, k * P.one_count)
 
 
 def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
-    """The exact solver at rank_bound(comparator) never loses to the comparator."""
+    """The exact solver at rank_bound(comparator) never loses to the
+    comparator. A partition of another n or order than A raises ShapeError."""
     A = as_array(A, 2)
     M = A * as_bitmap(W, np.float64, A.shape)
     Lbar = comparator_from_partition(A, W, P, k)
@@ -159,7 +150,9 @@ def _solve_rows(M, Wf, F, ridge_count):
     G = (Wf @ (F[:, :, None] * F[:, None, :]).reshape(m, k * k)).reshape(n, k, k)
     seen = Wf.any(axis=1)
     out = np.zeros((n, k))
-    out[seen] = _spd_solve(G[seen], (M @ F)[seen], ridge_count)
+    X, ridged = _spd_solve(G[seen], (M @ F)[seen][..., None])
+    out[seen] = X[..., 0]
+    ridge_count[0] += int(ridged.sum())
     return out
 
 

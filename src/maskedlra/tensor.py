@@ -33,15 +33,57 @@ CP_TOL = 1e-8
 
 
 def _khatri_rao(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    r = X.shape[1]
-    return (X[:, None, :] * Y[None, :, :]).reshape(-1, r)
+    """Column-wise Kronecker products of the stacks X (b, p, r) and Y (b, q, r)."""
+    b, _, r = X.shape
+    return (X[:, :, None, :] * Y[:, None, :, :]).reshape(b, -1, r)
 
 
-def _als_update(unfold: np.ndarray, X: np.ndarray, Y: np.ndarray, ridge_count):
-    """Least-squares factor against the Khatri-Rao design of X and Y."""
-    G = (X.T @ X) * (Y.T @ Y)
+def _als_update(unfold: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """Least-squares factors against the Khatri-Rao designs of the stacks
+    X and Y, and which members took the ridge solve."""
+    G = (X.transpose(0, 2, 1) @ X) * (Y.transpose(0, 2, 1) @ Y)
     rhs = unfold @ _khatri_rao(X, Y)
-    return _spd_solve(G, rhs.T, ridge_count).T
+    F, ridged = _spd_solve(G, rhs.transpose(0, 2, 1))
+    return F.transpose(0, 2, 1), ridged
+
+
+def _check_runs(k: int, iters: int, restarts: int) -> None:
+    if k < 1:
+        raise ParameterError(f"k={k} must be positive")
+    if iters < 1 or restarts < 1:
+        raise ParameterError(f"iters={iters} and restarts={restarts} must both be positive")
+
+
+def _cp_runs(T: np.ndarray, starts, iters: int):
+    """CP-ALS in lockstep on the stack T (b, n1, n2, n3): run i fits T[i]
+    from starts[i], its (U, V, Z), and leaves the stack after its first
+    sweep that improves its full Frobenius fit by at most CP_TOL times
+    ||T[i]||_F^2, or after iters sweeps. Returns the last factors of every
+    run as stacks [U, V, Z], and per run its fit, sweeps and ridge
+    fallbacks.
+    """
+    b, *dims = T.shape
+    units = [np.moveaxis(T, a, 1).reshape(b, size, -1) for a, size in enumerate(dims, 1)]
+    tol = CP_TOL * np.maximum(np.sum((T * T).reshape(b, -1), axis=1), 1e-300)
+    X = [np.stack(f) for f in zip(*starts)]
+    out = [np.empty_like(x) for x in X]
+    fit, sweeps, fallbacks = np.empty(b), np.zeros(b, np.int64), np.zeros(b, np.int64)
+    live, prev = np.arange(b), np.inf
+    for sweep in range(1, iters + 1):
+        for a in range(3):
+            X[a], ridged = _als_update(units[a], *(X[c] for c in range(3) if c != a))
+            out[a][live] = X[a]
+            fallbacks[live] += ridged
+        # the fit on the third unfolding: one product per run, no 3-d temporary
+        R = units[2] - X[2] @ _khatri_rao(X[0], X[1]).transpose(0, 2, 1)
+        fit[live], sweeps[live] = np.sum((R * R).reshape(len(live), -1), axis=1), sweep
+        go = ~(prev - fit[live] <= tol)
+        prev = fit[live][go]
+        if not go.all():
+            live, tol, X, units = live[go], tol[go], [x[go] for x in X], [u[go] for u in units]
+        if not len(live):
+            break
+    return out, fit, sweeps, fallbacks
 
 
 def cp_als(
@@ -54,45 +96,23 @@ def cp_als(
 ) -> LowRankFactor:
     """Alternating least squares CP fit, sweep order U then V then Z.
 
-    The full Frobenius fit is nonincreasing per sweep; stops early when a
-    sweep improves it by at most CP_TOL times ||T||_F^2. Best restart wins;
-    a provided init, cut or zero-padded to width k, replaces the random
-    start of the first restart.
+    The restarts run in lockstep, _cp_runs on T stacked once per restart;
+    each run's fit is nonincreasing per sweep. The first run with the
+    strictly smallest fit wins, and meta holds its residual, sweeps and
+    ridge_fallbacks. A provided init, cut or zero-padded to width k,
+    replaces the random start of the first restart.
     """
     T = as_array(T, 3)
-    if k < 1:
-        raise ParameterError(f"k={k} must be positive")
-    if iters < 1 or restarts < 1:
-        raise ParameterError(f"iters={iters} and restarts={restarts} must both be positive")
-    n1, n2, n3 = T.shape
-    T0 = T.reshape(n1, n2 * n3)
-    T1 = np.moveaxis(T, 1, 0).reshape(n2, n1 * n3)
-    T2 = np.moveaxis(T, 2, 0).reshape(n3, n1 * n2)
-    norm_T = float(np.sum(T * T))
+    _check_runs(k, iters, restarts)
     rng = np.random.default_rng(seed)
-
-    best = None
-    best_res = np.inf
-    for r in range(restarts):
-        ridge_count = [0]
-        U, V, Z = _als_start(init if r == 0 else None, T.shape, k, rng)
-        prev = np.inf
-        sweeps = 0
-        for sweeps in range(1, iters + 1):
-            U = _als_update(T0, V, Z, ridge_count)
-            V = _als_update(T1, U, Z, ridge_count)
-            Z = _als_update(T2, U, V, ridge_count)
-            # the fit on the third unfolding: one matrix product, no 3-d temporary
-            res = float(np.sum((T2 - Z @ _khatri_rao(U, V).T) ** 2))
-            if prev - res <= CP_TOL * max(norm_T, 1e-300):
-                prev = res
-                break
-            prev = res
-        fac = LowRankFactor(U, V, k, Z=Z)
-        fac.meta.update(residual=prev, sweeps=sweeps, ridge_fallbacks=ridge_count[0])
-        if prev < best_res:
-            best, best_res = fac, prev
-    return best
+    starts = [_als_start(init if r == 0 else None, T.shape, k, rng) for r in range(restarts)]
+    (U, V, Z), fit, sweeps, fallbacks = _cp_runs(
+        np.broadcast_to(T, (restarts,) + T.shape), starts, iters)
+    best = int(np.argmin(fit))
+    fac = LowRankFactor(U[best], V[best], k, Z=Z[best])
+    fac.meta.update(residual=float(fit[best]), sweeps=int(sweeps[best]),
+                    ridge_fallbacks=int(fallbacks[best]))
+    return fac
 
 
 def masked_tensor_lra(
@@ -126,21 +146,26 @@ def tensor_comparator(
 ) -> LowRankFactor:
     """Per-1-rectangle CP fits of A*W, zero-extended and concatenated.
 
-    The achieved per-rectangle cost (ALS, 3 restarts by default) replaces
-    the unattainable per-rectangle optimum in every recorded bound.
+    Box i keeps the first of its restarts with the strictly smallest fit,
+    its starts drawn from default_rng(seed + i), as cp_als does; all (box,
+    restart) runs of a shape group share one _cp_runs stack. The achieved
+    per-rectangle cost replaces the unattainable per-rectangle optimum in
+    every recorded bound. k, inner_iters and restarts are checked before
+    any fit; a partition of another n or order than A raises ShapeError.
     """
-    if k < 1:
-        raise ParameterError(f"k={k} must be positive")
-    if P.order != 3:
-        raise ParameterError("tensor comparator needs an order-3 partition")
+    _check_runs(k, inner_iters, restarts)
     A = as_array(A, 3)
     M = A * as_bitmap(W, np.float64, A.shape)
 
-    def fit(i, sets):
-        f = cp_als(M[np.ix_(*sets)], k, iters=inner_iters, restarts=restarts, seed=seed + i)
-        return f.U, f.V, f.Z
+    def fit(group, ix):
+        sub = M[ix]
+        starts = [_als_start(None, sub.shape[1:], k, rng) for i in group.tolist()
+                  for rng in [np.random.default_rng(seed + i)] for _ in range(restarts)]
+        factors, res, _, _ = _cp_runs(np.repeat(sub, restarts, axis=0), starts, inner_iters)
+        best = np.arange(len(group)) * restarts + np.argmin(res.reshape(-1, restarts), axis=1)
+        return [f[best] for f in factors]
 
-    factors = protocols.assemble(P.boxes, M.shape, fit)
+    factors = protocols.assemble(P, M.shape, fit)
     if factors is None:
         return zero_factor(*M.shape)
     U, V, Z = factors

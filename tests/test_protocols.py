@@ -387,26 +387,51 @@ def test_nondet_cover_validates_n():
 
 
 def test_assemble_places_each_fit_in_its_rows_and_block():
-    """fit sees every 1-rectangle with its index among all rectangles; the
-    pieces, of different widths, fill their rows and consecutive blocks."""
+    """fit sees each shape group of 1-rectangles once, with their indices
+    among all rectangles; the groups, of different widths, fill their rows
+    and one column block per rectangle, blocks in rectangle order."""
     sets = [
         (np.array([0]), np.array([0, 1])),
         (np.array([1, 2]), np.array([0])),
         (np.array([0]), np.array([2, 3])),
+        (np.array([3, 0]), np.array([1])),
     ]
-    labels = [0, 1, 1]
+    labels = [0, 1, 1, 1]
     seen = []
 
-    def fit(i, sets):
-        seen.append(i)
-        rows, cols = sets
-        return np.full((len(rows), i), float(i)), np.full((len(cols), i), 10.0 * i)
+    def fit(group, ix):
+        g = len(group)
+        rows, cols = (x.reshape(g, -1) for x in ix)
+        seen.append((group.tolist(), rows.tolist(), cols.tolist()))
+        value = group[:, None, None].astype(float)
+        return (np.broadcast_to(value, (g, rows.shape[1], g)),
+                np.broadcast_to(10.0 * value, (g, cols.shape[1], g)))
 
-    U, V = assemble(Boxes.pack(labels, sets, 2), (3, 4), fit)
-    assert seen == [1, 2]
-    assert np.array_equal(U, [[0, 2, 2], [1, 0, 0], [1, 0, 0]])
-    assert np.array_equal(V, [[10, 0, 0], [0, 0, 0], [0, 20, 20], [0, 20, 20]])
-    assert assemble(Boxes.pack(labels[:1], sets[:1], 2), (3, 4), fit) is None
+    P = PartitionSample(Boxes.pack(labels, sets, 2), 4, "manual", 3)
+    U, V = assemble(P, (4, 4), fit)
+    assert seen == [([2], [[0]], [[2, 3]]), ([1, 3], [[1, 2], [3, 0]], [[0], [1]])]
+    assert np.array_equal(U, [[0, 0, 2, 3, 3], [1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 3, 3]])
+    assert np.array_equal(V, [[10, 10, 0, 0, 0], [0, 0, 0, 30, 30],
+                              [0, 0, 20, 0, 0], [0, 0, 20, 0, 0]])
+    empty = PartitionSample(Boxes.pack(labels[:1], sets[:1], 2), 4, "manual", 0)
+    assert assemble(empty, (4, 4), fit) is None
+    for shape in ((4, 5), (3, 3), (4, 4, 4)):
+        with pytest.raises(ShapeError, match="n=4 order-2"):
+            assemble(P, shape, fit)
+    assert len(seen) == 2
+
+
+def test_power_of_two_buckets_take_the_top_bits():
+    """The one-shift hash equals the fixed-point reduction it replaces."""
+    rng = np.random.default_rng(79)
+    vals = rng.integers(0, 2**40, size=500)
+    key = rng.integers(0, 2**63, size=(2, 500), dtype=np.uint64)
+    a, b = key
+    top = ((a * vals.astype(np.uint64) + b) >> np.uint64(32)).astype(object)
+    for c in range(33):
+        want = np.array([int(t) * 2**c >> 32 for t in top], dtype=np.int64)
+        assert np.array_equal(protocols._hash_buckets(vals, key, 1 << c), want), c
+    assert not protocols._hash_buckets(vals, key, 1).any()
 
 
 def test_multiparty_single_bucket():

@@ -14,6 +14,7 @@ from maskedlra import (
     LowRankFactor,
     Monotone,
     ParameterError,
+    ShapeError,
     ToeplitzModP,
     altmin_baseline,
     banded_gt,
@@ -35,7 +36,7 @@ from maskedlra import protocols
 from maskedlra.harness import make_pattern, sparse_pattern
 from maskedlra.io import read_partition, write_partition
 from maskedlra.linalg import zero_factor
-from maskedlra.protocols import assemble, target_bitmap
+from maskedlra.protocols import target_bitmap
 from maskedlra.solver import _solve_rows
 
 
@@ -150,17 +151,20 @@ def _assert_batched_comparator_is_per_rectangle(A, W, P, k):
     """The shape-batched comparator is bit-identical to one svd_truncated
     per 1-rectangle, assembled in rectangle order."""
     M = A * W.bitmap
-
-    def fit(i, sets):
-        rows, cols = sets
-        f = svd_truncated(M[np.ix_(rows, cols)], min(k, len(rows), len(cols)))
-        return f.U, f.V
-
-    factors = assemble(P.boxes, M.shape, fit)
-    if factors is None:
+    fits = [(rect, svd_truncated(M[np.ix_(rect.row_set, rect.col_set)],
+                                 min(k, len(rect.row_set), len(rect.col_set))))
+            for rect in P.rectangles if rect.label == 1]
+    if not fits:
         want = zero_factor(*M.shape)
     else:
-        want = LowRankFactor(*factors, k * P.one_count)
+        width = sum(f.U.shape[1] for _, f in fits)
+        U, V = np.zeros((M.shape[0], width)), np.zeros((M.shape[1], width))
+        start = 0
+        for rect, f in fits:
+            stop = start + f.U.shape[1]
+            U[rect.row_set, start:stop], V[rect.col_set, start:stop] = f.U, f.V
+            start = stop
+        want = LowRankFactor(U, V, k * P.one_count)
     got = comparator_from_partition(A, W, P, k)
     assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
     assert got.rank_bound == want.rank_bound
@@ -517,3 +521,42 @@ def test_certificates_comparators_and_dumps_build_no_rectangle(monkeypatch, tmp_
         comparator_from_partition(inst.A, inst.W, P, 2)
         write_partition(tmp_path / "p", P)
         assert len(read_partition(tmp_path / "p").boxes) == cert.rect_count
+
+
+@pytest.mark.parametrize("spec", [equality_hash(32, 0.25), equality_hash(128, 0.25),
+                                  neq3_multiparty(64, 0.5)])
+def test_matrix_comparators_reject_a_partition_of_another_shape(spec):
+    """A smaller partition used to fit only the top-left block (and pass the
+    chain inequality), a larger one raised IndexError."""
+    A = np.random.default_rng(75).standard_normal((64, 64))
+    W = make_mask(Diagonal(), 64)
+    P = sample_partition(spec, seed=0)
+    with pytest.raises(ShapeError, match=f"n={spec.n} order-{P.order}"):
+        comparator_from_partition(A, W, P, 2)
+    with pytest.raises(ShapeError, match=f"n={spec.n} order-{P.order}"):
+        chain_inequality_check(A, W, P, 2)
+
+
+def test_comparators_never_iterate_boxes_one_by_one(monkeypatch):
+    """The matrix, tensor and Boolean comparators place whole shape groups:
+    none of them walks Boxes.each."""
+    from maskedlra import Diagonal3, cover_based_bool_lra, nondet_cover, tensor_comparator
+    from maskedlra.protocols import cover_bitmap, multiparty_partition
+
+    inst = gen_planted("matrix", Banded(2), 32, 2, seed=2)
+    P = sample_partition(banded_gt(32, 2, 0.25), seed=2)
+    inst3 = gen_planted("tensor3", Diagonal3(), 8, 1, seed=2)
+    P3 = multiparty_partition(neq3_multiparty(8, 0.5), seed=2)
+    cover = nondet_cover("neq-bits", 8)
+    Wb = cover_bitmap(cover)
+    B = (np.random.default_rng(77).random((8, 8)) < 0.5).astype(np.uint8)
+
+    def refuse(self):
+        raise AssertionError("Boxes.each was iterated")
+
+    monkeypatch.setattr(protocols.Boxes, "each", refuse)
+    assert comparator_from_partition(inst.A, inst.W, P, 2).U.any()
+    assert chain_inequality_check(inst.A, inst.W, P, 2)
+    assert tensor_comparator(inst3.A, inst3.W, P3, 1, inner_iters=5, restarts=2).U.any()
+    _, cost = cover_based_bool_lra(B, Wb, cover, 1, inner="exhaustive")
+    assert cost >= 0

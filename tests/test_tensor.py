@@ -9,6 +9,7 @@ from maskedlra import (
     ParameterError,
     PartitionSample,
     Rectangle,
+    ShapeError,
     cp_als,
     gen_planted,
     make_mask,
@@ -18,6 +19,8 @@ from maskedlra import (
     neq3_multiparty,
     tensor_comparator,
 )
+from maskedlra import tensor as tn
+from maskedlra.linalg import RIDGE
 from maskedlra.protocols import target_bitmap
 
 
@@ -271,7 +274,11 @@ def test_masked_cost_charges_a_mask3_like_its_bitmap():
     assert inst.W.zero_counts.max_row == 1 and inst.W.zero_counts.max_col == 1
 
 
-def test_comparator_checks_k_before_any_fit():
+def test_comparator_checks_k_before_any_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(tn, "_cp_runs", refuse)
     n = 4
     A = np.ones((n, n, n))
     W = np.ones((n, n, n), dtype=np.uint8)
@@ -281,6 +288,9 @@ def test_comparator_checks_k_before_any_fit():
         for k in (0, -2):
             with pytest.raises(ParameterError, match=f"k={k}"):
                 tensor_comparator(A, W, P, k)
+        for kwargs in ({"inner_iters": 0}, {"restarts": 0}, {"inner_iters": 0, "restarts": 0}):
+            with pytest.raises(ParameterError, match="must both be positive"):
+                tensor_comparator(A, W, P, 1, **kwargs)
 
 
 def test_cp_als_pads_a_narrow_init_with_zero_columns():
@@ -295,3 +305,169 @@ def test_cp_als_pads_a_narrow_init_with_zero_columns():
         assert not X[:, 1:].any()
     assert F.meta["ridge_fallbacks"] > 0
     assert F.meta["residual"] <= float(np.sum((T - init.value()) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# lockstep CP-ALS against one run at a time
+
+def _ref_spd_solve(G, B, fallbacks):
+    try:
+        np.linalg.cholesky(G)
+        return np.linalg.solve(G, B)
+    except np.linalg.LinAlgError:
+        fallbacks[0] += 1
+        return np.linalg.solve(G + RIDGE * np.eye(len(G)), B)
+
+
+def _ref_khatri_rao(X, Y):
+    return (X[:, None, :] * Y[None, :, :]).reshape(-1, X.shape[1])
+
+
+def _ref_update(unfold, X, Y, fallbacks):
+    G = (X.T @ X) * (Y.T @ Y)
+    return _ref_spd_solve(G, (unfold @ _ref_khatri_rao(X, Y)).T, fallbacks).T
+
+
+def _ref_cp_als(T, k, iters=100, seed=0, restarts=1, init=None):
+    """CP-ALS one restart at a time, one sweep at a time, as a loop."""
+    n1, n2, n3 = T.shape
+    T0 = T.reshape(n1, n2 * n3)
+    T1 = np.moveaxis(T, 1, 0).reshape(n2, n1 * n3)
+    T2 = np.moveaxis(T, 2, 0).reshape(n3, n1 * n2)
+    norm_T = float(np.sum(T * T))
+    rng = np.random.default_rng(seed)
+    best, best_res = None, np.inf
+    for r in range(restarts):
+        fallbacks = [0]
+        if r == 0 and init is not None:
+            U, V, Z = (np.hstack([X[:, :k], np.zeros((len(X), max(0, k - X.shape[1])))])
+                       for X in init.factors)
+        else:
+            U, V, Z = (rng.standard_normal((size, k)) for size in T.shape)
+        prev = np.inf
+        for sweeps in range(1, iters + 1):
+            U = _ref_update(T0, V, Z, fallbacks)
+            V = _ref_update(T1, U, Z, fallbacks)
+            Z = _ref_update(T2, U, V, fallbacks)
+            res = float(np.sum((T2 - Z @ _ref_khatri_rao(U, V).T) ** 2))
+            if prev - res <= tn.CP_TOL * max(norm_T, 1e-300):
+                prev = res
+                break
+            prev = res
+        fac = LowRankFactor(U, V, k, Z=Z)
+        fac.meta.update(residual=prev, sweeps=sweeps, ridge_fallbacks=fallbacks[0])
+        if prev < best_res:
+            best, best_res = fac, prev
+    return best
+
+
+def _ref_tensor_comparator(A, W, P, k, inner_iters=100, restarts=3, seed=0):
+    """One _ref_cp_als per 1-rectangle, placed in rectangle order."""
+    M = A * W
+    fits = [(r, _ref_cp_als(M[np.ix_(r.row_set, r.col_set, r.depth_set)], k, iters=inner_iters,
+                            restarts=restarts, seed=seed + i))
+            for i, r in enumerate(P.rectangles) if r.label == 1]
+    n = A.shape[0]
+    out = [np.zeros((n, k * len(fits))) for _ in range(3)]
+    for j, (r, f) in enumerate(fits):
+        for full, idx, X in zip(out, (r.row_set, r.col_set, r.depth_set), f.factors):
+            full[idx, j * k:(j + 1) * k] = X
+    return out
+
+
+def _assert_same_fit(got, want):
+    for a, b in zip(got.factors, want.factors):
+        assert np.array_equal(a, b)
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_cp_als_restarts_in_lockstep_match_one_at_a_time(k, restarts):
+    rng = np.random.default_rng(10 * k + restarts)
+    T = rng.standard_normal((5, 4, 6))
+    for iters in (1, 7, 100):
+        _assert_same_fit(cp_als(T, k, iters=iters, seed=restarts, restarts=restarts),
+                         _ref_cp_als(T, k, iters=iters, seed=restarts, restarts=restarts))
+    init = LowRankFactor(rng.standard_normal((5, 1)), rng.standard_normal((4, 1)), 1,
+                         Z=rng.standard_normal((6, 1)))
+    _assert_same_fit(cp_als(T, k, iters=20, restarts=restarts, init=init),
+                     _ref_cp_als(T, k, iters=20, restarts=restarts, init=init))
+
+
+def _unique_shape_partition(n):
+    """Order-3 boxes of pairwise different shapes: rows, columns and depths
+    cut at different points, every box 1-labeled but the first."""
+    cuts = (np.split(np.arange(n), [1]), np.split(np.arange(n), [2]), np.split(np.arange(n), [3]))
+    rects = [Rectangle(r, c, int(i > 0), d) for i, (r, c, d) in
+             enumerate((r, c, d) for r in cuts[0] for c in cuts[1] for d in cuts[2])]
+    return PartitionSample(rects, n, "manual", len(rects) - 1, order=3)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_comparator_stacks_match_one_fit_per_box(k, restarts):
+    """Repeated shapes (a neq3 partition) and unique shapes (a manual one)
+    give the factors of one loop of per-box fits, bit for bit."""
+    n = 8
+    inst = gen_planted("tensor3", Diagonal3(), n, k, seed=k)
+    A, W = np.asarray(inst.A), inst.W.bitmap
+    for P in (multiparty_partition(neq3_multiparty(n, 0.25), seed=restarts),
+              _unique_shape_partition(n)):
+        F = tensor_comparator(A, W, P, k, inner_iters=15, restarts=restarts, seed=4)
+        for got, want in zip(F.factors, _ref_tensor_comparator(A, W, P, k, 15, restarts, 4)):
+            assert np.array_equal(got, want)
+
+
+def _stack_runs(tensors, starts, iters):
+    """tn._cp_runs on the tensors stacked, and each run alone through the loop."""
+    out, res, sweeps, fallbacks = tn._cp_runs(np.stack(tensors), starts, iters)
+    for i, (T, start) in enumerate(zip(tensors, starts)):
+        init = LowRankFactor(start[0], start[1], start[0].shape[1], Z=start[2])
+        want = _ref_cp_als(T, start[0].shape[1], iters=iters, init=init)
+        for got, ref in zip(out, want.factors):
+            assert np.array_equal(got[i], ref)
+        assert (res[i], sweeps[i], fallbacks[i]) == (
+            want.meta["residual"], want.meta["sweeps"], want.meta["ridge_fallbacks"])
+    return sweeps, fallbacks
+
+
+def test_a_run_stops_at_its_tolerance_while_its_stack_mates_go_on():
+    rng = np.random.default_rng(12)
+    u, v, z = rng.standard_normal((3, 4))
+    tensors = [_rank1(u, v, z), rng.standard_normal((4, 4, 4)), rng.standard_normal((4, 4, 4))]
+    starts = [[rng.standard_normal((4, 2)) for _ in range(3)] for _ in tensors]
+    sweeps, _ = _stack_runs(tensors, starts, 30)
+    # the rank-1 run stops first, one more stops at its tolerance, one at the cap
+    assert sweeps[0] < sweeps[2] < sweeps[1] == 30
+
+
+def test_a_singular_gram_takes_the_ridge_in_its_own_run_only():
+    rng = np.random.default_rng(13)
+    tensors = list(rng.standard_normal((3, 5, 5, 5)))
+    starts = [[rng.standard_normal((5, 2)) for _ in range(3)] for _ in tensors]
+    for X in starts[1]:
+        X[:, 1] = 0.0  # a zero column: every Gram of this run is singular
+    sweeps, fallbacks = _stack_runs(tensors, starts, 8)
+    assert fallbacks[1] > 0 and fallbacks[0] == fallbacks[2] == 0
+    # a degenerate box: one row and one depth index
+    T = rng.standard_normal((4, 1, 15, 1))
+    starts = [[rng.standard_normal((size, 2)) for size in (1, 15, 1)] for _ in T]
+    _stack_runs(list(T), starts, 30)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_tensor_comparator_rejects_a_partition_of_another_n(n):
+    A = np.random.default_rng(14).standard_normal((8, 8, 8))
+    P = multiparty_partition(neq3_multiparty(n, 0.5), seed=0)
+    with pytest.raises(ShapeError, match=f"n={n}"):
+        tensor_comparator(A, make_mask(Diagonal3(), 8), P, 1)
+
+
+def test_tensor_comparator_rejects_an_order_2_partition():
+    from maskedlra import equality_hash, sample_partition
+
+    A = np.random.default_rng(15).standard_normal((8, 8, 8))
+    P = sample_partition(equality_hash(8, 0.5), seed=0)
+    with pytest.raises(ShapeError, match="order-2"):
+        tensor_comparator(A, make_mask(Diagonal3(), 8), P, 1)
