@@ -17,10 +17,13 @@ over its own indices, a cell's state is one small node id, and on a grid
 the transcript codes come from one ranked table per (leaf, row), which the
 cells gather. empirical_error_rates runs the same decisions on sampled
 cells with independent randomness per sample, so the error rate it reports
-is that of the decisions the partition is built from; it, protocol_matrix
-and protocol_cube read only outputs, so no transcript code is built for
-them. A partition or a cover holds its rectangles as Boxes: a label per
-box and, per axis, int64 offsets into one int64 index array (CSR).
+is that of the decisions the partition is built from. It runs them in
+chunks of _STRIPE_CELLS samples, each reading its keys from the generator
+at their stream position, so only the sampled indices grow with the trial
+count. It, protocol_matrix and protocol_cube read only outputs, so no
+transcript code is built for them. A partition or a cover holds its
+rectangles as Boxes: a label per box and, per axis, int64 offsets into one
+int64 index array (CSR).
 Certificates, comparators, bitmaps and dumps read those arrays, and
 Rectangle objects are views built only when .rectangles is read.
 Nondeterministic covers are built directly from their witness structure.
@@ -53,9 +56,9 @@ from .linalg import as_bitmap
 
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
-# order 2, n <= 256 at order 3. A banded-gt partition peaked at 26 traced
-# bytes per cell for n = 512 to 2048 (the transcript grid's own peak;
-# grouping it into CSR arrays adds less), about 0.45 GB at the cap
+# order 2, n <= 256 at order 3. A banded-gt partition peaked at 21 to 22
+# traced bytes per cell for n = 512 to 2048 (the transcript grid's own peak;
+# grouping it into CSR arrays adds less), about 0.37 GB at the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, so that its working arrays
@@ -342,14 +345,18 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
 def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Injective, order-keeping combination of two non-negative code grids.
 
-    (c1, c2) in lexicographic order, as c1 * (max c2 + 1) + c2; codes too
-    wide for that to fit 63 bits are ranked first.
+    (c1, c2) in lexicographic order, as c1 * (max c2 + 1) + c2, in int32
+    when that fits and int64 otherwise; codes too wide for that to fit 63
+    bits are ranked first.
     """
     k = int(c2.max()) + 1
     if (int(c1.max()) + 1) * k > 2**62:
         c1, c2 = _rank(c1), _rank(c2)
         k = int(c2.max()) + 1
-    return c1.astype(np.int64) * k + c2
+    out = c1.astype(np.int32 if (int(c1.max()) + 1) * k < 2**31 else np.int64)
+    out *= k
+    out += c2
+    return out
 
 
 def cap_gt(domain: int, delta: float) -> int:
@@ -507,7 +514,7 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
         c2, o2 = gt(x + p - 1, y, m, d, keys, direction="b>a")
         # short circuit: the second call only runs when the first said "no";
         # greater-than codes are >= 1, so 0 marks the skipped call
-        pairs = _pair_codes(c1, np.where(o1 == 1, np.int64(0), c2)) if codes else None
+        pairs = _pair_codes(c1, np.where(o1 == 1, 0, c2)) if codes else None
         return pairs, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
 
     if f == "banded2d-gt":
@@ -845,7 +852,7 @@ def partition_bitmap(sample: PartitionSample) -> np.ndarray:
     out = np.full((sample.n,) * sample.order, 255, dtype=np.uint8)
     for label, sets in sample.boxes.each():
         out[np.ix_(*sets)] = label
-    if (out == 255).any():
+    if out.max() == 255:
         raise RuntimeError("partition does not tile the grid")
     return out
 
@@ -889,6 +896,16 @@ def empirical_error_rates(
     without its transcript codes, so the two rates are plain binomial
     estimates of the per-cell error probabilities of those decisions,
     averaged over each side of the mask.
+
+    The cells are drawn first, one index array per axis (8 * order bytes
+    per trial); bounded draws use rejection sampling, so the raw outputs
+    they consume depend on the values, and they are not split. decide then
+    runs on chunks of _STRIPE_CELLS samples, so keys and decisions take
+    O(_STRIPE_CELLS) memory. A chunk's keys are its slice of the
+    (2, count, trials) uint64 block that one draw per keys call would give,
+    read from a PCG64 set to the slice's stream position, as each uint64 is
+    one raw output; decide's sequence of keys counts does not depend on the
+    data, and nothing else draws after the cells.
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
@@ -896,19 +913,27 @@ def empirical_error_rates(
     bitmap = as_bitmap(W, np.uint8, shape)
     rng = np.random.default_rng(seed)
     idx = tuple(rng.integers(0, spec.n, size=trials) for _ in shape)
+    start, stream = rng.bit_generator.state, np.random.PCG64(0)
+    tally = np.zeros(4, dtype=np.int64)  # samples per (W, disagrees)
+    for s0 in range(0, trials, _STRIPE_CELLS):
+        size = min(_STRIPE_CELLS, trials - s0)
+        pos = 0
 
-    def keys(count: int):
-        return rng.integers(0, 2**64, size=(2, count, trials), dtype=np.uint64)
+        def keys(count: int):
+            nonlocal pos
+            k = np.empty((2 * count, size), dtype=np.uint64)
+            for row in range(2 * count):
+                stream.state = start
+                stream.advance(pos + row * trials + s0)
+                k[row] = stream.random_raw(size)
+            pos += 2 * count * trials
+            return k.reshape(2, count, size)
 
-    _, out = _decide(spec, idx, keys, codes=False)
-    w = bitmap[idx].astype(np.int64)
-    disagree = out.astype(np.int64) != w
-    rates = []
-    for side in (1, 0):
-        sel = w == side
-        tot = int(sel.sum())
-        rates.append(float(disagree[sel].sum() / tot) if tot else 0.0)
-    return rates[0], rates[1]
+        cut = tuple(i[s0:s0 + size] for i in idx)
+        _, out = _decide(spec, cut, keys, codes=False)
+        w = bitmap[cut]
+        tally += np.bincount(w.astype(np.intp) * 2 + (out != w), minlength=4)
+    return tuple(int(t[1]) / int(t.sum()) if t.any() else 0.0 for t in tally.reshape(2, 2)[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,76 @@ def test_empirical_error_rates_checks_mask_shape():
             empirical_error_rates(spec, W, 100, seed=0)
 
 
+def _ref_empirical_error_rates(spec, W, trials, seed=0):
+    """The one-shot sampler: every sample's keys drawn in one block per
+    keys call, (2, count, trials) uint64."""
+    rng = np.random.default_rng(seed)
+    idx = tuple(rng.integers(0, spec.n, size=trials) for _ in range(W.ndim))
+
+    def keys(count):
+        return rng.integers(0, 2**64, size=(2, count, trials), dtype=np.uint64)
+
+    _, out = protocols._decide(spec, idx, keys, codes=False)
+    w = W[idx].astype(np.int64)
+    disagree = out.astype(np.int64) != w
+    rates = []
+    for side in (1, 0):
+        sel = w == side
+        tot = int(sel.sum())
+        rates.append(float(disagree[sel].sum() / tot) if tot else 0.0)
+    return rates[0], rates[1]
+
+
+@pytest.mark.parametrize("spec", _one_spec_per_family(), ids=lambda s: s.family)
+def test_chunked_error_rates_equal_the_one_shot_sampler(spec):
+    """Chunks of _STRIPE_CELLS samples, each reading its keys by stream
+    position, give the one-shot sampler's rates bit for bit, on both sides
+    of every chunk boundary, for the target mask and a random one."""
+    S = protocols._STRIPE_CELLS
+    order = 3 if spec.family == "neq3-multiparty" else 2
+    masks_ = [target_bitmap(spec),
+              np.random.default_rng(1).integers(0, 2, size=(spec.n,) * order, dtype=np.uint8)]
+    for trials in (1, S - 1, S, S + 1, 3 * S + 7):
+        for seed in (0, 9):
+            for W in masks_:
+                got = empirical_error_rates(spec, W, trials, seed=seed)
+                assert got == _ref_empirical_error_rates(spec, W, trials, seed), (trials, seed)
+
+
+def test_default_rng_keys_are_raw_pcg64_outputs():
+    """What the chunked sampler relies on: default_rng runs on PCG64, and a
+    full-range uint64 draw is the raw outputs in order, one per value,
+    leaving the state that many raw outputs leave; advance(d) skips d."""
+    rng = np.random.default_rng(4)
+    assert type(rng.bit_generator) is np.random.PCG64
+    rng.integers(0, 7, size=5)  # bounded draws may leave a 32-bit value buffered
+    start = rng.bit_generator.state
+    keys = rng.integers(0, 2**64, size=(2, 3, 11), dtype=np.uint64)
+    raw = np.random.PCG64(0)
+    raw.state = start
+    assert np.array_equal(keys.ravel(), raw.random_raw(66))
+    assert raw.state == rng.bit_generator.state
+    raw.state = start
+    raw.advance(40)
+    assert np.array_equal(raw.random_raw(9), keys.ravel()[40:49])
+
+
+def test_error_rate_memory_does_not_grow_with_keys():
+    # at 10**6 trials the sampled cells' indices take 16 MB; with keys and
+    # decisions made per chunk the call peaked at 24.4 MB in all, and at
+    # 269 MB with every key drawn in one block
+    spec = banded2d_gt(256, 2, 0.25)
+    W = target_bitmap(spec)
+    trials = 10**6
+    tracemalloc.start()
+    try:
+        empirical_error_rates(spec, W, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * trials + 12 * 10**6
+
+
 def test_nondet_cover_neq_bits():
     C = nondet_cover("neq-bits", 4)
     assert len(C.rectangles) == 4
@@ -956,6 +1026,27 @@ def test_banded_gt_partition_memory():
         tracemalloc.stop()
     assert P.n == n
     assert peak < 29 * n * n
+
+
+def test_banded_gt_partition_memory_with_int32_pairs():
+    # 21.3 traced bytes per cell at n = 1024 with banded-gt's code pairs
+    # in int32, 26.0 with them widened to int64
+    n = 1024
+    tracemalloc.start()
+    try:
+        P = sample_partition(banded_gt(n, 4, 0.25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert P.n == n
+    assert peak < 24 * n * n
+
+
+def test_partition_bitmap_rejects_a_partition_that_does_not_tile():
+    row = np.array([0], dtype=np.int64)
+    P = PartitionSample(Boxes.pack([1], [(row, np.arange(2))], 2), 2, "gap", 1)
+    with pytest.raises(RuntimeError, match="does not tile the grid"):
+        partition_bitmap(P)
 
 
 def test_order3_partition_matches_protocol_cube():
