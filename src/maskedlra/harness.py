@@ -94,11 +94,9 @@ def gen_planted(
         L = LowRankFactor(U, V, k, Z=Z[0] if Z else None)
         base = L.value()
         scale = corruption_scale * float(np.linalg.norm(base)) / n
-        A = (
-            base
-            + (1.0 - B) * scale * rng.standard_normal(B.shape)
-            + B * noise_sigma * rng.standard_normal(B.shape)
-        )
+        A = base + (1.0 - B) * scale * rng.standard_normal(B.shape)
+        if noise_sigma:  # the last draw, so skipping it changes nothing else
+            A += B * noise_sigma * rng.standard_normal(B.shape)
         opt = masked_cost(A, W, L)
     else:
         if corruption_scale > 1 or noise_sigma > 1:
@@ -108,11 +106,9 @@ def gen_planted(
         V = (rng.random((k, n)) < 0.5).astype(np.uint8)
         L = bl.BoolFactor(U, V, k)
         base = L.value()
-        flips = np.where(
-            B == 0,
-            rng.random((n, n)) < corruption_scale,
-            rng.random((n, n)) < noise_sigma,
-        )
+        flips = (B == 0) & (rng.random((n, n)) < corruption_scale)
+        if noise_sigma:  # the last draw, as in the real domains
+            flips |= (B == 1) & (rng.random((n, n)) < noise_sigma)
         A = (base ^ flips.astype(np.uint8)).astype(np.uint8)
         opt = float(bl.bool_cost(A, base, W))
     return PlantedInstance(

@@ -993,6 +993,12 @@ def cover_bitmap(cover: Cover) -> np.ndarray:
     return out
 
 
+def _check_shape(P, shape) -> None:
+    """Raise ShapeError unless shape is P.order axes of size P.n."""
+    if tuple(shape) != (P.n,) * P.order:
+        raise ShapeError(f"an n={P.n} order-{P.order} partition does not fit shape {shape}")
+
+
 def assemble(P, shape, fit) -> list[np.ndarray] | None:
     """Zero-extend the fits of the 1-labeled boxes of P, a partition or a
     cover, and place them side by side.
@@ -1004,8 +1010,7 @@ def assemble(P, shape, fit) -> list[np.ndarray] | None:
     with one assignment per axis, its boxes' rows and one column block per
     box, blocks in box order. Returns None when no box is 1-labeled.
     """
-    if tuple(shape) != (P.n,) * P.order:
-        raise ShapeError(f"an n={P.n} order-{P.order} partition does not fit shape {shape}")
+    _check_shape(P, shape)
     B = P.boxes
     ones = np.flatnonzero(B.labels == 1)
     if not len(ones):

@@ -86,6 +86,18 @@ def test_solve_round_trip(tmp_path, capsys):
     assert np.linalg.matrix_rank(L) <= 8
 
 
+def test_solve_at_full_rank_runs_no_svd(tmp_path, capsys):
+    out = tmp_path / "inst"
+    main(["gen", "--pattern", "banded", "--p", "2", "--n", "32", "--k", "2",
+          "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["solve", str(out / "A.mlra"), str(out / "W.mask"), "--k", "2", "--kprime", "32"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "svd_driver = none" in lines
+    assert "masked cost = 0.0" in lines
+
+
 def test_solve_has_no_seed_flag(tmp_path, capsys):
     # the exact solve is deterministic, so there is no seed to pass
     out = tmp_path / "inst"

@@ -1013,10 +1013,10 @@ def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
 
 
 def test_banded_gt_partition_memory():
-    # 26.0 traced bytes per grid cell with the grouping's one argsort into
-    # CSR arrays (now the transcript grid's own peak), 71.4 with the
-    # np.unique grouping and its Rectangle list, 118 with the per-cell
-    # search; the bound is 10% above the first
+    # 22.1 traced bytes per grid cell with banded-gt's code pairs in int32
+    # and the grouping's one argsort into CSR arrays, 26.0 with the pairs in
+    # int64, 71.4 with the np.unique grouping and its Rectangle list, 118
+    # with the per-cell search; the bound is 10% above the first
     n = 512
     tracemalloc.start()
     try:
@@ -1025,7 +1025,7 @@ def test_banded_gt_partition_memory():
     finally:
         tracemalloc.stop()
     assert P.n == n
-    assert peak < 29 * n * n
+    assert peak < 24.3 * n * n
 
 
 def test_banded_gt_partition_memory_with_int32_pairs():

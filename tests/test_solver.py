@@ -17,27 +17,31 @@ from maskedlra import (
     ShapeError,
     ToeplitzModP,
     altmin_baseline,
+    banded2d_gt,
     banded_gt,
     chain_inequality_check,
     comparator_from_partition,
     eq_mod_p,
     equality_hash,
     gen_planted,
+    greater_than,
     make_mask,
     masked_cost,
     masked_lra,
+    monotone_gt,
     neq3_multiparty,
     rank_budget,
     sample_partition,
+    sparse_set_eq,
     svd_truncated,
     verify_bicriteria,
 )
-from maskedlra import protocols
+from maskedlra import protocols, solver
 from maskedlra.harness import make_pattern, sparse_pattern
 from maskedlra.io import read_partition, write_partition
 from maskedlra.linalg import zero_factor
 from maskedlra.protocols import target_bitmap
-from maskedlra.solver import _solve_rows
+from maskedlra.solver import _block_tails, _solve_rows
 
 
 def test_masked_lra_vanishing_support():
@@ -54,6 +58,30 @@ def test_masked_lra_all_ones_is_svd():
     L1 = masked_lra(A, W, 3)
     L2 = svd_truncated(A, 3)
     assert np.array_equal(L1.value(), L2.value())
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 5), (5, 9)])
+def test_masked_lra_full_rank_returns_the_zero_fill(monkeypatch, shape):
+    """At k' = min(n, m) the zero fill is its own best fit: no SVD runs,
+    and the masked cost is exactly zero."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    for mod, name in ((np.linalg, "svd"), (scipy.sparse.linalg, "svds"), (scipy.linalg, "svd")):
+        monkeypatch.setattr(mod, name, refuse)
+    rng = np.random.default_rng(sum(shape))
+    A = rng.standard_normal(shape)
+    W = (rng.random(shape) < 0.6).astype(np.uint8)
+    L = masked_lra(A, W, min(shape))
+    assert np.array_equal(L.value(), A * W)
+    assert masked_cost(A, W, L) == 0.0
+    assert L.U.shape[1] == L.rank_bound == min(shape)
+    assert L.meta["svd_driver"] == "none"
+    with pytest.raises(ParameterError, match="out of range"):
+        masked_lra(A, W, min(shape) + 1)
 
 
 def test_masked_lra_planted_bound():
@@ -244,6 +272,63 @@ def test_chain_inequality_random_sweep():
         A = rng.standard_normal((16, 16))
         P = sample_partition(spec, seed=trial)
         assert chain_inequality_check(A, W, P, 1), trial
+
+
+def _order2_specs(n):
+    rng = np.random.default_rng(n)
+    zs = tuple(tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))) for _ in range(n))
+    prefixes = tuple(int(v) for v in rng.integers(0, n + 1, size=n))
+    return [
+        equality_hash(n, 0.25),
+        equality_hash(n, 1.0),  # one 0-rectangle: the comparator is zero
+        eq_mod_p(n, 4),
+        eq_mod_p(n, 4, delta=0.5),
+        sparse_set_eq(n, zs, 2, 0.25),
+        greater_than(n, 0.25),
+        banded_gt(n, 3, 0.25),
+        banded2d_gt(n, 2, 0.5),
+        monotone_gt(prefixes, 0.25),
+    ]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_block_tails_are_the_comparator_cost(n):
+    """The block-spectrum sum equals ||M - C||^2 for the assembled
+    comparator C on every order-2 family, also where a 1-box is thinner
+    than k and is fit exactly."""
+    rng = np.random.default_rng(n + 5)
+    A = rng.standard_normal((n, n))
+    W = (rng.random((n, n)) < 0.7).astype(np.uint8)
+    M = A * W
+    mass = float(np.sum(M * M))
+    thin = 0
+    for spec in _order2_specs(n):
+        P = sample_partition(spec, seed=3)
+        ones = P.boxes.labels == 1
+        sides = np.minimum(P.boxes.sizes(0), P.boxes.sizes(1))[ones]
+        for k in (1, 2, 3):
+            want = float(np.sum((M - comparator_from_partition(A, W, P, k).value()) ** 2))
+            got = _block_tails(M, P, k)
+            assert abs(got - want) <= 1e-12 * mass, (spec.describe(), k)
+            thin += int(np.any(sides < k))
+    assert thin
+
+
+def test_chain_inequality_builds_no_comparator(monkeypatch):
+    """The chain check reads the comparator's cost from block spectra: it
+    never assembles the comparator."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the comparator was built")
+
+    monkeypatch.setattr(solver, "comparator_from_partition", refuse)
+    monkeypatch.setattr(protocols, "assemble", refuse)
+    inst = gen_planted("matrix", Banded(4), 64, 2, seed=1)
+    for spec in (banded_gt(64, 4, 0.25), equality_hash(64, 0.25), equality_hash(64, 1.0)):
+        P = sample_partition(spec, seed=1)
+        assert chain_inequality_check(inst.A, inst.W, P, 2)
+        for k in (0, -1):
+            with pytest.raises(ParameterError, match=f"^k={k} must be positive"):
+                chain_inequality_check(inst.A, inst.W, P, k)
 
 
 def test_verify_bicriteria_planted_diagonal():
