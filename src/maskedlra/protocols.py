@@ -1,28 +1,29 @@
 """Communication protocols for mask predicates and their rectangle partitions.
 
-Each family's decisions are written once, in decide(spec, idx, keys), which
-returns transcript codes and outputs on any broadcastable set of cells. The
-certificate's partition takes one seeded draw of shared randomness, and its
-transcript classes are combinatorial rectangles labeled with the protocol
-output. A one-sided family's decisions are a sender's hash bucket and one
-reply bit per other party (_one_sided), so its rectangles are built directly
-as products of bucket index sets, in O(n + rectangles) with no cell
-enumerated. The greater-than families run decide on the full input grid and
-group the cells by transcript: one stable argsort of the cells' codes
-lists each class's cells in C order, and its index sets are read off them
-in linear passes; protocol_matrix and protocol_cube enumerate the grid
-too. Their core, _gt, walks the cells down a static binary-search tree in
+Each family's decisions are written once, in one private evaluator,
+_decide(spec, idx, keys, codes), which returns transcript codes and outputs
+on any broadcastable set of cells. The certificate's partition takes one
+seeded draw of shared randomness, and its transcript classes are
+combinatorial rectangles labeled with the protocol output. A one-sided
+family's decisions are a sender's hash bucket and one reply bit per other
+party (_one_sided), so its rectangles are built directly as products of
+bucket index sets, in O(n + rectangles) with no cell enumerated. The
+greater-than families run _decide on the full input grid and group the
+cells by transcript: one stable argsort of the cells' codes lists each
+class's cells in C order, and its index sets are read off them in linear
+passes; protocol_matrix and protocol_cube enumerate the grid too. Their
+core, _gt, walks the cells down a static binary-search tree in
 cache-sized row stripes: each party hashes its prefixes once per tree node
-over its own indices, a cell's state is one small node id, and on a grid
-the transcript codes come from one ranked table per (leaf, row), which the
-cells gather. empirical_error_rates runs the same decisions on sampled
+over its own indices, a cell's state is one small node id, and the
+transcript codes always come from one ranked table per (leaf, row), which
+the cells gather. empirical_error_rates runs the same decisions on sampled
 cells with independent randomness per sample, so the error rate it reports
 is that of the decisions the partition is built from. It runs them in
 chunks of _STRIPE_CELLS samples, each reading its keys from the generator
 at their stream position, so only the sampled indices grow with the trial
 count. It, protocol_matrix and protocol_cube read only outputs, so no
-transcript code is built for them. A partition or a cover holds its
-rectangles as Boxes: a label per box and, per axis, int64 offsets into one
+transcript code is built for them. A partition or a cover takes its
+rectangles only as Boxes: a label per box and, per axis, int64 offsets into one
 int64 index array (CSR).
 Certificates, comparators, bitmaps and dumps read those arrays, and
 Rectangle objects are views built only when .rectangles is read.
@@ -278,10 +279,10 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     and one child lookup. A cell's transcript (the row's hash at each node
     met, the answers, the row's final bit, the output) is fixed by its
     leaf, its row position and its output. Codes are >= 1 and follow the
-    transcripts' order, shorter first, then bitwise. When there are fewer
-    (leaf, row) pairs than cells, as on a grid, their codes are built and
-    ranked once in a table that the cells gather; otherwise (independent
-    keys per cell) each cell's code is built from its own path. With codes
+    transcripts' order, shorter first, then bitwise. They are built and
+    ranked once in a table per (leaf, row), on a grid or on per-cell
+    samples alike, which the cells gather: twice a dense rank plus the
+    output, so at most 2 * (m + 1) * R + 1 for R row positions. With codes
     False only the outputs are computed, and None stands for the codes.
     """
     child, path, eqs, group, shift = _search_tree(m)
@@ -301,11 +302,11 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
 
     (pa, va), (pb, vb) = on_cells(ha, a), on_cells(hb, b)
 
-    # transcript fields: the leaf's group; per round the row's hash and the
-    # answer, a constant once the leaf is reached; the row's final bit
-    widths = [rounds.bit_length()] + [c + 1] * rounds + [1]
-    table = fields = gathered = None
-    if codes and (m + 1) * R < math.prod(cells):
+    gathered = None
+    if codes:
+        # transcript fields: the leaf's group; per round the row's hash and
+        # the answer, a constant once the leaf is reached; the row's final bit
+        widths = [rounds.bit_length()] + [c + 1] * rounds + [1]
         lf = np.arange(m + 1)[:, None]
         parts = [group[lf]]
         for r in range(rounds):
@@ -314,8 +315,6 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         parts.append((va.ravel() >> shift[lf]) & 1)
         table = _rank(_pack(parts, widths))
         gathered = np.empty(cells, dtype=np.int32 if 2 * table.size < 2**31 else np.int64)
-    elif codes:
-        fields = np.empty((rounds + 2,) + cells, dtype=ha.dtype)
     o = np.empty(cells, dtype=bool)
     # row stripes small enough for the cache, each walked down the tree
     step = max(1, _STRIPE_CELLS // math.prod(cells[1:]))
@@ -324,21 +323,14 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         ra, rb, xa, xb = (v[cut] if v.shape[0] > 1 else v for v in (pa, pb, va, vb))
         node = np.full(np.broadcast_shapes(ra.shape, rb.shape), m - 1, dtype=np.uint8)
         for r in range(rounds):
-            h = ha.take(node * it(R) + ra, mode="clip")
-            eq = h == hb.take(node * it(S) + rb, mode="clip")
-            if fields is not None:
-                fields[1 + r, cut] = (h << 1) | eq
+            eq = ha.take(node * it(R) + ra, mode="clip") == hb.take(node * it(S) + rb, mode="clip")
             node = child.take(node * 2 + eq)
         leaf = node - np.uint8(m)
         xd = (xa >> shift[leaf]) & 1
         yd = (xb >> shift[leaf]) & 1
         o[cut] = (xd > yd) if direction == "a>b" else (yd > xd)
-        if fields is not None:
-            fields[0, cut], fields[-1, cut] = group[leaf], xd
-        elif table is not None:
+        if codes:
             gathered[cut] = table.take(leaf * it(R) + ra) * 2 + o[cut]
-    if fields is not None:
-        return _pack(fields, widths) * 2 + o, o.view(np.uint8)
     return gathered, o.view(np.uint8)
 
 
@@ -346,13 +338,11 @@ def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Injective, order-keeping combination of two non-negative code grids.
 
     (c1, c2) in lexicographic order, as c1 * (max c2 + 1) + c2, in int32
-    when that fits and int64 otherwise; codes too wide for that to fit 63
-    bits are ranked first.
+    when that fits and int64 otherwise. _gt's codes are at most
+    2 * (m + 1) * R + 1, below 2^17 on any grid within ENUM_CELLS, so even
+    banded2d-gt's pair of a pair stays below 2^51.
     """
     k = int(c2.max()) + 1
-    if (int(c1.max()) + 1) * k > 2**62:
-        c1, c2 = _rank(c1), _rank(c2)
-        k = int(c2.max()) + 1
     out = c1.astype(np.int32 if (int(c1.max()) + 1) * k < 2**31 else np.int64)
     out *= k
     out += c2
@@ -408,7 +398,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
     output. The transcript code is s followed by the bits, so one s and one
     bit per receiver single out a rectangle: the sender's indices in bucket
     s times each receiver's indices that give its bit. idx and keys are as
-    for decide; every key is drawn here, before reply is called.
+    for _decide; every key is drawn here, before reply is called.
     """
     f = spec.family
     n = spec.n
@@ -467,7 +457,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
     return 0, h[0], reply, lambda bits: 1 - (bits[0] & bits[1])
 
 
-def decide(spec: ProtocolSpec, idx, keys):
+def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
     """(codes, out): transcript codes and outputs of the protocol on cells idx.
 
     idx holds one int64 index array per party; they broadcast against each
@@ -476,14 +466,10 @@ def decide(spec: ProtocolSpec, idx, keys):
     broadcasting against idx. Randomness is drawn through keys only, in
     call order, so one run of this function is one protocol run per cell:
     shared by all cells when s is all ones (the grid), or independent per
-    cell when s is the sample shape (error-rate sampling).
+    cell when s is the sample shape (error-rate sampling). codes is None
+    instead of built when codes is False; the keys drawn and the outputs
+    are the same either way.
     """
-    return _decide(spec, idx, keys, codes=True)
-
-
-def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
-    """decide, with codes None instead of built when codes is False; the
-    keys drawn and the outputs are the same either way."""
     f = spec.family
     n = spec.n
     x, y = idx[0], idx[1]
@@ -657,16 +643,8 @@ class Boxes:
 
 
 class _Packed:
-    """A partition or cover: a Rectangle sequence given as its boxes is
-    packed into Boxes, and rectangles holds Rectangle views of the boxes,
-    built on first access."""
-
-    def __post_init__(self):
-        if not isinstance(self.boxes, Boxes):
-            rects = list(self.boxes)
-            sets = [(r.row_set, r.col_set, r.depth_set)[:self.order] for r in rects]
-            object.__setattr__(self, "boxes",
-                               Boxes.pack([r.label for r in rects], sets, self.order))
+    """A partition or cover of Boxes: rectangles holds Rectangle views of
+    the boxes, built on first access."""
 
     @functools.cached_property
     def rectangles(self) -> list[Rectangle]:
@@ -675,7 +653,7 @@ class _Packed:
 
 @dataclass(frozen=True, eq=False)
 class PartitionSample(_Packed):
-    boxes: Boxes  # or a sequence of Rectangles, packed on construction
+    boxes: Boxes
     n: int
     source: str
     one_count: int
@@ -684,7 +662,7 @@ class PartitionSample(_Packed):
 
 @dataclass(frozen=True, eq=False)
 class Cover(_Packed):
-    boxes: Boxes  # or a sequence of Rectangles, packed on construction
+    boxes: Boxes
     n: int
     order = 2  # a cover is of a matrix; not a field
 
@@ -814,7 +792,7 @@ def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
 
     A one-sided family's rectangles are built as products of hash buckets,
     in O(n + rectangles) memory with no cell enumerated; any other family
-    runs decide on every cell and groups the cells by transcript, within
+    runs _decide on every cell and groups the cells by transcript, within
     ENUM_CELLS. Both give the transcript classes in ascending code order,
     as Boxes.
     """
@@ -892,19 +870,19 @@ def empirical_error_rates(
     """Monte Carlo disagreement rates of W_pi against W, split by W's value.
 
     Each of the trials samples an independent (cell, protocol seed) pair and
-    runs decide, the evaluator that also builds the certificate's partition,
+    runs _decide, the evaluator that also builds the certificate's partition,
     without its transcript codes, so the two rates are plain binomial
     estimates of the per-cell error probabilities of those decisions,
     averaged over each side of the mask.
 
     The cells are drawn first, one index array per axis (8 * order bytes
     per trial); bounded draws use rejection sampling, so the raw outputs
-    they consume depend on the values, and they are not split. decide then
+    they consume depend on the values, and they are not split. _decide then
     runs on chunks of _STRIPE_CELLS samples, so keys and decisions take
     O(_STRIPE_CELLS) memory. A chunk's keys are its slice of the
     (2, count, trials) uint64 block that one draw per keys call would give,
     read from a PCG64 set to the slice's stream position, as each uint64 is
-    one raw output; decide's sequence of keys counts does not depend on the
+    one raw output; _decide's sequence of keys counts does not depend on the
     data, and nothing else draws after the cells.
     """
     if trials < 1:

@@ -162,9 +162,10 @@ def test_cover_single_full_rectangle_matches_inner():
     rng = np.random.default_rng(17)
     A = (rng.random((4, 4)) < 0.5).astype(np.uint8)
     W = np.ones((4, 4), dtype=np.uint8)
-    from maskedlra import Cover, Rectangle
+    from maskedlra import Cover
+    from maskedlra.protocols import Boxes
 
-    C = Cover([Rectangle(np.arange(4), np.arange(4), 1)], 4)
+    C = Cover(Boxes.pack([1], [(np.arange(4), np.arange(4))], 2), 4)
     F, cost = cover_based_bool_lra(A, W, C, 1, inner="exhaustive")
     _, inner_cost = bool_lra_exhaustive(A, W, 1)
     assert cost == inner_cost
@@ -193,24 +194,25 @@ def test_cover_rejects_mismatched_mask():
 
 def test_cover_rejects_empty_cover():
     from maskedlra import Cover
+    from maskedlra.protocols import Boxes
 
     zeros = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(ParameterError, match="no rectangles"):
-        cover_based_bool_lra(zeros, zeros, Cover([], 4), 1)
+        cover_based_bool_lra(zeros, zeros, Cover(Boxes.pack([], [], 2), 4), 1)
 
 
 def test_cover_ors_per_rectangle_fits_in_cover_order():
     """Three overlapping rectangles: per_rectangle_costs lists the exact fits
     in cover order, and the value ORs each fit's product placed in its block."""
-    from maskedlra import Cover, Rectangle
-    from maskedlra.protocols import cover_bitmap
+    from maskedlra import Cover
+    from maskedlra.protocols import Boxes, cover_bitmap
 
-    rects = [
-        Rectangle(np.array([0, 1, 2]), np.array([0, 1, 2]), 1),
-        Rectangle(np.array([3, 4]), np.array([2, 3, 4, 5]), 1),
-        Rectangle(np.array([1, 5]), np.array([4, 5]), 1),
+    sets = [
+        (np.array([0, 1, 2]), np.array([0, 1, 2])),
+        (np.array([3, 4]), np.array([2, 3, 4, 5])),
+        (np.array([1, 5]), np.array([4, 5])),
     ]
-    C = Cover(rects, 6)
+    C = Cover(Boxes.pack([1] * len(sets), sets, 2), 6)
     W = cover_bitmap(C)
     A = np.array([
         [1, 0, 1, 0, 0, 0],
@@ -222,12 +224,12 @@ def test_cover_ors_per_rectangle_fits_in_cover_order():
     ], dtype=np.uint8)
     F, cost = cover_based_bool_lra(A, W, C, 1, inner="exhaustive")
     want_costs, want = [], np.zeros((6, 6), dtype=np.uint8)
-    for r in rects:
+    for r in C.rectangles:
         sub = A[np.ix_(r.row_set, r.col_set)]
         fit, c = bool_lra_exhaustive(sub, np.ones(sub.shape, np.uint8), 1)
         want_costs.append(c)
         want[np.ix_(r.row_set, r.col_set)] |= fit.value()
-    assert len(set(want_costs)) == len(rects)  # order is visible in the list
+    assert len(set(want_costs)) == len(sets)  # order is visible in the list
     assert F.meta["per_rectangle_costs"] == want_costs
     assert np.array_equal(F.value(), want)
     assert F.U.shape[1] == F.rank_bound == 3

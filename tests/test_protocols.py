@@ -12,7 +12,6 @@ from maskedlra import (
     Cover,
     Diagonal,
     PartitionSample,
-    Rectangle,
     ParameterError,
     ResourceError,
     ShapeError,
@@ -41,7 +40,6 @@ from maskedlra.protocols import (
     _shared_keys,
     _transcript_grid,
     assemble,
-    decide,
     partition_bitmap,
     protocol_cube,
     target_bitmap,
@@ -288,7 +286,7 @@ def test_sampled_mode_matches_grid_on_every_cell(spec):
         def per_cell(count):
             return np.repeat(shared(count), cells.shape[1], axis=-1)
 
-        codes, out = decide(spec, tuple(cells), per_cell)
+        codes, out = protocols._decide(spec, tuple(cells), per_cell, codes=True)
         if order == 3:
             want = protocol_cube(spec, seed)
         else:
@@ -485,6 +483,10 @@ def test_assemble_places_each_fit_in_its_rows_and_block():
                               [0, 0, 20, 0, 0], [0, 0, 20, 0, 0]])
     empty = PartitionSample(Boxes.pack(labels[:1], sets[:1], 2), 4, "manual", 0)
     assert assemble(empty, (4, 4), fit) is None
+    no_boxes = Cover(Boxes.pack([], [], 2), 4)
+    assert len(no_boxes.boxes) == 0 and no_boxes.rectangles == []
+    _assert_csr(no_boxes.boxes, 2)
+    assert assemble(no_boxes, (4, 4), fit) is None
     for shape in ((4, 5), (3, 3), (4, 4, 4)):
         with pytest.raises(ShapeError, match="n=4 order-2"):
             assemble(P, shape, fit)
@@ -802,35 +804,7 @@ def test_bucket_products_equal_grouped_grid(n):
                     assert (a is None) == (b is None)
                     if a is not None:
                         assert a.dtype == np.int64 and np.array_equal(a, b)
-
-
-def test_partition_packed_from_rectangles_equals_the_grids_arrays():
-    """A PartitionSample or Cover built from a Rectangle list packs it into
-    the same CSR arrays as the drawn partition, and reads back the same
-    rectangles."""
-    for spec in _one_spec_per_family(16):
-        P = sample_partition(spec, seed=2)
-        rects = [Rectangle(r.row_set.copy(), r.col_set.copy(), r.label,
-                           None if r.depth_set is None else r.depth_set.copy())
-                 for r in P.rectangles]
-        packed = [PartitionSample(rects, P.n, P.source, P.one_count, order=P.order)]
-        if P.order == 2:
-            packed.append(Cover(rects, P.n))
-        for Q in packed:
-            _assert_csr(Q.boxes, P.order)
-            assert np.array_equal(Q.boxes.labels, P.boxes.labels)
-            for a in range(P.order):
-                assert np.array_equal(Q.boxes.offsets[a], P.boxes.offsets[a])
-                assert np.array_equal(Q.boxes.index[a], P.boxes.index[a])
-            for r, q in zip(rects, Q.rectangles):
-                assert q.label == r.label
-                assert np.array_equal(q.row_set, r.row_set)
-                assert np.array_equal(q.col_set, r.col_set)
-                assert (q.depth_set is None) == (r.depth_set is None)
-        assert Q.rectangles is Q.rectangles  # built once, on first access
-    empty = Cover([], 4)
-    assert len(empty.boxes) == 0 and empty.rectangles == []
-    _assert_csr(empty.boxes, 2)
+            assert P.rectangles is P.rectangles  # built once, on first access
 
 
 def test_bucket_products_enumerate_no_cell(monkeypatch):
@@ -937,7 +911,7 @@ def _reference_decide(monkeypatch, spec, idx, keys):
     with monkeypatch.context() as mp:
         mp.setattr(protocols, "_gt", _ref_gt)
         mp.setattr(protocols, "_pair_codes", _ref_pair_codes)
-        return decide(spec, idx, keys)
+        return protocols._decide(spec, idx, keys, codes=True)
 
 
 def _gt_specs():
@@ -1006,10 +980,50 @@ def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
         it = iter(draws)
         return lambda count: next(it)[:, :count]
 
-    codes, out = decide(spec, idx, keys_from(draws))
+    codes, out = protocols._decide(spec, idx, keys_from(draws), codes=True)
     want_codes, want_out = _reference_decide(monkeypatch, spec, idx, keys_from(draws))
     assert np.array_equal(out, want_out)
     assert np.array_equal(_classes(codes), _classes(want_codes))
+
+
+def test_gt_codes_stay_within_the_table_bound(monkeypatch):
+    """Every _gt call's codes are twice a dense (leaf, row) rank plus the
+    output, at most 2 * (m + 1) * R + 1 for R row positions, on the grid
+    and on per-cell samples alike; so _pair_codes never needs more than 62
+    bits, not even for banded2d-gt's pair of a pair."""
+    gt, pair_codes = protocols._gt, protocols._pair_codes
+    calls, products = [], []
+
+    def checked_gt(a, b, m, delta, keys, direction="a>b", codes=True):
+        samples = []
+
+        def spy(count):
+            k = keys(count)
+            samples.append(k.shape[2:])
+            return k
+
+        c, o = gt(a, b, m, delta, spy, direction, codes)
+        R = math.prod(np.broadcast_shapes(np.shape(a), *samples))
+        calls.append((int(c.max()), 2 * (m + 1) * R + 1))
+        return c, o
+
+    def checked_pair_codes(c1, c2):
+        products.append((int(c1.max()) + 1) * (int(c2.max()) + 1))
+        return pair_codes(c1, c2)
+
+    monkeypatch.setattr(protocols, "_gt", checked_gt)
+    monkeypatch.setattr(protocols, "_pair_codes", checked_pair_codes)
+    for spec in _gt_specs() + [banded2d_gt(9, 8, 1e-3), banded_gt(5, 3, 1e-6)]:
+        cells = np.indices((spec.n, spec.n)).reshape(2, -1)
+        for seed in (0, 7):
+            _transcript_grid(spec, seed)
+            shared = _shared_keys(spec, seed, 1)
+            protocols._decide(spec, tuple(cells),
+                              lambda count: np.repeat(shared(count), cells.shape[1], axis=-1),
+                              codes=True)
+    assert calls and products
+    assert all(top <= bound for top, bound in calls)
+    assert max(products) <= 2**62
 
 
 def test_banded_gt_partition_memory():

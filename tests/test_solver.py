@@ -40,7 +40,7 @@ from maskedlra import protocols, solver
 from maskedlra.harness import make_pattern, sparse_pattern
 from maskedlra.io import read_partition, write_partition
 from maskedlra.linalg import zero_factor
-from maskedlra.protocols import target_bitmap
+from maskedlra.protocols import Boxes, target_bitmap
 from maskedlra.solver import _block_tails, _solve_rows
 
 
@@ -97,13 +97,12 @@ def test_masked_lra_planted_bound():
 
 
 def test_comparator_single_rectangle_is_svd():
-    from maskedlra import PartitionSample, Rectangle
+    from maskedlra import PartitionSample
 
     rng = np.random.default_rng(5)
     A = rng.standard_normal((8, 8))
     W = make_mask(AllOnes(), 8)
-    full = Rectangle(np.arange(8), np.arange(8), 1)
-    P = PartitionSample([full], 8, "manual", 1)
+    P = PartitionSample(Boxes.pack([1], [(np.arange(8), np.arange(8))], 2), 8, "manual", 1)
     Lbar = comparator_from_partition(A, W, P, 2)
     assert np.allclose(Lbar.value(), svd_truncated(A, 2).value(), atol=1e-12)
 
@@ -155,20 +154,20 @@ def test_comparator_sums_per_rectangle_fits_in_their_blocks():
     """Four 1-rectangles of widths 1, 1, 2, 2 (k = 2, the single row caps two
     of them at 1): the factor width is their sum and the value is the sum of
     the per-rectangle truncated SVDs, each zero-extended to its block."""
-    from maskedlra import PartitionSample, Rectangle
+    from maskedlra import PartitionSample
 
     rng = np.random.default_rng(23)
     A = rng.standard_normal((8, 8))
     W = make_mask(AllOnes(), 8)
     row_sets = (np.array([0]), np.arange(1, 8))
     col_sets = (np.arange(4), np.arange(4, 8))
-    rects = [Rectangle(r, c, 1) for r in row_sets for c in col_sets]
-    P = PartitionSample(rects, 8, "manual", len(rects))
+    sets = [(r, c) for r in row_sets for c in col_sets]
+    P = PartitionSample(Boxes.pack([1] * len(sets), sets, 2), 8, "manual", len(sets))
     Lbar = comparator_from_partition(A, W, P, 2)
     assert Lbar.U.shape[1] == 6
     assert Lbar.rank_bound == 8
     want = np.zeros((8, 8))
-    for r in rects:
+    for r in P.rectangles:
         sub = A[np.ix_(r.row_set, r.col_set)]
         fit = svd_truncated(sub, min(2, *sub.shape))
         want[np.ix_(r.row_set, r.col_set)] += fit.value()
@@ -211,7 +210,7 @@ def test_batched_comparator_on_random_box_partitions():
     """Rows and columns cut at random into blocks of 1 to 4 indices, in a
     shuffled order, give many shapes with several rectangles each, and
     widths k above min(rows, cols)."""
-    from maskedlra import PartitionSample, Rectangle
+    from maskedlra import PartitionSample
 
     rng = np.random.default_rng(67)
     n = 24
@@ -221,8 +220,9 @@ def test_batched_comparator_on_random_box_partitions():
             cuts = np.cumsum(rng.integers(1, 5, size=n))
             cuts = cuts[cuts < n]
             blocks.append(np.split(rng.permutation(n), cuts))
-        rects = [Rectangle(r, c, int(rng.random() < 0.7)) for r in blocks[0] for c in blocks[1]]
-        P = PartitionSample(rects, n, "manual", sum(r.label for r in rects))
+        sets = [(r, c) for r in blocks[0] for c in blocks[1]]
+        labels = [int(rng.random() < 0.7) for _ in sets]
+        P = PartitionSample(Boxes.pack(labels, sets, 2), n, "manual", sum(labels))
         A = rng.standard_normal((n, n))
         W = make_mask(AllOnes(), n) if trial % 2 else make_mask(Diagonal(), n)
         for k in (1, 2, 3):

@@ -8,7 +8,6 @@ from maskedlra import (
     LowRankFactor,
     ParameterError,
     PartitionSample,
-    Rectangle,
     ShapeError,
     cp_als,
     gen_planted,
@@ -21,7 +20,7 @@ from maskedlra import (
 )
 from maskedlra import tensor as tn
 from maskedlra.linalg import RIDGE
-from maskedlra.protocols import target_bitmap
+from maskedlra.protocols import Boxes, target_bitmap
 
 
 def _rank1(u, v, z):
@@ -132,8 +131,7 @@ def test_comparator_single_rectangle_matches_cp():
     n = 4
     A = rng.standard_normal((n, n, n))
     W = np.ones((n, n, n), dtype=np.uint8)
-    full = Rectangle(np.arange(n), np.arange(n), 1, np.arange(n))
-    P = PartitionSample([full], n, "manual", 1, order=3)
+    P = PartitionSample(Boxes.pack([1], [(np.arange(n),) * 3], 3), n, "manual", 1, order=3)
     F1 = tensor_comparator(A, W, P, 2, restarts=1, seed=5)
     F2 = cp_als(A, 2, iters=100, seed=5)
     assert np.allclose(F1.value(), F2.value(), atol=1e-9)
@@ -143,8 +141,7 @@ def test_comparator_zero_labels_zero_factor():
     n = 4
     A = np.ones((n, n, n))
     W = np.ones((n, n, n), dtype=np.uint8)
-    full = Rectangle(np.arange(n), np.arange(n), 0, np.arange(n))
-    P = PartitionSample([full], n, "manual", 0, order=3)
+    P = PartitionSample(Boxes.pack([0], [(np.arange(n),) * 3], 3), n, "manual", 0, order=3)
     F = tensor_comparator(A, W, P, 1)
     assert not F.value().any()
 
@@ -168,21 +165,17 @@ def test_comparator_concatenation_represents_sum():
     A = rng.standard_normal((n, n, n))
     W = np.ones((n, n, n), dtype=np.uint8)
     halves = (np.arange(3), np.arange(3, 6))
-    rects = [
-        Rectangle(halves[a], halves[b], 1, halves[c])
-        for a in range(2)
-        for b in range(2)
-        for c in range(2)
-    ]
-    P = PartitionSample(rects, n, "manual", len(rects), order=3)
+    sets = [(halves[a], halves[b], halves[c])
+            for a in range(2) for b in range(2) for c in range(2)]
+    P = PartitionSample(Boxes.pack([1] * len(sets), sets, 3), n, "manual", len(sets), order=3)
     F = tensor_comparator(A, W, P, 1, restarts=1, seed=3)
     want = np.zeros((n, n, n))
-    for idx, r in enumerate(rects):
+    for idx, r in enumerate(P.rectangles):
         sub = A[np.ix_(r.row_set, r.col_set, r.depth_set)]
         Fr = cp_als(sub, 1, iters=100, restarts=1, seed=3 + idx)
         want[np.ix_(r.row_set, r.col_set, r.depth_set)] += Fr.value()
     assert np.allclose(F.value(), want, atol=1e-9)
-    assert F.rank_bound == len(rects) * 1
+    assert F.rank_bound == len(sets) * 1
 
 
 def test_comparator_exact_on_injective_partition():
@@ -283,8 +276,8 @@ def test_comparator_checks_k_before_any_fit(monkeypatch):
     A = np.ones((n, n, n))
     W = np.ones((n, n, n), dtype=np.uint8)
     for label in (0, 1):
-        full = Rectangle(np.arange(n), np.arange(n), label, np.arange(n))
-        P = PartitionSample([full], n, "manual", label, order=3)
+        full = Boxes.pack([label], [(np.arange(n),) * 3], 3)
+        P = PartitionSample(full, n, "manual", label, order=3)
         for k in (0, -2):
             with pytest.raises(ParameterError, match=f"k={k}"):
                 tensor_comparator(A, W, P, k)
@@ -399,9 +392,9 @@ def _unique_shape_partition(n):
     """Order-3 boxes of pairwise different shapes: rows, columns and depths
     cut at different points, every box 1-labeled but the first."""
     cuts = (np.split(np.arange(n), [1]), np.split(np.arange(n), [2]), np.split(np.arange(n), [3]))
-    rects = [Rectangle(r, c, int(i > 0), d) for i, (r, c, d) in
-             enumerate((r, c, d) for r in cuts[0] for c in cuts[1] for d in cuts[2])]
-    return PartitionSample(rects, n, "manual", len(rects) - 1, order=3)
+    sets = [(r, c, d) for r in cuts[0] for c in cuts[1] for d in cuts[2]]
+    labels = [int(i > 0) for i in range(len(sets))]
+    return PartitionSample(Boxes.pack(labels, sets, 3), n, "manual", len(sets) - 1, order=3)
 
 
 @pytest.mark.parametrize("k", [1, 2])
