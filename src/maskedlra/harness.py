@@ -235,8 +235,8 @@ def certify_cell(
 
     When stats is given and cfg["stats_trials"] > 0, a cell of a
     partition-certified route (not a2) also appends its protocol-stats row
-    to stats: the counts of the partition its certificate drew, and error
-    rates sampled on its planted mask.
+    to stats: the counts of the partition drawn with the cell's spec and
+    seed (the certificate draws none), and error rates sampled on its mask.
     """
     if route not in ROUTES:
         raise ParameterError(f"unknown route {route!r}")
@@ -257,10 +257,11 @@ def certify_cell(
         opt_upper=inst.opt_upper, L_for_eps2=L2, seed=seed,
     )
     if stats is not None and cfg["stats_trials"] > 0:
+        P = pr.sample_partition(spec, seed)
         e1, e0 = pr.empirical_error_rates(spec, inst.W, cfg["stats_trials"], seed=seed)
         stats.append({
             "family": spec.family, "n": n, "delta": eps, "seed": seed,
-            "rectangles": cert.rect_count, "one_count": cert.one_count,
+            "rectangles": len(P.boxes), "one_count": P.one_count,
             "cap": pr.transcript_cap(spec), "err_on_zeros": e0, "err_on_ones": e1,
         })
     return cert

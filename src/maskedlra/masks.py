@@ -28,6 +28,13 @@ def _check_p(p: int, n: int) -> None:
         raise ParameterError(f"p={p} out of range for n={n}")
 
 
+def _check_k_eps(k: int, eps: float) -> None:
+    if k < 1:
+        raise ParameterError(f"k={k} must be positive")
+    if not 0 < eps <= 1:
+        raise ParameterError(f"eps={eps} outside (0, 1]")
+
+
 def _check_partition(blocks, n: int, field: str) -> None:
     seen = sorted(i for blk in blocks for i in blk)
     if seen != list(range(n)):
@@ -61,7 +68,7 @@ class _Pattern:
     order = 2
 
     def budget(self, k: int, eps: float, n: int | None) -> int:
-        raise ParameterError(f"no rank budget for pattern {self.tag!r}")
+        raise ParameterError(f"no rank budget for {self.tag!r}: k' needs a drawn partition")
 
     def spec(self, n: int, eps: float) -> protocols.ProtocolSpec:
         raise ParameterError(f"no protocol construction for pattern {self.tag!r}")
@@ -281,11 +288,6 @@ class Explicit(_Pattern):
         # a copy, so that later writes to cells do not reach the mask
         return as_bitmap(self.cells, np.uint8, (n,) * self.order).copy()
 
-    def budget(self, k, eps, n):
-        raise ParameterError(
-            "explicit masks carry no construction; use k * one_count of a partition"
-        )
-
 
 @dataclass(frozen=True)
 class Diagonal3(_Pattern):
@@ -380,8 +382,5 @@ def rank_budget(pattern: MaskPattern, k: int, eps: float, n: int | None = None) 
     for toeplitz-mod-p, and the declared transcript caps for the
     greater-than compositions (which need n).
     """
-    if k < 1:
-        raise ParameterError(f"k={k} must be positive")
-    if not 0 < eps <= 1:
-        raise ParameterError(f"eps={eps} outside (0, 1]")
+    _check_k_eps(k, eps)
     return pattern.budget(k, eps, n)

@@ -130,13 +130,13 @@ def verify_bicriteria(
 ) -> Certificate:
     """Run the exact zero-fill solver at the certified rank and check the bound.
 
-    k' comes from rank_budget for patterned masks and from k times the
-    sampled partition's 1-rectangle count for explicit masks. A given spec
-    must be an order-2 family on the mask's n. The one partition drawn with
-    seed also supplies the certificate's rectangle counts. The terms are
-    opt_upper, eps1 times the mass of A*W, and, for two-sided protocol
-    families only, eps2 = eps times the off-mask mass of the supplied rank-k
-    candidate.
+    k' comes from rank_budget for patterned masks, which draw no partition
+    (rectangle counts 0); an explicit mask's k' is k times the 1-rectangle
+    count of the partition drawn from spec with seed, whose counts the
+    certificate carries. A given spec must be an order-2 family on the
+    mask's n. The terms are opt_upper, eps1 times the mass of A*W, and, for
+    two-sided protocol families only, eps2 = eps times the off-mask mass of
+    the supplied rank-k candidate.
     """
     if not isinstance(W, masks.Mask):
         raise ParameterError("bicriteria verification needs a structured mask")
@@ -145,12 +145,13 @@ def verify_bicriteria(
         spec = W.pattern.spec(W.n, eps)
     if spec.n != W.n or protocols._order(spec) != 2:
         raise ParameterError(f"{spec.describe()} does not partition an n={W.n} matrix mask")
-    sample = protocols.sample_partition(spec, seed)
-
     if isinstance(W.pattern, masks.Explicit):
-        k_budget = k * max(1, sample.one_count)
+        masks._check_k_eps(k, eps)
+        P = protocols.sample_partition(spec, seed)
+        counts = dict(one_count=P.one_count, rect_count=len(P.boxes))
+        k_budget = k * max(1, P.one_count)
     else:
-        k_budget = masks.rank_budget(W.pattern, k, eps, n=W.n)
+        k_budget, counts = masks.rank_budget(W.pattern, k, eps, n=W.n), {}
     k_prime = max(1, min(k_budget, min(A.shape)))
 
     one_sided = spec.family in protocols.ONE_SIDED_FAMILIES
@@ -171,8 +172,7 @@ def verify_bicriteria(
         route="partition", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
         seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
         # the absolute term forgives SVD roundoff when the bound itself is zero
-        satisfied=bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass),
-        one_count=sample.one_count, rect_count=len(sample.boxes),
+        satisfied=bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass), **counts,
     )
 
 

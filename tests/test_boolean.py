@@ -314,6 +314,14 @@ def test_verify_nondet_zero_opt_forces_zero_cost():
     assert rep.satisfied
 
 
+def test_verify_nondet_fails_a_bound_the_cover_exceeds():
+    # opt_upper = 0 understates the noisy plant's optimum, so rhs = |C| * 0
+    inst = gen_planted("boolean", Diagonal(), 8, 1, noise_sigma=0.3, seed=0)
+    rep = verify_nondet_bound(inst.A, inst.W, nondet_cover("neq-bits", 8), 1, 0)
+    assert (rep.cost, rep.rhs) == (8, 0)
+    assert not rep.satisfied and rep.cost > rep.rhs
+
+
 def test_verify_nondet_rejects_negative_opt_upper():
     inst = gen_planted("boolean", _disj_pattern(4), 4, 1, corruption_scale=0.3, seed=2)
     C = nondet_cover("disj-coords", 4)

@@ -16,6 +16,7 @@ from maskedlra import (
     emit,
     gen_planted,
     masked_cost,
+    rank_budget,
     run_suite,
     verify_bicriteria,
 )
@@ -287,7 +288,7 @@ def test_failed_cell_with_stats_recorded_without_stats_row():
 
 
 @pytest.mark.parametrize("route", ["t1", "t2", "t3", "t4"])
-def test_stats_row_reuses_the_certificate_partition(monkeypatch, route):
+def test_stats_row_counts_the_one_partition_its_cell_draws(monkeypatch, route):
     calls = []
     draw = protocols.sample_partition
 
@@ -301,6 +302,27 @@ def test_stats_row_reuses_the_certificate_partition(monkeypatch, route):
     (stat,) = rep.protocol_stats
     assert stat["rectangles"] == len(calls[0].rectangles)
     assert stat["one_count"] == calls[0].one_count
+
+
+def test_patterned_certificates_and_a_statless_sweep_draw_no_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a partition was drawn")
+
+    monkeypatch.setattr(protocols, "sample_partition", refuse)
+    n, k, eps = 16, 2, 0.25
+    for tag in ("diagonal", "sparse", "toeplitz-mod-p", "banded", "monotone", "banded-2d"):
+        pattern = harness.make_pattern(tag, n, p=2, seed=0)
+        inst = gen_planted("matrix", pattern, n, k, seed=0)
+        cert = verify_bicriteria(inst.A, inst.W, k, eps, opt_upper=inst.opt_upper,
+                                 L_for_eps2=inst.L_star)
+        assert cert.k_prime == max(1, min(rank_budget(pattern, k, eps, n=n), n)), tag
+        assert (cert.one_count, cert.rect_count) == (0, 0), tag
+        assert cert.satisfied, tag
+    rep = run_suite({"routes": "t1,t2,t3,t4", "sizes": str(n), "eps": str(eps),
+                     "stats_trials": "0"})
+    assert [r["note"] for r in rep.rows] == [""] * 4
+    assert all(r["satisfied"] for r in rep.rows)
+    assert rep.protocol_stats == []
 
 
 # sha256 of a t1-t4 and a2 sweep, recorded before the stats rows were taken

@@ -154,7 +154,7 @@ def test_rank_budget_rejects_bad_eps():
 
 
 def test_rank_budget_explicit_needs_partition():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="'explicit': k' needs a drawn partition"):
         rank_budget(Explicit(np.ones((2, 2), np.uint8)), 1, 0.5)
 
 

@@ -535,6 +535,26 @@ def test_verify_bicriteria_on_an_explicit_mask_budgets_from_the_draw():
     assert cert.satisfied
 
 
+@pytest.mark.parametrize("k,eps", [(0, 0.5), (-3, 0.5), (2, 5.0), (2, -1.0)])
+def test_verify_bicriteria_on_an_explicit_mask_rejects_bad_k_and_eps(k, eps):
+    spec = equality_hash(32, 0.5)
+    W = make_mask(Explicit(target_bitmap(spec)), 32)
+    A = np.random.default_rng(0).standard_normal((32, 32))
+    with pytest.raises(ParameterError, match="must be positive|outside"):
+        verify_bicriteria(A, W, k, eps, spec=spec)
+
+
+@pytest.mark.parametrize("pattern,cost,rhs", [
+    (Diagonal(), 2454.8, 2003.3), (ToeplitzModP(4), 1725.2, 0.0),
+], ids=["t1", "t3"])
+def test_verify_bicriteria_fails_a_bound_the_solve_exceeds(pattern, cost, rhs):
+    # a dense Gaussian A with opt_upper = 0: no rank-k plant to find
+    A = np.random.default_rng(0).standard_normal((64, 64))
+    cert = verify_bicriteria(A, make_mask(pattern, 64), 2, 0.25)
+    assert (cert.cost, cert.rhs) == (pytest.approx(cost, abs=0.05), pytest.approx(rhs, abs=0.05))
+    assert not cert.satisfied and cert.cost > cert.rhs
+
+
 def test_altmin_pads_a_narrow_init_with_zero_columns():
     inst = gen_planted("matrix", Diagonal(), 8, 1, seed=4)
     L = altmin_baseline(inst.A, inst.W, 3, iters=0, init=inst.L_star)
@@ -590,7 +610,8 @@ def test_altmin_counts_ridge_fallbacks_for_a_singular_row():
 
 def test_certificates_comparators_and_dumps_build_no_rectangle(monkeypatch, tmp_path):
     """verify_bicriteria on the greater-than patterns, the comparator and a
-    dump round trip read the partition's arrays: none builds a Rectangle."""
+    dump round trip read the partition's arrays: none builds a Rectangle.
+    A patterned certificate draws no partition, so its counts are 0."""
     def refuse(*args, **kwargs):
         raise AssertionError("a Rectangle was built")
 
@@ -601,11 +622,13 @@ def test_certificates_comparators_and_dumps_build_no_rectangle(monkeypatch, tmp_
         inst = gen_planted("matrix", pattern, n, 2, seed=1)
         cert = verify_bicriteria(inst.A, inst.W, 2, 0.25, opt_upper=inst.opt_upper,
                                  L_for_eps2=inst.L_star, seed=1)
-        assert cert.rect_count > cert.one_count > 0
+        assert cert.rect_count == cert.one_count == 0
         P = sample_partition(pattern.spec(n, 0.25), seed=1)
+        assert len(P.boxes) > P.one_count > 0
         comparator_from_partition(inst.A, inst.W, P, 2)
         write_partition(tmp_path / "p", P)
-        assert len(read_partition(tmp_path / "p").boxes) == cert.rect_count
+        Q = read_partition(tmp_path / "p")
+        assert (len(Q.boxes), Q.one_count) == (len(P.boxes), P.one_count)
 
 
 @pytest.mark.parametrize("spec", [equality_hash(32, 0.25), equality_hash(128, 0.25),
