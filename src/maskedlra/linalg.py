@@ -3,12 +3,16 @@ tensor, its masked squared Frobenius cost, exact truncated SVD, the start
 and the Gram solves of both ALS solvers, and the Certificate record every
 verifier returns.
 
-The exact truncated SVD picks one of three drivers from the shape alone:
-ARPACK's partial SVD (svds) when k is small next to min(n, m) and
-min(n, m) >= 128, LAPACK's divide-and-conquer gesdd otherwise, and LAPACK's
-gesvd only when gesdd fails to converge. gesdd runs through np.linalg.svd,
-one call for a whole stack of same-shape matrices, so it shares numpy's
-BLAS runtime with numpy's products; scipy runs only svds and gesvd.
+The exact truncated SVD picks its driver from the shape alone. A matrix
+with min(n, m) >= 128 is fit from the eigenproblem of its smaller Gram
+matrix: by ARPACK's partial SVD (svds) when k is small next to min(n, m),
+and otherwise, for a single matrix, by numpy's eigh (LAPACK syevd) of the
+whole Gram matrix. Both large-matrix paths share one residual check.
+Smaller matrices and stacks take LAPACK's divide-and-conquer gesdd, and
+LAPACK's gesvd runs only when gesdd fails to converge. gesdd runs through
+np.linalg.svd, one call for a whole stack of same-shape matrices, and
+syevd through np.linalg.eigh, so both share numpy's BLAS runtime with
+numpy's products; scipy runs only svds and gesvd.
 
 Matrices are 2-d float64 numpy arrays throughout. Low-rank objects are kept
 in factored form (see LowRankFactor) so downstream code can track rank
@@ -33,16 +37,25 @@ RIDGE = 1e-10
 _LAPACK_QR_MAXITER = 30
 
 # svd_truncated takes svds when min(n, m) >= _SVDS_MIN_DIM and
-# _SVDS_RANK_RATIO * k <= min(n, m). Measured on 2 cores (OpenBLAS, 2
+# _SVDS_RANK_RATIO * k <= min(n, m), and syevd for a single matrix with
+# min(n, m) >= _SVDS_MIN_DIM otherwise. Measured on 2 cores (OpenBLAS, 2
 # threads), svds/gesdd/gesvd at 512 x 512: 0.03/0.09/0.92 s for k = 8 and
 # 0.03/0.08/0.84 s for k = 32; at k = 336 gesdd took 0.075 s and svds 0.60 s.
-# At 64 x 64 svds lost to gesdd for every k; at 128 x 128, k = 8, they tied.
+# syevd against gesdd at k = 96 took 41 against 102 ms at 512 x 512, and
+# 214 against 605 ms at 1024 x 1024. At k = 8 svds and syevd tied at
+# 512 x 512 (40 and 36 ms), and svds won at 1024 x 1024 (186 against
+# 236 ms). At 64 x 64 svds lost to gesdd for every k; at 128 x 128, k = 8,
+# they tied.
 _SVDS_MIN_DIM = 128
 _SVDS_RANK_RATIO = 8
 
-# svds must leave ||A - L||^2 equal to ||A||^2 - sum(sigma^2) within this
-# fraction of ||A||^2.
-_SVDS_RESIDUAL_RTOL = 1e-9
+# svds and syevd must leave ||A - L||^2 equal to ||A||^2 - sum(sigma^2)
+# within this fraction of ||A||^2.
+_RESIDUAL_RTOL = 1e-9
+
+# The residual check works on row stripes of at most this many cells, so it
+# adds no temporary of A's size.
+_STRIPE_CELLS = 1 << 16
 
 
 def as_array(A, ndim: int) -> np.ndarray:
@@ -167,15 +180,18 @@ def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
     Computes the top k singular triplets, so the residual is the tail
     spectrum of A. The driver depends only on the shape and k:
     - svds (ARPACK, seeded start vector) when min(n, m) >= 128 and
-      8 k <= min(n, m); its residual is checked against
-      ||A||^2 - sum(sigma^2), and an ARPACK failure falls through to gesdd;
+      8 k <= min(n, m);
+    - syevd (numpy's eigh of the smaller Gram matrix) when min(n, m) >= 128
+      and 8 k > min(n, m);
     - gesdd (LAPACK divide and conquer, through np.linalg.svd) in every
-      other case;
+      other case, and when svds or eigh fails;
     - gesvd (scipy's LAPACK bidiagonal QR) only when gesdd raises
       LinAlgError.
-    This is _svd_stack on the one-matrix stack A[None]. meta["svd_driver"]
-    names the driver that ran. NumericalError is raised when gesvd fails
-    too, or when the svds residual check fails.
+    The svds and syevd residuals are checked against ||A||^2 - sum(sigma^2);
+    both are accurate to about k eps sigma_1^2 rather than to gesdd's
+    backward-stable level. This is _svd_stack on the one-matrix stack
+    A[None]. meta["svd_driver"] names the driver that ran. NumericalError is
+    raised when gesvd fails too, or when a residual check fails.
     """
     A = as_array(A, 2)
     n, m = A.shape
@@ -190,13 +206,16 @@ def _svd_stack(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]
 
     Returns U (b, r, k), the left singular vectors scaled by the singular
     values, V (b, c, k), and the driver that fit each matrix. The driver
-    follows from (r, c, k) as in svd_truncated: svds runs matrix by matrix,
-    and otherwise one np.linalg.svd call (gesdd) covers the whole stack.
+    follows from (b, r, c, k) as in svd_truncated: svds runs matrix by
+    matrix, syevd only on a one-matrix stack, and otherwise one
+    np.linalg.svd call (gesdd) covers the whole stack.
     """
     r, c = X.shape[1:]
-    if min(r, c) >= _SVDS_MIN_DIM and _SVDS_RANK_RATIO * k <= min(r, c):
-        fits = [_svds_truncated(A, k) or _gesdd_stack(A[None], k) for A in X]
-        return _concat(fits)
+    large = min(r, c) >= _SVDS_MIN_DIM
+    if large and _SVDS_RANK_RATIO * k <= min(r, c):
+        return _concat([_svds_truncated(A, k) or _gesdd_stack(A[None], k) for A in X])
+    if large and len(X) == 1:
+        return _syevd_truncated(X[0], k) or _gesdd_stack(X, k)
     return _gesdd_stack(X, k)
 
 
@@ -236,15 +255,53 @@ def _svds_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list
         U, s, Vt = scipy.sparse.linalg.svds(A, k=k, v0=v0)
     except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
         return None
-    U, V = U[:, ::-1] * s[::-1], Vt[::-1].T
-    total = float(np.sum(A * A))
-    res = float(np.sum((A - U @ V.T) ** 2))
-    tail = total - float(np.sum(s * s))
-    if abs(res - tail) > _SVDS_RESIDUAL_RTOL * total:
-        raise NumericalError(
-            f"svds residual {res!r} disagrees with the spectral tail {tail!r}"
-        )
-    return U[None], V[None], ["svds"]
+    return _checked(A, U[:, ::-1] * s[::-1], Vt[::-1].T, float(np.sum(s * s)), "svds")
+
+
+def _syevd_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """Top k factors of A from numpy's eigh (LAPACK syevd) of its smaller
+    Gram matrix, as a one-matrix _svd_stack result, or None when eigh fails.
+
+    For A n x m with n >= m, V is the top k eigenvectors of A^T A and
+    U = A V. For n < m the same runs on A^T: the top eigenvectors Q of
+    A A^T are A's left singular vectors, so U = Q sigma and
+    V = A^T Q / sigma, sigma the column norms of A^T Q.
+    """
+    tall = A.shape[0] >= A.shape[1]
+    X = A if tall else A.T
+    try:
+        lam, Q = np.linalg.eigh(X.T @ X)
+    except np.linalg.LinAlgError:
+        return None
+    # eigh sorts ascending; a copy of the top k lets the full basis go
+    Q = np.ascontiguousarray(Q[:, ::-1][:, :k])
+    Y = X @ Q
+    if tall:
+        U, V = Y, Q
+    else:
+        s = np.linalg.norm(Y, axis=0)
+        U, V = Q * s, np.divide(Y, s, out=np.zeros_like(Y), where=s > 0)
+    return _checked(A, U, V, float(np.sum(lam[-k:])), "syevd")
+
+
+def _checked(A, U, V, power: float, driver: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(U, V) as a one-matrix _svd_stack result from driver, once
+    ||A - U V^T||^2 equals ||A||^2 - power within _RESIDUAL_RTOL * ||A||^2.
+
+    power is the fit's sum of sigma^2. Both sums run over row stripes of
+    at most _STRIPE_CELLS cells. A mismatch raises NumericalError.
+    """
+    rows = max(1, _STRIPE_CELLS // A.shape[1])
+    total = res = 0.0
+    for i in range(0, len(A), rows):
+        S = A[i:i + rows]
+        R = S - U[i:i + rows] @ V.T
+        total += float(np.sum(S * S))
+        res += float(np.sum(R * R))
+    tail = total - power
+    if abs(res - tail) > _RESIDUAL_RTOL * total:
+        raise NumericalError(f"{driver} residual {res!r} disagrees with the spectral tail {tail!r}")
+    return U[None], V[None], [driver]
 
 
 def _spd_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ protocol draw can weaken a certificate but not the returned factor.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,20 +31,30 @@ from .linalg import (
 )
 
 
+class _ZeroFill(LowRankFactor):
+    """masked_lra's full-rank factor (M, I) or (I, M.T), whose value is read
+    from M with no product."""
+
+    def value(self) -> np.ndarray:
+        M = self.U if self.U.shape[0] >= self.V.shape[0] else self.V.T
+        # a copy; + 0.0 turns M's -0.0 into the +0.0 a product with I gives
+        return M + 0.0
+
+
 def masked_lra(A, W, k_prime: int) -> LowRankFactor:
     """Rank-k' truncated SVD of M, A with masked entries zeroed out.
 
     The factor never sees the mask beyond the zero fill. At k' = min(n, m)
     M is its own best rank-k' fit (Eckart-Young), so it comes back with no
     SVD as (M, I) when n >= m and (I, M.T) otherwise: its value is exactly
-    M, and meta["svd_driver"] is "none".
+    M, read with no product, and meta["svd_driver"] is "none".
     """
     A = as_array(A, 2)
     M = A * as_bitmap(W, np.float64, A.shape)
     n, m = M.shape
     if k_prime == min(n, m):
         U, V = (M, np.eye(m)) if n >= m else (np.eye(n), M.T)
-        return LowRankFactor(U, V, k_prime, {"svd_driver": "none"})
+        return _ZeroFill(U, V, k_prime, {"svd_driver": "none"})
     return svd_truncated(M, k_prime)
 
 
@@ -134,7 +145,9 @@ def verify_bicriteria(
     (rectangle counts 0); an explicit mask's k' is k times the 1-rectangle
     count of the partition drawn from spec with seed, whose counts the
     certificate carries. A given spec must be an order-2 family on the
-    mask's n. The terms are opt_upper, eps1 times the mass of A*W, and, for
+    mask's n that computes the mask: on an explicit mask its target bitmap
+    is the mask's, and on a patterned one it is the pattern's own spec up
+    to delta. The terms are opt_upper, eps1 times the mass of A*W, and, for
     two-sided protocol families only, eps2 = eps times the off-mask mass of
     the supplied rank-k candidate.
     """
@@ -145,7 +158,16 @@ def verify_bicriteria(
         spec = W.pattern.spec(W.n, eps)
     if spec.n != W.n or protocols._order(spec) != 2:
         raise ParameterError(f"{spec.describe()} does not partition an n={W.n} matrix mask")
-    if isinstance(W.pattern, masks.Explicit):
+    explicit = isinstance(W.pattern, masks.Explicit)
+    if explicit:
+        computes = np.array_equal(protocols.target_bitmap(spec), W.bitmap)
+    else:
+        # delta trades error for rectangles; every other field fixes the mask
+        own = W.pattern.spec(W.n, eps)
+        computes = replace(spec, delta=own.delta) == own
+    if not computes:
+        raise ParameterError(f"{spec.describe()} does not compute the {W.pattern.tag} mask")
+    if explicit:
         masks._check_k_eps(k, eps)
         P = protocols.sample_partition(spec, seed)
         counts = dict(one_count=P.one_count, rect_count=len(P.boxes))

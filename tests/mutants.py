@@ -10,9 +10,6 @@ exactly once is an error. The tier-1 command then runs in the copy with -x.
 A mutant the tests survive is an error, and so is an unmutated copy that
 does not pass. Only the standard library is used, and pytest does not
 collect this file.
-
-Not listed: a2's verdict (satisfied=True in
-structural.verify_structural_bicriteria), which no test can fail yet.
 """
 
 from __future__ import annotations
@@ -51,6 +48,24 @@ MUTANTS = (
         "src/maskedlra/solver.py",
         '("eps1", 2 * eps if spec.delta > 0 else 0.0, mass)',
         '("eps1", 4 * eps if spec.delta > 0 else 0.0, mass)',
+    ),
+    (
+        "verify_structural_bicriteria always satisfied",
+        "src/maskedlra/structural.py",
+        "satisfied=cost <= rhs + 1e-9 * max(1.0, rhs),",
+        "satisfied=True,",
+    ),
+    (
+        "verify_bicriteria accepts any spec",
+        "src/maskedlra/solver.py",
+        "    if not computes:\n",
+        "    if False:\n",
+    ),
+    (
+        "large-matrix residual unchecked",
+        "src/maskedlra/linalg.py",
+        "    if abs(res - tail) > _RESIDUAL_RTOL * total:\n",
+        "    if False:\n",
     ),
     (
         "explicit-mask k and eps unchecked",

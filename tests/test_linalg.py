@@ -172,6 +172,69 @@ def test_svd_truncated_svds_residual_check(monkeypatch):
         svd_truncated(A, 8)
 
 
+def _a2_zero_fill(n):
+    """The zero fill of a planted a2 instance: sparse mask, t = 2, k = 2."""
+    from maskedlra import make_mask
+    from maskedlra.harness import sparse_pattern
+
+    W = make_mask(sparse_pattern(n, 2, 0), n)
+    return gen_planted("matrix", W.pattern, n, 2, seed=0).A * W.bitmap
+
+
+_SYEVD_CASES = {
+    "gaussian-256": (lambda: np.random.default_rng(67).standard_normal((256, 256)), 64),
+    "a2-planted-512": (lambda: _a2_zero_fill(512), 96),
+    "tall-300x200": (lambda: np.random.default_rng(67).standard_normal((300, 200)), 64),
+    "wide-200x300": (lambda: np.random.default_rng(67).standard_normal((200, 300)), 64),
+    "identity-128": (lambda: np.eye(128), 32),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYEVD_CASES))
+def test_svd_truncated_syevd_branch_matches_tail(name):
+    # oracle: the tail of the full spectrum from svdvals
+    make, k = _SYEVD_CASES[name]
+    A = make()
+    sigma = scipy.linalg.svdvals(A)
+    total = float(np.sum(A * A))
+    L1 = svd_truncated(A, k)
+    L2 = svd_truncated(A, k)
+    assert L1.meta["svd_driver"] == "syevd"
+    res = float(np.sum((A - L1.value()) ** 2))
+    assert abs(res - float(np.sum(sigma[k:] ** 2))) <= 1e-9 * total
+    # U carries the singular values and V is orthonormal, in both orientations
+    assert np.allclose(np.linalg.norm(L1.U, axis=0), sigma[:k], rtol=0, atol=1e-9 * sigma[0])
+    assert np.allclose(L1.V.T @ L1.V, np.eye(k), rtol=0, atol=1e-9)
+    assert np.array_equal(L1.U, L2.U) and np.array_equal(L1.V, L2.V)
+
+
+def test_svd_truncated_eigh_failure_falls_back_to_gesdd(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    A = np.random.default_rng(71).standard_normal((128, 128))
+    sigma = np.linalg.svd(A, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    L = svd_truncated(A, 32)
+    assert L.meta["svd_driver"] == "gesdd"
+    res = float(np.sum((A - L.value()) ** 2))
+    assert abs(res - float(np.sum(sigma[32:] ** 2))) <= 1e-9 * float(np.sum(A * A))
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (200, 300)])
+def test_svd_truncated_syevd_residual_check(monkeypatch, shape):
+    real = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        lam, Q = real(*args, **kwargs)
+        return lam * 1.01, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    A = np.random.default_rng(73).standard_normal(shape)
+    with pytest.raises(NumericalError, match="syevd residual"):
+        svd_truncated(A, 64)
+
+
 def test_masked_cost_all_mismatch_masked():
     from maskedlra import Diagonal, make_mask
 

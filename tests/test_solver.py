@@ -1,5 +1,7 @@
 """Zero-fill solver, rectangle comparator, bound reports, altmin baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,39 @@ def test_masked_lra_full_rank_returns_the_zero_fill(monkeypatch, shape):
     assert L.meta["svd_driver"] == "none"
     with pytest.raises(ParameterError, match="out of range"):
         masked_lra(A, W, min(shape) + 1)
+
+
+def test_full_rank_zero_fill_is_read_with_no_product(monkeypatch, tmp_path, capsys):
+    """masked_cost, chain_inequality_check's left side and solve --out read
+    a full-rank zero fill's M directly, bit-identical to the product with
+    the identity, and never form that product."""
+    from maskedlra.cli import main
+    from maskedlra.io import read_matrix, write_bitmap, write_matrix
+
+    n = 32
+    inst = gen_planted("matrix", Banded(2), n, 2, seed=0)
+    M = inst.A * inst.W.bitmap
+    P = sample_partition(banded_gt(n, 2, 0.25), seed=0)
+    assert 2 * P.one_count >= n  # so the chain check solves at full rank
+    diag = gen_planted("matrix", Diagonal(), 16, 2, seed=0)
+    write_matrix(tmp_path / "A.mlra", inst.A)
+    write_bitmap(tmp_path / "W.mlrb", inst.W)
+
+    def refuse(self):
+        raise AssertionError("a factor product ran")
+
+    monkeypatch.setattr(LowRankFactor, "value", refuse)
+    L = masked_lra(inst.A, inst.W, n)
+    assert L.value().tobytes() == (M @ np.eye(n)).tobytes()
+    assert masked_cost(inst.A, inst.W, L) == 0.0
+    assert chain_inequality_check(inst.A, inst.W, P, 2)
+    cert = verify_bicriteria(diag.A, diag.W, 2, 0.125, opt_upper=diag.opt_upper)
+    assert cert.k_prime == 16 and cert.cost == 0.0
+    out = tmp_path / "L.mlra"
+    main(["solve", str(tmp_path / "A.mlra"), str(tmp_path / "W.mlrb"), "--k", "2",
+          "--kprime", str(n), "--out", str(out)])
+    assert "masked cost = 0.0" in capsys.readouterr().out.splitlines()
+    assert read_matrix(out).tobytes() == (M @ np.eye(n)).tobytes()
 
 
 def test_masked_lra_planted_bound():
@@ -367,10 +402,26 @@ def test_verify_bicriteria_deterministic_route_zero_additive():
 
 
 def test_verify_bicriteria_two_sided_needs_candidate():
-    inst = gen_planted("matrix", Diagonal(), 16, 1, seed=0)
+    inst = gen_planted("matrix", Banded(1), 16, 1, seed=0)
     spec = banded_gt(16, 1, 0.25)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="needs L_for_eps2"):
         verify_bicriteria(inst.A, inst.W, 1, 0.25, spec=spec, opt_upper=0.0)
+
+
+@pytest.mark.parametrize("pattern, spec", [
+    (ToeplitzModP(4), equality_hash(64, 0.25)),  # another family
+    (Banded(4), banded_gt(64, 2, 0.25)),  # other parameters
+    (Explicit(1 - np.eye(64, dtype=np.uint8)), eq_mod_p(64, 4)),
+], ids=["family", "parameters", "explicit"])
+def test_verify_bicriteria_refuses_a_spec_that_does_not_compute_the_mask(pattern, spec):
+    A = np.random.default_rng(0).standard_normal((64, 64))
+    W = make_mask(pattern, 64)
+    with pytest.raises(ParameterError, match="does not compute the"):
+        verify_bicriteria(A, W, 2, 0.25, spec=spec, L_for_eps2=zero_factor(64, 64))
+    # delta aside, the pattern's own spec is accepted
+    if not isinstance(pattern, Explicit):
+        own = replace(pattern.spec(64, 0.25), delta=0.5)
+        verify_bicriteria(A, W, 2, 0.25, spec=own, L_for_eps2=zero_factor(64, 64))
 
 
 @pytest.mark.parametrize("explicit, spec", [

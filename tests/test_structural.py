@@ -5,12 +5,14 @@ import pytest
 
 from maskedlra import (
     Diagonal,
+    Explicit,
     LowRankFactor,
     ParameterError,
     gen_planted,
     heavy_row_set,
     leverage_scores,
     make_mask,
+    masked_lra,
     row_patch_comparator,
     verify_structural_bicriteria,
 )
@@ -173,6 +175,23 @@ def test_verify_structural_zero_matrix():
     rep = verify_structural_bicriteria(np.zeros((12, 12)), W, 1, 0.5, 0.0)
     assert rep.cost == 0.0
     assert rep.satisfied
+
+
+@pytest.mark.parametrize("n, eps, k_prime, driver", [
+    (64, 0.5, 12, "gesdd"), (128, 0.25, 24, "syevd"),
+])
+def test_verify_structural_fails_a_bound_the_solve_exceeds(n, eps, k_prime, driver):
+    # the identity under a mask whose zeros lie on a cyclic shift (t = 1): the
+    # zero fill is the identity itself, so the rank-k' solve leaves n - k'
+    # against eps * ||A||^2 = 32
+    B = np.ones((n, n), dtype=np.uint8)
+    B[np.arange(n), (np.arange(n) + 1) % n] = 0
+    W = make_mask(Explicit(B), n)
+    cert = verify_structural_bicriteria(np.eye(n), W, 1, eps, 0.0)
+    assert cert.diagnostics["t"] == 1 and cert.k_prime == k_prime
+    assert masked_lra(np.eye(n), W, k_prime).meta["svd_driver"] == driver
+    assert cert.cost == pytest.approx(n - k_prime) and cert.rhs == pytest.approx(32.0)
+    assert not cert.satisfied and cert.cost > cert.rhs
 
 
 def test_heavy_rows_read_t_from_a_raw_mask():
