@@ -22,40 +22,42 @@ from . import tensor as tn
 from .errors import MaskedLRAError, ParameterError
 from .linalg import masked_cost
 
-FAMILIES = (
-    "equality-hash", "eq-mod-p", "sparse-set-eq", "greater-than",
-    "banded-gt", "banded2d-gt", "monotone-gt", "neq3-multiparty",
-)
+# the example spec of each protocol family: the spec of the pattern that
+# make_pattern builds for the tag, or the builder of a family no pattern uses
+_FAMILY_SPECS = {
+    "equality-hash": "diagonal", "eq-mod-p": "toeplitz-mod-p",
+    "sparse-set-eq": "sparse", "greater-than": pr.greater_than,
+    "banded-gt": "banded", "banded2d-gt": "banded-2d",
+    "monotone-gt": "monotone", "neq3-multiparty": pr.neq3_multiparty,
+}
+FAMILIES = tuple(_FAMILY_SPECS)
 
 COVERS = ("neq-bits", "neq-blocks", "disj-coords")
+
+# the A and L* writer and file suffix of each gen domain
+_WRITERS = {"matrix": (mio.write_matrix, "mlra"), "boolean": (mio.write_bitmap, "mlrb"),
+            "tensor3": (mio.write_tensor, "mlrt")}
+
+
+def _plant(args, domain: str, pattern):
+    return hs.gen_planted(domain, pattern, args.n, args.k, noise_sigma=args.noise_sigma,
+                          corruption_scale=args.corruption_scale, seed=args.seed)
 
 
 def _cmd_gen(args) -> int:
     domain = args.domain
-    pattern = hs.make_pattern(
-        args.pattern, args.n, t=args.t, p=args.p, blocks=args.blocks, seed=args.seed
-    )
-    inst = hs.gen_planted(
-        domain, pattern, args.n, args.k,
-        noise_sigma=args.noise_sigma,
-        corruption_scale=args.corruption_scale,
-        seed=args.seed,
-    )
+    pattern = hs.make_pattern(args.pattern, args.n, t=args.t, p=args.p, blocks=args.blocks,
+                              seed=args.seed)
+    inst = _plant(args, domain, pattern)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if domain == "matrix":
-        mio.write_matrix(out / "A.mlra", inst.A)
-        mio.write_matrix(out / "Lstar.mlra", inst.L_star.value())
-        mask_file = "W.mask"
-        mio.write_mask_descriptor(out / mask_file, inst.W)
-    elif domain == "boolean":
-        mio.write_bitmap(out / "A.mlrb", inst.A)
-        mio.write_bitmap(out / "Lstar.mlrb", inst.L_star.value())
+    write, suffix = _WRITERS[domain]
+    write(out / f"A.{suffix}", inst.A)
+    write(out / f"Lstar.{suffix}", inst.L_star.value())
+    if pattern.order == 2:
         mask_file = "W.mask"
         mio.write_mask_descriptor(out / mask_file, inst.W)
     else:
-        mio.write_tensor(out / "A.mlrt", inst.A)
-        mio.write_tensor(out / "Lstar.mlrt", inst.L_star.value())
         mask_file = "W.mlrt"
         mio.write_tensor(out / mask_file, inst.W.bitmap.astype(np.float64))
     meta = [
@@ -117,26 +119,11 @@ def _cmd_verify(args) -> int:
 
 
 def _spec_from_args(args) -> pr.ProtocolSpec:
-    fam = args.family
-    if fam == "equality-hash":
-        return pr.equality_hash(args.n, args.delta)
-    if fam == "eq-mod-p":
-        return mk.ToeplitzModP(args.p).spec(args.n, args.delta)
-    if fam == "sparse-set-eq":
-        zs = hs.sparse_pattern(args.n, args.t, args.seed).zero_sets
-        return pr.sparse_set_eq(args.n, zs, args.t, args.delta)
-    if fam == "greater-than":
-        return pr.greater_than(args.n, args.delta)
-    if fam == "banded-gt":
-        return pr.banded_gt(args.n, args.p, args.delta)
-    if fam == "banded2d-gt":
-        return pr.banded2d_gt(args.n, args.p, args.delta)
-    if fam == "monotone-gt":
-        px = hs.make_pattern("monotone", args.n, seed=args.seed).prefix_lengths
-        return pr.monotone_gt(px, args.delta)
-    if fam == "neq3-multiparty":
-        return pr.neq3_multiparty(args.n, args.delta)
-    raise ParameterError(f"unknown family {fam!r}")
+    source = _FAMILY_SPECS[args.family]
+    if callable(source):
+        return source(args.n, args.delta)
+    pattern = hs.make_pattern(source, args.n, t=args.t, p=args.p, seed=args.seed)
+    return pattern.spec(args.n, args.delta)
 
 
 def _cmd_protocol_stats(args) -> int:
@@ -172,12 +159,7 @@ def _cmd_protocol_stats(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    inst = hs.gen_planted(
-        "tensor3", mk.Diagonal3(), args.n, args.k,
-        noise_sigma=args.noise_sigma,
-        corruption_scale=args.corruption_scale,
-        seed=args.seed,
-    )
+    inst = _plant(args, "tensor3", mk.Diagonal3())
     return _report(tn.verify_tensor_bicriteria(
         inst.A, inst.W, args.k, args.eps, opt_upper=inst.opt_upper,
         iters=args.iters, seed=args.seed,
@@ -195,12 +177,7 @@ def _cmd_boolean(args) -> int:
         cover = pr.nondet_cover(args.cover, args.n)
         pattern = (mk.Diagonal() if args.cover == "neq-bits"
                    else mk.Explicit(pr.cover_bitmap(cover)))
-    inst = hs.gen_planted(
-        "boolean", pattern, args.n, args.k,
-        noise_sigma=args.noise_sigma,
-        corruption_scale=args.corruption_scale,
-        seed=args.seed,
-    )
+    inst = _plant(args, "boolean", pattern)
     if 2 * args.n * args.k <= bl.EXHAUSTIVE_BIT_CAP:
         _, opt = bl.bool_lra_exhaustive(inst.A, inst.W, args.k)
         opt_src = "exhaustive search"
@@ -214,6 +191,8 @@ def _cmd_boolean(args) -> int:
 
 def _cmd_report(args) -> int:
     report = hs.run_suite(Path(args.config).read_text(encoding="utf-8"))
+    if not report.rows:
+        raise ParameterError("the sweep runs no cell: routes, sizes, eps or seeds is empty")
     hs.emit(report, args.format, args.out)
     good = sum(1 for r in report.rows if r["satisfied"])
     print(f"rows = {len(report.rows)}  satisfied = {good}")

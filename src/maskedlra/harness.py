@@ -251,10 +251,9 @@ def certify_cell(
     if route == "a2":
         return st.verify_structural_bicriteria(inst.A, inst.W, k, eps, inst.opt_upper, seed=seed)
     spec = pattern.spec(n, eps)
-    L2 = inst.L_star if route == "t4" else None
     cert = sv.verify_bicriteria(
         inst.A, inst.W, k, eps, spec=spec,
-        opt_upper=inst.opt_upper, L_for_eps2=L2, seed=seed,
+        opt_upper=inst.opt_upper, L_for_eps2=inst.L_star, seed=seed,
     )
     if stats is not None and cfg["stats_trials"] > 0:
         P = pr.sample_partition(spec, seed)

@@ -142,7 +142,7 @@ class Sparse(_Pattern):
         return k * max(1, math.ceil(self.t / eps))
 
     def spec(self, n, eps):
-        return protocols.sparse_set_eq(n, self.zero_sets, max(1, self.t), eps)
+        return protocols.sparse_set_eq(n, self.zero_sets, self.t, eps)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class BlockSparse(_Pattern):
         rb = block_index_map(self.row_blocks, n)
         zero_sets = tuple(self.block_zero_sets[rb[i]] for i in range(n))
         cb = block_index_map(self.col_blocks, n)
-        return protocols.sparse_set_eq(n, zero_sets, max(1, self.t), eps, col_groups=cb)
+        return protocols.sparse_set_eq(n, zero_sets, self.t, eps, col_groups=cb)
 
 
 @dataclass(frozen=True)

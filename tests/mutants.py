@@ -73,6 +73,12 @@ MUTANTS = (
         "        masks._check_k_eps(k, eps)\n",
         "",
     ),
+    (
+        "report passes a sweep that runs no cell",
+        "src/maskedlra/cli.py",
+        "    if not report.rows:\n",
+        "    if False:\n",
+    ),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from maskedlra.cli import main
-from maskedlra.harness import COLUMNS
+from maskedlra.harness import COLUMNS, run_suite
 from maskedlra.io import load_mask, read_matrix, read_tensor
+from maskedlra.linalg import zero_factor
 
 
 def _keys(out: str) -> list:
@@ -129,6 +130,16 @@ def test_verify_prints_columns_route_and_diagnostics(capsys, route, diagnostics)
     assert out.splitlines()[-1] == "PASS"
 
 
+def test_verify_exits_one_on_a_failed_bound(capsys, monkeypatch):
+    # planted instances pass, so the fit is replaced by the zero factor: t3's
+    # exact eq-mod-p spec charges no eps1 term, so rhs = opt_upper = 0 < cost
+    monkeypatch.setattr("maskedlra.solver.masked_lra", lambda A, W, k: zero_factor(*A.shape))
+    assert main(["verify", "--theorem", "t3", "--n", "32"]) == 1
+    out = capsys.readouterr().out
+    assert "rhs = 0.0\n" in out
+    assert out.splitlines()[-1] == "FAIL"
+
+
 def test_verify_t4_reports_two_error_terms(capsys):
     rc = main(["verify", "--theorem", "t4", "--n", "64", "--k", "1",
                "--eps", "0.25", "--p", "2", "--seed", "0"])
@@ -249,6 +260,29 @@ def test_report_sweep(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "pattern,n,k,k_prime,eps1,eps2,delta_slack,seed,cost,opt_upper,rhs,satisfied"
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("key", ["routes", "sizes", "eps", "seeds"])
+def test_report_refuses_a_sweep_that_runs_no_cell(tmp_path, capsys, key):
+    keys = {"routes": "t1", "sizes": "16", "eps": "0.5", "seeds": "0", key: ""}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "rows.csv"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "runs no cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_t2_stats_at_t0_count_the_one_bucket_the_certificate_budgets(capsys):
+    # k' = k * max(1, ceil(t / eps)) = k at t = 0: one bucket, not ceil(1 / eps)
+    report = run_suite({"routes": "t2", "sizes": "16,32", "eps": "0.25,0.5",
+                        "seeds": "0,1", "t": 0, "stats_trials": 100})
+    assert len(report.rows) == len(report.protocol_stats) == 8
+    for row, stats in zip(report.rows, report.protocol_stats):
+        assert (stats["n"], 2 * stats["delta"], stats["seed"]) == (row["n"], row["eps1"], row["seed"])
+        assert stats["one_count"] * row["k"] == row["k_prime"] == row["k"]
+    assert main(["protocol-stats", "--family", "sparse-set-eq", "--t", "0", "--n", "64"]) == 0
+    assert "rectangles = 1  one_count = 1  cap = 2\n" in capsys.readouterr().out
 
 
 def test_report_reads_a_config_path_that_holds_an_equals_sign(tmp_path, capsys):

@@ -595,13 +595,15 @@ def test_verify_bicriteria_on_an_explicit_mask_rejects_bad_k_and_eps(k, eps):
         verify_bicriteria(A, W, k, eps, spec=spec)
 
 
-@pytest.mark.parametrize("pattern,cost,rhs", [
-    (Diagonal(), 2454.8, 2003.3), (ToeplitzModP(4), 1725.2, 0.0),
-], ids=["t1", "t3"])
-def test_verify_bicriteria_fails_a_bound_the_solve_exceeds(pattern, cost, rhs):
-    # a dense Gaussian A with opt_upper = 0: no rank-k plant to find
+@pytest.mark.parametrize("pattern,k,cost,rhs", [
+    (Diagonal(), 2, 2454.8, 2003.3), (sparse_pattern(64, 2, 0), 1, 2401.3, 1980.3),
+    (ToeplitzModP(4), 2, 1725.2, 0.0), (Banded(2), 1, 2340.7, 1936.3),
+], ids=["t1", "t2", "t3", "t4"])
+def test_verify_bicriteria_fails_a_bound_the_solve_exceeds(pattern, k, cost, rhs):
+    # a dense Gaussian A with opt_upper = 0: no rank-k plant to find; the
+    # zero candidate adds nothing to t4's eps2 term
     A = np.random.default_rng(0).standard_normal((64, 64))
-    cert = verify_bicriteria(A, make_mask(pattern, 64), 2, 0.25)
+    cert = verify_bicriteria(A, make_mask(pattern, 64), k, 0.25, L_for_eps2=zero_factor(64, 64))
     assert (cert.cost, cert.rhs) == (pytest.approx(cost, abs=0.05), pytest.approx(rhs, abs=0.05))
     assert not cert.satisfied and cert.cost > cert.rhs
 
