@@ -46,7 +46,6 @@ from .protocols import (
     Rectangle,
     banded2d_gt,
     banded_gt,
-    cap_gt,
     empirical_error_rates,
     eq_mod_p,
     equality_hash,

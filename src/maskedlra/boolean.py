@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ResourceError, ShapeError
-from .linalg import Certificate, as_bitmap, rhs_of
+from .linalg import Certificate, as_bitmap, rhs_of, within
 from .masks import Mask
 from .protocols import assemble, cover_bitmap
 
@@ -219,7 +219,7 @@ def cover_based_bool_lra(
 def verify_nondet_bound(
     A, W, C, k: int, opt_upper: int, inner: str = "auto", seed: int = 0,
 ) -> Certificate:
-    """Solve through the cover and check cost <= |C| * opt_upper.
+    """Solve through the cover and check the cost against |C| * opt_upper.
 
     opt_upper is any upper bound on the optimal rank-k cost over the full
     mask (exhaustive where affordable). The one term is opt_upper with
@@ -235,6 +235,6 @@ def verify_nondet_bound(
     return Certificate(
         route="boolean", pattern=W.pattern.tag if isinstance(W, Mask) else "explicit",
         n=len(A), k=k, k_prime=k * size, seed=seed, cost=cost,
-        opt_upper=int(opt_upper), terms=terms, satisfied=cost <= rhs_of(terms),
+        opt_upper=int(opt_upper), terms=terms, satisfied=within(cost, rhs_of(terms), 0),
         one_count=size, rect_count=size,
     )

@@ -3,8 +3,10 @@
 A planted instance carries a known feasible rank-k candidate, so its masked
 cost certifies an upper bound on the optimum; every verifier in the sweep
 checks its inequality against that certificate. Corrupted entries live only
-where the mask is zero and dominate the clean ones in magnitude, so any
-solver that ignores the mask fails loudly.
+where the mask is zero and dominate the clean ones in magnitude. That does
+not make a solver that ignores the mask fail: the rank-k' SVD of A itself
+meets the certificate's rhs in 104 of 120 cells of routes t1-t4 and a2 at
+n in {16, 32, 64, 128}, eps in {0.1, 0.25, 0.5} and seeds {0, 1}.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Dense real linear algebra: the low-rank factor of a matrix or an order-3
 tensor, its masked squared Frobenius cost, exact truncated SVD, the start
-and the Gram solves of both ALS solvers, and the Certificate record every
-verifier returns.
+and the Gram solves of both ALS solvers, the Certificate record every
+verifier returns, and within, the one rule by which each of them decides.
 
 The exact truncated SVD picks its driver from the shape alone. A matrix
 with min(n, m) >= 128 is fit from the eigenproblem of its smaller Gram
@@ -134,10 +134,14 @@ class Certificate:
 
     route is "partition" (t1-t4), "structural" (a2), "tensor" or "boolean".
     terms lists the summands of the bound as (name, coefficient, base); rhs
-    adds coefficient * base over them in order. satisfied is the route's own
-    verdict, with the route's own roundoff tolerance. one_count and
-    rect_count count the drawn partition or cover (0 where none is drawn);
-    diagnostics holds route-specific values such as the comparator's cost.
+    adds coefficient * base over them in order. satisfied is
+    within(cost, rhs, scale), the one rule of every route, with the
+    route's scale: ||A*W||^2 for "partition" and "tensor", 0 for
+    "structural" (whose rhs holds eps ||A||^2) and "boolean" (integers).
+    The tensor route also needs within(cost, comparator cost, ||A*W||^2).
+    one_count and rect_count count the drawn partition or cover (0 where
+    none is drawn); diagnostics holds route-specific values such as the
+    comparator's cost.
     """
 
     route: str
@@ -166,6 +170,18 @@ class Certificate:
 def rhs_of(terms):
     """Sum of coefficient * base over (name, coefficient, base) terms, in order."""
     return sum(coef * base for _, coef, base in terms)
+
+
+def within(cost: float, bound: float, scale: float) -> bool:
+    """Whether cost meets bound up to roundoff:
+    cost <= bound + 1e-9 * bound + 1e-12 * scale.
+
+    scale is the mass whose roundoff the cost carries (0 where bound
+    already holds it). Mapping cost, bound and scale to c^2 times themselves
+    leaves the verdict unchanged, as the bounds it decides are homogeneous
+    of degree 2 in A.
+    """
+    return bool(cost <= bound + 1e-9 * bound + 1e-12 * scale)
 
 
 def zero_factor(*shape) -> LowRankFactor:
@@ -311,16 +327,21 @@ def _spd_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A successful Cholesky factorization of the stack certifies every G[i]
     positive definite, and np.linalg.solve then solves the stack. When
     either fails, each member is redone alone, and a member that fails
-    alone is solved with RIDGE added to its diagonal. Returns X and which
-    members took the ridge, a (b,) boolean array. Only numpy's LAPACK runs
-    here, so the solves share one BLAS runtime with numpy's products.
+    alone is solved with RIDGE added to its diagonal; a ridge solve that
+    fails too raises NumericalError. Returns X and which members took the
+    ridge, a (b,) boolean array. Only numpy's LAPACK runs here, so the
+    solves share one BLAS runtime with numpy's products.
     """
     try:
         np.linalg.cholesky(G)
         return np.linalg.solve(G, B), np.zeros(len(G), dtype=bool)
     except np.linalg.LinAlgError:
         if len(G) == 1:
-            return np.linalg.solve(G + RIDGE * np.eye(G.shape[-1]), B), np.ones(1, dtype=bool)
+            try:
+                X = np.linalg.solve(G + RIDGE * np.eye(G.shape[-1]), B)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"ridge solve failed: {exc}") from exc
+            return X, np.ones(1, dtype=bool)
     X, ridged = zip(*(_spd_solve(G[i:i + 1], B[i:i + 1]) for i in range(len(G))))
     return np.concatenate(X), np.concatenate(ridged)
 

@@ -349,7 +349,7 @@ def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return out
 
 
-def cap_gt(domain: int, delta: float) -> int:
+def _cap_gt(domain: int, delta: float) -> int:
     """Declared transcript-count cap for one greater-than call.
 
     Two parties exchange ceil(log2(m)) * ceil(log2(m/delta)) rounds of 2
@@ -374,14 +374,14 @@ def transcript_cap(spec: ProtocolSpec) -> int:
     if f == "neq3-multiparty":
         return 4 * (math.ceil(2 / spec.delta) if spec.delta < 1 else 1)
     if f == "greater-than":
-        return cap_gt(spec.n, spec.delta)
+        return _cap_gt(spec.n, spec.delta)
     if f == "banded-gt":
-        return cap_gt(spec.n + spec.p, spec.delta / 2) ** 2
+        return _cap_gt(spec.n + spec.p, spec.delta / 2) ** 2
     if f == "banded2d-gt":
         s = masks.split_index(spec.n)
-        return cap_gt(2 * s + spec.p, spec.delta / 3) ** 3
+        return _cap_gt(2 * s + spec.p, spec.delta / 3) ** 3
     if f == "monotone-gt":
-        return cap_gt(spec.n + 1, spec.delta)
+        return _cap_gt(spec.n + 1, spec.delta)
     raise ParameterError(f"unknown family {f!r}")
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     masked_cost,
     rhs_of,
     svd_truncated,
+    within,
     zero_factor,
 )
 
@@ -116,7 +117,7 @@ def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
 
     The left side is the solver's own residual ||M - L||^2; the comparator's
     cost comes from _block_tails, so the comparator itself is never built.
-    A partition of another n or order than A raises ShapeError.
+    The two are compared by linalg.within at scale ||M||^2. A partition of another n or order than A raises ShapeError.
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
@@ -126,7 +127,7 @@ def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
     kp = max(1, min(k * P.one_count, min(M.shape)))
     L = masked_lra(A, W, kp)
     lhs = float(np.sum((M - L.value()) ** 2))
-    return lhs <= rhs + 1e-9 * max(1.0, rhs)
+    return within(lhs, rhs, float(np.sum(M * M)))
 
 
 def verify_bicriteria(
@@ -149,7 +150,8 @@ def verify_bicriteria(
     is the mask's, and on a patterned one it is the pattern's own spec up
     to delta. The terms are opt_upper, eps1 times the mass of A*W, and, for
     two-sided protocol families only, eps2 = eps times the off-mask mass of
-    the supplied rank-k candidate.
+    the supplied rank-k candidate. linalg.within decides at scale the mass
+    of A*W.
     """
     if not isinstance(W, masks.Mask):
         raise ParameterError("bicriteria verification needs a structured mask")
@@ -189,12 +191,11 @@ def verify_bicriteria(
     if not one_sided:
         off = L_for_eps2.value() * (1.0 - as_bitmap(W, np.float64, L_for_eps2.shape))
         terms += (("eps2", eps, float(np.sum(off * off))),)
-    rhs = rhs_of(terms)
     return Certificate(
         route="partition", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
         seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
-        # the absolute term forgives SVD roundoff when the bound itself is zero
-        satisfied=bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass), **counts,
+        # the mass term forgives SVD roundoff when the bound itself is zero
+        satisfied=within(cost, rhs_of(terms), mass), **counts,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import Certificate, LowRankFactor, as_array, as_bitmap, masked_cost, rhs_of
+from .linalg import Certificate, LowRankFactor, as_array, as_bitmap, masked_cost, rhs_of, within
 from .masks import Mask
 from .solver import masked_lra
 
@@ -109,8 +109,8 @@ def verify_structural_bicriteria(
 
     Budget is ceil(6*k*t/eps) with t the mask's worst column zero count,
     clamped to the exact-solve range; diagnostics["t"] records t. The terms
-    are opt_upper and eps2 = eps times ||A||_F^2. The route draws nothing at
-    random: seed is only recorded.
+    are opt_upper and eps2 = eps times ||A||_F^2, and linalg.within decides
+    at scale 0. The route draws nothing at random: seed is only recorded.
     """
     A = as_array(A, 2)
     if not isinstance(W, Mask):
@@ -124,9 +124,8 @@ def verify_structural_bicriteria(
     k_prime = max(1, min(int(np.ceil(6.0 * k * t / eps)), min(n, m)))
     cost = masked_cost(A, W, masked_lra(A, W, k_prime))
     terms = (("opt_upper", 1.0, float(opt_upper)), ("eps2", eps, float(np.sum(A * A))))
-    rhs = rhs_of(terms)
     return Certificate(
         route="structural", pattern=W.pattern.tag, n=n, k=k, k_prime=k_prime,
         seed=seed, cost=cost, opt_upper=float(opt_upper), terms=terms,
-        satisfied=cost <= rhs + 1e-9 * max(1.0, rhs), diagnostics={"t": t},
+        satisfied=within(cost, rhs_of(terms), 0.0), diagnostics={"t": t},
     )

@@ -24,6 +24,7 @@ from .linalg import (
     as_bitmap,
     masked_cost,
     rhs_of,
+    within,
     zero_factor,
 )
 from .masks import Diagonal3
@@ -187,8 +188,9 @@ def verify_tensor_bicriteria(
     protocol, and ALS from it runs at the comparator's width. The terms are
     eps1 = 2 * eps times the mass of A*W, and a slack of 1e-6 ||A||_F^2.
     satisfied needs the cost within both that bound and the comparator's
-    cost, recorded in diagnostics["comparator_cost"]. opt_upper is only
-    recorded: the bound does not charge it.
+    cost, recorded in diagnostics["comparator_cost"], by linalg.within at
+    scale ||A*W||^2. opt_upper is only recorded: the bound does not charge
+    it.
     """
     if getattr(W, "pattern", None) != Diagonal3():
         raise ParameterError("the tensor route needs a Diagonal3 mask")
@@ -200,11 +202,12 @@ def verify_tensor_bicriteria(
     k_prime = comp.U.shape[1]
     sol = masked_tensor_lra(A, W, k_prime, init=comp, iters=iters, seed=seed)
     cost = masked_cost(A, W, sol)
-    terms = (("eps1", 2.0 * eps, float(np.sum(M * M))), ("slack", 1e-6, float(np.sum(A * A))))
+    mass = float(np.sum(M * M))
+    terms = (("eps1", 2.0 * eps, mass), ("slack", 1e-6, float(np.sum(A * A))))
     return Certificate(
         route="tensor", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
         seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,
-        satisfied=cost <= comp_cost + 1e-9 * max(1.0, comp_cost) and cost <= rhs_of(terms),
+        satisfied=within(cost, comp_cost, mass) and within(cost, rhs_of(terms), mass),
         one_count=P.one_count, rect_count=len(P.boxes),
         diagnostics={"comparator_cost": comp_cost},
     )

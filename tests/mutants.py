@@ -28,19 +28,19 @@ MUTANTS = (
     (
         "verify_bicriteria always satisfied",
         "src/maskedlra/solver.py",
-        "satisfied=bool(cost <= rhs + 1e-9 * rhs + 1e-12 * mass)",
+        "satisfied=within(cost, rhs_of(terms), mass)",
         "satisfied=True",
     ),
     (
         "verify_nondet_bound always satisfied",
         "src/maskedlra/boolean.py",
-        "satisfied=cost <= rhs_of(terms),",
+        "satisfied=within(cost, rhs_of(terms), 0),",
         "satisfied=True,",
     ),
     (
         "verify_tensor_bicriteria always satisfied",
         "src/maskedlra/tensor.py",
-        "satisfied=cost <= comp_cost + 1e-9 * max(1.0, comp_cost) and cost <= rhs_of(terms),",
+        "satisfied=within(cost, comp_cost, mass) and within(cost, rhs_of(terms), mass),",
         "satisfied=True,",
     ),
     (
@@ -52,8 +52,20 @@ MUTANTS = (
     (
         "verify_structural_bicriteria always satisfied",
         "src/maskedlra/structural.py",
-        "satisfied=cost <= rhs + 1e-9 * max(1.0, rhs),",
+        "satisfied=within(cost, rhs_of(terms), 0.0),",
         "satisfied=True,",
+    ),
+    (
+        "verify_structural_bicriteria tolerance 1e-9 * max(1, rhs)",
+        "src/maskedlra/structural.py",
+        "satisfied=within(cost, rhs_of(terms), 0.0),",
+        "satisfied=cost <= rhs_of(terms) + 1e-9 * max(1.0, rhs_of(terms)),",
+    ),
+    (
+        "chain_inequality_check tolerance 1e-9 * max(1, rhs)",
+        "src/maskedlra/solver.py",
+        "    return within(lhs, rhs, float(np.sum(M * M)))\n",
+        "    return lhs <= rhs + 1e-9 * max(1.0, rhs)\n",
     ),
     (
         "verify_bicriteria accepts any spec",

@@ -4,23 +4,33 @@ import numpy as np
 import pytest
 
 from maskedlra import (
+    Banded,
     Certificate,
     Diagonal,
     Diagonal3,
+    Explicit,
+    LowRankFactor,
     ParameterError,
+    ToeplitzModP,
+    chain_inequality_check,
     emit,
     gen_planted,
+    make_mask,
     masked_cost,
     masked_tensor_lra,
     multiparty_partition,
     neq3_multiparty,
     nondet_cover,
+    sample_partition,
     tensor_comparator,
+    verify_bicriteria,
     verify_nondet_bound,
+    verify_structural_bicriteria,
     verify_tensor_bicriteria,
 )
-from maskedlra import harness
-from maskedlra.harness import COLUMNS, ExperimentReport, load_rows
+from maskedlra import harness, solver
+from maskedlra.harness import COLUMNS, ExperimentReport, load_rows, sparse_pattern
+from maskedlra.linalg import zero_factor
 
 _CFG = harness.parse_config({"k": 2})
 _CELLS = [("t1", 32, 0.25), ("t2", 32, 0.5), ("t3", 32, 0.25), ("t4", 32, 0.25), ("a2", 32, 0.25)]
@@ -139,3 +149,60 @@ def test_tensor_verifier_needs_diagonal3():
     inst = gen_planted("tensor3", harness.make_pattern("sparse-faces", 4, t=1), 4, 1, seed=0)
     with pytest.raises(ParameterError):
         verify_tensor_bicriteria(inst.A, inst.W, 1, 0.25)
+
+
+# The bounds are homogeneous of degree 2 in A, so mapping A to c*A, opt_upper
+# to c^2*opt_upper and the candidate to c times itself must keep every
+# verdict. The tensor route is left out: its CP-ALS ridge is absolute.
+_SCALES = (1e-8, 1e-4, 1e4)
+# the instances of the negative tests: a dense Gaussian A with opt_upper = 0
+_FAILING = {"t1": (Diagonal(), 2), "t2": (sparse_pattern(64, 2, 0), 1),
+            "t3": (ToeplitzModP(4), 2), "t4": (Banded(2), 1)}
+_SCALE_CASES = [f"{route}-fails" for route in _FAILING] + ["a2-fails-64", "a2-fails-128"] + [
+    f"{route}-passes" for route in ("t1", "t2", "t3", "t4", "a2")]
+
+
+def _scale_case(name):
+    """(A, W, k, eps, opt_upper, candidate) of a case; candidate None means a2."""
+    route, kind, *n = name.split("-")
+    if route == "a2" and kind == "fails":
+        # the identity under a cyclic-shift mask, as in test_structural
+        n = int(n[0])
+        B = np.ones((n, n), dtype=np.uint8)
+        B[np.arange(n), (np.arange(n) + 1) % n] = 0
+        return np.eye(n), make_mask(Explicit(B), n), 1, 0.5 if n == 64 else 0.25, 0.0, None
+    if kind == "fails":
+        pattern, k = _FAILING[route]
+        A = np.random.default_rng(0).standard_normal((64, 64))
+        return A, make_mask(pattern, 64), k, 0.25, 0.0, zero_factor(64, 64)
+    inst = _cell_instance(route, 32, 1)
+    L = None if route == "a2" else inst.L_star
+    return inst.A, inst.W, _CFG["k"], 0.25, inst.opt_upper, L
+
+
+def _scaled_verdict(case, c):
+    A, W, k, eps, opt_upper, L = case
+    if L is None:
+        return verify_structural_bicriteria(c * A, W, k, eps, c * c * opt_upper).satisfied
+    L = LowRankFactor(c * L.U, L.V, L.rank_bound)
+    return verify_bicriteria(c * A, W, k, eps, opt_upper=c * c * opt_upper,
+                             L_for_eps2=L).satisfied
+
+
+@pytest.mark.parametrize("name", _SCALE_CASES)
+def test_verdicts_are_invariant_under_scaling_A(name):
+    case = _scale_case(name)
+    for c in (1.0,) + _SCALES:
+        assert _scaled_verdict(case, c) is name.endswith("passes"), c
+
+
+@pytest.mark.parametrize("solver_loses", [False, True], ids=["exact", "zero-solver"])
+@pytest.mark.parametrize("name", [n for n in _SCALE_CASES if not n.startswith("a2")])
+def test_chain_check_is_invariant_under_scaling_A(monkeypatch, name, solver_loses):
+    A, W, k, eps, _, _ = _scale_case(name)
+    P = sample_partition(W.pattern.spec(W.n, eps), 1)
+    if solver_loses:
+        # the zero fit stands in for the exact solver and loses to the comparator
+        monkeypatch.setattr(solver, "masked_lra", lambda A, W, k: zero_factor(*A.shape))
+    for c in (1.0,) + _SCALES:
+        assert chain_inequality_check(c * A, W, P, k) is not solver_loses, c

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from maskedlra import (
+    Diagonal3,
     NumericalError,
     ParameterError,
     LowRankFactor,
@@ -22,8 +23,9 @@ from maskedlra import (
     masked_tensor_lra,
     sample_partition,
     svd_truncated,
+    verify_tensor_bicriteria,
 )
-from maskedlra.linalg import _als_start, _svd_stack, zero_factor
+from maskedlra.linalg import _als_start, _spd_solve, _svd_stack, within, zero_factor
 
 
 def test_entrywise_norm_matches_singular_values():
@@ -472,6 +474,29 @@ def test_als_solves_need_no_scipy_cholesky(monkeypatch):
     narrow = _factor([rng.standard_normal((size, 1)) for size in T.shape], 1)
     F = cp_als(T, 2, iters=3, init=narrow)
     assert F.meta["ridge_fallbacks"] > 0
+
+
+def _scaled_tensor_certificate():
+    inst = gen_planted("tensor3", Diagonal3(), 8, 2, noise_sigma=0.1, seed=3)
+    return verify_tensor_bicriteria(1e4 * inst.A, inst.W, 2, 0.25, opt_upper=1e8 * inst.opt_upper)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _spd_solve(np.full((1, 2, 2), 1e16), np.ones((1, 2, 1))),
+    _scaled_tensor_certificate,
+], ids=["spd_solve", "tensor"])
+def test_a_failed_ridge_solve_is_a_numerical_error(call):
+    # the ridge falls below the Gram's roundoff, so the ridged Gram is
+    # singular too
+    with pytest.raises(NumericalError, match="ridge solve failed"):
+        call()
+
+
+def test_within_allows_relative_and_scaled_roundoff():
+    assert within(1.0 + 5e-10, 1.0, 0.0) and not within(1.0 + 2e-9, 1.0, 0.0)
+    assert within(5e-13, 0.0, 1.0) and not within(2e-12, 0.0, 1.0)
+    for c2 in (1e-16, 1.0, 1e8):
+        assert within(c2 * 52.0, c2 * 52.0, 0.0) and not within(c2 * 52.0, c2 * 32.0, 0.0)
 
 
 def test_gesdd_runs_through_numpy_alone(monkeypatch):
