@@ -91,14 +91,23 @@ def gen_planted(
     if pattern.order != order:
         raise ParameterError(f"{domain} needs an order-{order} pattern, got {pattern.tag!r}")
     if domain != "boolean":
-        B = W.bitmap.astype(np.float64)
+        B = W.bitmap
         U, V, *Z = (rng.standard_normal((n, k)) for _ in range(order))
         L = LowRankFactor(U, V, k, Z=Z[0] if Z else None)
         base = L.value()
         scale = corruption_scale * float(np.linalg.norm(base)) / n
-        A = base + (1.0 - B) * scale * rng.standard_normal(B.shape)
+        # A is built in the normal draw's buffer: scaling by scale and then
+        # by the 0/1 complement of B gives (1 - B) * scale times the draw
+        # bit for bit, signed zeros included
+        A = rng.standard_normal(B.shape)
+        A *= scale
+        A *= B == 0
+        A += base
         if noise_sigma:  # the last draw, so skipping it changes nothing else
-            A += B * noise_sigma * rng.standard_normal(B.shape)
+            noise = rng.standard_normal(B.shape)
+            noise *= noise_sigma
+            noise *= B
+            A += noise
         opt = masked_cost(A, W, L)
     else:
         if corruption_scale > 1 or noise_sigma > 1:

@@ -367,8 +367,12 @@ def masked_cost(A, W, L) -> float:
     order; W may be a Mask or a raw binary array of A's shape.
     """
     A = as_array(A, len(L.shape))
-    bitmap = as_bitmap(W, np.float64, A.shape)
+    bitmap = as_bitmap(W, np.uint8, A.shape)
     if L.shape != A.shape:
         raise ShapeError(f"masked_cost shapes differ: A {A.shape}, L {L.shape}")
-    R = (A - L.value()) * bitmap
-    return float(np.sum(R * R))
+    # one array of A's size, which L.value() returns fresh: the residual is
+    # formed, masked and squared in it
+    R = L.value()
+    np.subtract(A, R, out=R)
+    R *= bitmap
+    return float(np.sum(np.square(R, out=R)))

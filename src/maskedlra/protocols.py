@@ -19,12 +19,16 @@ transcript codes always come from one ranked table per (leaf, row), which
 the cells gather. empirical_error_rates runs the same decisions on sampled
 cells with independent randomness per sample, so the error rate it reports
 is that of the decisions the partition is built from. It runs them in
-chunks of _STRIPE_CELLS samples, each reading its keys from the generator
-at their stream position, so only the sampled indices grow with the trial
-count. It, protocol_matrix and protocol_cube read only outputs, so no
-transcript code is built for them. A partition or a cover takes its
-rectangles only as Boxes: a label per box and, per axis, int64 offsets into one
-int64 index array (CSR).
+chunks of samples, each reading its keys, one key at a time, from the
+generator at their stream position, so only the sampled indices grow with
+the trial count. It, protocol_matrix and protocol_cube read only outputs,
+so no transcript code is built for them. The row stripes of _gt and the
+sample chunks are the two striped loops: _striped runs their items in
+interleaved shares on the calling thread and a pool of one thread per
+further CPU, inline on one CPU, and both loops' results are the same on
+any thread count. A partition or a cover takes its rectangles only as
+Boxes: a label per box and, per axis, int64 offsets into one int64 index
+array (CSR).
 Certificates, comparators, bitmaps and dumps read those arrays, and
 Rectangle objects are views built only when .rectangles is read.
 Nondeterministic covers are built directly from their witness structure.
@@ -47,6 +51,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +68,17 @@ from .linalg import as_bitmap
 # grouping it into CSR arrays adds less), about 0.37 GB at the cap
 ENUM_CELLS = 2**24
 
-# cells per row stripe of a greater-than walk, so that its working arrays
-# stay in cache
+# cells per row stripe of a greater-than walk, and samples per error-rate
+# chunk, on one or two threads, so that their working arrays stay in cache
 _STRIPE_CELLS = 2**15
+
+# threads that share a striped loop, the calling thread included
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+# (pid, workers, executor) of the pool that runs the other threads' shares; a
+# forked child inherits the executor but not its threads, so it builds its own
+_pool = (None, 0, None)
 
 ONE_SIDED_FAMILIES = ("equality-hash", "eq-mod-p", "sparse-set-eq", "neq3-multiparty")
 
@@ -155,6 +169,56 @@ def monotone_gt(prefix_lengths, delta: float) -> ProtocolSpec:
 def neq3_multiparty(n: int, delta: float) -> ProtocolSpec:
     _check_delta(delta)
     return ProtocolSpec("neq3-multiparty", n, delta)
+
+
+# ---------------------------------------------------------------------------
+# striped loops
+
+def _stripe_cells() -> int:
+    """Cells per stripe or chunk of a striped loop: _STRIPE_CELLS, cut so
+    that the _WORKERS threads hold at most 2 * _STRIPE_CELLS at once."""
+    return min(_STRIPE_CELLS, 2 * _STRIPE_CELLS // _WORKERS)
+
+
+def _striped(fn, items) -> list:
+    """fn's results on every item, computed in _WORKERS interleaved shares.
+
+    The calling thread runs share 0 and a module-level pool of _WORKERS - 1
+    threads the others; with one worker or one item everything runs inline.
+    The results come share by share, so callers combine them in an
+    order-free way (integer sums), and fn writes a shared array only in a
+    slice no other item writes. Every share has finished when this returns
+    or raises. fn must not itself call _striped on more than one item: a pool
+    thread that waits on the pool can wait forever.
+    """
+    global _pool
+    workers = min(_WORKERS, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    if _pool[:2] != (os.getpid(), _WORKERS):
+        _pool = (os.getpid(), _WORKERS, ThreadPoolExecutor(_WORKERS - 1))
+
+    def run(share):
+        return [fn(item) for item in share]
+
+    futures = [_pool[2].submit(run, items[s::workers]) for s in range(1, workers)]
+    try:
+        out = run(items[::workers])
+    finally:
+        wait(futures)
+    for f in futures:
+        out += f.result()
+    return out
+
+
+class _Lazy:
+    """A sequence whose item j is get(j), computed when it is indexed."""
+
+    def __init__(self, get):
+        self.get = get
+
+    def __getitem__(self, j):
+        return self.get(j)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +317,21 @@ def _search_tree(m: int):
     return tables
 
 
-def _prefix_hashes(v, m: int, k, c: int) -> np.ndarray:
-    """(m, positions) table: row j hashes v's (j+1)-bit prefixes with key
-    j + 1 into 2^c buckets, over v broadcast against the keys' sample shape.
-    int16 holds the buckets while c < 15."""
-    v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v), k.shape[2:]))
-    h = np.empty((m,) + v.shape, dtype=np.int16 if c < 15 else np.int64)
+def _prefix_hashes(a, b, m: int, key, c: int):
+    """(m, positions) tables of both parties: row j hashes a's and b's
+    (j+1)-bit prefixes with key[j + 1] into 2^c buckets, over each party's
+    values broadcast against the key's sample shape. Each key is read once,
+    for both parties, and key 0 not at all. int16 holds the buckets while
+    c < 15."""
     for j in range(m):
-        h[j] = _hash_buckets(v >> (m - 1 - j), k[:, j + 1], 1 << c)
-    return h
+        k = key[j + 1]
+        ra = _hash_buckets(a >> (m - 1 - j), k, 1 << c)
+        rb = _hash_buckets(b >> (m - 1 - j), k, 1 << c)
+        if j == 0:
+            dt = np.int16 if c < 15 else np.int64
+            ha, hb = np.empty((m,) + ra.shape, dt), np.empty((m,) + rb.shape, dt)
+        ha[j], hb[j] = ra, rb
+    return ha, hb
 
 
 def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = True):
@@ -274,11 +344,14 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     [a > b], "b>a" outputs [b > a].
 
     The search is a walk on _search_tree(m). Each party hashes its own
-    prefixes once per node, into a table over its own positions, and a
+    prefixes once per node, into a table over its own positions, reading
+    node j's key j + 1 once for both parties (key 0 is never read), and a
     cell's state is one node id: a round is two table gathers, one compare
-    and one child lookup. A cell's transcript (the row's hash at each node
-    met, the answers, the row's final bit, the output) is fixed by its
-    leaf, its row position and its output. Codes are >= 1 and follow the
+    and one child lookup. The cells are walked in row stripes of at most
+    _stripe_cells() cells, which _striped shares among the threads; each
+    stripe writes only its own rows of the outputs. A cell's transcript
+    (the row's hash at each node met, the answers, the row's final bit, the
+    output) is fixed by its leaf, its row position and its output. Codes are >= 1 and follow the
     transcripts' order, shorter first, then bitwise. They are built and
     ranked once in a table per (leaf, row), on a grid or on per-cell
     samples alike, which the cells gather: twice a dense rank plus the
@@ -288,9 +361,7 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     child, path, eqs, group, shift = _search_tree(m)
     rounds = len(path)
     c = max(1, math.ceil(math.log2(rounds / delta)))
-    k = keys(m + 1)
-    ha, hb = _prefix_hashes(a, m, k, c), _prefix_hashes(b, m, k, c)
-    del k
+    ha, hb = _prefix_hashes(a, b, m, keys(m + 1), c)
     R, S = ha[0].size, hb[0].size
     it = np.int32 if (2 * m + 1) * max(R, S) < 2**31 else np.int64
     cells = np.broadcast_shapes(ha.shape[1:], hb.shape[1:])
@@ -316,9 +387,8 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         table = _rank(_pack(parts, widths))
         gathered = np.empty(cells, dtype=np.int32 if 2 * table.size < 2**31 else np.int64)
     o = np.empty(cells, dtype=bool)
-    # row stripes small enough for the cache, each walked down the tree
-    step = max(1, _STRIPE_CELLS // math.prod(cells[1:]))
-    for lo in range(0, cells[0], step):
+
+    def walk(lo):
         cut = slice(lo, lo + step)
         ra, rb, xa, xb = (v[cut] if v.shape[0] > 1 else v for v in (pa, pb, va, vb))
         node = np.full(np.broadcast_shapes(ra.shape, rb.shape), m - 1, dtype=np.uint8)
@@ -331,6 +401,10 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         o[cut] = (xd > yd) if direction == "a>b" else (yd > xd)
         if codes:
             gathered[cut] = table.take(leaf * it(R) + ra) * 2 + o[cut]
+
+    # row stripes small enough for the cache, each walked down the tree
+    step = max(1, _stripe_cells() // math.prod(cells[1:]))
+    _striped(walk, range(0, cells[0], step))
     return gathered, o.view(np.uint8)
 
 
@@ -416,7 +490,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
             buckets = math.ceil(1 / spec.delta) if spec.delta else None
         u, v = vals[idx[0]], vals[idx[1]]
         if buckets:
-            key = keys(1)[:, 0]
+            key = keys(1)[0]
             u = _hash_buckets(u, key, buckets)
             v = _hash_buckets(v, key, buckets)
         return 0, u, lambda s: [(v != s).astype(np.uint8)], lambda bits: bits[0]
@@ -427,7 +501,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
         cols = np.asarray(spec.col_groups if spec.col_groups is not None
                           else np.arange(n), dtype=np.int64)
         B = max(1, math.ceil(spec.t / spec.delta))
-        key = keys(1)[:, 0]
+        key = keys(1)[0]
         # zero sets padded with -1 into an (n, t) table, hashed one slot at a
         # time; a padded slot stays -1, which no bucket equals
         Z = np.full((n, max(map(len, spec.zero_sets), default=0)), -1, dtype=np.int64)
@@ -448,7 +522,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
     # neq3-multiparty: the other two parties each say whether their bucket
     # is the first's
     B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
-    key = keys(1)[:, 0]
+    key = keys(1)[0]
     h = [_hash_buckets(i, key, B) for i in idx]
 
     def reply(s):
@@ -462,13 +536,15 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
 
     idx holds one int64 index array per party; they broadcast against each
     other to the shape of the result. keys(count) returns count independent
-    hash keys (a, b) as one uint64 array of shape (2, count) + s, with s
-    broadcasting against idx. Randomness is drawn through keys only, in
-    call order, so one run of this function is one protocol run per cell:
-    shared by all cells when s is all ones (the grid), or independent per
-    cell when s is the sample shape (error-rate sampling). codes is None
-    instead of built when codes is False; the keys drawn and the outputs
-    are the same either way.
+    hash keys as a sequence: item j is key j, a pair (a, b) of uint64 arrays
+    of shape s, with s broadcasting against idx. The grid's keys are one
+    (count, 2) + s array; the sampler reads each key when it is indexed, so
+    a key that is never indexed is never drawn. Randomness is drawn through
+    keys only, in call order, so one run of this function is one protocol
+    run per cell: shared by all cells when s is all ones (the grid), or
+    independent per cell when s is the sample shape (error-rate sampling).
+    codes is None instead of built when codes is False; the keys drawn and
+    the outputs are the same either way.
     """
     f = spec.family
     n = spec.n
@@ -513,17 +589,20 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
         cA, oA = gt(ahi, bhi, m1, d, keys)
         cB, oB = gt(alo, blo, m1, d, keys)
         # third call per announced sign pattern; L1 distance >= p rewritten as
-        # a single comparison of shifted sums/differences
+        # a single comparison of shifted sums/differences, built only when
+        # that branch's call runs
         branches = {
-            (1, 1): (ahi + alo, bhi + blo + p - 1, "a>b"),
-            (0, 0): (ahi + alo + p - 1, bhi + blo, "b>a"),
-            (1, 0): (ahi - alo + s - 1, bhi - blo + s - 1 + p - 1, "a>b"),
-            (0, 1): (alo - ahi + s - 1, blo - bhi + s - 1 + p - 1, "a>b"),
+            (1, 1): lambda: (ahi + alo, bhi + blo + p - 1, "a>b"),
+            (0, 0): lambda: (ahi + alo + p - 1, bhi + blo, "b>a"),
+            (1, 0): lambda: (ahi - alo + s - 1, bhi - blo + s - 1 + p - 1, "a>b"),
+            (0, 1): lambda: (alo - ahi + s - 1, blo - bhi + s - 1 + p - 1, "a>b"),
         }
         codes3 = np.zeros(oA.shape, dtype=np.int64) if codes else None
         out3 = np.zeros(oA.shape, dtype=np.uint8)
-        for (ba, bb), (av, bv, direction) in branches.items():
+        for (ba, bb), branch in branches.items():
+            av, bv, direction = branch()
             c3, o3 = gt(av, bv, m3, d, keys, direction)
+            del av, bv
             sel = (oA == ba) & (oB == bb)
             if codes:
                 codes3 = np.where(sel, c3, codes3)
@@ -550,7 +629,7 @@ def _shared_keys(spec: ProtocolSpec, seed: int, ndim: int):
     def keys(count: int):
         src = np.random.default_rng(rng.integers(2**63)) if split else rng
         k = src.integers(0, 2**64, size=(count, 2), dtype=np.uint64)
-        return k.T.reshape((2, count) + (1,) * ndim)
+        return k.reshape((count, 2) + (1,) * ndim)
 
     return keys
 
@@ -878,12 +957,18 @@ def empirical_error_rates(
     The cells are drawn first, one index array per axis (8 * order bytes
     per trial); bounded draws use rejection sampling, so the raw outputs
     they consume depend on the values, and they are not split. _decide then
-    runs on chunks of _STRIPE_CELLS samples, so keys and decisions take
-    O(_STRIPE_CELLS) memory. A chunk's keys are its slice of the
-    (2, count, trials) uint64 block that one draw per keys call would give,
-    read from a PCG64 set to the slice's stream position, as each uint64 is
-    one raw output; _decide's sequence of keys counts does not depend on the
-    data, and nothing else draws after the cells.
+    runs on chunks of _stripe_cells() samples, shared by the calling thread
+    and the pool's (_striped): _STRIPE_CELLS on one or two threads, fewer on
+    more, so that at most 2 * _STRIPE_CELLS samples are in flight and keys
+    and decisions take O(_STRIPE_CELLS) memory on any core count. A chunk's
+    keys are its slice of the (2, count, trials) uint64 block that one draw
+    per keys call would give, read by the chunk's own PCG64 set to the
+    slice's stream position, as each uint64 is one raw output. They are read
+    one key at a time, when _decide indexes it, so a key it never reads (as
+    _gt never reads key 0) is never drawn. _decide's sequence of keys counts
+    does not depend on the data, and nothing else draws after the cells, so
+    the rates do not depend on the chunk size or the thread count: each
+    chunk returns its integer tally, and the tallies are summed.
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
@@ -891,26 +976,29 @@ def empirical_error_rates(
     bitmap = as_bitmap(W, np.uint8, shape)
     rng = np.random.default_rng(seed)
     idx = tuple(rng.integers(0, spec.n, size=trials) for _ in shape)
-    start, stream = rng.bit_generator.state, np.random.PCG64(0)
-    tally = np.zeros(4, dtype=np.int64)  # samples per (W, disagrees)
-    for s0 in range(0, trials, _STRIPE_CELLS):
-        size = min(_STRIPE_CELLS, trials - s0)
-        pos = 0
+    start, chunk = rng.bit_generator.state, _stripe_cells()
+
+    def chunk_tally(s0):
+        # samples per (W, disagrees) in the chunk from s0, on its own PCG64
+        size = min(chunk, trials - s0)
+        stream, pos = np.random.PCG64(0), 0
+
+        def row(offset):
+            stream.state = start
+            stream.advance(offset + s0)
+            return stream.random_raw(size)
 
         def keys(count: int):
             nonlocal pos
-            k = np.empty((2 * count, size), dtype=np.uint64)
-            for row in range(2 * count):
-                stream.state = start
-                stream.advance(pos + row * trials + s0)
-                k[row] = stream.random_raw(size)
-            pos += 2 * count * trials
-            return k.reshape(2, count, size)
+            block, pos = pos, pos + 2 * count * trials
+            return _Lazy(lambda j: (row(block + j * trials), row(block + (count + j) * trials)))
 
         cut = tuple(i[s0:s0 + size] for i in idx)
         _, out = _decide(spec, cut, keys, codes=False)
         w = bitmap[cut]
-        tally += np.bincount(w.astype(np.intp) * 2 + (out != w), minlength=4)
+        return np.bincount(w.astype(np.intp) * 2 + (out != w), minlength=4)
+
+    tally = sum(_striped(chunk_tally, range(0, trials, chunk)))
     return tuple(int(t[1]) / int(t.sum()) if t.any() else 0.0 for t in tally.reshape(2, 2)[::-1])
 
 

@@ -51,7 +51,7 @@ def masked_lra(A, W, k_prime: int) -> LowRankFactor:
     M, read with no product, and meta["svd_driver"] is "none".
     """
     A = as_array(A, 2)
-    M = A * as_bitmap(W, np.float64, A.shape)
+    M = A * as_bitmap(W, np.uint8, A.shape)
     n, m = M.shape
     if k_prime == min(n, m):
         U, V = (M, np.eye(m)) if n >= m else (np.eye(n), M.T)
@@ -182,15 +182,19 @@ def verify_bicriteria(
     if not one_sided and L_for_eps2 is None:
         raise ParameterError("two-sided protocol needs L_for_eps2 as the candidate")
 
-    M = A * as_bitmap(W, np.float64, A.shape)
+    # the mass and off-mask terms are squared in arrays of their own: a
+    # full-rank fit's factor is masked_lra's M itself
+    M = A * as_bitmap(W, np.uint8, A.shape)
+    mass = float(np.sum(np.square(M, out=M)))
+    del M
     L = masked_lra(A, W, k_prime)
     cost = masked_cost(A, W, L)
-    mass = float(np.sum(M * M))
     # a zero-error protocol mislabels nothing, so it is charged no mass term
     terms = (("opt_upper", 1.0, opt_upper), ("eps1", 2 * eps if spec.delta > 0 else 0.0, mass))
     if not one_sided:
-        off = L_for_eps2.value() * (1.0 - as_bitmap(W, np.float64, L_for_eps2.shape))
-        terms += (("eps2", eps, float(np.sum(off * off))),)
+        off = L_for_eps2.value()
+        off *= as_bitmap(W, np.uint8, L_for_eps2.shape) == 0
+        terms += (("eps2", eps, float(np.sum(np.square(off, out=off)))),)
     return Certificate(
         route="partition", pattern=W.pattern.tag, n=W.n, k=k, k_prime=k_prime,
         seed=seed, cost=cost, opt_upper=opt_upper, terms=terms,

@@ -86,6 +86,12 @@ MUTANTS = (
         "",
     ),
     (
+        "striped loop returns only the calling thread's share",
+        "src/maskedlra/protocols.py",
+        "        out += f.result()\n",
+        "        f.result()\n",
+    ),
+    (
         "report passes a sweep that runs no cell",
         "src/maskedlra/cli.py",
         "    if not report.rows:\n",

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import multiprocessing
 import struct
 import tracemalloc
 
@@ -326,12 +327,12 @@ def test_empirical_error_rates_checks_mask_shape():
 
 def _ref_empirical_error_rates(spec, W, trials, seed=0):
     """The one-shot sampler: every sample's keys drawn in one block per
-    keys call, (2, count, trials) uint64."""
+    keys call, (2, count, trials) uint64, handed over key by key."""
     rng = np.random.default_rng(seed)
     idx = tuple(rng.integers(0, spec.n, size=trials) for _ in range(W.ndim))
 
     def keys(count):
-        return rng.integers(0, 2**64, size=(2, count, trials), dtype=np.uint64)
+        return rng.integers(0, 2**64, size=(2, count, trials), dtype=np.uint64).swapaxes(0, 1)
 
     _, out = protocols._decide(spec, idx, keys, codes=False)
     w = W[idx].astype(np.int64)
@@ -392,6 +393,96 @@ def test_error_rate_memory_does_not_grow_with_keys():
     finally:
         tracemalloc.stop()
     assert peak < 16 * trials + 12 * 10**6
+
+
+# ---------------------------------------------------------------------------
+# striped loops on every worker count
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_error_rate_memory_stays_bounded_on_any_worker_count(workers, monkeypatch):
+    # the bound of test_error_rate_memory_does_not_grow_with_keys: chunks
+    # shrink as threads are added, so at most 2 * _STRIPE_CELLS samples are
+    # in flight on any worker count
+    monkeypatch.setattr(protocols, "_WORKERS", workers)
+    spec = banded2d_gt(256, 2, 0.25)
+    W = target_bitmap(spec)
+    trials = 10**6
+    tracemalloc.start()
+    try:
+        empirical_error_rates(spec, W, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * trials + 12 * 10**6
+
+
+@pytest.mark.parametrize("spec", _one_spec_per_family(), ids=lambda s: s.family)
+def test_error_rates_are_the_same_on_any_worker_count(spec, monkeypatch):
+    """Chunks shared among 2, 4 or 8 threads give the inline rates bit for
+    bit: at one sample, at one full inline chunk and at many chunks."""
+    order = 3 if spec.family == "neq3-multiparty" else 2
+    W = np.random.default_rng(1).integers(0, 2, size=(spec.n,) * order, dtype=np.uint8)
+    monkeypatch.setattr(protocols, "_WORKERS", 1)
+    want = {t: empirical_error_rates(spec, W, t, seed=4) for t in (1, 2**15, 200_001)}
+    for workers in (2, 4, 8):
+        monkeypatch.setattr(protocols, "_WORKERS", workers)
+        for trials, rates in want.items():
+            assert empirical_error_rates(spec, W, trials, seed=4) == rates, (workers, trials)
+
+
+def test_gt_dumps_are_the_same_on_any_worker_count(tmp_path, monkeypatch):
+    """Greater-than grids of at least three row stripes, walked by 1, 2, 4
+    or 8 threads, dump the same partitions byte for byte."""
+    rng = np.random.default_rng(3)
+    specs = [greater_than(300, 0.25), banded_gt(300, 4, 0.25), banded2d_gt(324, 2, 0.25),
+             monotone_gt(tuple(int(v) for v in rng.integers(0, 301, size=300)), 0.25)]
+    for spec in specs:
+        dumps = set()
+        for workers in (1, 2, 4, 8):
+            monkeypatch.setattr(protocols, "_WORKERS", workers)
+            rows = max(1, protocols._stripe_cells() // spec.n)
+            assert -(-spec.n // rows) >= 3  # stripes
+            path = tmp_path / f"{workers}.part"
+            write_partition(path, sample_partition(spec, seed=5))
+            dumps.add(path.read_bytes())
+        assert len(dumps) == 1, spec.describe()
+
+
+@pytest.mark.parametrize("spec", _one_spec_per_family(), ids=lambda s: s.family)
+def test_golden_digests_hold_on_many_threads(spec, tmp_path, monkeypatch):
+    """The golden digests with the n = 16 grids cut into two row stripes
+    and the 20 000 trials into chunks of 128 samples, shared by two
+    threads."""
+    monkeypatch.setattr(protocols, "_WORKERS", 2)
+    monkeypatch.setattr(protocols, "_STRIPE_CELLS", 128)
+    test_golden_partitions_and_error_rates(spec, tmp_path)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_runs_its_own_pool(monkeypatch):
+    """A child forked after the pool started inherits an executor whose
+    threads do not exist; its striped loops must still finish, with the
+    parent's rates."""
+    monkeypatch.setattr(protocols, "_WORKERS", 2)
+    spec = banded2d_gt(256, 2, 0.25)
+    W = target_bitmap(spec)
+    want = empirical_error_rates(spec, W, 10**5)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(empirical_error_rates(spec, W, 10**5)))
+    child.start()
+    try:
+        assert recv.poll(30), "the forked child did not finish"
+        assert recv.recv() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 def test_nondet_cover_neq_bits():
@@ -863,7 +954,7 @@ def _ref_gt(a, b, m, delta, keys, direction="a>b"):
     nbuck = 1 << c
     k = keys(m + 1)
     hash_ = protocols._hash_buckets
-    ha, hb = hash_(a, k[:, m], nbuck), hash_(b, k[:, m], nbuck)
+    ha, hb = hash_(a, k[m], nbuck), hash_(b, k[m], nbuck)
     eq = ha == hb
     codes = (np.int64(1) << (c + 1)) | (ha << 1) | eq
     bits = c + 2
@@ -877,7 +968,7 @@ def _ref_gt(a, b, m, delta, keys, direction="a>b"):
         if bits + c + 1 > 62:
             codes, bits = _ref_compact(codes)
         mid = (lo + hi) >> 1
-        key = np.take_along_axis(k, mid[None, None], 1)[:, 0]
+        key = np.take_along_axis(k, mid[None, None], 0)[0]
         ha, hb = hash_(a >> (m - mid), key, nbuck), hash_(b >> (m - mid), key, nbuck)
         eq = ha == hb
         codes = np.where(work, (codes << (c + 1)) | (ha << 1) | eq, codes)
@@ -961,7 +1052,7 @@ def test_gt_kernel_matches_reference(m, direction, monkeypatch):
 
         def keys(count):
             return np.random.default_rng(seed).integers(
-                0, 2**64, size=(2, count, 1, 1), dtype=np.uint64)
+                0, 2**64, size=(count, 2, 1, 1), dtype=np.uint64)
 
         codes, out = protocols._gt(a, b, m, delta, keys, direction)
         want_codes, want_out = _ref_gt(a, b, m, delta, keys, direction)
@@ -973,12 +1064,12 @@ def test_gt_kernel_matches_reference(m, direction, monkeypatch):
 def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
     rng = np.random.default_rng(spec.n)
     idx = tuple(rng.integers(0, spec.n, size=500) for _ in range(2))
-    draws = rng.integers(0, 2**64, size=(64, 2, spec.n.bit_length() + 8, 500),
+    draws = rng.integers(0, 2**64, size=(64, spec.n.bit_length() + 8, 2, 500),
                          dtype=np.uint64)
 
     def keys_from(draws):
         it = iter(draws)
-        return lambda count: next(it)[:, :count]
+        return lambda count: next(it)[:count]
 
     codes, out = protocols._decide(spec, idx, keys_from(draws), codes=True)
     want_codes, want_out = _reference_decide(monkeypatch, spec, idx, keys_from(draws))
