@@ -40,7 +40,7 @@ Families:
   eq-mod-p            residue equality, deterministic or hashed (1-sided)
   sparse-set-eq       membership of a column in a row's zero set (1-sided)
   greater-than        prefix binary search with hashed comparisons
-  banded-gt           two greater-than calls, short-circuited
+  banded-gt           two greater-than calls, the second read where the first says no
   banded2d-gt         three greater-than calls on split indices
   monotone-gt         one greater-than call on prefix lengths
   neq3-multiparty     order-3 not-all-equal (1-sided)
@@ -574,8 +574,8 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
         d = spec.delta / 2
         c1, o1 = gt(x, y + p - 1, m, d, keys)
         c2, o2 = gt(x + p - 1, y, m, d, keys, direction="b>a")
-        # short circuit: the second call only runs when the first said "no";
-        # greater-than codes are >= 1, so 0 marks the skipped call
+        # both calls run on every cell, and the second is read only where the
+        # first said "no"; greater-than codes are >= 1, so 0 marks it unread
         pairs = _pair_codes(c1, np.where(o1 == 1, 0, c2)) if codes else None
         return pairs, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
 

@@ -32,9 +32,16 @@ from .linalg import (
 )
 
 
-class _ZeroFill(LowRankFactor):
-    """masked_lra's full-rank factor (M, I) or (I, M.T), whose value is read
-    from M with no product."""
+class _FullRank(LowRankFactor):
+    """A matrix M as (M, I) when n >= m and as (I, M.T) otherwise, read
+    back by value() with no product. A factor is never wider than its
+    matrix: masked_lra's fit at k' = min(n, m) and a comparator whose fits
+    are at least that wide are held this way."""
+
+    @classmethod
+    def of(cls, M: np.ndarray, rank_bound: int, meta: dict) -> _FullRank:
+        n, m = M.shape
+        return cls(*((M, np.eye(m)) if n >= m else (np.eye(n), M.T)), rank_bound, meta)
 
     def value(self) -> np.ndarray:
         M = self.U if self.U.shape[0] >= self.V.shape[0] else self.V.T
@@ -52,10 +59,8 @@ def masked_lra(A, W, k_prime: int) -> LowRankFactor:
     """
     A = as_array(A, 2)
     M = A * as_bitmap(W, np.uint8, A.shape)
-    n, m = M.shape
-    if k_prime == min(n, m):
-        U, V = (M, np.eye(m)) if n >= m else (np.eye(n), M.T)
-        return _ZeroFill(U, V, k_prime, {"svd_driver": "none"})
+    if k_prime == min(M.shape):
+        return _FullRank.of(M, k_prime, {"svd_driver": "none"})
     return svd_truncated(M, k_prime)
 
 
@@ -66,24 +71,36 @@ def comparator_from_partition(
 
     Only 1-labeled rectangles contribute, so the result is exactly zero
     outside their union; rank_bound is k times the 1-rectangle count. The
-    fits are batched by shape: protocols.assemble hands over each group of
-    same-shape 1-rectangles, whose blocks of A*W one _svd_stack call fits,
-    giving each the factors svd_truncated gives it alone. A partition of
-    another n or order than A raises ShapeError.
+    fits are batched by shape: one _svd_stack call fits each group of
+    same-shape 1-rectangles (Boxes.groups), giving each the factors
+    svd_truncated gives it alone. Their total width, the sum of
+    min(k, rows, cols) over 1-rectangles, decides the form: below
+    min(n, m), protocols.assemble places them side by side as the factors;
+    otherwise each group's stacked U V^T is assigned into its disjoint
+    boxes of a zero C, held as a _FullRank. A partition of another n or
+    order than A raises ShapeError.
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     A = as_array(A, 2)
-    M = A * as_bitmap(W, np.float64, A.shape)
+    M = A * as_bitmap(W, np.uint8, A.shape)
+    protocols._check_shape(P, M.shape)
+    B = P.boxes
+    ones = np.flatnonzero(B.labels == 1)
+    width = int(np.minimum(k, np.minimum(B.sizes(0), B.sizes(1))[ones]).sum())
 
     def fit(group, ix):
         blocks = M[ix]
         return _svd_stack(blocks, min(k, *blocks.shape[1:]))[:2]
 
-    factors = protocols.assemble(P, M.shape, fit)
-    if factors is None:
-        return zero_factor(*M.shape)
-    return LowRankFactor(*factors, k * P.one_count)
+    if width < min(M.shape):
+        factors = protocols.assemble(P, M.shape, fit)
+        return LowRankFactor(*factors, k * P.one_count) if factors else zero_factor(*M.shape)
+    C = np.zeros_like(M)
+    for group, ix in B.groups(ones):
+        U, V = fit(group, ix)
+        C[ix] = U @ V.transpose(0, 2, 1)
+    return _FullRank.of(C, k * P.one_count, {})
 
 
 def _block_tails(M, P, k: int) -> float:
@@ -117,17 +134,19 @@ def chain_inequality_check(A, W, P: protocols.PartitionSample, k: int) -> bool:
 
     The left side is the solver's own residual ||M - L||^2; the comparator's
     cost comes from _block_tails, so the comparator itself is never built.
-    The two are compared by linalg.within at scale ||M||^2. A partition of another n or order than A raises ShapeError.
+    The two are compared by linalg.within at scale ||M||^2. A partition of
+    another n or order than A raises ShapeError.
     """
     if k < 1:
         raise ParameterError(f"k={k} must be positive")
     A = as_array(A, 2)
-    M = A * as_bitmap(W, np.float64, A.shape)
+    M = A * as_bitmap(W, np.uint8, A.shape)
     rhs = _block_tails(M, P, k)
     kp = max(1, min(k * P.one_count, min(M.shape)))
-    L = masked_lra(A, W, kp)
-    lhs = float(np.sum((M - L.value()) ** 2))
-    return within(lhs, rhs, float(np.sum(M * M)))
+    # the residual is squared in the array value() returns, the mass in M
+    R = masked_lra(A, W, kp).value()
+    lhs = float(np.sum(np.square(np.subtract(M, R, out=R), out=R)))
+    return within(lhs, rhs, float(np.sum(np.square(M, out=M))))
 
 
 def verify_bicriteria(

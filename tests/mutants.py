@@ -64,8 +64,14 @@ MUTANTS = (
     (
         "chain_inequality_check tolerance 1e-9 * max(1, rhs)",
         "src/maskedlra/solver.py",
-        "    return within(lhs, rhs, float(np.sum(M * M)))\n",
+        "    return within(lhs, rhs, float(np.sum(np.square(M, out=M))))\n",
         "    return lhs <= rhs + 1e-9 * max(1.0, rhs)\n",
+    ),
+    (
+        "comparator turns dense at k * one_count, not at the fits' width",
+        "src/maskedlra/solver.py",
+        "    if width < min(M.shape):\n",
+        "    if k * P.one_count < min(M.shape):\n",
     ),
     (
         "verify_bicriteria accepts any spec",

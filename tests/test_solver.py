@@ -1,5 +1,6 @@
 """Zero-fill solver, rectangle comparator, bound reports, altmin baseline."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -211,15 +212,27 @@ def test_comparator_sums_per_rectangle_fits_in_their_blocks():
 
 def _assert_batched_comparator_is_per_rectangle(A, W, P, k):
     """The shape-batched comparator is bit-identical to one svd_truncated
-    per 1-rectangle, assembled in rectangle order."""
+    per 1-rectangle. While the fits are narrower than the matrix, its
+    factors are theirs assembled in rectangle order; otherwise its value is
+    their products placed in their blocks, held at width min(n, m). Returns
+    the comparator."""
     M = A * W.bitmap
     fits = [(rect, svd_truncated(M[np.ix_(rect.row_set, rect.col_set)],
                                  min(k, len(rect.row_set), len(rect.col_set))))
             for rect in P.rectangles if rect.label == 1]
+    got = comparator_from_partition(A, W, P, k)
+    width = sum(f.U.shape[1] for _, f in fits)
+    if width >= min(M.shape):
+        want = np.zeros(M.shape)
+        for rect, f in fits:
+            want[np.ix_(rect.row_set, rect.col_set)] = f.value()
+        assert got.U.shape[1] == min(M.shape)
+        assert np.array_equal(got.value(), want)
+        assert got.rank_bound == k * P.one_count
+        return got
     if not fits:
         want = zero_factor(*M.shape)
     else:
-        width = sum(f.U.shape[1] for _, f in fits)
         U, V = np.zeros((M.shape[0], width)), np.zeros((M.shape[1], width))
         start = 0
         for rect, f in fits:
@@ -227,18 +240,75 @@ def _assert_batched_comparator_is_per_rectangle(A, W, P, k):
             U[rect.row_set, start:stop], V[rect.col_set, start:stop] = f.U, f.V
             start = stop
         want = LowRankFactor(U, V, k * P.one_count)
-    got = comparator_from_partition(A, W, P, k)
     assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
     assert got.rank_bound == want.rank_bound
+    return got
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_batched_comparator_on_protocol_partitions(n):
     for pattern, spec in ((Diagonal(), equality_hash(n, 0.25)), (Banded(4), banded_gt(n, 4, 0.25))):
         for seed in (0, 1):
             inst = gen_planted("matrix", pattern, n, 2, seed=seed)
             P = sample_partition(spec, seed=seed)
-            _assert_batched_comparator_is_per_rectangle(inst.A, inst.W, P, 2)
+            got = _assert_batched_comparator_is_per_rectangle(inst.A, inst.W, P, 2)
+            # banded-gt's 1-rectangles grow about linearly in n, so its fits
+            # at k = 2 are wider than the matrix, which then holds them
+            if isinstance(pattern, Banded):
+                assert got.U.shape == (n, n)
+
+
+def test_comparator_form_turns_dense_at_the_fits_width():
+    """Fits of total width min(n, m) - 1 stay factored, and width
+    min(n, m) makes the comparator dense, whatever k * one_count is: with
+    rows {0}, {1..3}, {4..7} and columns {0..3}, {4..7} at k = 2, four
+    1-rectangles of widths 1, 2, 2, 2 make 7 (k * one_count = 8), and one
+    more single-row 1-rectangle makes 8."""
+    from maskedlra import PartitionSample
+
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((8, 8))
+    W = make_mask(AllOnes(), 8)
+    sets = [(r, c) for r in (np.array([0]), np.arange(1, 4), np.arange(4, 8))
+            for c in (np.arange(4), np.arange(4, 8))]
+    for labels, width in (([1, 0, 1, 1, 1, 0], 7), ([1, 1, 1, 1, 1, 0], 8)):
+        P = PartitionSample(Boxes.pack(labels, sets, 2), 8, "manual", sum(labels))
+        got = _assert_batched_comparator_is_per_rectangle(A, W, P, 2)
+        assert got.U.shape[1] == width and got.rank_bound == 2 * P.one_count
+        assert type(got) is (LowRankFactor if width < 8 else solver._FullRank)
+
+
+def test_dense_comparator_memory_stays_near_the_matrix():
+    # on banded-gt at n = 256, k = 2 the fits are 2,957 wide: as factors
+    # they peaked at 13.3 traced MB, and held as the 0.5 MB matrix C at
+    # 1.6 MB (M, C, the eye of its form and one group's fits)
+    n = 256
+    inst = gen_planted("matrix", Banded(4), n, 2, seed=0)
+    P = sample_partition(banded_gt(n, 4, 0.25), seed=0)
+    tracemalloc.start()
+    try:
+        comparator_from_partition(inst.A, inst.W, P, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+def test_chain_inequality_memory():
+    # 8.0 traced MB at n = 512, 4 float64 arrays of n^2 cells (M,
+    # masked_lra's full-rank factor (M, I) and the residual in the array
+    # its value() returns); 10.0 MB with a float64 bitmap and the residual,
+    # its square and M * M in temporaries of their own
+    n = 512
+    inst = gen_planted("matrix", Banded(4), n, 2, seed=1)
+    P = sample_partition(banded_gt(n, 4, 0.25), seed=1)
+    tracemalloc.start()
+    try:
+        assert chain_inequality_check(inst.A, inst.W, P, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * n * n
 
 
 def test_batched_comparator_on_random_box_partitions():
