@@ -22,13 +22,13 @@ from . import tensor as tn
 from .errors import MaskedLRAError, ParameterError
 from .linalg import masked_cost
 
-# the example spec of each protocol family: the spec of the pattern that
-# make_pattern builds for the tag, or the builder of a family no pattern uses
+# each family's example spec: that of the pattern make_pattern builds for
+# the tag, or a builder for greater-than, the one family no pattern uses
 _FAMILY_SPECS = {
     "equality-hash": "diagonal", "eq-mod-p": "toeplitz-mod-p",
     "sparse-set-eq": "sparse", "greater-than": pr.greater_than,
     "banded-gt": "banded", "banded2d-gt": "banded-2d",
-    "monotone-gt": "monotone", "neq3-multiparty": pr.neq3_multiparty,
+    "monotone-gt": "monotone", "neq3-multiparty": "diagonal3",
 }
 FAMILIES = tuple(_FAMILY_SPECS)
 

@@ -6,8 +6,9 @@ order-3 ones (Diagonal3, SparseFaces); Explicit takes either. Each pattern
 class defines its pattern once: order is its number of axes, bitmap(n)
 evaluates the defining predicate, budget(k, eps, n) is the rank k' that its
 partition construction certifies, spec(n, eps) is the protocol of that
-construction, and the dataclass fields are its descriptor fields. PATTERNS
-maps each order-2 tag to its class.
+construction (Diagonal3's is the three-party neq3-multiparty; all-ones,
+explicit and sparse-faces masks have none), and the dataclass fields are
+its descriptor fields. PATTERNS maps each order-2 tag to its class.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ class Diagonal3(_Pattern):
         x = np.arange(n)
         eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
         return (~eq).astype(np.uint8)
+
+    def spec(self, n, eps):
+        return protocols.neq3_multiparty(n, eps)
 
 
 @dataclass(frozen=True)

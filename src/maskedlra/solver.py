@@ -10,7 +10,6 @@ protocol draw can weaken a certificate but not the returned factor.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -161,40 +160,34 @@ def verify_bicriteria(
 ) -> Certificate:
     """Run the exact zero-fill solver at the certified rank and check the bound.
 
-    k' comes from rank_budget for patterned masks, which draw no partition
-    (rectangle counts 0); an explicit mask's k' is k times the 1-rectangle
-    count of the partition drawn from spec with seed, whose counts the
-    certificate carries. A given spec must be an order-2 family on the
-    mask's n that computes the mask: on an explicit mask its target bitmap
-    is the mask's, and on a patterned one it is the pattern's own spec up
-    to delta. The terms are opt_upper, eps1 times the mass of A*W, and, for
-    two-sided protocol families only, eps2 = eps times the off-mask mass of
-    the supplied rank-k candidate. linalg.within decides at scale the mass
-    of A*W.
+    own is the mask pattern's spec at (n, eps), none for an explicit mask,
+    and spec defaults to it. The own spec, compared field by field, keeps
+    the pattern's closed-form k' and draws nothing (counts 0). Any other
+    order-2 spec on the mask's n whose target bitmap is the mask's is drawn
+    with seed: k' is k times its 1-rectangle count, and the counts are
+    recorded. Any other spec raises ParameterError. The terms are
+    opt_upper, eps1 times the mass of A*W, and, for two-sided families
+    only, eps2 = eps times the off-mask mass of the supplied rank-k
+    candidate. linalg.within decides at scale the mass of A*W.
     """
     if not isinstance(W, masks.Mask):
         raise ParameterError("bicriteria verification needs a structured mask")
+    masks._check_k_eps(k, eps)
     A = as_array(A, 2)
-    if spec is None:
-        spec = W.pattern.spec(W.n, eps)
+    own = None if isinstance(W.pattern, masks.Explicit) else W.pattern.spec(W.n, eps)
+    if spec is None and own is None:
+        raise ParameterError("an explicit mask needs the spec of a protocol that computes it")
+    spec = own if spec is None else spec
     if spec.n != W.n or protocols._order(spec) != 2:
         raise ParameterError(f"{spec.describe()} does not partition an n={W.n} matrix mask")
-    explicit = isinstance(W.pattern, masks.Explicit)
-    if explicit:
-        computes = np.array_equal(protocols.target_bitmap(spec), W.bitmap)
-    else:
-        # delta trades error for rectangles; every other field fixes the mask
-        own = W.pattern.spec(W.n, eps)
-        computes = replace(spec, delta=own.delta) == own
-    if not computes:
-        raise ParameterError(f"{spec.describe()} does not compute the {W.pattern.tag} mask")
-    if explicit:
-        masks._check_k_eps(k, eps)
+    if spec == own:
+        k_budget, counts = W.pattern.budget(k, eps, W.n), {}
+    elif np.array_equal(protocols.target_bitmap(spec), W.bitmap):
         P = protocols.sample_partition(spec, seed)
         counts = dict(one_count=P.one_count, rect_count=len(P.boxes))
         k_budget = k * max(1, P.one_count)
     else:
-        k_budget, counts = masks.rank_budget(W.pattern, k, eps, n=W.n), {}
+        raise ParameterError(f"{spec.describe()} does not compute the {W.pattern.tag} mask")
     k_prime = max(1, min(k_budget, min(A.shape)))
 
     one_sided = spec.family in protocols.ONE_SIDED_FAMILIES

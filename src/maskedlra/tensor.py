@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import protocols
+from . import masks, protocols
 from .errors import ParameterError
 from .linalg import (
     Certificate,
@@ -27,7 +27,7 @@ from .linalg import (
     within,
     zero_factor,
 )
-from .masks import Diagonal3
+from .masks import Diagonal3  # noqa: F401 - perfbench/workloads.py reads tensor.Diagonal3
 
 # cp_als stops once a sweep improves the fit by at most CP_TOL times ||T||_F^2
 CP_TOL = 1e-8
@@ -182,21 +182,22 @@ def verify_tensor_bicriteria(
     iters: int = 60,
     seed: int = 0,
 ) -> Certificate:
-    """Comparator-initialized CP-ALS on a Diagonal3 mask, checked two ways.
+    """Comparator-initialized CP-ALS on an order-3 mask, checked two ways.
 
-    The comparator comes from one draw of the three-party not-all-equal
-    protocol, and ALS from it runs at the comparator's width. The terms are
+    The comparator comes from one draw of the mask pattern's own order-3
+    spec, Diagonal3's three-party not-all-equal protocol (any other mask
+    raises ParameterError), and ALS from it runs at its width. The terms are
     eps1 = 2 * eps times the mass of A*W, and a slack of 1e-6 ||A||_F^2.
     satisfied needs the cost within both that bound and the comparator's
     cost, recorded in diagnostics["comparator_cost"], by linalg.within at
     scale ||A*W||^2. opt_upper is only recorded: the bound does not charge
     it.
     """
-    if getattr(W, "pattern", None) != Diagonal3():
-        raise ParameterError("the tensor route needs a Diagonal3 mask")
+    if not isinstance(W, masks.Mask):
+        raise ParameterError("the tensor route needs a structured mask")
+    P = protocols.multiparty_partition(W.pattern.spec(W.n, eps), seed=seed)
     A = as_array(A, 3)
     M = A * as_bitmap(W, np.float64, A.shape)
-    P = protocols.multiparty_partition(protocols.neq3_multiparty(W.n, eps), seed=seed)
     comp = tensor_comparator(A, W, P, k, inner_iters=iters, seed=seed)
     comp_cost = masked_cost(A, W, comp)
     k_prime = comp.U.shape[1]

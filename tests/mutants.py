@@ -76,8 +76,14 @@ MUTANTS = (
     (
         "verify_bicriteria accepts any spec",
         "src/maskedlra/solver.py",
-        "    if not computes:\n",
-        "    if False:\n",
+        "    elif np.array_equal(protocols.target_bitmap(spec), W.bitmap):\n",
+        "    elif True:\n",
+    ),
+    (
+        "a patterned mask keeps its closed form under any spec",
+        "src/maskedlra/solver.py",
+        "    if spec == own:\n",
+        "    if own is not None:\n",
     ),
     (
         "large-matrix residual unchecked",
@@ -86,9 +92,9 @@ MUTANTS = (
         "    if False:\n",
     ),
     (
-        "explicit-mask k and eps unchecked",
+        "verify_bicriteria k and eps unchecked",
         "src/maskedlra/solver.py",
-        "        masks._check_k_eps(k, eps)\n",
+        "    masks._check_k_eps(k, eps)\n",
         "",
     ),
     (

@@ -146,9 +146,14 @@ def test_tensor_tiny_eps_with_noise_fails():
 
 
 def test_tensor_verifier_needs_diagonal3():
+    # the route draws the mask pattern's own spec, which must be order-3
     inst = gen_planted("tensor3", harness.make_pattern("sparse-faces", 4, t=1), 4, 1, seed=0)
-    with pytest.raises(ParameterError):
-        verify_tensor_bicriteria(inst.A, inst.W, 1, 0.25)
+    cube = make_mask(Diagonal3(), 4).bitmap
+    for W in (inst.W, cube, make_mask(Explicit(cube), 4), make_mask(Diagonal(), 4)):
+        with pytest.raises(ParameterError):
+            verify_tensor_bicriteria(inst.A, W, 1, 0.25)
+    for n, delta in ((4, 0.25), (12, 1.0)):
+        assert harness.make_pattern("diagonal3", n).spec(n, delta) == neq3_multiparty(n, delta)
 
 
 # The bounds are homogeneous of degree 2 in A, so mapping A to c*A, opt_upper

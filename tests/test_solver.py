@@ -488,10 +488,74 @@ def test_verify_bicriteria_refuses_a_spec_that_does_not_compute_the_mask(pattern
     W = make_mask(pattern, 64)
     with pytest.raises(ParameterError, match="does not compute the"):
         verify_bicriteria(A, W, 2, 0.25, spec=spec, L_for_eps2=zero_factor(64, 64))
-    # delta aside, the pattern's own spec is accepted
+    # delta aside, the pattern's own spec computes the mask: certified from its draw
     if not isinstance(pattern, Explicit):
-        own = replace(pattern.spec(64, 0.25), delta=0.5)
-        verify_bicriteria(A, W, 2, 0.25, spec=own, L_for_eps2=zero_factor(64, 64))
+        other = replace(pattern.spec(64, 0.25), delta=0.5)
+        cert = verify_bicriteria(A, W, 2, 0.25, spec=other, L_for_eps2=zero_factor(64, 64))
+        P = sample_partition(other, 0)
+        assert cert.k_prime == min(2 * max(1, P.one_count), 64)
+        assert (cert.one_count, cert.rect_count) == (P.one_count, len(P.boxes))
+
+
+def test_verify_bicriteria_certifies_another_exact_spec_from_its_draw():
+    # the hashed protocol is ToeplitzModP(4)'s own spec at eps = 0.5; the
+    # exact residue protocol computes the same mask with 4 one-rectangles
+    inst = gen_planted("matrix", ToeplitzModP(4), 64, 2, noise_sigma=0.1, seed=1)
+    cert = verify_bicriteria(inst.A, inst.W, 2, 0.5, spec=eq_mod_p(64, 4),
+                             opt_upper=inst.opt_upper)
+    assert (cert.k_prime, cert.one_count) == (8, 4)
+    assert cert.coefficient("eps1") == 0.0
+    assert cert.satisfied
+
+
+def test_verify_bicriteria_certifies_diagonal_with_a_residue_protocol():
+    # eq-mod-p at p = n computes the diagonal mask: not refused, drawn
+    W = make_mask(Diagonal(), 32)
+    A = np.random.default_rng(0).standard_normal((32, 32))
+    cert = verify_bicriteria(A, W, 2, 0.5, spec=eq_mod_p(32, 32))
+    assert (cert.one_count, cert.rect_count) == (32, 64)
+    assert cert.k_prime == 32  # 2 * 32 clamped to n
+    assert cert.coefficient("eps1") == 0.0
+    assert cert.satisfied
+
+
+@pytest.mark.parametrize("tag", ["diagonal", "sparse", "toeplitz-mod-p", "banded",
+                                 "monotone", "banded-2d"])
+def test_verify_bicriteria_own_spec_given_is_the_default(tag):
+    pattern = make_pattern(tag, 64, seed=1)
+    inst = gen_planted("matrix", pattern, 64, 2, seed=1)
+    args = (inst.A, inst.W, 2, 0.25)
+    kwargs = dict(opt_upper=inst.opt_upper, L_for_eps2=inst.L_star, seed=1)
+    cert = verify_bicriteria(*args, spec=pattern.spec(64, 0.25), **kwargs)
+    assert cert == verify_bicriteria(*args, **kwargs)
+    assert cert.rect_count == cert.one_count == 0
+
+
+_AGREEMENT = [(tag, n, eps, seed)
+              for tag in ("diagonal", "block-diagonal", "sparse", "toeplitz-mod-p", "monotone",
+                          "banded-2d")
+              for n in (16, 64) for eps in (0.1, 0.25, 0.5, 1.0) for seed in range(3)]
+
+
+def _budget_and_draw(tag, n, eps, seed):
+    pattern = make_pattern(tag, n, seed=seed)
+    P = sample_partition(pattern.spec(n, eps), seed)
+    return rank_budget(pattern, 2, eps, n), 2 * P.one_count
+
+
+def test_closed_form_budgets_cover_the_own_spec_draw():
+    # the k' a patterned certificate takes without drawing is at least the
+    # one its own protocol's draw backs
+    cells = {cell: _budget_and_draw(*cell) for cell in _AGREEMENT}
+    assert len(cells) == 144
+    assert [cell for cell, (budget, drawn) in cells.items() if budget < drawn] == []
+
+
+def test_banded_closed_form_falls_below_its_draw():
+    # banded's closed form is not backed by its draw; this flips once a
+    # packing of disjoint 1-rectangles backs the banded budget
+    budget, drawn = _budget_and_draw("banded", 64, 0.25, 0)
+    assert budget == 32 < drawn
 
 
 @pytest.mark.parametrize("explicit, spec", [
@@ -654,6 +718,9 @@ def test_verify_bicriteria_on_an_explicit_mask_budgets_from_the_draw():
     assert cert.k_prime == 2 * cert.one_count == 4
     assert cert.rect_count == 4
     assert cert.satisfied
+    # an explicit mask has no spec of its own to default to
+    with pytest.raises(ParameterError, match="explicit mask needs the spec"):
+        verify_bicriteria(A, W, 2, 0.5)
 
 
 @pytest.mark.parametrize("k,eps", [(0, 0.5), (-3, 0.5), (2, 5.0), (2, -1.0)])
