@@ -3,12 +3,14 @@
 A mask is a binary array with n cells per axis: an n x n matrix W for the
 order-2 patterns (diagonal, banded, ...) and an n x n x n cube for the
 order-3 ones (Diagonal3, SparseFaces); Explicit takes either. Each pattern
-class defines its pattern once: order is its number of axes, bitmap(n)
-evaluates the defining predicate, budget(k, eps, n) is the rank k' that its
-partition construction certifies, spec(n, eps) is the protocol of that
-construction (Diagonal3's is the three-party neq3-multiparty; all-ones,
-explicit and sparse-faces masks have none), and the dataclass fields are
-its descriptor fields. PATTERNS maps each order-2 tag to its class.
+class defines its pattern once: order is its number of axes, bitmap(n) is
+its mask, budget(k, eps, n) is the rank k' that its partition construction
+certifies, spec(n, eps) is the protocol of that construction (Diagonal3's
+is the three-party neq3-multiparty; all-ones, explicit and sparse-faces
+masks have none), and the dataclass fields are its descriptor fields. A
+pattern with a one-sided protocol reads its mask off that protocol's
+decision run unhashed (protocols.target_bitmap); the others evaluate their
+defining predicate. PATTERNS maps each order-2 tag to its class.
 """
 
 from __future__ import annotations
@@ -63,10 +65,14 @@ def split_index(n: int) -> int:
 class _Pattern:
     """Base of the patterns: bitmap(n), budget(k, eps, n) with n None where
     the budget does not need it, and spec(n, eps); the last two are refused
-    here."""
+    here. bitmap(n) defaults to spec(n, 1.0) decided unhashed, where delta
+    has no effect."""
 
     tag = ""
     order = 2
+
+    def bitmap(self, n):
+        return protocols.target_bitmap(self.spec(n, 1.0))
 
     def budget(self, k: int, eps: float, n: int | None) -> int:
         raise ParameterError(f"no rank budget for {self.tag!r}: k' needs a drawn partition")
@@ -90,9 +96,6 @@ class AllOnes(_Pattern):
 class Diagonal(_Pattern):
     tag = "diagonal"
 
-    def bitmap(self, n):
-        return 1 - np.eye(n, dtype=np.uint8)
-
     def budget(self, k, eps, n):
         return k * math.ceil(1 / eps)
 
@@ -109,8 +112,7 @@ class BlockDiagonal(_Pattern):
 
     def bitmap(self, n):
         _check_partition(self.blocks, n, "blocks")
-        blk = block_index_map(self.blocks, n)
-        return (blk[:, None] != blk[None, :]).astype(np.uint8)
+        return super().bitmap(n)
 
     def budget(self, k, eps, n):
         return k * math.ceil(1 / eps)
@@ -126,18 +128,6 @@ class Sparse(_Pattern):
     zero_sets: tuple[tuple[int, ...], ...]
     t: int
     tag = "sparse"
-
-    def bitmap(self, n):
-        if len(self.zero_sets) != n:
-            raise ParameterError("zero_sets must have one entry per row")
-        W = np.ones((n, n), dtype=np.uint8)
-        for r, zs in enumerate(self.zero_sets):
-            if len(zs) > self.t:
-                raise ParameterError(f"row {r} has {len(zs)} zeros, t={self.t}")
-            if any(not 0 <= c < n for c in zs):
-                raise ParameterError(f"zero_sets[{r}] has an index outside 0..{n - 1}")
-            W[r, list(zs)] = 0
-        return W
 
     def budget(self, k, eps, n):
         return k * max(1, math.ceil(self.t / eps))
@@ -161,16 +151,12 @@ class BlockSparse(_Pattern):
         _check_partition(self.col_blocks, n, "col_blocks")
         if len(self.block_zero_sets) != len(self.row_blocks):
             raise ParameterError("block_zero_sets must have one entry per row block")
-        rb = block_index_map(self.row_blocks, n)
-        cb = block_index_map(self.col_blocks, n)
-        zero = np.zeros((len(self.row_blocks), len(self.col_blocks)), dtype=bool)
         for a, zs in enumerate(self.block_zero_sets):
             if len(zs) > self.t:
                 raise ParameterError(f"row block {a} has {len(zs)} zeros, t={self.t}")
             if any(not 0 <= c < len(self.col_blocks) for c in zs):
                 raise ParameterError(f"block_zero_sets[{a}] names a missing column block")
-            zero[a, list(zs)] = True
-        return (~zero[rb[:, None], cb[None, :]]).astype(np.uint8)
+        return super().bitmap(n)
 
     def budget(self, k, eps, n):
         return k * max(1, math.ceil(self.t / eps))
@@ -186,11 +172,6 @@ class BlockSparse(_Pattern):
 class ToeplitzModP(_Pattern):
     p: int
     tag = "toeplitz-mod-p"
-
-    def bitmap(self, n):
-        _check_p(self.p, n)
-        i, j = np.ogrid[:n, :n]
-        return ((i - j) % self.p != 0).astype(np.uint8)
 
     def budget(self, k, eps, n):
         return min(k * self.p, k * math.ceil(1 / eps))
@@ -297,11 +278,6 @@ class Diagonal3(_Pattern):
     tag = "diagonal3"
     order = 3
 
-    def bitmap(self, n):
-        x = np.arange(n)
-        eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
-        return (~eq).astype(np.uint8)
-
     def spec(self, n, eps):
         return protocols.neq3_multiparty(n, eps)
 
@@ -366,7 +342,7 @@ class Mask:
 
 
 def make_mask(pattern: MaskPattern, n: int) -> Mask:
-    """Evaluate the pattern's defining predicate at every cell."""
+    """The pattern's mask at every cell, with its zero counts."""
     if n < 1:
         raise ParameterError(f"n={n} must be positive")
     if not isinstance(pattern, _Pattern):

@@ -132,10 +132,14 @@ def sparse_set_eq(n: int, zero_sets, t: int, delta: float, col_groups=None) -> P
         raise ParameterError("zero_sets must have one entry per row")
     if any(len(row) > t for row in zs):
         raise ParameterError(f"a zero set exceeds t={t}")
+    for r, row in enumerate(zs):
+        if any(not 0 <= c < n for c in row):
+            raise ParameterError(f"zero_sets[{r}] has an index outside 0..{n - 1}")
     if col_groups is not None:
+        # non-negative, so that no column's id meets the -1 padding of _one_sided
         col_groups = tuple(int(g) for g in col_groups)
-        if len(col_groups) != n:
-            raise ParameterError("col_groups must assign an id to every column")
+        if len(col_groups) != n or min(col_groups, default=0) < 0:
+            raise ParameterError("col_groups must assign a non-negative id to every column")
     return ProtocolSpec("sparse-set-eq", n, delta, t=t, zero_sets=zs, col_groups=col_groups)
 
 
@@ -436,17 +440,22 @@ def _cap_gt(domain: int, delta: float) -> int:
     return 2 ** (2 * r * w)
 
 
+def _hash_range(spec: ProtocolSpec) -> int | None:
+    """Buckets of a one-sided family's shared hash; None for exact eq-mod-p,
+    which announces residues unhashed."""
+    if spec.family == "sparse-set-eq":
+        return max(1, math.ceil(spec.t / spec.delta))
+    if spec.family == "neq3-multiparty":
+        return math.ceil(2 / spec.delta) if spec.delta < 1 else 1
+    return math.ceil(1 / spec.delta) if spec.delta else None
+
+
 def transcript_cap(spec: ProtocolSpec) -> int:
     """Declared cap on the number of rectangles the family may produce."""
     f = spec.family
-    if f == "equality-hash":
-        return 2 * math.ceil(1 / spec.delta)
-    if f == "eq-mod-p":
-        return 2 * spec.p
-    if f == "sparse-set-eq":
-        return 2 * max(1, math.ceil(spec.t / spec.delta))
-    if f == "neq3-multiparty":
-        return 4 * (math.ceil(2 / spec.delta) if spec.delta < 1 else 1)
+    if f in ONE_SIDED_FAMILIES:
+        # sender classes times one reply bit per receiver; eq-mod-p's are residues
+        return (spec.p if f == "eq-mod-p" else _hash_range(spec)) * 2 ** (_order(spec) - 1)
     if f == "greater-than":
         return _cap_gt(spec.n, spec.delta)
     if f == "banded-gt":
@@ -472,27 +481,26 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
     output. The transcript code is s followed by the bits, so one s and one
     bit per receiver single out a rectangle: the sender's indices in bucket
     s times each receiver's indices that give its bit. idx and keys are as
-    for _decide; every key is drawn here, before reply is called.
+    for _decide; a hashed run draws its one key here, even with one bucket.
+    keys None runs the family unhashed, drawing no key: every value is its
+    own bucket, so the output is the family's mask (target_bitmap).
     """
     f = spec.family
     n = spec.n
+    B = _hash_range(spec)
+    key = keys(1)[0] if keys is not None and B else None
+
+    def bucket(vals):
+        return vals if key is None else _hash_buckets(vals, key, B)
 
     if f in ("equality-hash", "eq-mod-p"):
-        # u != v through one shared hash; exact eq-mod-p compares residues.
-        # A hashed run draws one key, even with one bucket, where every value
-        # hashes to 0 and the output is 0.
+        # u != v through one shared hash; exact eq-mod-p compares residues
         if f == "equality-hash":
             vals = np.asarray(spec.groups if spec.groups is not None else np.arange(n),
                               dtype=np.int64)
-            buckets = math.ceil(1 / spec.delta)
         else:
             vals = np.arange(n, dtype=np.int64) % spec.p
-            buckets = math.ceil(1 / spec.delta) if spec.delta else None
-        u, v = vals[idx[0]], vals[idx[1]]
-        if buckets:
-            key = keys(1)[0]
-            u = _hash_buckets(u, key, buckets)
-            v = _hash_buckets(v, key, buckets)
+        u, v = bucket(vals[idx[0]]), bucket(vals[idx[1]])
         return 0, u, lambda s: [(v != s).astype(np.uint8)], lambda bits: bits[0]
 
     if f == "sparse-set-eq":
@@ -500,16 +508,13 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
         # holds a member of its zero set
         cols = np.asarray(spec.col_groups if spec.col_groups is not None
                           else np.arange(n), dtype=np.int64)
-        B = max(1, math.ceil(spec.t / spec.delta))
-        key = keys(1)[0]
         # zero sets padded with -1 into an (n, t) table, hashed one slot at a
-        # time; a padded slot stays -1, which no bucket equals
+        # time; a padded slot stays -1, which no bucket or column id equals
         Z = np.full((n, max(map(len, spec.zero_sets), default=0)), -1, dtype=np.int64)
         for r, zs in enumerate(spec.zero_sets):
             Z[r, :len(zs)] = zs
         x = idx[0]
-        hz = [np.where(z >= 0, _hash_buckets(z, key, B), -1)
-              for z in np.moveaxis(Z[x], -1, 0)]
+        hz = [np.where(z >= 0, bucket(z), -1) for z in np.moveaxis(Z[x], -1, 0)]
 
         def reply(s):
             hit = np.zeros(np.broadcast_shapes(x.shape, np.shape(s)), dtype=bool)
@@ -517,13 +522,11 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
                 hit |= h == s
             return [(~hit).astype(np.uint8)]
 
-        return 1, _hash_buckets(cols[idx[1]], key, B), reply, lambda bits: bits[0]
+        return 1, bucket(cols[idx[1]]), reply, lambda bits: bits[0]
 
     # neq3-multiparty: the other two parties each say whether their bucket
     # is the first's
-    B = math.ceil(2 / spec.delta) if spec.delta < 1 else 1
-    key = keys(1)[0]
-    h = [_hash_buckets(i, key, B) for i in idx]
+    h = [bucket(i) for i in idx]
 
     def reply(s):
         return [(h[1] == s).astype(np.uint8), (h[2] == s).astype(np.uint8)]
@@ -543,8 +546,9 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
     keys only, in call order, so one run of this function is one protocol
     run per cell: shared by all cells when s is all ones (the grid), or
     independent per cell when s is the sample shape (error-rate sampling).
-    codes is None instead of built when codes is False; the keys drawn and
-    the outputs are the same either way.
+    keys None, for the one-sided families only, runs them unhashed (see
+    _one_sided). codes is None instead of built when codes is False; the
+    keys drawn and the outputs are the same either way.
     """
     f = spec.family
     n = spec.n
@@ -634,6 +638,11 @@ def _shared_keys(spec: ProtocolSpec, seed: int, ndim: int):
     return keys
 
 
+def _grid(spec: ProtocolSpec):
+    """One int64 index array per party, on its own axis of an open grid."""
+    return np.ix_(*[np.arange(spec.n, dtype=np.int64)] * _order(spec))
+
+
 def _transcript_grid(spec: ProtocolSpec, seed: int, codes: bool = True):
     """(codes, labels) on the full grid of the family's order; codes is None
     unless asked for."""
@@ -642,8 +651,7 @@ def _transcript_grid(spec: ProtocolSpec, seed: int, codes: bool = True):
         raise ResourceError(
             f"n={spec.n} exceeds the enumeration cap: {spec.n}^{order} cells > {ENUM_CELLS}"
         )
-    idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
-    return _decide(spec, idx, _shared_keys(spec, seed, order), codes)
+    return _decide(spec, _grid(spec), _shared_keys(spec, seed, order), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +858,7 @@ def _bucket_products(spec: ProtocolSpec, seed: int) -> Boxes:
     indices giving its bit. Empty classes are skipped, as they have no cell.
     """
     order = _order(spec)
-    idx = np.ix_(*[np.arange(spec.n, dtype=np.int64)] * order)
-    sender, s, reply, label = _one_sided(spec, idx, _shared_keys(spec, seed, order))
+    sender, s, reply, label = _one_sided(spec, _grid(spec), _shared_keys(spec, seed, order))
     s = s.ravel()
     labels, sets = [], []
     for b in np.unique(s):
@@ -915,28 +922,18 @@ def partition_bitmap(sample: PartitionSample) -> np.ndarray:
 
 
 def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
-    """The mask the protocol family is meant to compute."""
+    """The mask the protocol family is meant to compute: a one-sided
+    family's decision run unhashed, which also defines its patterns' masks,
+    or a greater-than family's pattern predicate, which walks no tree."""
     n = spec.n
     f = spec.family
-    if f == "equality-hash" and spec.groups is not None:
-        g = np.asarray(spec.groups)
-        return (g[:, None] != g[None, :]).astype(np.uint8)
-    if f == "sparse-set-eq":
-        cols = np.asarray(spec.col_groups if spec.col_groups is not None
-                          else np.arange(n), dtype=np.int64)
-        W = np.ones((n, n), dtype=np.uint8)
-        for r, zs in enumerate(spec.zero_sets):
-            if zs:
-                W[r] &= (~np.isin(cols, np.asarray(zs))).astype(np.uint8)
-        return W
+    if f in ONE_SIDED_FAMILIES:
+        return _decide(spec, _grid(spec), None, codes=False)[1]
     patterns = {
-        "equality-hash": masks.Diagonal,
-        "eq-mod-p": lambda: masks.ToeplitzModP(spec.p),
         "greater-than": lambda: masks.Monotone(tuple(range(n))),
         "banded-gt": lambda: masks.Banded(spec.p),
         "banded2d-gt": lambda: masks.Banded2D(spec.p),
         "monotone-gt": lambda: masks.Monotone(spec.prefix_lengths),
-        "neq3-multiparty": masks.Diagonal3,
     }
     if f not in patterns:
         raise ParameterError(f"unknown family {f!r}")

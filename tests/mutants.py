@@ -104,6 +104,12 @@ MUTANTS = (
         "        f.result()\n",
     ),
     (
+        "target_bitmap runs the hashed decision",
+        "src/maskedlra/protocols.py",
+        "_decide(spec, _grid(spec), None, codes=False)",
+        "_decide(spec, _grid(spec), _shared_keys(spec, 0, _order(spec)), codes=False)",
+    ),
+    (
         "report passes a sweep that runs no cell",
         "src/maskedlra/cli.py",
         "    if not report.rows:\n",

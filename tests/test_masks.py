@@ -10,6 +10,7 @@ from maskedlra import (
     BlockDiagonal,
     BlockSparse,
     Diagonal,
+    Diagonal3,
     Explicit,
     Monotone,
     ParameterError,
@@ -19,6 +20,7 @@ from maskedlra import (
     make_mask,
     rank_budget,
 )
+from maskedlra.protocols import target_bitmap
 
 
 def test_diagonal_zeros():
@@ -98,6 +100,76 @@ def test_bitmaps_match_brute_force_larger():
     for pattern in (Diagonal(), Banded(5), ToeplitzModP(7), Banded2D(3)):
         W = make_mask(pattern, 64)
         assert np.array_equal(W.bitmap, _brute_bitmap(pattern, 64)), pattern
+
+
+def _blocks(n: int, count: int):
+    """min(n, count) contiguous blocks that partition 0..n-1."""
+    count = min(n, count)
+    return tuple(tuple(range(b * n // count, (b + 1) * n // count)) for b in range(count))
+
+
+def _block_ids(blocks, n: int) -> np.ndarray:
+    ids = np.empty(n, dtype=np.int64)
+    for b, blk in enumerate(blocks):
+        ids[list(blk)] = b
+    return ids
+
+
+def _reference_bitmap(pattern, n: int) -> np.ndarray:
+    """The one-sided patterns' predicates written directly, independent of
+    the protocol decisions that their masks are read off."""
+    if isinstance(pattern, Diagonal):
+        return 1 - np.eye(n, dtype=np.uint8)
+    if isinstance(pattern, BlockDiagonal):
+        blk = _block_ids(pattern.blocks, n)
+        return (blk[:, None] != blk[None, :]).astype(np.uint8)
+    if isinstance(pattern, Sparse):
+        W = np.ones((n, n), dtype=np.uint8)
+        for r, zs in enumerate(pattern.zero_sets):
+            W[r, list(zs)] = 0
+        return W
+    if isinstance(pattern, BlockSparse):
+        zero = np.zeros((len(pattern.row_blocks), len(pattern.col_blocks)), dtype=bool)
+        for a, zs in enumerate(pattern.block_zero_sets):
+            zero[a, list(zs)] = True
+        rb, cb = _block_ids(pattern.row_blocks, n), _block_ids(pattern.col_blocks, n)
+        return (~zero[rb[:, None], cb[None, :]]).astype(np.uint8)
+    if isinstance(pattern, ToeplitzModP):
+        i, j = np.ogrid[:n, :n]
+        return ((i - j) % pattern.p != 0).astype(np.uint8)
+    assert isinstance(pattern, Diagonal3)
+    x = np.arange(n)
+    eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
+    return (~eq).astype(np.uint8)
+
+
+def _one_sided_patterns(n: int):
+    rng = np.random.default_rng(n)
+    rows, cols = _blocks(n, 3), _blocks(n, 4)
+    patterns = [Diagonal()]
+    patterns += [BlockDiagonal(_blocks(n, b)) for b in (1, 2, 5)]
+    patterns += [Sparse(tuple(tuple(sorted(rng.choice(n, min(n, t), replace=False).tolist()))
+                              for _ in range(n)), t) for t in (0, 2)]
+    patterns.append(BlockSparse(rows, cols, tuple(
+        tuple(sorted(rng.choice(len(cols), min(len(cols), 2), replace=False).tolist()))
+        for _ in rows), 2))
+    patterns += [ToeplitzModP(min(n, p)) for p in (1, 2, 4)]
+    return patterns + ([Diagonal3()] if n <= 16 else [])
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_one_sided_masks_match_reference_predicates(n):
+    """The masks that the one-sided patterns read off their protocols'
+    unhashed decisions equal their predicates, byte for byte, and so does
+    target_bitmap of the pattern's spec at any eps."""
+    for pattern in _one_sided_patterns(n):
+        want = _reference_bitmap(pattern, n)
+        got = make_mask(pattern, n).bitmap
+        assert got.dtype == np.uint8 and got.shape == want.shape, pattern
+        assert got.tobytes() == want.tobytes(), pattern
+        for eps in (0.1, 0.5, 1.0):
+            target = target_bitmap(pattern.spec(n, eps))
+            assert target.dtype == np.uint8 and target.tobytes() == want.tobytes(), (pattern, eps)
 
 
 def test_diagonal_equivalences():

@@ -192,14 +192,21 @@ def test_one_sided_families_never_mislabel_zeros():
     zs = tuple(tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))) for _ in range(n))
     specs = [
         equality_hash(n, 0.25),
+        equality_hash(n, 0.25, groups=rng.integers(0, 5, size=n)),
         eq_mod_p(n, 4, delta=0.5),
         sparse_set_eq(n, zs, 2, 0.5),
+        sparse_set_eq(n, zs, 2, 0.5, col_groups=rng.integers(0, n, size=n)),
+        neq3_multiparty(n, 0.25),
     ]
     for spec in specs:
         assert spec.family in ONE_SIDED_FAMILIES
         W = target_bitmap(spec)
+        assert W.any() and not W.all(), spec.family
         for seed in range(6):
-            Wp = protocol_matrix(spec, seed=seed).bitmap
+            if spec.family == "neq3-multiparty":
+                Wp = protocol_cube(spec, seed=seed)
+            else:
+                Wp = protocol_matrix(spec, seed=seed).bitmap
             assert not (Wp & (1 - W)).any(), (spec.family, seed)
 
 
@@ -1167,7 +1174,10 @@ def test_order3_partition_matches_protocol_cube():
     (lambda: equality_hash(4, 0.5, groups=(0, 1)), "groups must assign an id to every index"),
     (lambda: sparse_set_eq(4, ((),) * 3, 1, 0.5), "zero_sets must have one entry per row"),
     (lambda: sparse_set_eq(2, ((0, 1), ()), 1, 0.5), "a zero set exceeds t=1"),
+    (lambda: sparse_set_eq(2, ((5,), ()), 1, 0.5), r"zero_sets\[0\] has an index outside 0..1"),
+    (lambda: sparse_set_eq(2, ((), (-1,)), 1, 0.5), r"zero_sets\[1\] has an index outside 0..1"),
     (lambda: sparse_set_eq(2, ((), ()), 1, 0.5, col_groups=(0,)), "col_groups must assign"),
+    (lambda: sparse_set_eq(2, ((), ()), 1, 0.5, col_groups=(0, -1)), "non-negative id"),
     (lambda: monotone_gt((0, 3), 0.5), "prefix lengths must lie in 0..n"),
 ])
 def test_bad_protocol_spec_is_a_parameter_error(build, match):
