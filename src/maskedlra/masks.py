@@ -46,8 +46,10 @@ def _check_partition(blocks, n: int, field: str) -> None:
         raise ParameterError(f"{field} contains an empty block")
 
 
-def block_index_map(blocks, n: int) -> np.ndarray:
-    """Array mapping each index to the id of its block."""
+def block_index_map(blocks, n: int, field: str = "blocks") -> np.ndarray:
+    """Array mapping each index to the id of its block; blocks must
+    partition 0..n-1 (ParameterError naming field otherwise)."""
+    _check_partition(blocks, n, field)
     out = np.empty(n, dtype=np.int64)
     for b, blk in enumerate(blocks):
         out[list(blk)] = b
@@ -110,10 +112,6 @@ class BlockDiagonal(_Pattern):
     blocks: tuple[tuple[int, ...], ...]
     tag = "block-diagonal"
 
-    def bitmap(self, n):
-        _check_partition(self.blocks, n, "blocks")
-        return super().bitmap(n)
-
     def budget(self, k, eps, n):
         return k * math.ceil(1 / eps)
 
@@ -146,9 +144,12 @@ class BlockSparse(_Pattern):
     t: int
     tag = "block-sparse"
 
-    def bitmap(self, n):
-        _check_partition(self.row_blocks, n, "row_blocks")
-        _check_partition(self.col_blocks, n, "col_blocks")
+    def budget(self, k, eps, n):
+        return k * max(1, math.ceil(self.t / eps))
+
+    def spec(self, n, eps):
+        rb = block_index_map(self.row_blocks, n, "row_blocks")
+        cb = block_index_map(self.col_blocks, n, "col_blocks")
         if len(self.block_zero_sets) != len(self.row_blocks):
             raise ParameterError("block_zero_sets must have one entry per row block")
         for a, zs in enumerate(self.block_zero_sets):
@@ -156,15 +157,7 @@ class BlockSparse(_Pattern):
                 raise ParameterError(f"row block {a} has {len(zs)} zeros, t={self.t}")
             if any(not 0 <= c < len(self.col_blocks) for c in zs):
                 raise ParameterError(f"block_zero_sets[{a}] names a missing column block")
-        return super().bitmap(n)
-
-    def budget(self, k, eps, n):
-        return k * max(1, math.ceil(self.t / eps))
-
-    def spec(self, n, eps):
-        rb = block_index_map(self.row_blocks, n)
         zero_sets = tuple(self.block_zero_sets[rb[i]] for i in range(n))
-        cb = block_index_map(self.col_blocks, n)
         return protocols.sparse_set_eq(n, zero_sets, self.t, eps, col_groups=cb)
 
 
@@ -348,10 +341,18 @@ def make_mask(pattern: MaskPattern, n: int) -> Mask:
     if not isinstance(pattern, _Pattern):
         raise ParameterError(f"unknown pattern {pattern!r}")
     bitmap = pattern.bitmap(n)
-    zeros = (bitmap == 0)
+    return Mask(n, pattern, bitmap, zero_counts(bitmap))
+
+
+def zero_counts(bitmap: np.ndarray) -> ZeroCounts:
+    """Zero counts of a 0/1 bitmap: per index of an axis, the cells there
+    less their sum, so no temporary of the bitmap's size is made."""
     rest = tuple(range(2, bitmap.ndim))
-    counts = ZeroCounts(zeros.sum(axis=(1,) + rest), zeros.sum(axis=(0,) + rest))
-    return Mask(n, pattern, bitmap, counts)
+    cells = bitmap.size
+    return ZeroCounts(
+        cells // bitmap.shape[0] - bitmap.sum(axis=(1,) + rest, dtype=np.int64),
+        cells // bitmap.shape[1] - bitmap.sum(axis=(0,) + rest, dtype=np.int64),
+    )
 
 
 def rank_budget(pattern: MaskPattern, k: int, eps: float, n: int | None = None) -> int:

@@ -29,8 +29,10 @@ further CPU, inline on one CPU, and both loops' results are the same on
 any thread count. A partition or a cover takes its rectangles only as
 Boxes: a label per box and, per axis, int64 offsets into one int64 index
 array (CSR).
-Certificates, comparators, bitmaps and dumps read those arrays, and
-Rectangle objects are views built only when .rectangles is read.
+Certificates, comparators, bitmaps and dumps read those arrays.
+.rectangles is a read-only sequence view over the boxes: its len() is the
+box count, and Rectangle objects are built one at a time, only when it is
+indexed or iterated.
 Nondeterministic covers are built directly from their witness structure.
 assemble checks a partition's or cover's n and order against the data and
 places its comparator's fits one shape group (Boxes.groups) at a time.
@@ -51,7 +53,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -63,9 +67,10 @@ from .linalg import as_bitmap
 
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
-# order 2, n <= 256 at order 3. A banded-gt partition peaked at 21 to 22
-# traced bytes per cell for n = 512 to 2048 (the transcript grid's own peak;
-# grouping it into CSR arrays adds less), about 0.37 GB at the cap
+# order 2, n <= 256 at order 3. A banded-gt partition peaked at 22.1 traced
+# bytes per cell at n = 512 and 17.5 at n = 2048 (the grid's codes and
+# labels, held while the grouping sorts and splits them), about 0.29 GB at
+# the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, and samples per error-rate
@@ -476,14 +481,15 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
 
     Party number sender announces its bucket, or its residue for exact
     eq-mod-p: s holds it for each of idx[sender]. Every other party answers
-    with one bit: reply(s) returns their bits in party order, each
-    broadcasting against s and that party's indices, and label(bits) is the
-    output. The transcript code is s followed by the bits, so one s and one
-    bit per receiver single out a rectangle: the sender's indices in bucket
-    s times each receiver's indices that give its bit. idx and keys are as
-    for _decide; a hashed run draws its one key here, even with one bucket.
-    keys None runs the family unhashed, drawing no key: every value is its
-    own bucket, so the output is the family's mask (target_bitmap).
+    with one bit: reply(s) returns their bits in party order, as uint8 views
+    of bool arrays, each broadcasting against s and that party's indices,
+    and label(bits) is the output. The transcript code is s followed by the
+    bits, so one s and one bit per receiver single out a rectangle: the
+    sender's indices in bucket s times each receiver's indices that give
+    its bit. idx and keys are as for _decide; a hashed run draws its one
+    key here, even with one bucket. keys None runs the family unhashed,
+    drawing no key: every value is its own bucket, so the output is the
+    family's mask (target_bitmap).
     """
     f = spec.family
     n = spec.n
@@ -501,7 +507,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
         else:
             vals = np.arange(n, dtype=np.int64) % spec.p
         u, v = bucket(vals[idx[0]]), bucket(vals[idx[1]])
-        return 0, u, lambda s: [(v != s).astype(np.uint8)], lambda bits: bits[0]
+        return 0, u, lambda s: [(v != s).view(np.uint8)], lambda bits: bits[0]
 
     if f == "sparse-set-eq":
         # the column announces its bucket; the row answers 0 when that bucket
@@ -520,7 +526,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
             hit = np.zeros(np.broadcast_shapes(x.shape, np.shape(s)), dtype=bool)
             for h in hz:
                 hit |= h == s
-            return [(~hit).astype(np.uint8)]
+            return [np.logical_not(hit, out=hit).view(np.uint8)]
 
         return 1, bucket(cols[idx[1]]), reply, lambda bits: bits[0]
 
@@ -529,7 +535,7 @@ def _one_sided(spec: ProtocolSpec, idx, keys):
     h = [bucket(i) for i in idx]
 
     def reply(s):
-        return [(h[1] == s).astype(np.uint8), (h[2] == s).astype(np.uint8)]
+        return [(h[1] == s).view(np.uint8), (h[2] == s).view(np.uint8)]
 
     return 0, h[0], reply, lambda bits: 1 - (bits[0] & bits[1])
 
@@ -580,8 +586,11 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
         c2, o2 = gt(x + p - 1, y, m, d, keys, direction="b>a")
         # both calls run on every cell, and the second is read only where the
         # first said "no"; greater-than codes are >= 1, so 0 marks it unread
-        pairs = _pair_codes(c1, np.where(o1 == 1, 0, c2)) if codes else None
-        return pairs, np.where(o1 == 1, np.uint8(1), o2).astype(np.uint8)
+        out = o1 | o2
+        if not codes:
+            return None, out
+        np.copyto(c2, 0, where=o1.view(bool))
+        return _pair_codes(c1, c2), out
 
     if f == "banded2d-gt":
         p = spec.p
@@ -678,8 +687,8 @@ class Boxes:
 
     Box i has label labels[i] (uint8) and, on axis a, the index set
     index[a][offsets[a][i]:offsets[a][i + 1]]; index and offsets are int64.
-    Partitions, covers, dumps and comparators read these arrays, and
-    Rectangle objects are built only by rectangles().
+    Partitions, covers, dumps and comparators read these arrays; a box
+    becomes a Rectangle only when a _Rectangles view is indexed or iterated.
     """
 
     labels: np.ndarray
@@ -710,9 +719,6 @@ class Boxes:
         for i, label in enumerate(self.labels.tolist()):
             yield label, tuple(ix[b[i]:b[i + 1]] for ix, b in zip(self.index, bounds))
 
-    def rectangles(self) -> list[Rectangle]:
-        return [Rectangle(sets[0], sets[1], label, *sets[2:]) for label, sets in self.each()]
-
     def groups(self, members: np.ndarray):
         """The boxes members (ascending indices) grouped by shape: per
         distinct tuple of sizes, the group's indices and ix, where X[ix]
@@ -729,13 +735,41 @@ class Boxes:
                 for a, size in enumerate(shape))
 
 
-class _Packed:
-    """A partition or cover of Boxes: rectangles holds Rectangle views of
-    the boxes, built on first access."""
+def _rectangle(label: int, sets) -> Rectangle:
+    return Rectangle(sets[0], sets[1], label, *sets[2:])
 
-    @functools.cached_property
-    def rectangles(self) -> list[Rectangle]:
-        return self.boxes.rectangles()
+
+class _Rectangles(Sequence):
+    """A read-only sequence view of Boxes as Rectangle objects.
+
+    len() is the box count. Indexing or iterating builds one Rectangle at a
+    time, whose index sets are views into the boxes' arrays, and keeps none.
+    """
+
+    def __init__(self, boxes: Boxes):
+        self.boxes = boxes
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, i) -> Rectangle:
+        B = self.boxes
+        i = range(len(B))[operator.index(i)]  # IndexError outside, negatives from the end
+        return _rectangle(int(B.labels[i]),
+                          tuple(ix[o[i]:o[i + 1]] for ix, o in zip(B.index, B.offsets)))
+
+    def __iter__(self):
+        for label, sets in self.boxes.each():
+            yield _rectangle(label, sets)
+
+
+class _Packed:
+    """A partition or cover of Boxes: rectangles is a _Rectangles view of
+    the boxes, so reading it builds nothing until it is indexed or iterated."""
+
+    @property
+    def rectangles(self) -> _Rectangles:
+        return _Rectangles(self.boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -759,10 +793,13 @@ _CODE_DTYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32)
 
 
 def _narrow(codes: np.ndarray) -> np.ndarray:
-    """codes in the narrowest integer dtype that holds all of them, order kept."""
+    """codes in the narrowest integer dtype that holds all of them, order
+    kept; codes itself, with no copy, when no narrower dtype does."""
     lo, hi = int(codes.min()), int(codes.max())
     for dt in _CODE_DTYPES:
         info = np.iinfo(dt)
+        if info.bits >= 8 * codes.itemsize:
+            break
         if info.min <= lo and hi <= info.max:
             return codes.astype(dt)
     return codes
@@ -772,16 +809,17 @@ def _group_cells(codes: np.ndarray, labels: np.ndarray) -> Boxes:
     """Boxes of the cells' transcript classes, in code order.
 
     One stable argsort of the narrowed codes lists each class's cells
-    together, in C order, as flat positions; the label must not change
-    inside a class. Then, one axis at a time, _split_axis reads each class
-    off its sorted cells as its index set on that axis times a set of
-    positions over the axes after it, which are again in C order for the
-    next axis. Every class must be such a product on every axis, so it is
-    exactly the box of its index sets.
+    together, in C order, as flat positions, held in int32 when they fit;
+    the label must not change inside a class. Then, one axis at a time,
+    _split_axis reads each class off its sorted cells as its index set on
+    that axis times a set of positions over the axes after it, which are
+    again in C order for the next axis. Every class must be such a product
+    on every axis, so it is exactly the box of its index sets.
     """
     shape = codes.shape
     flat = _narrow(codes.ravel())
-    pos = np.argsort(flat, kind="stable")
+    it = np.int32 if flat.size < 2**31 else np.int64
+    pos = np.argsort(flat, kind="stable").astype(it, copy=False)
     flat = flat[pos]
     new = np.empty(pos.size, dtype=bool)
     new[:1] = True
@@ -794,7 +832,6 @@ def _group_cells(codes: np.ndarray, labels: np.ndarray) -> Boxes:
     label = lab[starts]
     del new, lab
     index, offsets = [], []
-    it = np.int32 if pos.size < 2**31 else np.int64
     for a in range(len(shape) - 1):
         inner = math.prod(shape[a + 1:])
         hi = np.floor_divide(pos, inner, out=np.empty(pos.size, it), casting="unsafe")
@@ -901,7 +938,9 @@ def protocol_matrix(spec: ProtocolSpec, seed: int = 0) -> masks.Mask:
     if _order(spec) != 2:
         raise ParameterError("order-3 output is a cube; use protocol_cube")
     _, labels = _transcript_grid(spec, seed, codes=False)
-    return masks.make_mask(masks.Explicit(labels), spec.n)
+    # one grid, the pattern's cells and the mask's bitmap both, so read-only
+    labels.flags.writeable = False
+    return masks.Mask(spec.n, masks.Explicit(labels), labels, masks.zero_counts(labels))
 
 
 def protocol_cube(spec: ProtocolSpec, seed: int = 0) -> np.ndarray:
@@ -1018,8 +1057,8 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
     if kind == "neq-blocks":
         if blocks is None:
             raise ParameterError("neq-blocks needs the block partition")
-        target = masks.BlockDiagonal(blocks).bitmap(n)  # checks the partition
-        blk = masks.block_index_map(blocks, n)
+        blk = masks.block_index_map(blocks, n)  # checks the partition
+        target = masks.BlockDiagonal(blocks).bitmap(n)
         nb = len(blocks)
         if nb < 2:
             raise ParameterError("need at least two blocks")

@@ -31,16 +31,26 @@ from .linalg import (
 )
 
 
+def _identity(m: int) -> np.ndarray:
+    """The m x m identity as a read-only view of 2m + 1 values: item (i, j)
+    is one[m + j - i], which is 1 only where j = i."""
+    one = np.zeros(2 * m + 1)
+    one[m] = 1.0
+    return np.lib.stride_tricks.as_strided(one[m:], (m, m), (-one.itemsize, one.itemsize),
+                                           writeable=False)
+
+
 class _FullRank(LowRankFactor):
     """A matrix M as (M, I) when n >= m and as (I, M.T) otherwise, read
-    back by value() with no product. A factor is never wider than its
-    matrix: masked_lra's fit at k' = min(n, m) and a comparator whose fits
-    are at least that wide are held this way."""
+    back by value() with no product. I is _identity's O(n) view, so M is
+    the one n x m array held. A factor is never wider than its matrix:
+    masked_lra's fit at k' = min(n, m) and a comparator whose fits are at
+    least that wide are held this way."""
 
     @classmethod
     def of(cls, M: np.ndarray, rank_bound: int, meta: dict) -> _FullRank:
         n, m = M.shape
-        return cls(*((M, np.eye(m)) if n >= m else (np.eye(n), M.T)), rank_bound, meta)
+        return cls(*((M, _identity(m)) if n >= m else (_identity(n), M.T)), rank_bound, meta)
 
     def value(self) -> np.ndarray:
         M = self.U if self.U.shape[0] >= self.V.shape[0] else self.V.T

@@ -110,6 +110,18 @@ MUTANTS = (
         "_decide(spec, _grid(spec), _shared_keys(spec, 0, _order(spec)), codes=False)",
     ),
     (
+        "rectangles built eagerly as a list",
+        "src/maskedlra/protocols.py",
+        "        return _Rectangles(self.boxes)\n",
+        "        return list(_Rectangles(self.boxes))\n",
+    ),
+    (
+        "block_index_map skips the partition check",
+        "src/maskedlra/masks.py",
+        "    _check_partition(blocks, n, field)\n",
+        "",
+    ),
+    (
         "report passes a sweep that runs no cell",
         "src/maskedlra/cli.py",
         "    if not report.rows:\n",

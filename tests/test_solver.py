@@ -83,6 +83,9 @@ def test_masked_lra_full_rank_returns_the_zero_fill(monkeypatch, shape):
     assert masked_cost(A, W, L) == 0.0
     assert L.U.shape[1] == L.rank_bound == min(shape)
     assert L.meta["svd_driver"] == "none"
+    # the zero fill is one factor, the identity the other, a read-only view
+    I = L.V if shape[0] >= shape[1] else L.U
+    assert np.array_equal(I, np.eye(min(shape))) and not I.flags.writeable
     with pytest.raises(ParameterError, match="out of range"):
         masked_lra(A, W, min(shape) + 1)
 
@@ -281,7 +284,8 @@ def test_comparator_form_turns_dense_at_the_fits_width():
 def test_dense_comparator_memory_stays_near_the_matrix():
     # on banded-gt at n = 256, k = 2 the fits are 2,957 wide: as factors
     # they peaked at 13.3 traced MB, and held as the 0.5 MB matrix C at
-    # 1.6 MB (M, C, the eye of its form and one group's fits)
+    # 1.6 MB with an n x n identity beside it, 1.4 MB (M, C and one group's
+    # fits) with the identity a view of 2n + 1 values
     n = 256
     inst = gen_planted("matrix", Banded(4), n, 2, seed=0)
     P = sample_partition(banded_gt(n, 4, 0.25), seed=0)
@@ -291,14 +295,15 @@ def test_dense_comparator_memory_stays_near_the_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_chain_inequality_memory():
-    # 8.0 traced MB at n = 512, 4 float64 arrays of n^2 cells (M,
-    # masked_lra's full-rank factor (M, I) and the residual in the array
-    # its value() returns); 10.0 MB with a float64 bitmap and the residual,
-    # its square and M * M in temporaries of their own
+    # 6.0 traced MB at n = 512, 3 float64 arrays of n^2 cells (M,
+    # masked_lra's M, held as a full-rank factor whose identity is a view
+    # of 2n + 1 values, and the residual in the array its value() returns);
+    # 8.0 MB with an n x n identity, 10.0 MB with a float64 bitmap and the
+    # residual, its square and M * M in temporaries of their own
     n = 512
     inst = gen_planted("matrix", Banded(4), n, 2, seed=1)
     P = sample_partition(banded_gt(n, 4, 0.25), seed=1)
@@ -308,7 +313,7 @@ def test_chain_inequality_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 34 * n * n
+    assert peak < 26 * n * n  # 6.5 MB
 
 
 def test_batched_comparator_on_random_box_partitions():
