@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import masks, protocols
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .linalg import as_bitmap
 
 _MAGIC_MATRIX = b"MLRA1"
@@ -33,8 +33,9 @@ def _write(path, magic: bytes, array: np.ndarray, ndim: int) -> None:
         f.write(np.ascontiguousarray(array).tobytes())
 
 
-def _read(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
-    raw = Path(path).read_bytes()
+def _payload(raw: bytes, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
+    """The payload of raw, a whole file, as a read-only view, once its
+    magic and length are checked."""
     if raw[:5] != magic:
         raise ParameterError(f"bad magic {raw[:5]!r}, expected {magic!r}")
     off = 5 + 8 * ndim
@@ -47,9 +48,13 @@ def _read(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
         raise ParameterError(
             f"payload truncated: need {need} bytes, have {len(raw) - off}"
         )
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+    return np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(dims)
+
+
+def _read(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
     # a writable copy in native byte order
-    return data.reshape(dims).astype(np.dtype(dtype).newbyteorder("="))
+    data = _payload(Path(path).read_bytes(), magic, ndim, dtype)
+    return data.astype(np.dtype(dtype).newbyteorder("="))
 
 
 def write_matrix(path, A) -> None:
@@ -166,13 +171,24 @@ def read_mask_descriptor(path) -> masks.Mask:
 
 
 def load_mask(path) -> masks.Mask:
-    """Mask from either a descriptor file or an MLRB1 bitmap."""
+    """Mask from either a descriptor file or an MLRB1 bitmap.
+
+    A bitmap is read once and held as one read-only grid over the file's
+    bytes, the pattern's cells and the mask's bitmap both. Its entries are
+    checked by their maximum, which takes no array of the grid's size.
+    """
     raw = Path(path).read_bytes()
-    if raw[:5] == _MAGIC_BITMAP:
-        # Explicit checks the payload
-        bitmap = _read(path, _MAGIC_BITMAP, 2, "u1")
-        return masks.make_mask(masks.Explicit(bitmap), bitmap.shape[0])
-    return read_mask_descriptor(path)
+    if raw[:5] != _MAGIC_BITMAP:
+        return read_mask_descriptor(path)
+    grid = _payload(raw, _MAGIC_BITMAP, 2, "u1")
+    n = grid.shape[0]
+    if n < 1:
+        raise ParameterError(f"n={n} must be positive")
+    if grid.shape != (n, n):
+        raise ShapeError(f"mask shape {grid.shape} differs from the data's {(n, n)}")
+    if grid.max() > 1:
+        raise ParameterError("bitmap entries must be 0 or 1")
+    return masks.held_mask(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,12 @@ def make_mask(pattern: MaskPattern, n: int) -> Mask:
     return Mask(n, pattern, bitmap, zero_counts(bitmap))
 
 
+def held_mask(grid: np.ndarray) -> Mask:
+    """A mask on grid, a checked read-only 0/1 uint8 (n, n) array, held
+    once as both the Explicit pattern's cells and the bitmap, uncopied."""
+    return Mask(len(grid), Explicit(grid), grid, zero_counts(grid))
+
+
 def zero_counts(bitmap: np.ndarray) -> ZeroCounts:
     """Zero counts of a 0/1 bitmap: per index of an axis, the cells there
     less their sum, so no temporary of the bitmap's size is made."""

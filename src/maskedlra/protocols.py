@@ -21,12 +21,14 @@ cells with independent randomness per sample, so the error rate it reports
 is that of the decisions the partition is built from. It runs them in
 chunks of samples, each reading its keys, one key at a time, from the
 generator at their stream position, so only the sampled indices grow with
-the trial count. It, protocol_matrix and protocol_cube read only outputs,
-so no transcript code is built for them. The row stripes of _gt and the
-sample chunks are the two striped loops: _striped runs their items in
-interleaved shares on the calling thread and a pool of one thread per
-further CPU, inline on one CPU, and both loops' results are the same on
-any thread count. A partition or a cover takes its rectangles only as
+the trial count. There _gt walks the samples round by round, drawing one
+key per round rather than one per tree node, and a composed family walks
+each later call only on the samples that read it. It, protocol_matrix and
+protocol_cube read only outputs, so no transcript code is built for them.
+The row stripes of _gt and the sample chunks are the two striped loops:
+_striped runs their items in interleaved shares on the calling thread and
+a pool of one thread per further CPU, inline on one CPU, and both loops'
+results are the same on any thread count. A partition or a cover takes its rectangles only as
 Boxes: a label per box and, per axis, int64 offsets into one int64 index
 array (CSR).
 Certificates, comparators, bitmaps and dumps read those arrays.
@@ -67,10 +69,10 @@ from .linalg import as_bitmap
 
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
-# order 2, n <= 256 at order 3. A banded-gt partition peaked at 22.1 traced
-# bytes per cell at n = 512 and 17.5 at n = 2048 (the grid's codes and
-# labels, held while the grouping sorts and splits them), about 0.29 GB at
-# the cap
+# order 2, n <= 256 at order 3. A banded-gt partition peaked at 18.7 traced
+# bytes per cell at n = 512 and 17.0 at n = 768 to 2048 (the sort of the
+# grid's codes; the grouping drops the codes and labels before it splits
+# the classes), about 0.29 GB at the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, and samples per error-rate
@@ -230,6 +232,16 @@ class _Lazy:
         return self.get(j)
 
 
+def _taken(keys, sel):
+    """keys restricted to the samples sel: item j of each draw is key j's
+    entries at sel, taken when it is indexed."""
+    def sub(count):
+        K = keys(count)
+        return _Lazy(lambda j: tuple(k[sel] for k in K[j]))
+
+    return sub
+
+
 # ---------------------------------------------------------------------------
 # hashing
 
@@ -366,10 +378,29 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     samples alike, which the cells gather: twice a dense rank plus the
     output, so at most 2 * (m + 1) * R + 1 for R row positions. With codes
     False only the outputs are computed, and None stands for the codes.
+
+    Sampled cells (a one-axis a, codes False) walk round by round instead:
+    every cell is its own position, so a table would hash all m prefixes
+    of each where its search reads one per round. Round r draws key r and
+    hashes each cell's two prefixes at its current node with it, so a call
+    reads `rounds` keys. A cell still meets a fresh independent key at
+    each node of its path, so its output has the table walk's distribution.
     """
     child, path, eqs, group, shift = _search_tree(m)
     rounds = len(path)
     c = max(1, math.ceil(math.log2(rounds / delta)))
+    if not codes and np.ndim(a) == 1:
+        key = keys(rounds)
+        # bits below node j's (j + 1)-bit prefix; a leaf's hashes go unread
+        drop = np.maximum(m - 1 - np.arange(2 * m + 1), 0)
+        node = np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), m - 1, dtype=np.uint8)
+        for r in range(rounds):
+            k, d = key[r], drop.take(node)
+            eq = _hash_buckets(a >> d, k, 1 << c) == _hash_buckets(b >> d, k, 1 << c)
+            node = child.take(node * 2 + eq)
+        leaf = node - np.uint8(m)
+        xd, yd = (a >> shift[leaf]) & 1, (b >> shift[leaf]) & 1
+        return None, ((xd > yd) if direction == "a>b" else (yd > xd)).view(np.uint8)
     ha, hb = _prefix_hashes(a, b, m, keys(m + 1), c)
     R, S = ha[0].size, hb[0].size
     it = np.int32 if (2 * m + 1) * max(R, S) < 2**31 else np.int64
@@ -553,13 +584,20 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
     run per cell: shared by all cells when s is all ones (the grid), or
     independent per cell when s is the sample shape (error-rate sampling).
     keys None, for the one-sided families only, runs them unhashed (see
-    _one_sided). codes is None instead of built when codes is False; the
-    keys drawn and the outputs are the same either way.
+    _one_sided). codes is None instead of built when codes is False; on a
+    grid the keys drawn and the outputs are the same either way. Sampled
+    cells (one-axis idx, keys of the sample shape) without codes are walked
+    round by round by _gt, banded-gt's second call only on the samples
+    whose first said no, and banded2d-gt's third call once per sample, on
+    its branch: fewer keys, data-independent counts, and outputs of the
+    same distribution.
     """
     f = spec.family
     n = spec.n
     x, y = idx[0], idx[1]
     gt = _gt if codes else functools.partial(_gt, codes=False)
+    # outputs only, on sampled cells: _gt walks them round by round
+    sampled = not codes and np.ndim(x) == 1
 
     if f in ONE_SIDED_FAMILIES:
         _, s, reply, label = _one_sided(spec, idx, keys)
@@ -583,9 +621,15 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
         m = max(1, int(n + p - 2).bit_length())
         d = spec.delta / 2
         c1, o1 = gt(x, y + p - 1, m, d, keys)
+        if sampled:
+            # the second call runs only on the samples whose first said "no"
+            no = np.flatnonzero(o1 == 0)
+            o1[no] |= gt(x[no] + p - 1, y[no], m, d, _taken(keys, no), "b>a")[1]
+            return None, o1
         c2, o2 = gt(x + p - 1, y, m, d, keys, direction="b>a")
-        # both calls run on every cell, and the second is read only where the
-        # first said "no"; greater-than codes are >= 1, so 0 marks it unread
+        # on a grid both calls run on every cell, and the second is read
+        # only where the first said "no"; greater-than codes are >= 1, so 0
+        # marks it unread
         out = o1 | o2
         if not codes:
             return None, out
@@ -610,6 +654,18 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
             (1, 0): lambda: (ahi - alo + s - 1, bhi - blo + s - 1 + p - 1, "a>b"),
             (0, 1): lambda: (alo - ahi + s - 1, blo - bhi + s - 1 + p - 1, "a>b"),
         }
+        if sampled:
+            # one call on every sample, on its own branch's values; a "b>a"
+            # call gives the outputs of "a>b" with the parties swapped, as
+            # the hash comparison is symmetric
+            av, bv = np.empty_like(ahi), np.empty_like(ahi)
+            for (ba, bb), branch in branches.items():
+                sel = (oA == ba) & (oB == bb)
+                u, v, direction = branch()
+                if direction == "b>a":
+                    u, v = v, u
+                av[sel], bv[sel] = u[sel], v[sel]
+            return None, gt(av, bv, m3, d, keys)[1]
         codes3 = np.zeros(oA.shape, dtype=np.int64) if codes else None
         out3 = np.zeros(oA.shape, dtype=np.uint8)
         for (ba, bb), branch in branches.items():
@@ -806,26 +862,38 @@ def _narrow(codes: np.ndarray) -> np.ndarray:
 
 
 def _group_cells(codes: np.ndarray, labels: np.ndarray) -> Boxes:
-    """Boxes of the cells' transcript classes, in code order.
+    """Boxes of the cells' transcript classes, in code order: _group_grid
+    on a grid the caller still holds."""
+    return _group_grid([codes, labels])
+
+
+def _group_grid(grid: list) -> Boxes:
+    """Boxes of the transcript classes of grid = [codes, labels], in code order.
 
     One stable argsort of the narrowed codes lists each class's cells
     together, in C order, as flat positions, held in int32 when they fit;
-    the label must not change inside a class. Then, one axis at a time,
-    _split_axis reads each class off its sorted cells as its index set on
-    that axis times a set of positions over the axes after it, which are
-    again in C order for the next axis. Every class must be such a product
-    on every axis, so it is exactly the box of its index sets.
+    the label must not change inside a class. grid is emptied and the
+    codes and labels dropped once they are sorted, so a caller that keeps
+    no other reference frees them before the splits. Then, one axis at a
+    time, _split_axis reads each class off its sorted cells as its index
+    set on that axis times a set of positions over the axes after it,
+    which are again in C order for the next axis. Every class must be such
+    a product on every axis, so it is exactly the box of its index sets.
     """
+    codes, labels = grid
+    grid.clear()
     shape = codes.shape
     flat = _narrow(codes.ravel())
     it = np.int32 if flat.size < 2**31 else np.int64
     pos = np.argsort(flat, kind="stable").astype(it, copy=False)
     flat = flat[pos]
+    del codes
     new = np.empty(pos.size, dtype=bool)
     new[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=new[1:])
     del flat
     lab = labels.ravel()[pos]
+    del labels
     if ((lab[1:] != lab[:-1]) & ~new[1:]).any():
         raise RuntimeError("transcript class with mixed labels")
     starts = np.flatnonzero(new)
@@ -922,7 +990,7 @@ def sample_partition(spec: ProtocolSpec, seed: int = 0) -> PartitionSample:
     if spec.family in ONE_SIDED_FAMILIES:
         boxes = _bucket_products(spec, seed)
     else:
-        boxes = _group_cells(*_transcript_grid(spec, seed))
+        boxes = _group_grid(list(_transcript_grid(spec, seed)))
     return PartitionSample(boxes, spec.n, f"{spec.describe()}@{seed}",
                            int(np.count_nonzero(boxes.labels)), order=_order(spec))
 
@@ -938,9 +1006,8 @@ def protocol_matrix(spec: ProtocolSpec, seed: int = 0) -> masks.Mask:
     if _order(spec) != 2:
         raise ParameterError("order-3 output is a cube; use protocol_cube")
     _, labels = _transcript_grid(spec, seed, codes=False)
-    # one grid, the pattern's cells and the mask's bitmap both, so read-only
     labels.flags.writeable = False
-    return masks.Mask(spec.n, masks.Explicit(labels), labels, masks.zero_counts(labels))
+    return masks.held_mask(labels)
 
 
 def protocol_cube(spec: ProtocolSpec, seed: int = 0) -> np.ndarray:
@@ -1000,11 +1067,12 @@ def empirical_error_rates(
     keys are its slice of the (2, count, trials) uint64 block that one draw
     per keys call would give, read by the chunk's own PCG64 set to the
     slice's stream position, as each uint64 is one raw output. They are read
-    one key at a time, when _decide indexes it, so a key it never reads (as
-    _gt never reads key 0) is never drawn. _decide's sequence of keys counts
-    does not depend on the data, and nothing else draws after the cells, so
-    the rates do not depend on the chunk size or the thread count: each
-    chunk returns its integer tally, and the tallies are summed.
+    one key at a time, when _decide indexes it: each greater-than call
+    reads one key per search round, when that round runs, and a key no
+    round reads is never drawn. _decide's sequence of keys counts does not
+    depend on the data, and nothing else draws after the cells, so the
+    rates do not depend on the chunk size or the thread count: each chunk
+    returns its integer tally, and the tallies are summed.
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")

@@ -116,6 +116,18 @@ MUTANTS = (
         "        return list(_Rectangles(self.boxes))\n",
     ),
     (
+        "per-round walk hashes with the root's key every round",
+        "src/maskedlra/protocols.py",
+        "            k, d = key[r], drop.take(node)\n",
+        "            k, d = key[0], drop.take(node)\n",
+    ),
+    (
+        "banded-gt sampler walks call 2 where call 1 said yes",
+        "src/maskedlra/protocols.py",
+        "            no = np.flatnonzero(o1 == 0)\n",
+        "            no = np.flatnonzero(o1 <= 1)\n",
+    ),
+    (
         "block_index_map skips the partition check",
         "src/maskedlra/masks.py",
         "    _check_partition(blocks, n, field)\n",

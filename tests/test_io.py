@@ -1,5 +1,8 @@
 """Binary matrix/tensor formats, mask descriptors, and partition dumps."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from maskedlra import (
     Explicit,
     Monotone,
     ParameterError,
+    ShapeError,
     Sparse,
     ToeplitzModP,
     banded2d_gt,
@@ -159,6 +163,35 @@ def test_load_mask_sniffs_format(tmp_path):
     write_bitmap(b, W.bitmap)
     assert np.array_equal(load_mask(d).bitmap, W.bitmap)
     assert np.array_equal(load_mask(b).bitmap, W.bitmap)
+
+
+def test_load_mask_holds_one_read_only_bitmap(tmp_path):
+    # 1.02 traced bytes per cell at n = 2048, the file's bytes, which the
+    # bitmap views; 4.0 with a second read, a copy and a 0/1 check through
+    # bool temporaries of the grid's size
+    n = 2048
+    path = tmp_path / "w.mlrb"
+    write_bitmap(path, np.random.default_rng(0).integers(0, 2, size=(n, n), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        W = load_mask(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.bitmap is W.pattern.cells and not W.bitmap.flags.writeable
+    assert peak < 1.25 * n * n
+
+
+@pytest.mark.parametrize("grid, error", [
+    (np.array([[0, 2], [1, 0]], dtype=np.uint8), ParameterError),
+    (np.ones((2, 3), dtype=np.uint8), ShapeError),
+    (np.ones((0, 0), dtype=np.uint8), ParameterError),
+])
+def test_load_mask_checks_a_bitmap(tmp_path, grid, error):
+    path = tmp_path / "w.mlrb"
+    path.write_bytes(b"MLRB1" + struct.pack("<2Q", *grid.shape) + grid.tobytes())
+    with pytest.raises(error):
+        load_mask(path)
 
 
 def test_parse_kv():
