@@ -12,7 +12,9 @@ Smaller matrices and stacks take LAPACK's divide-and-conquer gesdd, and
 LAPACK's gesvd runs only when gesdd fails to converge. gesdd runs through
 np.linalg.svd, one call for a whole stack of same-shape matrices, and
 syevd through np.linalg.eigh, so both share numpy's BLAS runtime with
-numpy's products; scipy runs only svds and gesvd.
+numpy's products; scipy runs only svds and gesvd, and each imports its
+scipy module on its first call, so a process that runs neither loads no
+scipy and no second BLAS runtime.
 
 Matrices are 2-d float64 numpy arrays throughout. Low-rank objects are kept
 in factored form (see LowRankFactor) so downstream code can track rank
@@ -24,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import NumericalError, ParameterError, ShapeError
 
@@ -248,6 +248,8 @@ def _gesdd_stack(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[st
     except np.linalg.LinAlgError:
         if len(X) > 1:
             return _concat([_gesdd_stack(A[None], k) for A in X])
+        import scipy.linalg
+
         try:
             U, s, Vt = scipy.linalg.svd(X[0], full_matrices=False, lapack_driver="gesvd")
         except scipy.linalg.LinAlgError as exc:
@@ -267,6 +269,8 @@ def _svds_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list
     None when ARPACK fails."""
     # a fixed start vector keeps ARPACK deterministic
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
+    import scipy.sparse.linalg
+
     try:
         U, s, Vt = scipy.sparse.linalg.svds(A, k=k, v0=v0)
     except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence

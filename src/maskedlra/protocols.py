@@ -69,10 +69,11 @@ from .linalg import as_bitmap
 
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
-# order 2, n <= 256 at order 3. A banded-gt partition peaked at 18.7 traced
-# bytes per cell at n = 512 and 17.0 at n = 768 to 2048 (the sort of the
-# grid's codes; the grouping drops the codes and labels before it splits
-# the classes), about 0.29 GB at the cap
+# order 2, n <= 256 at order 3. A banded-gt partition peaked at 15.0 traced
+# bytes per cell at n = 2048 (the grid's walk), 15.4 at n = 768 (the
+# splits; the grouping drops the codes and labels before them) and 17.1 to
+# 20.6 at n = 512 (the walk's stripes in flight weigh more at small n),
+# about 0.25 GB at the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, and samples per error-rate
@@ -844,23 +845,6 @@ class Cover(_Packed):
     order = 2  # a cover is of a matrix; not a field
 
 
-# narrowest first: numpy's stable sort is a radix sort for 8- and 16-bit integers
-_CODE_DTYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32)
-
-
-def _narrow(codes: np.ndarray) -> np.ndarray:
-    """codes in the narrowest integer dtype that holds all of them, order
-    kept; codes itself, with no copy, when no narrower dtype does."""
-    lo, hi = int(codes.min()), int(codes.max())
-    for dt in _CODE_DTYPES:
-        info = np.iinfo(dt)
-        if info.bits >= 8 * codes.itemsize:
-            break
-        if info.min <= lo and hi <= info.max:
-            return codes.astype(dt)
-    return codes
-
-
 def _group_cells(codes: np.ndarray, labels: np.ndarray) -> Boxes:
     """Boxes of the cells' transcript classes, in code order: _group_grid
     on a grid the caller still holds."""
@@ -870,28 +854,47 @@ def _group_cells(codes: np.ndarray, labels: np.ndarray) -> Boxes:
 def _group_grid(grid: list) -> Boxes:
     """Boxes of the transcript classes of grid = [codes, labels], in code order.
 
-    One stable argsort of the narrowed codes lists each class's cells
-    together, in C order, as flat positions, held in int32 when they fit;
-    the label must not change inside a class. grid is emptied and the
-    codes and labels dropped once they are sorted, so a caller that keeps
-    no other reference frees them before the splits. Then, one axis at a
-    time, _split_axis reads each class off its sorted cells as its index
-    set on that axis times a set of positions over the axes after it,
-    which are again in C order for the next axis. Every class must be such
-    a product on every axis, so it is exactly the box of its index sets.
+    Each cell gets one int64 key, its code's offset from the least code
+    above its flat C-order position, or its code's dense rank when the
+    code range leaves the position too few of the 63 bits. The keys are
+    unique, so one in-place sort lists each class's cells together, in C
+    order, and the positions are read back off the low bits, held in int32
+    when they fit; the label must not change inside a class. grid is
+    emptied and the codes dropped once keyed, and the labels once sorted,
+    so a caller that keeps no other reference frees them before the
+    splits. Then, one axis at a time, _split_axis reads each class off its
+    sorted cells as its index set on that axis times a set of positions
+    over the axes after it, which are again in C order for the next axis.
+    Every class must be such a product on every axis, so it is exactly the
+    box of its index sets.
     """
     codes, labels = grid
     grid.clear()
     shape = codes.shape
-    flat = _narrow(codes.ravel())
-    it = np.int32 if flat.size < 2**31 else np.int64
-    pos = np.argsort(flat, kind="stable").astype(it, copy=False)
-    flat = flat[pos]
+    flat = codes.ravel()
     del codes
-    new = np.empty(pos.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    size = flat.size
+    bits = max(size - 1, 1).bit_length()
+    lo, hi = int(flat.min()), int(flat.max())
+    if (hi - lo).bit_length() + bits > 63:
+        flat, lo = _rank(flat), 1
+    key = np.subtract(flat, lo, out=np.empty(size, np.int64), dtype=np.int64)
     del flat
+    key <<= bits
+    # the positions, as column and row offsets broadcast over the rows, so
+    # that no array of them spans the grid
+    rows = key.reshape(-1, shape[-1])
+    rows += np.arange(shape[-1])
+    rows += np.arange(0, size, shape[-1])[:, None]
+    del rows
+    key.sort()
+    it = np.int32 if size < 2**31 else np.int64
+    pos = np.bitwise_and(key, (1 << bits) - 1, out=np.empty(size, it), casting="unsafe")
+    key >>= bits
+    new = np.empty(size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
     lab = labels.ravel()[pos]
     del labels
     if ((lab[1:] != lab[:-1]) & ~new[1:]).any():

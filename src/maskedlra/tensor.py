@@ -126,10 +126,13 @@ def masked_tensor_lra(
 ) -> LowRankFactor:
     """CP fit of A*W at rank k_prime (zero-fill heuristic, order 3).
 
-    With init given, ALS monotonicity guarantees the full fit never exceeds
-    the init's fit, so a comparator init transfers its cost bound. ALS runs
-    once, cp_als's default: the init starts the first run and the best run
-    wins, so one run already keeps the init's cost bound.
+    With init given, ALS starts from it and runs once, cp_als's default.
+    In exact arithmetic each ALS step is a least-squares solve, so the fit
+    never exceeds the init's and a comparator init would transfer its cost
+    bound. In floating point that does not hold: ill-conditioned Grams and
+    their ridge fallbacks can raise the cost (a start at 1.76 has ended at
+    11.29), so verify_tensor_bicriteria checks within(cost, comp_cost, mass)
+    rather than assuming it.
     """
     A = as_array(A, 3)
     M = A * as_bitmap(W, np.float64, A.shape)

@@ -128,6 +128,18 @@ MUTANTS = (
         "            no = np.flatnonzero(o1 <= 1)\n",
     ),
     (
+        "grouping keys drop the cell position",
+        "src/maskedlra/protocols.py",
+        "    rows += np.arange(shape[-1])\n    rows += np.arange(0, size, shape[-1])[:, None]\n",
+        "",
+    ),
+    (
+        "linalg imports ARPACK at module level",
+        "src/maskedlra/linalg.py",
+        "import numpy as np\n",
+        "import numpy as np\nimport scipy.sparse.linalg\n",
+    ),
+    (
         "block_index_map skips the partition check",
         "src/maskedlra/masks.py",
         "    _check_partition(blocks, n, field)\n",

@@ -1,5 +1,10 @@
 """Command-line surface: file round-trips, bound checks, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -328,3 +333,45 @@ def test_boolean_route_takes_opt_upper_from_the_planted_factor_above_the_search_
     assert inst.opt_upper > 0
     assert f"opt_upper = {int(inst.opt_upper)}\n" in out
     assert "note = cover neq-bits; opt_upper from the planted factor" in out
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import maskedlra
+from maskedlra.cli import main
+from maskedlra.linalg import svd_truncated
+
+assert not scipy_modules(), ("import maskedlra", scipy_modules())
+for argv in (
+    ["gen", "--pattern", "banded", "--n", "32", "--out", sys.argv[1]],
+    ["protocol-stats", "--family", "banded-gt", "--n", "32"],
+    ["tensor", "--n", "8"],
+    ["boolean", "--cover", "neq-bits", "--n", "4", "--k", "1"],
+    ["verify", "--theorem", "t4", "--n", "64"],
+    ["verify", "--theorem", "a2", "--n", "64"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+A = np.random.default_rng(0).standard_normal((128, 128))
+assert svd_truncated(A, 8).meta["svd_driver"] == "svds"
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_only_with_an_arpack_or_gesvd_fit(tmp_path):
+    # scipy links a second BLAS runtime; numpy's suffices until svds or the
+    # gesvd fallback runs, and both import scipy on their first call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "m")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
