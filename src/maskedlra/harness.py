@@ -24,7 +24,7 @@ from . import protocols as pr
 from . import solver as sv
 from . import structural as st
 from .errors import MaskedLRAError, ParameterError, ResourceError
-from .linalg import Certificate, LowRankFactor, masked_cost
+from .linalg import Certificate, LowRankFactor, residual_cost
 
 DEFAULT_CORRUPTION = 5.0
 # the Boolean domain reads corruption_scale as a flip probability
@@ -95,7 +95,9 @@ def gen_planted(
         U, V, *Z = (rng.standard_normal((n, k)) for _ in range(order))
         L = LowRankFactor(U, V, k, Z=Z[0] if Z else None)
         base = L.value()
-        scale = corruption_scale * float(np.linalg.norm(base)) / n
+        # ||L*||_F as a numpy sum, which adds in one order on any BLAS
+        # thread count, where np.linalg.norm's threaded dot does not
+        scale = corruption_scale * math.sqrt(float(np.sum(np.square(base)))) / n
         # A is built in the normal draw's buffer: scaling by scale and then
         # by the 0/1 complement of B gives (1 - B) * scale times the draw
         # bit for bit, signed zeros included
@@ -108,7 +110,9 @@ def gen_planted(
             noise *= noise_sigma
             noise *= B
             A += noise
-        opt = masked_cost(A, W, L)
+        # masked_cost(A, W, L) from the value already held, which it spends,
+        # with no second product and no second check of A and W
+        opt = residual_cost(A, base, B)
     else:
         if corruption_scale > 1 or noise_sigma > 1:
             raise ParameterError("boolean flip probabilities must be <= 1")

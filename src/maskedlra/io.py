@@ -196,6 +196,8 @@ def load_mask(path) -> masks.Mask:
 
 # deletes every character of a plain index list, so nothing else is left
 _INDEX_CHARS = str.maketrans("", "", "0123456789,")
+# the same for the body of a partition dump: index lists, tabs and newlines
+_BODY_CHARS = str.maketrans("", "", "0123456789,\t\n")
 
 
 def _index_texts(ix: np.ndarray) -> list[str]:
@@ -242,28 +244,46 @@ def write_partition(path, sample: protocols.PartitionSample) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_partition(path) -> protocols.PartitionSample:
-    """A partition dump read back into Boxes; a dump without n, with an
-    order other than 2 or 3, with a line that has not 1 + order fields,
-    with a label other than 0 or 1, with an index outside 0..n-1, whose
-    rectangles' cells do not add up to n^order, or whose header's
-    rectangles or one_count differs from what was read is a ParameterError."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ParameterError("partition dump missing its header line")
-    header = dict(
-        item.strip().split("=", 1)
-        for item in lines[0][1:].split("\t")
-        if "=" in item
-    )
-    if "n" not in header:
-        raise ParameterError("partition dump header missing n")
-    n = _parse(int, header["n"], "n")
-    order = _parse(int, header.get("order", "2"), "order")
-    if order not in (2, 3):
-        raise ParameterError(f"partition dump order {order} is not 2 or 3")
+def _canonical_body(lines: list[str], order: int):
+    """(labels, offsets, index) of a dump's body lines in the form
+    write_partition writes them, read in one pass over the whole text:
+    each line a label 0 or 1 and order index sets of plain decimals, with
+    no blank line. None for any other body, which _body_by_line reads."""
+    k = 1 + order
+    body = "\n".join(lines)
+    # only digits, commas, tabs and newlines, and every comma between digits
+    if body.translate(_BODY_CHARS) or "," in (body[:1], body[-1:]) or any(
+            pair in body for pair in (",,", ",\t", "\t,", ",\n", "\n,")):
+        return None
+    fields = body.replace("\n", "\t").split("\t")
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw < ord(","))  # the tabs and newlines
+    # k fields a line: exactly every k-th field ends at a newline
+    if len(fields) != k * len(lines) or not np.array_equal(
+            raw[ends] == ord("\n"), np.arange(ends.size) % k == k - 1):
+        return None
+    starts = np.concatenate(([0], ends + 1))
+    length = (np.append(ends, raw.size) - starts).reshape(-1, k)
+    labels = np.frombuffer("".join(fields[::k]).encode(), dtype=np.uint8) - ord("0")
+    if (length[:, 0] != 1).any() or (labels > 1).any():
+        return None
+    # entries per field: its commas, summed with the separator after it so
+    # that no sum is empty, plus one unless it is empty
+    commas = np.add.reduceat(np.append(raw == ord(","), False), starts, dtype=np.int64)
+    sizes = commas.reshape(-1, k) + (length > 0)
+    # as in _parse_indices, one past the int64 range reads as its maximum
+    index = tuple(np.fromstring(",".join(filter(None, fields[a::k])), dtype=np.int64, sep=",")
+                  for a in range(1, k))
+    offsets = tuple(np.concatenate(([0], np.cumsum(sizes[:, a]))) for a in range(1, k))
+    return labels, offsets, index
+
+
+def _body_by_line(lines: list[str], order: int):
+    """(labels, offsets, index) of a dump's body lines, read line by line:
+    blank lines are skipped, each label and index is read as int() reads
+    it, and a malformed line is a ParameterError that names it."""
     labels, rows = [], []  # rows: (line number, index-set texts)
-    for ln, line in enumerate(lines[1:], 2):
+    for ln, line in enumerate(lines, 2):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -288,7 +308,33 @@ def read_partition(path) -> protocols.PartitionSample:
                     _parse(_split_flat, part, f"index set on line {ln}")
             raise
         offsets.append(np.cumsum([0] + [t.count(",") + 1 if t else 0 for t in texts]))
-    boxes = protocols.Boxes(np.array(labels, dtype=np.uint8), tuple(offsets), tuple(index))
+    return np.array(labels, dtype=np.uint8), tuple(offsets), tuple(index)
+
+
+def read_partition(path) -> protocols.PartitionSample:
+    """A partition dump read back into Boxes; a dump without n, with an
+    order other than 2 or 3, with a line that has not 1 + order fields,
+    with a label other than 0 or 1, with an index outside 0..n-1, whose
+    rectangles' cells do not add up to n^order, or whose header's
+    rectangles or one_count differs from what was read is a ParameterError.
+    A body as write_partition writes it is read in one pass over the text
+    (_canonical_body); any other, and any malformed one, line by line."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise ParameterError("partition dump missing its header line")
+    header = dict(
+        item.strip().split("=", 1)
+        for item in lines[0][1:].split("\t")
+        if "=" in item
+    )
+    if "n" not in header:
+        raise ParameterError("partition dump header missing n")
+    n = _parse(int, header["n"], "n")
+    order = _parse(int, header.get("order", "2"), "order")
+    if order not in (2, 3):
+        raise ParameterError(f"partition dump order {order} is not 2 or 3")
+    labels, offsets, index = _canonical_body(lines[1:], order) or _body_by_line(lines[1:], order)
+    boxes = protocols.Boxes(labels, offsets, index)
     # one range check over all index sets, not one per rectangle, keeps reads fast
     for ix in index:
         if ix.size and (ix.min() < 0 or ix.max() >= n):

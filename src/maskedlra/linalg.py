@@ -374,9 +374,13 @@ def masked_cost(A, W, L) -> float:
     bitmap = as_bitmap(W, np.uint8, A.shape)
     if L.shape != A.shape:
         raise ShapeError(f"masked_cost shapes differ: A {A.shape}, L {L.shape}")
-    # one array of A's size, which L.value() returns fresh: the residual is
-    # formed, masked and squared in it
-    R = L.value()
+    return residual_cost(A, L.value(), bitmap)
+
+
+def residual_cost(A: np.ndarray, R: np.ndarray, bitmap: np.ndarray) -> float:
+    """Sum of (A - R)^2 over the cells where bitmap is 1, for checked
+    arrays of one shape: the residual is formed, masked and squared in R,
+    which the caller hands over (masked_cost's fresh L.value())."""
     np.subtract(A, R, out=R)
     R *= bitmap
     return float(np.sum(np.square(R, out=R)))

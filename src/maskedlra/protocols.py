@@ -12,22 +12,25 @@ greater-than families run _decide on the full input grid and group the
 cells by transcript: one stable argsort of the cells' codes lists each
 class's cells in C order, and its index sets are read off them in linear
 passes; protocol_matrix and protocol_cube enumerate the grid too. Their
-core, _gt, walks the cells down a static binary-search tree in
-cache-sized row stripes: each party hashes its prefixes once per tree node
-over its own indices, a cell's state is one small node id, and the
-transcript codes always come from one ranked table per (leaf, row), which
-the cells gather. empirical_error_rates runs the same decisions on sampled
-cells with independent randomness per sample, so the error rate it reports
-is that of the decisions the partition is built from. It runs them in
+core, _gt, walks a rows x columns grid down a static binary-search tree on
+packed bit planes: each party hashes its prefixes once per tree node over
+its own indices, each row gathers its "equal" answers over the columns as
+64-cell words from a table over the hash values the columns take, and a
+leaf's reach, the outputs and the leaf ids are word-wise ANDs and ORs of
+those planes. The transcript codes come from one ranked table per (leaf,
+row), which the cells gather once their leaf ids are unpacked, in
+cache-sized row stripes. empirical_error_rates runs the same decisions on
+sampled cells with independent randomness per sample, so the error rate it
+reports is that of the decisions the partition is built from. It runs them in
 chunks of samples, each reading its keys, one key at a time, from the
 generator at their stream position, so only the sampled indices grow with
 the trial count. There _gt walks the samples round by round, drawing one
 key per round rather than one per tree node, and a composed family walks
 each later call only on the samples that read it. It, protocol_matrix and
 protocol_cube read only outputs, so no transcript code is built for them.
-The row stripes of _gt and the sample chunks are the two striped loops:
+The row stripes of _gt and the sample chunks are the striped loops:
 _striped runs their items in interleaved shares on the calling thread and
-a pool of one thread per further CPU, inline on one CPU, and both loops'
+a pool of one thread per further CPU, inline on one CPU, and the loops'
 results are the same on any thread count. A partition or a cover takes its rectangles only as
 Boxes: a label per box and, per axis, int64 offsets into one int64 index
 array (CSR).
@@ -70,10 +73,10 @@ from .linalg import as_bitmap
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
 # order 2, n <= 256 at order 3. A banded-gt partition peaked at 15.0 traced
-# bytes per cell at n = 2048 (the grid's walk), 15.4 at n = 768 (the
-# splits; the grouping drops the codes and labels before them) and 17.1 to
-# 20.6 at n = 512 (the walk's stripes in flight weigh more at small n),
-# about 0.25 GB at the cap
+# bytes per cell at n = 2048 (pairing the two calls' int32 codes), 15.4 at
+# n = 768 and 17.1 at n = 512 (the grouping's splits), the same on every
+# run; its packed walks peak below that, at 11.1 to 13.5 with the first
+# call's codes held. About 0.25 GB at the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, and samples per error-rate
@@ -340,20 +343,30 @@ def _search_tree(m: int):
 
 
 def _prefix_hashes(a, b, m: int, key, c: int):
-    """(m, positions) tables of both parties: row j hashes a's and b's
-    (j+1)-bit prefixes with key[j + 1] into 2^c buckets, over each party's
-    values broadcast against the key's sample shape. Each key is read once,
-    for both parties, and key 0 not at all. int16 holds the buckets while
-    c < 15."""
+    """(m, R) and (m, S) tables of both parties' R and S values: row j
+    hashes a's and b's (j+1)-bit prefixes with key[j + 1], one shared (a, b)
+    pair, into 2^c buckets. Each key is read once, for both parties, and
+    key 0 not at all. int16 holds the buckets while c < 15."""
+    dt = np.int16 if c < 15 else np.int64
+    ha, hb = np.empty((m, a.size), dt), np.empty((m, b.size), dt)
     for j in range(m):
-        k = key[j + 1]
-        ra = _hash_buckets(a >> (m - 1 - j), k, 1 << c)
-        rb = _hash_buckets(b >> (m - 1 - j), k, 1 << c)
-        if j == 0:
-            dt = np.int16 if c < 15 else np.int64
-            ha, hb = np.empty((m,) + ra.shape, dt), np.empty((m,) + rb.shape, dt)
-        ha[j], hb[j] = ra, rb
+        ha[j] = _hash_buckets(a >> (m - 1 - j), key[j + 1], 1 << c)
+        hb[j] = _hash_buckets(b >> (m - 1 - j), key[j + 1], 1 << c)
     return ha, hb
+
+
+def _bit_plane(bits: np.ndarray, words: int) -> np.ndarray:
+    """bits (..., S) packed along their last axis into uint64 words, column
+    j at bit j % 64 of word j // 64; the padding after column S - 1 is 0."""
+    pad = np.zeros(bits.shape[:-1] + (64 * words,), dtype=bool)
+    pad[..., :bits.shape[-1]] = bits
+    return np.packbits(pad, axis=-1, bitorder="little").view(np.uint64)
+
+
+# _SPREAD[v] holds bit k of the byte v in its byte k, so that a packed row
+# taken through it has one byte per cell
+_SPREAD = (((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+           .view(np.uint64).ravel())
 
 
 def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = True):
@@ -365,27 +378,37 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     the final bit exchange decides the output. direction "a>b" outputs
     [a > b], "b>a" outputs [b > a].
 
-    The search is a walk on _search_tree(m). Each party hashes its own
-    prefixes once per node, into a table over its own positions, reading
-    node j's key j + 1 once for both parties (key 0 is never read), and a
-    cell's state is one node id: a round is two table gathers, one compare
-    and one child lookup. The cells are walked in row stripes of at most
-    _stripe_cells() cells, which _striped shares among the threads; each
-    stripe writes only its own rows of the outputs. A cell's transcript
-    (the row's hash at each node met, the answers, the row's final bit, the
-    output) is fixed by its leaf, its row position and its output. Codes are >= 1 and follow the
-    transcripts' order, shorter first, then bitwise. They are built and
-    ranked once in a table per (leaf, row), on a grid or on per-cell
-    samples alike, which the cells gather: twice a dense rank plus the
-    output, so at most 2 * (m + 1) * R + 1 for R row positions. With codes
-    False only the outputs are computed, and None stands for the codes.
+    On a grid (a of shape (R, 1), b of shape (1, S), keys shared by every
+    cell) the search runs on packed bit planes of _search_tree(m). Each
+    party hashes its own prefixes once per node (_prefix_hashes), reading
+    node j's key j + 1 once for both parties (key 0 is never read). Per
+    node, a table holds one packed row of columns per hash value the
+    columns take, plus a zero row, and each row of the grid gathers its own
+    value's row: its "equal" answers over the columns, 64 cells to a word.
+    A node's reach is its parent's ANDed with that plane or its
+    complement, so a leaf's is the AND of at most `rounds` planes; the
+    output plane is the OR over leaves of (reach, the row's bit at the
+    leaf's shift, the complement of the column's), with the parties' roles
+    swapped for "b>a", and the leaf id is kept as ceil(log2(m + 1)) OR
+    planes. The planes are built in row stripes of about _stripe_cells() / 8
+    words and unpacked, with the codes gathered, in row stripes of at most
+    _stripe_cells() cells; _striped shares both loops among the threads,
+    and each stripe writes only its own rows. A cell's transcript (the
+    row's hash at each node met, the answers, the row's final bit, the
+    output) is fixed by its leaf, its row and its output. Codes are >= 1
+    and follow the transcripts' order, shorter first, then bitwise. They
+    are built and ranked once in a table per (leaf, row), which the cells
+    gather: twice a dense rank plus the output, so at most 2 * (m + 1) * R
+    + 1. With codes False only the outputs are computed, and None stands
+    for the codes. Any other shape, or keys not shared, is a
+    ParameterError, unless the cells are samples with codes False.
 
     Sampled cells (a one-axis a, codes False) walk round by round instead:
     every cell is its own position, so a table would hash all m prefixes
     of each where its search reads one per round. Round r draws key r and
     hashes each cell's two prefixes at its current node with it, so a call
     reads `rounds` keys. A cell still meets a fresh independent key at
-    each node of its path, so its output has the table walk's distribution.
+    each node of its path, so its output has the grid walk's distribution.
     """
     child, path, eqs, group, shift = _search_tree(m)
     rounds = len(path)
@@ -402,17 +425,64 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         leaf = node - np.uint8(m)
         xd, yd = (a >> shift[leaf]) & 1, (b >> shift[leaf]) & 1
         return None, ((xd > yd) if direction == "a>b" else (yd > xd)).view(np.uint8)
-    ha, hb = _prefix_hashes(a, b, m, keys(m + 1), c)
-    R, S = ha[0].size, hb[0].size
-    it = np.int32 if (2 * m + 1) * max(R, S) < 2**31 else np.int64
-    cells = np.broadcast_shapes(ha.shape[1:], hb.shape[1:])
+    if np.ndim(a) != 2 or np.ndim(b) != 2 or np.shape(a)[1] != 1 or np.shape(b)[0] != 1:
+        raise ParameterError("a greater-than grid needs rows of shape (R, 1) and "
+                             "columns of shape (1, S); codes need such a grid")
+    key = keys(m + 1)
+    if math.prod(np.shape(key)[2:]) != 1:
+        raise ParameterError("a greater-than grid needs keys shared by every cell")
+    a, b = np.ravel(a), np.ravel(b)
+    R, S = a.size, b.size
+    ha, hb = _prefix_hashes(a, b, m, np.reshape(key, (m + 1, 2)), c)
+    words = -(-S // 64)
 
-    def on_cells(h, v):
-        # a party's positions and values, with the cells' number of axes
-        shape = (1,) * (len(cells) + 1 - h.ndim) + h.shape[1:]
-        return np.arange(h[0].size, dtype=it).reshape(shape), np.broadcast_to(v, shape)
+    # per node, the packed "equal" rows of the column hash values, plus a
+    # zero row for row hashes no column takes, and each row's entry in it
+    eq_rows, eq_of = [], []
+    for j in range(m):
+        vals, inv = np.unique(hb[j], return_inverse=True)
+        eq_rows.append(_bit_plane(inv == np.arange(len(vals) + 1)[:, None], words))
+        at = np.searchsorted(vals, ha[j])
+        eq_of.append(np.where(vals.take(at, mode="clip") == ha[j], at, len(vals)))
+    # per leaf, the rows and columns whose bits at the leaf's shift output
+    # 1 there: a row with its bit set against a column without it, or the
+    # reverse for "b>a"; a selected row is all-ones words
+    row_bit = ((a >> shift[:, None]) & 1).astype(bool)
+    col_bit = _bit_plane((b >> shift[:, None]) & 1, words)
+    if direction == "a>b":
+        row_sel, col_sel = row_bit, ~col_bit
+    else:
+        row_sel, col_sel = ~row_bit, col_bit
+    row_sel = np.where(row_sel, ~np.uint64(0), np.uint64(0))[:, :, None]
+    id_bits = max(1, m.bit_length())
+    out = np.zeros((R, words), dtype=np.uint64)
+    ids = np.zeros((id_bits, R, words), dtype=np.uint64) if codes else None
 
-    (pa, va), (pb, vb) = on_cells(ha, a), on_cells(hb, b)
+    def planes(lo):
+        cut = slice(lo, lo + step)
+        eq = [t[e[cut]] for t, e in zip(eq_rows, eq_of)]
+        yes_out, tmp = out[cut], np.empty_like(out[cut])
+        # (node, reach) pairs still to visit; each reach array has one owner
+        todo = [(m - 1, np.full(yes_out.shape, ~np.uint64(0)))]
+        while todo:
+            node, reach = todo.pop()
+            if node < m:
+                yes = np.bitwise_and(reach, eq[node])
+                todo.append((child[2 * node], np.bitwise_xor(reach, yes, out=reach)))
+                todo.append((child[2 * node + 1], yes))
+                continue
+            i = node - m
+            np.bitwise_and(reach, col_sel[i], out=tmp)
+            tmp &= row_sel[i, cut]
+            yes_out |= tmp
+            if codes:
+                for bit in range(id_bits):
+                    if i >> bit & 1:
+                        ids[bit, cut] |= reach
+
+    step = max(1, _stripe_cells() // (8 * words))
+    _striped(planes, range(0, R, step))
+    del eq_rows, eq_of
 
     gathered = None
     if codes:
@@ -422,30 +492,31 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         lf = np.arange(m + 1)[:, None]
         parts = [group[lf]]
         for r in range(rounds):
-            h = ha.take(path[r][lf] * it(R) + pa.ravel(), mode="clip")
+            h = ha.take(path[r][lf] * np.int64(R) + np.arange(R), mode="clip")
             parts.append((h << 1) | eqs[r][lf])
-        parts.append((va.ravel() >> shift[lf]) & 1)
+        parts.append(row_bit)
         table = _rank(_pack(parts, widths))
-        gathered = np.empty(cells, dtype=np.int32 if 2 * table.size < 2**31 else np.int64)
-    o = np.empty(cells, dtype=bool)
+        it = np.int32 if 2 * table.size < 2**31 else np.int64
+        # a cell's code, 2 * table + output, at row * 2 * (m + 1) + its byte
+        by_byte = (2 * table.T[:, :, None] + np.arange(2)).astype(it).ravel()
+        gathered = np.empty((R, S), dtype=it)
+    o = np.empty((R, S), dtype=bool)
+    spread = _SPREAD << np.arange(id_bits + 1, dtype=np.uint64)[:, None]
 
-    def walk(lo):
+    def unpack(lo):
         cut = slice(lo, lo + step)
-        ra, rb, xa, xb = (v[cut] if v.shape[0] > 1 else v for v in (pa, pb, va, vb))
-        node = np.full(np.broadcast_shapes(ra.shape, rb.shape), m - 1, dtype=np.uint8)
-        for r in range(rounds):
-            eq = ha.take(node * it(R) + ra, mode="clip") == hb.take(node * it(S) + rb, mode="clip")
-            node = child.take(node * 2 + eq)
-        leaf = node - np.uint8(m)
-        xd = (xa >> shift[leaf]) & 1
-        yd = (xb >> shift[leaf]) & 1
-        o[cut] = (xd > yd) if direction == "a>b" else (yd > xd)
+        # one byte per cell: the output at bit 0, the leaf id above it
+        cell = spread[0].take(out[cut].view(np.uint8))
+        o[cut] = cell.view(bool)[:, :S]
         if codes:
-            gathered[cut] = table.take(leaf * it(R) + ra) * 2 + o[cut]
+            for bit in range(id_bits):
+                cell |= spread[bit + 1].take(ids[bit, cut].view(np.uint8))
+            at = cell.view(np.uint8)[:, :S].astype(np.intp)
+            at += np.arange(lo, lo + len(at))[:, None] * (2 * (m + 1))
+            np.take(by_byte, at, out=gathered[cut])
 
-    # row stripes small enough for the cache, each walked down the tree
-    step = max(1, _stripe_cells() // math.prod(cells[1:]))
-    _striped(walk, range(0, cells[0], step))
+    step = max(1, _stripe_cells() // S)
+    _striped(unpack, range(0, R, step))
     return gathered, o.view(np.uint8)
 
 
@@ -585,8 +656,11 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
     run per cell: shared by all cells when s is all ones (the grid), or
     independent per cell when s is the sample shape (error-rate sampling).
     keys None, for the one-sided families only, runs them unhashed (see
-    _one_sided). codes is None instead of built when codes is False; on a
-    grid the keys drawn and the outputs are the same either way. Sampled
+    _one_sided). The greater-than families take an open rows x columns grid
+    with shared keys (as _grid and _shared_keys give), or one-axis samples
+    without codes; any other cells are a ParameterError (_gt). codes is
+    None instead of built when codes is False; on a grid the keys drawn and
+    the outputs are the same either way. Sampled
     cells (one-axis idx, keys of the sample shape) without codes are walked
     round by round by _gt, banded-gt's second call only on the samples
     whose first said no, and banded2d-gt's third call once per sample, on

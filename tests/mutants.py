@@ -128,6 +128,12 @@ MUTANTS = (
         "            no = np.flatnonzero(o1 <= 1)\n",
     ),
     (
+        "packed walk's output drops the column-bit term",
+        "src/maskedlra/protocols.py",
+        "            np.bitwise_and(reach, col_sel[i], out=tmp)\n",
+        "            np.copyto(tmp, reach)\n",
+    ),
+    (
         "grouping keys drop the cell position",
         "src/maskedlra/protocols.py",
         "    rows += np.arange(shape[-1])\n    rows += np.arange(0, size, shape[-1])[:, None]\n",

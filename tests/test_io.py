@@ -20,11 +20,13 @@ from maskedlra import (
     Sparse,
     ToeplitzModP,
     banded2d_gt,
+    banded_gt,
     equality_hash,
     make_mask,
     neq3_multiparty,
     sample_partition,
 )
+from maskedlra import io
 from maskedlra.cli import main
 from maskedlra.io import (
     load_mask,
@@ -230,6 +232,54 @@ def test_partition_dump_round_trip_is_byte_identical(tmp_path, spec):
         assert back.boxes.index[a].dtype == np.int64
         assert np.array_equal(back.boxes.offsets[a], P.boxes.offsets[a])
         assert np.array_equal(back.boxes.index[a], P.boxes.index[a])
+
+
+def _arrays(P):
+    return P.boxes.labels, P.boxes.offsets, P.boxes.index
+
+
+def _same_boxes(got, want):
+    labels, offsets, index = got
+    assert labels.dtype == want[0].dtype and np.array_equal(labels, want[0])
+    for a in range(len(offsets)):
+        assert offsets[a].dtype == index[a].dtype == np.int64
+        assert np.array_equal(offsets[a], want[1][a])
+        assert np.array_equal(index[a], want[2][a])
+
+
+@pytest.mark.parametrize("spec", [banded_gt(40, 3, 0.25), banded2d_gt(36, 2, 0.5),
+                                  equality_hash(30, 0.25), neq3_multiparty(9, 0.5)],
+                         ids=lambda s: s.family)
+def test_one_pass_dump_read_matches_the_line_read(tmp_path, spec):
+    """A dump as written reads in one pass to the line-by-line read's
+    arrays. With a blank line, a label written 01, an index written +0 or
+    an empty index entry it is left to the line-by-line read, which reads
+    the first three as before and names the line of the fourth."""
+    P = sample_partition(spec, seed=2)
+    path = tmp_path / "a.part"
+    write_partition(path, P)
+    lines = path.read_text().splitlines()
+    body = lines[1:]
+    want = (P.boxes.labels, P.boxes.offsets, P.boxes.index)
+    _same_boxes(io._canonical_body(body, P.order), want)
+    _same_boxes(io._body_by_line(body, P.order), want)
+    one = next(i for i, line in enumerate(body) if line.startswith("1\t"))
+    zero = next(i for i, line in enumerate(body) if "\t0," in line or "\t0\t" in line
+                or line.endswith("\t0"))
+    for i, edit in ((len(body) // 2, lambda line: line + "\n"),
+                    (one, lambda line: "0" + line),
+                    (zero, lambda line: line.replace("\t0", "\t+0", 1))):
+        edited = list(body)
+        edited[i] = edit(edited[i])
+        text = "\n".join([lines[0]] + edited) + "\n"
+        assert io._canonical_body(text.splitlines()[1:], P.order) is None
+        path.write_text(text)
+        _same_boxes(_arrays(read_partition(path)), want)
+    edited = list(body)
+    edited[one] = edited[one].replace(",", ",,", 1) if "," in edited[one] else edited[one] + ","
+    path.write_text("\n".join([lines[0]] + edited) + "\n")
+    with pytest.raises(ParameterError, match=f"line {one + 2}"):
+        read_partition(path)
 
 
 @pytest.mark.parametrize("rows, cols", [("00,01", "0,1"), ("+0, 1", " 0,0_1")],

@@ -306,19 +306,23 @@ _SINGLE_BUCKET_SPECS = [equality_hash(16, 1.0), eq_mod_p(16, 4, 1.0), neq3_multi
     + _SINGLE_BUCKET_SPECS,
     ids=lambda s: f"{s.family}-n{s.n}-d{s.delta:g}",
 )
-def test_sampled_mode_matches_grid_on_every_cell(spec):
+def test_sampled_mode_matches_grid_on_every_cell(spec, monkeypatch):
     """Sampling every cell once, with the grid's keys copied into one key
     column per cell, reproduces the grid's outputs bit for bit and its code
-    classes in their order: per-cell codes against the greater-than table's."""
+    classes in their order: per-cell codes against the greater-than grid's,
+    whose per-cell side is the per-cell search (_ref_gt), as _gt builds
+    codes only on a grid."""
     order = 3 if spec.family == "neq3-multiparty" else 2
     cells = np.indices((spec.n,) * order).reshape(order, -1)
+    decide = (protocols._decide if spec.family in ONE_SIDED_FAMILIES
+              else lambda *args, codes: _reference_decide(monkeypatch, *args))
     for seed in (0, 5):
         shared = _shared_keys(spec, seed, 1)
 
         def per_cell(count):
             return np.repeat(shared(count), cells.shape[1], axis=-1)
 
-        codes, out = protocols._decide(spec, tuple(cells), per_cell, codes=True)
+        codes, out = decide(spec, tuple(cells), per_cell, codes=True)
         if order == 3:
             want = protocol_cube(spec, seed)
         else:
@@ -1194,28 +1198,12 @@ def test_gt_kernel_matches_reference(m, direction, monkeypatch):
         assert np.array_equal(_classes(codes), _classes(want_codes))
 
 
-@pytest.mark.parametrize("spec", _gt_specs()[::3], ids=lambda s: s.describe())
-def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
-    rng = np.random.default_rng(spec.n)
-    idx = tuple(rng.integers(0, spec.n, size=500) for _ in range(2))
-    draws = rng.integers(0, 2**64, size=(64, spec.n.bit_length() + 8, 2, 500),
-                         dtype=np.uint64)
-
-    def keys_from(draws):
-        it = iter(draws)
-        return lambda count: next(it)[:count]
-
-    codes, out = protocols._decide(spec, idx, keys_from(draws), codes=True)
-    want_codes, want_out = _reference_decide(monkeypatch, spec, idx, keys_from(draws))
-    assert np.array_equal(out, want_out)
-    assert np.array_equal(_classes(codes), _classes(want_codes))
-
-
 def _depth_keys(K):
     """Two key sources over one array K of per-depth keys, (depths, 2,
-    cells): the per-round walk's key r is K[r], and the table walk's node j
-    reads K at its depth in the search tree, so every node at one depth
-    reads the same key. Every call reads the same K."""
+    cells): the per-round walk's key r is K[r], and a per-node walk's node
+    j (the per-cell search's key j + 1) reads K at its depth in the search
+    tree, so every node at one depth reads the same key. Every call reads
+    the same K."""
     def per_round(count):
         return K[:count]
 
@@ -1231,17 +1219,88 @@ def _depth_keys(K):
 
 
 @pytest.mark.parametrize("spec", _gt_specs(), ids=lambda s: s.describe())
-def test_round_walk_equals_table_walk_on_depth_keys(spec):
+def test_round_walk_equals_table_walk_on_depth_keys(spec, monkeypatch):
     """Every cell sampled once: the per-round walk (outputs only) and the
-    table walk (codes on) give the same outputs when the table's nodes at
-    one depth share the round's key, for all four greater-than families."""
+    per-cell search (_ref_gt, which reads one key per tree node, as the
+    grid walk does) give the same outputs when the nodes at one depth share
+    the round's key, for all four greater-than families."""
     cells = tuple(np.indices((spec.n, spec.n)).reshape(2, -1))
     K = np.random.default_rng(spec.n).integers(0, 2**64, size=(8, 2, cells[0].size),
                                               dtype=np.uint64)
     per_round, per_node = _depth_keys(K)
-    _, want = protocols._decide(spec, cells, per_node, codes=True)
+    _, want = _reference_decide(monkeypatch, spec, cells, per_node)
     _, got = protocols._decide(spec, cells, per_round, codes=False)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", _gt_specs()[::3], ids=lambda s: s.describe())
+def test_gt_decide_matches_reference_when_sampled(spec, monkeypatch):
+    """On random samples, repeats included, the sampled walk gives the
+    per-cell search's outputs on depth keys; codes on samples are refused,
+    as _gt builds them only on a rows x columns grid."""
+    rng = np.random.default_rng(spec.n)
+    idx = tuple(rng.integers(0, spec.n, size=500) for _ in range(2))
+    K = rng.integers(0, 2**64, size=(spec.n.bit_length() + 8, 2, 500), dtype=np.uint64)
+    per_round, per_node = _depth_keys(K)
+    _, out = protocols._decide(spec, idx, per_round, codes=False)
+    _, want_out = _reference_decide(monkeypatch, spec, idx, per_node)
+    assert np.array_equal(out, want_out)
+    with pytest.raises(ParameterError, match="rows of shape"):
+        protocols._decide(spec, idx, per_node, codes=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 33, 65])
+def test_packed_walk_matches_reference_on_grids(n, monkeypatch):
+    """Grids whose sides are not multiples of 8 leave padding bits in every
+    packed word: each greater-than family's grid (banded2d-gt on the least
+    square >= n), and _gt itself in both directions on random inputs, give
+    the per-cell search's outputs and code classes, at delta down to 1e-6."""
+    rng = np.random.default_rng(n)
+    s = math.isqrt(n - 1) + 1
+    m = max(1, (n - 1).bit_length())
+    for delta in (0.5, 1e-3, 1e-6):
+        for spec in (greater_than(n, delta),
+                     banded_gt(n, int(rng.integers(1, n + 1)), delta),
+                     banded2d_gt(s * s, int(rng.integers(1, s * s + 1)), delta),
+                     monotone_gt(tuple(int(v) for v in rng.integers(0, n + 1, size=n)), delta)):
+            codes, out = _transcript_grid(spec, 3)
+            want_codes, want_out = _reference_decide(monkeypatch, spec, protocols._grid(spec),
+                                                     _shared_keys(spec, 3, 2))
+            assert np.array_equal(out, want_out), spec.describe()
+            assert np.array_equal(_classes(codes), _classes(want_codes)), spec.describe()
+        a = rng.integers(0, 1 << m, size=(n, 1))
+        b = rng.integers(0, 1 << m, size=(1, n))
+        seed = int(rng.integers(2**32))
+
+        def keys(count):
+            return np.random.default_rng(seed).integers(
+                0, 2**64, size=(count, 2, 1, 1), dtype=np.uint64)
+
+        for direction in ("a>b", "b>a"):
+            codes, out = protocols._gt(a, b, m, delta, keys, direction)
+            want_codes, want_out = _ref_gt(a, b, m, delta, keys, direction)
+            assert np.array_equal(out, want_out), (delta, direction)
+            assert np.array_equal(_classes(codes), _classes(want_codes)), (delta, direction)
+
+
+def test_gt_codes_need_a_rows_by_columns_grid():
+    """_gt builds codes, and walks packed planes, only for rows x columns
+    with keys shared by every cell; anything else, other than samples
+    without codes, is a ParameterError."""
+    spec = banded_gt(6, 2, 0.25)
+    cells = np.indices((6, 6))
+    shared = _shared_keys(spec, 0, 2)
+    for idx in (tuple(cells.reshape(2, -1)), tuple(cells), (cells[0][:, :1], cells[1])):
+        with pytest.raises(ParameterError, match="rows of shape"):
+            protocols._decide(spec, idx, shared, codes=True)
+    with pytest.raises(ParameterError, match="rows of shape"):
+        protocols._decide(spec, tuple(cells), shared, codes=False)
+
+    def per_cell(count):
+        return np.broadcast_to(shared(count), (count, 2, 6, 6))
+
+    with pytest.raises(ParameterError, match="keys shared by every cell"):
+        protocols._decide(spec, protocols._grid(spec), per_cell, codes=True)
 
 
 @pytest.mark.parametrize("spec", [
@@ -1290,9 +1349,10 @@ def test_sampled_calls_walk_only_the_samples_they_read(monkeypatch):
 
 def test_gt_codes_stay_within_the_table_bound(monkeypatch):
     """Every _gt call's codes are twice a dense (leaf, row) rank plus the
-    output, at most 2 * (m + 1) * R + 1 for R row positions, on the grid
-    and on per-cell samples alike; so _pair_codes never needs more than 62
-    bits, not even for banded2d-gt's pair of a pair."""
+    output, at most 2 * (m + 1) * R + 1 for R row positions, on every grid,
+    and they keep the classes of the per-cell search (_ref_gt) run on every
+    cell as a sample; so _pair_codes never needs more than 62 bits, not
+    even for banded2d-gt's pair of a pair."""
     gt, pair_codes = protocols._gt, protocols._pair_codes
     calls, products = [], []
 
@@ -1318,11 +1378,12 @@ def test_gt_codes_stay_within_the_table_bound(monkeypatch):
     for spec in _gt_specs() + [banded2d_gt(9, 8, 1e-3), banded_gt(5, 3, 1e-6)]:
         cells = np.indices((spec.n, spec.n)).reshape(2, -1)
         for seed in (0, 7):
-            _transcript_grid(spec, seed)
+            codes, _ = _transcript_grid(spec, seed)
             shared = _shared_keys(spec, seed, 1)
-            protocols._decide(spec, tuple(cells),
-                              lambda count: np.repeat(shared(count), cells.shape[1], axis=-1),
-                              codes=True)
+            want, _ = _reference_decide(
+                monkeypatch, spec, tuple(cells),
+                lambda count: np.repeat(shared(count), cells.shape[1], axis=-1))
+            assert np.array_equal(_classes(codes), _classes(want)), (spec.describe(), seed)
     assert calls and products
     assert all(top <= bound for top, bound in calls)
     assert max(products) <= 2**62
