@@ -8,9 +8,9 @@ its mask, budget(k, eps, n) is the rank k' that its partition construction
 certifies, spec(n, eps) is the protocol of that construction (Diagonal3's
 is the three-party neq3-multiparty; all-ones, explicit and sparse-faces
 masks have none), and the dataclass fields are its descriptor fields. A
-pattern with a one-sided protocol reads its mask off that protocol's
-decision run unhashed (protocols.target_bitmap); the others evaluate their
-defining predicate. PATTERNS maps each order-2 tag to its class.
+pattern with a protocol writes no predicate: its mask is that protocol's
+decision run unhashed (protocols.target_bitmap). PATTERNS maps each
+order-2 tag to its class.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def split_index(n: int) -> int:
 class _Pattern:
     """Base of the patterns: bitmap(n), budget(k, eps, n) with n None where
     the budget does not need it, and spec(n, eps); the last two are refused
-    here. bitmap(n) defaults to spec(n, 1.0) decided unhashed, where delta
-    has no effect."""
+    here. bitmap(n) is spec(n, 1.0) decided unhashed, where delta has no
+    effect, for every pattern with a protocol; the others override it."""
 
     tag = ""
     order = 2
@@ -182,11 +182,6 @@ class Banded(_Pattern):
     p: int
     tag = "banded"
 
-    def bitmap(self, n):
-        _check_p(self.p, n)
-        i, j = np.ogrid[:n, :n]
-        return (np.abs(i - j) >= self.p).astype(np.uint8)
-
     def budget(self, k, eps, n):
         if n is None:
             raise ParameterError("banded budget needs n for the transcript cap")
@@ -209,13 +204,6 @@ class Banded2D(_Pattern):
     p: int
     tag = "banded-2d"
 
-    def bitmap(self, n):
-        s = split_index(n)
-        _check_p(self.p, n)
-        i, j = np.ogrid[:n, :n]
-        d = np.abs(i // s - j // s) + np.abs(i % s - j % s)
-        return (d >= self.p).astype(np.uint8)
-
     def budget(self, k, eps, n):
         if n is None:
             raise ParameterError("banded-2d budget needs n for the transcript cap")
@@ -232,18 +220,12 @@ class Monotone(_Pattern):
     prefix_lengths: tuple[int, ...]
     tag = "monotone"
 
-    def bitmap(self, n):
-        if len(self.prefix_lengths) != n:
-            raise ParameterError("prefix_lengths must have one entry per row")
-        px = np.asarray(self.prefix_lengths, dtype=np.int64)
-        if px.min() < 0 or px.max() > n:
-            raise ParameterError("prefix lengths must lie in 0..n")
-        return (np.arange(n) < px[:, None]).astype(np.uint8)
-
     def budget(self, k, eps, n):
         return k * protocols.transcript_cap(self.spec(n, eps))
 
     def spec(self, n, eps):
+        if len(self.prefix_lengths) != n:
+            raise ParameterError("prefix_lengths must have one entry per row")
         return protocols.monotone_gt(self.prefix_lengths, eps)
 
 

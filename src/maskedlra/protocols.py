@@ -72,11 +72,11 @@ from .linalg import as_bitmap
 
 # most cells of an exhaustive transcript enumeration, which the greater-than
 # families' partitions, protocol_matrix and protocol_cube make: n <= 4096 at
-# order 2, n <= 256 at order 3. A banded-gt partition peaked at 15.0 traced
-# bytes per cell at n = 2048 (pairing the two calls' int32 codes), 15.4 at
-# n = 768 and 17.1 at n = 512 (the grouping's splits), the same on every
-# run; its packed walks peak below that, at 11.1 to 13.5 with the first
-# call's codes held. About 0.25 GB at the cap
+# order 2, n <= 256 at order 3. A banded-gt partition peaked at 14.0 traced
+# bytes per cell at n = 1024 and 2048, 15.4 at n = 768 and 17.1 at n = 512,
+# all in the grouping's sort and splits, the same on every run; its packed
+# walks peak below that, at 11.1 to 13.5 with the first call's codes held,
+# and its codes are paired in place. About 0.25 GB at the cap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, and samples per error-rate
@@ -376,7 +376,8 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     full-prefix hash comparison either settles the answer ("equal", output
     0) or starts a binary search for the most significant differing prefix;
     the final bit exchange decides the output. direction "a>b" outputs
-    [a > b], "b>a" outputs [b > a].
+    [a > b], "b>a" outputs [b > a]; keys None outputs them exactly on any
+    cells, with no tree walked and None for the codes.
 
     On a grid (a of shape (R, 1), b of shape (1, S), keys shared by every
     cell) the search runs on packed bit planes of _search_tree(m). Each
@@ -410,6 +411,8 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     reads `rounds` keys. A cell still meets a fresh independent key at
     each node of its path, so its output has the grid walk's distribution.
     """
+    if keys is None:
+        return None, (np.greater(a, b) if direction == "a>b" else np.greater(b, a)).view(np.uint8)
     child, path, eqs, group, shift = _search_tree(m)
     rounds = len(path)
     c = max(1, math.ceil(math.log2(rounds / delta)))
@@ -526,10 +529,11 @@ def _pair_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     (c1, c2) in lexicographic order, as c1 * (max c2 + 1) + c2, in int32
     when that fits and int64 otherwise. _gt's codes are at most
     2 * (m + 1) * R + 1, below 2^17 on any grid within ENUM_CELLS, so even
-    banded2d-gt's pair of a pair stays below 2^51.
+    banded2d-gt's pair of a pair stays below 2^51. c1 is consumed: when it
+    already has the paired dtype, the result is written into it.
     """
     k = int(c2.max()) + 1
-    out = c1.astype(np.int32 if (int(c1.max()) + 1) * k < 2**31 else np.int64)
+    out = c1.astype(np.int32 if (int(c1.max()) + 1) * k < 2**31 else np.int64, copy=False)
     out *= k
     out += c2
     return out
@@ -655,17 +659,17 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
     keys only, in call order, so one run of this function is one protocol
     run per cell: shared by all cells when s is all ones (the grid), or
     independent per cell when s is the sample shape (error-rate sampling).
-    keys None, for the one-sided families only, runs them unhashed (see
-    _one_sided). The greater-than families take an open rows x columns grid
-    with shared keys (as _grid and _shared_keys give), or one-axis samples
-    without codes; any other cells are a ParameterError (_gt). codes is
-    None instead of built when codes is False; on a grid the keys drawn and
-    the outputs are the same either way. Sampled
-    cells (one-axis idx, keys of the sample shape) without codes are walked
-    round by round by _gt, banded-gt's second call only on the samples
-    whose first said no, and banded2d-gt's third call once per sample, on
-    its branch: fewer keys, data-independent counts, and outputs of the
-    same distribution.
+    keys None, with codes False, runs any family unhashed, to its mask
+    (target_bitmap). With keys, the greater-than families take an open
+    rows x columns grid with shared keys (as _grid and _shared_keys give),
+    or one-axis samples without codes; any other cells are a
+    ParameterError (_gt). codes is None instead of built when codes is
+    False; on a grid the keys drawn and the outputs are the same either
+    way. Sampled cells (one-axis idx, keys of the sample shape) without
+    codes are walked round by round by _gt, banded-gt's second call only
+    on the samples whose first said no, and banded2d-gt's third call once
+    per sample, on its branch: fewer keys, data-independent counts, and
+    outputs of the same distribution.
     """
     f = spec.family
     n = spec.n
@@ -1105,22 +1109,10 @@ def partition_bitmap(sample: PartitionSample) -> np.ndarray:
 
 
 def target_bitmap(spec: ProtocolSpec) -> np.ndarray:
-    """The mask the protocol family is meant to compute: a one-sided
-    family's decision run unhashed, which also defines its patterns' masks,
-    or a greater-than family's pattern predicate, which walks no tree."""
-    n = spec.n
-    f = spec.family
-    if f in ONE_SIDED_FAMILIES:
-        return _decide(spec, _grid(spec), None, codes=False)[1]
-    patterns = {
-        "greater-than": lambda: masks.Monotone(tuple(range(n))),
-        "banded-gt": lambda: masks.Banded(spec.p),
-        "banded2d-gt": lambda: masks.Banded2D(spec.p),
-        "monotone-gt": lambda: masks.Monotone(spec.prefix_lengths),
-    }
-    if f not in patterns:
-        raise ParameterError(f"unknown family {f!r}")
-    return masks.make_mask(patterns[f](), n).bitmap
+    """The mask the protocol family is meant to compute: its decision run
+    unhashed on the full grid, drawing no key and walking no tree. It is
+    also the mask of every pattern with a protocol (masks._Pattern)."""
+    return _decide(spec, _grid(spec), None, codes=False)[1]
 
 
 def empirical_error_rates(
@@ -1203,7 +1195,7 @@ def nondet_cover(kind: str, n: int, blocks=None) -> Cover:
         if blocks is None:
             raise ParameterError("neq-blocks needs the block partition")
         blk = masks.block_index_map(blocks, n)  # checks the partition
-        target = masks.BlockDiagonal(blocks).bitmap(n)
+        target = target_bitmap(equality_hash(n, 1.0, groups=blk))
         nb = len(blocks)
         if nb < 2:
             raise ParameterError("need at least two blocks")

@@ -110,6 +110,12 @@ MUTANTS = (
         "_decide(spec, _grid(spec), _shared_keys(spec, 0, _order(spec)), codes=False)",
     ),
     (
+        "unhashed greater-than decision outputs a >= b",
+        "src/maskedlra/protocols.py",
+        "np.greater(a, b) if direction",
+        "np.greater_equal(a, b) if direction",
+    ),
+    (
         "rectangles built eagerly as a list",
         "src/maskedlra/protocols.py",
         "        return _Rectangles(self.boxes)\n",

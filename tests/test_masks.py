@@ -1,5 +1,6 @@
 """Mask constructors: defining predicates, zero counts, and rank budgets."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from maskedlra import (
     rank_budget,
 )
 from maskedlra.masks import zero_counts
-from maskedlra.protocols import target_bitmap
+from maskedlra.protocols import greater_than, target_bitmap
 
 
 def test_diagonal_zeros():
@@ -119,8 +120,8 @@ def _block_ids(blocks, n: int) -> np.ndarray:
 
 
 def _reference_bitmap(pattern, n: int) -> np.ndarray:
-    """The one-sided patterns' predicates written directly, independent of
-    the protocol decisions that their masks are read off."""
+    """The predicates of the patterns with a protocol written directly,
+    independent of the protocol decisions that their masks are read off."""
     if isinstance(pattern, Diagonal):
         return 1 - np.eye(n, dtype=np.uint8)
     if isinstance(pattern, BlockDiagonal):
@@ -140,13 +141,22 @@ def _reference_bitmap(pattern, n: int) -> np.ndarray:
     if isinstance(pattern, ToeplitzModP):
         i, j = np.ogrid[:n, :n]
         return ((i - j) % pattern.p != 0).astype(np.uint8)
+    if isinstance(pattern, Banded):
+        i, j = np.ogrid[:n, :n]
+        return (np.abs(i - j) >= pattern.p).astype(np.uint8)
+    if isinstance(pattern, Banded2D):
+        s = math.isqrt(n)
+        i, j = np.ogrid[:n, :n]
+        return (np.abs(i // s - j // s) + np.abs(i % s - j % s) >= pattern.p).astype(np.uint8)
+    if isinstance(pattern, Monotone):
+        return (np.arange(n) < np.array(pattern.prefix_lengths)[:, None]).astype(np.uint8)
     assert isinstance(pattern, Diagonal3)
     x = np.arange(n)
     eq = (x[:, None, None] == x[None, :, None]) & (x[:, None, None] == x[None, None, :])
     return (~eq).astype(np.uint8)
 
 
-def _one_sided_patterns(n: int):
+def _protocol_patterns(n: int):
     rng = np.random.default_rng(n)
     rows, cols = _blocks(n, 3), _blocks(n, 4)
     patterns = [Diagonal()]
@@ -157,15 +167,24 @@ def _one_sided_patterns(n: int):
         tuple(sorted(rng.choice(len(cols), min(len(cols), 2), replace=False).tolist()))
         for _ in rows), 2))
     patterns += [ToeplitzModP(min(n, p)) for p in (1, 2, 4)]
+    patterns += [Banded(p) for p in sorted({1, min(n, 2), min(n, 5), n})]
+    if math.isqrt(n) ** 2 == n:
+        patterns += [Banded2D(p) for p in sorted({1, min(n, 2), min(n, 3), n})]
+    patterns += [Monotone(tuple(range(n))), Monotone((0,) * n), Monotone((n,) * n),
+                 Monotone(tuple(rng.integers(0, n + 1, size=n).tolist()))]
     return patterns + ([Diagonal3()] if n <= 16 else [])
 
 
-@pytest.mark.parametrize("n", [1, 7, 64])
-def test_one_sided_masks_match_reference_predicates(n):
-    """The masks that the one-sided patterns read off their protocols'
-    unhashed decisions equal their predicates, byte for byte, and so does
-    target_bitmap of the pattern's spec at any eps."""
-    for pattern in _one_sided_patterns(n):
+@pytest.mark.parametrize("n", [1, 4, 7, 16, 64])
+def test_protocol_masks_match_reference_predicates(n):
+    """The masks that the patterns with a protocol read off their
+    protocols' unhashed decisions equal their predicates, byte for byte,
+    and so does target_bitmap of the pattern's spec at any eps, with the
+    greater-than family's [i > j] among them."""
+    staircase = _reference_bitmap(Monotone(tuple(range(n))), n)
+    for eps in (0.1, 0.5, 1.0):
+        assert target_bitmap(greater_than(n, eps)).tobytes() == staircase.tobytes(), eps
+    for pattern in _protocol_patterns(n):
         want = _reference_bitmap(pattern, n)
         got = make_mask(pattern, n).bitmap
         assert got.dtype == np.uint8 and got.shape == want.shape, pattern
@@ -263,6 +282,24 @@ def test_rank_budget_rejects_bad_eps():
 def test_rank_budget_explicit_needs_partition():
     with pytest.raises(ParameterError, match="'explicit': k' needs a drawn partition"):
         rank_budget(Explicit(np.ones((2, 2), np.uint8)), 1, 0.5)
+
+
+def test_monotone_spec_and_budget_refuse_a_mismatched_n():
+    # the spec once took n from the prefixes, so n = 1024 budgeted an n = 8
+    # protocol
+    pattern = Monotone(tuple(range(8)))
+    with pytest.raises(ParameterError, match="prefix_lengths must have one entry per row"):
+        pattern.spec(1024, 0.25)
+    with pytest.raises(ParameterError, match="prefix_lengths must have one entry per row"):
+        rank_budget(pattern, 2, 0.25, n=1024)
+
+
+def test_block_sparse_budget_floors_at_k_at_t_zero():
+    # no zero block: ceil(t / eps) = 0, floored to one rectangle
+    blocks = ((0, 1), (2, 3))
+    pattern = BlockSparse(blocks, blocks, ((), ()), 0)
+    assert rank_budget(pattern, 3, 0.5) == 3
+    assert make_mask(pattern, 4).zero_counts.max_row == 0
 
 
 def test_make_mask_parameter_validation():

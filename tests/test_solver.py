@@ -728,6 +728,25 @@ def test_verify_bicriteria_on_an_explicit_mask_budgets_from_the_draw():
         verify_bicriteria(A, W, 2, 0.5)
 
 
+@pytest.mark.parametrize("spec, fill, one_count", [
+    (sparse_set_eq(16, ((),) * 16, 0, 0.5), 1, 1),
+    (equality_hash(16, 0.5, groups=(0,) * 16), 0, 0),
+], ids=["all-ones", "all-zeros"])
+def test_verify_bicriteria_drawn_budget_floors_at_one_rectangle(spec, fill, one_count):
+    # a drawn partition with at most one 1-rectangle still certifies k' = k
+    W = make_mask(Explicit(np.full((16, 16), fill, dtype=np.uint8)), 16)
+    A = np.random.default_rng(0).standard_normal((16, 16))
+    cert = verify_bicriteria(A, W, 2, 0.5, spec=spec)
+    assert (cert.one_count, cert.rect_count, cert.k_prime) == (one_count, 1, 2)
+
+
+def test_verify_bicriteria_certifies_at_k_prime_one():
+    # k = 1 at eps = 1: the diagonal's budget is 1 * ceil(1 / 1) = 1
+    inst = gen_planted("matrix", Diagonal(), 16, 1, seed=0)
+    cert = verify_bicriteria(inst.A, inst.W, 1, 1.0, opt_upper=inst.opt_upper)
+    assert cert.k_prime == 1 and cert.satisfied
+
+
 @pytest.mark.parametrize("k,eps", [(0, 0.5), (-3, 0.5), (2, 5.0), (2, -1.0)])
 def test_verify_bicriteria_on_an_explicit_mask_rejects_bad_k_and_eps(k, eps):
     spec = equality_hash(32, 0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maskedlra import (
+    AllOnes,
     Diagonal,
     Explicit,
     LowRankFactor,
@@ -177,6 +178,13 @@ def test_verify_structural_zero_matrix():
     assert rep.satisfied
 
 
+def test_verify_structural_on_a_mask_without_zeros_solves_at_rank_one():
+    # t = 0 gives ceil(6 k t / eps) = 0, floored to k' = 1
+    A = np.random.default_rng(0).standard_normal((8, 8))
+    cert = verify_structural_bicriteria(A, make_mask(AllOnes(), 8), 1, 0.5, 0.0)
+    assert cert.diagnostics["t"] == 0 and cert.k_prime == 1
+
+
 @pytest.mark.parametrize("n, eps, k_prime, driver", [
     (64, 0.5, 12, "gesdd"), (128, 0.25, 24, "syevd"),
 ])
@@ -217,6 +225,10 @@ def _rank_one(n):
      "needs a structured mask"),
     (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W, 1, 1.5, 0.0),
      r"eps=1.5 must be in \(0, 1\)"),
+    (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W, 1, 0.0, 0.0),
+     r"eps=0.0 must be in \(0, 1\)"),
+    (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W, 1, 1.0, 0.0),
+     r"eps=1.0 must be in \(0, 1\)"),
     (lambda W: verify_structural_bicriteria(np.ones((4, 4)), W, 0, 0.5, 0.0),
      "k=0 must be positive"),
 ])
