@@ -3,18 +3,18 @@ tensor, its masked squared Frobenius cost, exact truncated SVD, the start
 and the Gram solves of both ALS solvers, the Certificate record every
 verifier returns, and within, the one rule by which each of them decides.
 
-The exact truncated SVD picks its driver from the shape alone. A matrix
-with min(n, m) >= 128 is fit from the eigenproblem of its smaller Gram
-matrix: by ARPACK's partial SVD (svds) when k is small next to min(n, m),
-and otherwise, for a single matrix, by numpy's eigh (LAPACK syevd) of the
-whole Gram matrix. Both large-matrix paths share one residual check.
-Smaller matrices and stacks take LAPACK's divide-and-conquer gesdd, and
-LAPACK's gesvd runs only when gesdd fails to converge. gesdd runs through
-np.linalg.svd, one call for a whole stack of same-shape matrices, and
-syevd through np.linalg.eigh, so both share numpy's BLAS runtime with
-numpy's products; scipy runs only svds and gesvd, and each imports its
-scipy module on its first call, so a process that runs neither loads no
-scipy and no second BLAS runtime.
+The exact truncated SVD picks its driver from the shape alone. Every
+matrix is fit from the eigenproblem of its smaller Gram matrix: by ARPACK's
+partial SVD (svds) when min(n, m) >= 160 and k is small next to it, and
+otherwise by numpy's eigh (LAPACK syevd) of the whole Gram matrix, one call
+for a whole stack of same-shape matrices. Both paths share one residual
+check, per matrix of a stack. LAPACK's divide-and-conquer gesdd runs only
+when svds or eigh fails, and LAPACK's gesvd only when gesdd fails to
+converge. syevd runs through np.linalg.eigh and gesdd through
+np.linalg.svd, so both share numpy's BLAS runtime with numpy's products;
+scipy runs only svds and gesvd, and each imports its scipy module on its
+first call, so a process that runs neither loads no scipy and no second
+BLAS runtime.
 
 Matrices are 2-d float64 numpy arrays throughout. Low-rank objects are kept
 in factored form (see LowRankFactor) so downstream code can track rank
@@ -37,17 +37,34 @@ RIDGE = 1e-10
 _LAPACK_QR_MAXITER = 30
 
 # svd_truncated takes svds when min(n, m) >= _SVDS_MIN_DIM and
-# _SVDS_RANK_RATIO * k <= min(n, m), and syevd for a single matrix with
-# min(n, m) >= _SVDS_MIN_DIM otherwise. Measured on 2 cores (OpenBLAS, 2
-# threads), svds/gesdd/gesvd at 512 x 512: 0.03/0.09/0.92 s for k = 8 and
-# 0.03/0.08/0.84 s for k = 32; at k = 336 gesdd took 0.075 s and svds 0.60 s.
-# syevd against gesdd at k = 96 took 41 against 102 ms at 512 x 512, and
-# 214 against 605 ms at 1024 x 1024. At k = 8 svds and syevd tied at
-# 512 x 512 (40 and 36 ms), and svds won at 1024 x 1024 (186 against
-# 236 ms). At 64 x 64 svds lost to gesdd for every k; at 128 x 128, k = 8,
-# they tied.
-_SVDS_MIN_DIM = 128
+# _SVDS_RANK_RATIO * k <= min(n, m), and syevd otherwise. Per-call medians
+# in ms on 2 cores (OpenBLAS 0.3.31) at 1 / 2 BLAS threads, on the zero fill
+# of a planted banded (p = 4) instance, the middle of three processes' medians
+# of 41 calls:
+#
+#   n x n, k       syevd         gesdd         svds
+#   32, 4          0.13 / 0.18   0.13 / 0.18   0.74 / 0.74
+#   64, 8          0.60 / 0.46   0.69 / 0.61   1.15 / 1.53
+#   128, 8         1.43 / 1.66   2.82 / 3.96   1.52 / 2.02
+#   128, 16        1.41 / 1.64   3.14 / 4.05   1.96 / 2.66
+#   160, 8         2.01 / 2.53   3.61 / 5.20   2.98 / 2.13
+#   192, 8         3.68 / 3.66   5.75 / 8.41   2.02 / 2.71
+#
+# At k = 8 the two cross at 160: below it syevd wins, and from 176 on svds
+# won on planted diagonal and banded fills at both thread counts. At
+# 512 x 512 svds/gesdd/gesvd took 0.03/0.09/0.92 s for k = 8 and
+# 0.03/0.08/0.84 s for k = 32, and at k = 336 gesdd 0.075 s and svds
+# 0.60 s; syevd against gesdd at k = 96 took 41 against 102 ms at
+# 512 x 512, and 214 against 605 ms at 1024 x 1024. At k = 8 svds and
+# syevd tied at 512 x 512 (40 and 36 ms), and svds won at 1024 x 1024 (186
+# against 236 ms).
+_SVDS_MIN_DIM = 160
 _SVDS_RANK_RATIO = 8
+
+# svds and syevd run on a matrix scaled by 2^-e when the binary exponent e
+# of its largest magnitude has |e| > _SCALE_EXP: its Gram matrix and its sum
+# of squares then stay clear of overflow and underflow.
+_SCALE_EXP = 256
 
 # svds and syevd must leave ||A - L||^2 equal to ||A||^2 - sum(sigma^2)
 # within this fraction of ||A||^2.
@@ -195,19 +212,22 @@ def svd_truncated(A: np.ndarray, k: int) -> LowRankFactor:
 
     Computes the top k singular triplets, so the residual is the tail
     spectrum of A. The driver depends only on the shape and k:
-    - svds (ARPACK, seeded start vector) when min(n, m) >= 128 and
+    - svds (ARPACK, seeded start vector) when min(n, m) >= 160 and
       8 k <= min(n, m);
-    - syevd (numpy's eigh of the smaller Gram matrix) when min(n, m) >= 128
-      and 8 k > min(n, m);
-    - gesdd (LAPACK divide and conquer, through np.linalg.svd) in every
-      other case, and when svds or eigh fails;
+    - syevd (numpy's eigh of the smaller Gram matrix) in every other case;
+    - gesdd (LAPACK divide and conquer, through np.linalg.svd) when svds or
+      eigh fails or leaves a factor that is not finite;
     - gesvd (scipy's LAPACK bidiagonal QR) only when gesdd raises
       LinAlgError.
-    The svds and syevd residuals are checked against ||A||^2 - sum(sigma^2);
-    both are accurate to about k eps sigma_1^2 rather than to gesdd's
-    backward-stable level. This is _svd_stack on the one-matrix stack
-    A[None]. meta["svd_driver"] names the driver that ran. NumericalError is
-    raised when gesvd fails too, or when a residual check fails.
+    svds and syevd see A scaled by 2^-e, e the binary exponent of its
+    largest magnitude, when |e| > 256, so that no Gram matrix or sum of
+    squares overflows or underflows; other matrices run unscaled. Their
+    residuals are checked against ||A||^2 - sum(sigma^2), and a fit that is
+    not finite goes to gesdd; both are accurate to about k eps sigma_1^2
+    rather than to gesdd's backward-stable level. This is _svd_stack on the
+    one-matrix stack A[None]. meta["svd_driver"] names the driver that ran.
+    NumericalError is raised when gesvd fails too, or when a residual check
+    fails.
     """
     A = as_array(A, 2)
     n, m = A.shape
@@ -222,21 +242,44 @@ def _svd_stack(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]
 
     Returns U (b, r, k), the left singular vectors scaled by the singular
     values, V (b, c, k), and the driver that fit each matrix. The driver
-    follows from (b, r, c, k) as in svd_truncated: svds runs matrix by
-    matrix, syevd only on a one-matrix stack, and otherwise one
-    np.linalg.svd call (gesdd) covers the whole stack.
+    follows from (r, c, k) as in svd_truncated, so each matrix gets the
+    factors it gets alone: svds runs matrix by matrix, and otherwise one
+    np.linalg.eigh call (syevd) covers the Gram matrices of the whole stack.
+    Both see each matrix scaled by 2^-e, e from _exponents, and its U is
+    scaled back. Only a matrix whose fit failed or is not finite is redone,
+    by _gesdd_stack on the unscaled matrix.
     """
     r, c = X.shape[1:]
-    large = min(r, c) >= _SVDS_MIN_DIM
-    if large and _SVDS_RANK_RATIO * k <= min(r, c):
-        return _concat([_svds_truncated(A, k) or _gesdd_stack(A[None], k) for A in X])
-    if large and len(X) == 1:
-        return _syevd_truncated(X[0], k) or _gesdd_stack(X, k)
-    return _gesdd_stack(X, k)
+    e = _exponents(X)[:, None, None]
+    S = np.ldexp(X, -e) if e.any() else X
+    if min(r, c) >= _SVDS_MIN_DIM and _SVDS_RANK_RATIO * k <= min(r, c):
+        driver = "svds"
+        U, V, power = (np.stack(f) for f in zip(*(_svds(A, k) for A in S)))
+    else:
+        driver = "syevd"
+        U, V, power = _syevd(S, k)
+    redo = np.flatnonzero(~_checked(S, U, V, power, driver))
+    if e.any():
+        U = np.ldexp(U, e)
+    drivers = [driver] * len(X)
+    if redo.size:
+        U[redo], V[redo], redone = _gesdd_stack(X[redo], k)
+        for i, d in zip(redo, redone):
+            drivers[i] = d
+    return U, V, drivers
+
+
+def _exponents(X: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack X, the binary exponent e of its largest
+    magnitude where |e| > _SCALE_EXP, and 0 elsewhere. Scaling by 2^-e
+    changes no significand above the subnormal range, and e = 0 leaves an
+    ordinary matrix's fit as it is, bit for bit."""
+    e = np.frexp(np.maximum(X.max(axis=(1, 2)), -X.min(axis=(1, 2))))[1]
+    return np.where(np.abs(e) > _SCALE_EXP, e, 0)
 
 
 def _gesdd_stack(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """_svd_stack's dense drivers: gesdd on the stack, gesvd on a failure.
+    """_svd_stack's fallback drivers: gesdd on the stack, gesvd on a failure.
 
     When the stacked gesdd raises LinAlgError each matrix is redone alone,
     and scipy's gesvd runs only for a matrix whose own gesdd fails; its
@@ -264,9 +307,9 @@ def _concat(fits) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return np.concatenate(Us), np.concatenate(Vs), [d for ds in drivers for d in ds]
 
 
-def _svds_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
-    """Top k factors of A from ARPACK as a one-matrix _svd_stack result, or
-    None when ARPACK fails."""
+def _svds(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Top k factors of A from ARPACK and their sum of sigma^2, or NaN
+    factors when ARPACK fails."""
     # a fixed start vector keeps ARPACK deterministic
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     import scipy.sparse.linalg
@@ -274,54 +317,65 @@ def _svds_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list
     try:
         U, s, Vt = scipy.sparse.linalg.svds(A, k=k, v0=v0)
     except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-        return None
-    return _checked(A, U[:, ::-1] * s[::-1], Vt[::-1].T, float(np.sum(s * s)), "svds")
+        return np.full((A.shape[0], k), np.nan), np.full((A.shape[1], k), np.nan), np.nan
+    return U[:, ::-1] * s[::-1], Vt[::-1].T, float(np.sum(s * s))
 
 
-def _syevd_truncated(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
-    """Top k factors of A from numpy's eigh (LAPACK syevd) of its smaller
-    Gram matrix, as a one-matrix _svd_stack result, or None when eigh fails.
+def _syevd(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top k factors of each matrix of the stack S, shape (b, r, c), from
+    one numpy eigh (LAPACK syevd) of their smaller Gram matrices, and each
+    one's sum of sigma^2. When the stacked eigh raises LinAlgError each
+    matrix is redone alone, and one whose own eigh fails gets NaN factors.
 
-    For A n x m with n >= m, V is the top k eigenvectors of A^T A and
-    U = A V. For n < m the same runs on A^T: the top eigenvectors Q of
-    A A^T are A's left singular vectors, so U = Q sigma and
-    V = A^T Q / sigma, sigma the column norms of A^T Q.
+    For r >= c, V is the top k eigenvectors of S[i]^T S[i] and U = S[i] V.
+    For r < c the same runs on S[i]^T: the top eigenvectors Q of
+    S[i] S[i]^T are its left singular vectors, so U = Q sigma and
+    V = S[i]^T Q / sigma, sigma the column norms of S[i]^T Q.
     """
-    tall = A.shape[0] >= A.shape[1]
-    X = A if tall else A.T
+    b, r, c = S.shape
+    Y = S if r >= c else S.transpose(0, 2, 1)
     try:
-        lam, Q = np.linalg.eigh(X.T @ X)
+        lam, Q = np.linalg.eigh(Y.transpose(0, 2, 1) @ Y)
     except np.linalg.LinAlgError:
-        return None
-    # eigh sorts ascending; a copy of the top k lets the full basis go
-    Q = np.ascontiguousarray(Q[:, ::-1][:, :k])
-    Y = X @ Q
-    if tall:
-        U, V = Y, Q
-    else:
-        s = np.linalg.norm(Y, axis=0)
-        U, V = Q * s, np.divide(Y, s, out=np.zeros_like(Y), where=s > 0)
-    return _checked(A, U, V, float(np.sum(lam[-k:])), "syevd")
+        if b > 1:
+            return tuple(np.concatenate(f) for f in zip(*(_syevd(A[None], k) for A in S)))
+        return np.full((1, r, k), np.nan), np.full((1, c, k), np.nan), np.full(1, np.nan)
+    # eigh sorts ascending; a copy of the top k lets the full bases go
+    Q = np.ascontiguousarray(Q[:, :, ::-1][:, :, :k])
+    Z = Y @ Q
+    power = lam[:, -k:].sum(axis=1)
+    if r >= c:
+        return Z, Q, power
+    s = np.linalg.norm(Z, axis=1, keepdims=True)
+    return Q * s, np.divide(Z, s, out=np.zeros_like(Z), where=s > 0), power
 
 
-def _checked(A, U, V, power: float, driver: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(U, V) as a one-matrix _svd_stack result from driver, once
-    ||A - U V^T||^2 equals ||A||^2 - power within _RESIDUAL_RTOL * ||A||^2.
+def _checked(S, U, V, power, driver: str) -> np.ndarray:
+    """Check each fit S[i] ~ U[i] V[i]^T of the stack S and return which
+    pass: ||S[i] - U[i] V[i]^T||^2 must equal ||S[i]||^2 - power[i] within
+    _RESIDUAL_RTOL * ||S[i]||^2, power[i] the fit's sum of sigma^2.
 
-    power is the fit's sum of sigma^2. Both sums run over row stripes of
-    at most _STRIPE_CELLS cells. A mismatch raises NumericalError.
+    A fit that is not finite fails without raising; a finite one that fails
+    raises NumericalError. The sums run over row stripes of at most
+    _STRIPE_CELLS cells of the whole stack (one row at least).
     """
-    rows = max(1, _STRIPE_CELLS // A.shape[1])
-    total = res = 0.0
-    for i in range(0, len(A), rows):
-        S = A[i:i + rows]
-        R = S - U[i:i + rows] @ V.T
-        total += float(np.sum(S * S))
-        res += float(np.sum(R * R))
+    b, r, c = S.shape
+    rows = max(1, _STRIPE_CELLS // (b * c))
+    Vt = V.transpose(0, 2, 1)
+    total, res = np.zeros(b), np.zeros(b)
+    for i in range(0, r, rows):
+        T = S[:, i:i + rows]
+        R = T - U[:, i:i + rows] @ Vt
+        total += np.einsum("bij,bij->b", T, T)
+        res += np.einsum("bij,bij->b", R, R)
     tail = total - power
-    if abs(res - tail) > _RESIDUAL_RTOL * total:
-        raise NumericalError(f"{driver} residual {res!r} disagrees with the spectral tail {tail!r}")
-    return U[None], V[None], [driver]
+    fit = np.abs(res - tail) <= _RESIDUAL_RTOL * total
+    bad = np.flatnonzero(~fit & np.isfinite(res - tail))
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(f"{driver} residual {res[i]!r} of matrix {i} disagrees "
+                             f"with the spectral tail {tail[i]!r}")
+    return fit
 
 
 def _spd_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -86,10 +86,22 @@ MUTANTS = (
         "    if own is not None:\n",
     ),
     (
-        "large-matrix residual unchecked",
+        "svds and syevd residuals unchecked",
         "src/maskedlra/linalg.py",
-        "    if abs(res - tail) > _RESIDUAL_RTOL * total:\n",
+        "    if bad.size:\n",
         "    if False:\n",
+    ),
+    (
+        "stacked residual check reads matrix 0 only",
+        "src/maskedlra/linalg.py",
+        "    fit = np.abs(res - tail) <= _RESIDUAL_RTOL * total\n",
+        "    fit = np.abs(res[:1] - tail[:1]) <= _RESIDUAL_RTOL * total[:1]\n",
+    ),
+    (
+        "stacked residual check passes a fit that is not finite",
+        "src/maskedlra/linalg.py",
+        "    fit = np.abs(res - tail) <= _RESIDUAL_RTOL * total\n",
+        "    fit = ~(np.abs(res - tail) > _RESIDUAL_RTOL * total)\n",
     ),
     (
         "verify_bicriteria k and eps unchecked",

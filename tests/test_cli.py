@@ -86,7 +86,7 @@ def test_solve_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "cost" in text
     assert "method" not in text
-    assert "svd_driver = gesdd" in text.splitlines()
+    assert "svd_driver = syevd" in text.splitlines()
     L = read_matrix(tmp_path / "L.mlra")
     assert L.shape == (16, 16)
     assert np.linalg.matrix_rank(L) <= 8
@@ -344,7 +344,7 @@ def scipy_modules():
 
 import maskedlra
 from maskedlra.cli import main
-from maskedlra.linalg import svd_truncated
+from maskedlra.linalg import _SVDS_MIN_DIM, svd_truncated
 
 assert not scipy_modules(), ("import maskedlra", scipy_modules())
 for argv in (
@@ -359,6 +359,9 @@ for argv in (
         assert main(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
 A = np.random.default_rng(0).standard_normal((128, 128))
+assert svd_truncated(A, 8).meta["svd_driver"] == "syevd"
+assert not scipy_modules(), ("syevd", scipy_modules())
+A = np.random.default_rng(0).standard_normal((_SVDS_MIN_DIM, _SVDS_MIN_DIM))
 assert svd_truncated(A, 8).meta["svd_driver"] == "svds"
 assert "scipy.sparse.linalg" in sys.modules
 """

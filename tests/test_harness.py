@@ -108,6 +108,29 @@ def test_planted_instance_is_the_same_on_any_blas_thread_count():
     assert len(seen) == 1, seen
 
 
+_SWEEP_NO_SCIPY_SCRIPT = """
+import sys
+from maskedlra.harness import run_suite
+
+rep = run_suite({"routes": "t1,t2,t3,t4,a2", "sizes": "32,64,128", "eps": "0.1,0.25,0.5",
+                 "stats_trials": "200"})
+assert len(rep.rows) == 45 and rep.protocol_stats
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_sweep_up_to_n_128_loads_no_scipy():
+    # every fit of the sweep is below svds's range, so no scipy module and
+    # no second BLAS runtime is loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_NO_SCIPY_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_planted_rejects_unknown_domain():
     with pytest.raises(ParameterError):
         gen_planted("complex", Diagonal(), 8, 1)

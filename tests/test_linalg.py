@@ -19,7 +19,9 @@ from maskedlra import (
     cp_als,
     gen_planted,
     leverage_scores,
+    make_mask,
     masked_cost,
+    masked_lra,
     masked_tensor_lra,
     sample_partition,
     svd_truncated,
@@ -104,29 +106,47 @@ def test_svd_truncated_zero_matrix_falls_back_to_gesdd():
     assert np.array_equal(L.value(), np.zeros((256, 256)))
 
 
-def _gesdd_failing(bad=None):
-    """np.linalg.svd raising LinAlgError on a stack that holds the matrix
-    bad, or on every call when bad is None."""
-    real = np.linalg.svd
+def _lapack_failing(real, bad=None):
+    """real (np.linalg.svd or np.linalg.eigh) raising LinAlgError on a stack
+    that holds the matrix bad, to roundoff, or on every call when bad is
+    None."""
 
-    def svd(a, *args, **kwargs):
+    def call(a, *args, **kwargs):
         X = np.asarray(a)
         mats = X.reshape(-1, *X.shape[-2:])
-        if bad is None or any(np.array_equal(M, bad) for M in mats):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        if bad is None or any(M.shape == bad.shape and np.allclose(M, bad) for M in mats):
+            raise np.linalg.LinAlgError(f"{real.__name__} did not converge")
         return real(a, *args, **kwargs)
 
-    return svd
+    return call
+
+
+def _gesdd_failing(bad=None):
+    return _lapack_failing(np.linalg.svd, bad)
+
+
+def _eigh_failing(bad=None):
+    """np.linalg.eigh failing on the Gram matrix of bad, a tall matrix."""
+    return _lapack_failing(np.linalg.eigh, None if bad is None else bad.T @ bad)
 
 
 def test_svd_truncated_gesvd_fallback(monkeypatch):
+    # the whole chain: eigh, then gesdd, then gesvd, then NumericalError
     A = np.random.default_rng(43).standard_normal((10, 7))
     sigma = np.linalg.svd(A, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing())
     monkeypatch.setattr(np.linalg, "svd", _gesdd_failing())
     L = svd_truncated(A, 3)
     assert L.meta["svd_driver"] == "gesvd"
     res = float(np.sum((A - L.value()) ** 2))
     assert abs(res - float(np.sum(sigma[3:] ** 2))) <= 1e-9 * float(np.sum(A * A))
+
+    def gesvd(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("gesvd did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svd", gesvd)
+    with pytest.raises(NumericalError, match="svd did not converge"):
+        svd_truncated(A, 3)
 
 
 def test_svd_truncated_every_driver_fails(monkeypatch):
@@ -147,18 +167,23 @@ def test_svd_truncated_every_driver_fails(monkeypatch):
 def test_svd_stack_redoes_only_the_matrix_whose_gesdd_fails(monkeypatch):
     X = np.random.default_rng(59).standard_normal((3, 6, 5))
     U, V, drivers = _svd_stack(X, 2)
-    assert drivers == ["gesdd"] * 3
+    assert drivers == ["syevd"] * 3
     for j in range(3):
         alone = svd_truncated(X[j], 2)
         assert np.array_equal(U[j], alone.U) and np.array_equal(V[j], alone.V)
     sigma = np.linalg.svd(X[1], compute_uv=False)
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing(X[1]))
+    U1, V1, drivers = _svd_stack(X, 2)
+    assert drivers == ["syevd", "gesdd", "syevd"]
     monkeypatch.setattr(np.linalg, "svd", _gesdd_failing(X[1]))
     U2, V2, drivers = _svd_stack(X, 2)
-    assert drivers == ["gesdd", "gesvd", "gesdd"]
+    assert drivers == ["syevd", "gesvd", "syevd"]
     for j in (0, 2):
-        assert np.array_equal(U2[j], U[j]) and np.array_equal(V2[j], V[j])
-    res = float(np.sum((X[1] - U2[1] @ V2[1].T) ** 2))
-    assert abs(res - float(np.sum(sigma[2:] ** 2))) <= 1e-9 * float(np.sum(X[1] ** 2))
+        for Uf, Vf in ((U1, V1), (U2, V2)):
+            assert np.array_equal(Uf[j], U[j]) and np.array_equal(Vf[j], V[j])
+    for Uf, Vf in ((U1, V1), (U2, V2)):
+        res = float(np.sum((X[1] - Uf[1] @ Vf[1].T) ** 2))
+        assert abs(res - float(np.sum(sigma[2:] ** 2))) <= 1e-9 * float(np.sum(X[1] ** 2))
 
 
 def test_svd_truncated_svds_residual_check(monkeypatch):
@@ -172,6 +197,53 @@ def test_svd_truncated_svds_residual_check(monkeypatch):
     A = np.random.default_rng(53).standard_normal((256, 256))
     with pytest.raises(NumericalError):
         svd_truncated(A, 8)
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-160])
+@pytest.mark.parametrize("n, k, driver", [(128, 20, "syevd"), (256, 8, "svds")])
+def test_masked_lra_fits_a_matrix_whose_gram_overflows_or_underflows(c, n, k, driver, capfd):
+    # c^2 times a Gram entry is out of float64's range; the fit runs on
+    # 2^-e c A and comes back scaled, with no LAPACK argument error printed
+    A = np.random.default_rng(79).standard_normal((n, n))
+    W = make_mask(Banded(4), n)
+    L, ref = masked_lra(c * A, W, k), masked_lra(A, W, k)
+    assert L.meta["svd_driver"] == ref.meta["svd_driver"] == driver
+    Rc, R = L.value() / c, ref.value()
+    assert np.allclose(Rc, R, rtol=0, atol=1e-9 * np.abs(R).max())
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+
+
+def _eigh_spoiling(j, spoil):
+    """np.linalg.eigh applying spoil to matrix j's (eigenvalues, vectors)."""
+    real = np.linalg.eigh
+
+    def eigh(G):
+        lam, Q = real(G)
+        lam, Q = lam.copy(), Q.copy()
+        lam[j], Q[j] = spoil(lam[j], Q[j])
+        return lam, Q
+
+    return eigh
+
+
+def test_svd_stack_checks_every_matrix_against_its_own_tail(monkeypatch):
+    X = np.random.default_rng(89).standard_normal((3, 6, 5))
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_spoiling(1, lambda lam, Q: (1.01 * lam, Q)))
+    with pytest.raises(NumericalError, match="syevd residual .* of matrix 1 disagrees"):
+        _svd_stack(X, 2)
+
+
+def test_svd_stack_redoes_a_matrix_whose_fit_is_not_finite(monkeypatch):
+    X = np.random.default_rng(97).standard_normal((3, 6, 5))
+    U, V, _ = _svd_stack(X, 2)
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_spoiling(1, lambda lam, Q: (lam, Q * np.nan)))
+    U2, V2, drivers = _svd_stack(X, 2)
+    assert drivers == ["syevd", "gesdd", "syevd"]
+    assert np.all(np.isfinite(U2)) and np.all(np.isfinite(V2))
+    for j in (0, 2):
+        assert np.array_equal(U2[j], U[j]) and np.array_equal(V2[j], V[j])
+    assert np.allclose(U2[1] @ V2[1].T, U[1] @ V[1].T, rtol=0, atol=1e-12)
 
 
 def _a2_zero_fill(n):
@@ -502,7 +574,7 @@ def test_within_allows_relative_and_scaled_roundoff():
 def test_gesdd_runs_through_numpy_alone(monkeypatch):
     # every gesdd goes through np.linalg.svd, so the SVDs never alternate
     # numpy's BLAS runtime with the second one scipy links; scipy keeps only
-    # the gesvd fallback
+    # the gesvd fallback. A failing eigh sends every fit to gesdd.
     real = scipy.linalg.svd
 
     def svd(a, *args, lapack_driver="gesdd", **kwargs):
@@ -511,6 +583,7 @@ def test_gesdd_runs_through_numpy_alone(monkeypatch):
         return real(a, *args, lapack_driver=lapack_driver, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing())
     A = np.random.default_rng(61).standard_normal((10, 7))
     assert svd_truncated(A, 3).meta["svd_driver"] == "gesdd"
     inst = gen_planted("matrix", Banded(4), 32, 2, seed=0)

@@ -339,6 +339,19 @@ def test_batched_comparator_on_random_box_partitions():
             _assert_batched_comparator_is_per_rectangle(A, W, P, k)
 
 
+def test_batched_comparator_fits_a_stack_with_the_driver_of_one_box():
+    # two 128 x 128 1-rectangles at k = 20 (8 k > 128): the stack of both
+    # must get the factors each gets alone, bit for bit
+    from maskedlra import PartitionSample
+
+    n = 256
+    halves = [np.arange(128), np.arange(128, n)]
+    sets = [(r, c) for r in halves for c in halves]
+    P = PartitionSample(Boxes.pack([1, 0, 0, 1], sets, 2), n, "manual", 2)
+    A = np.random.default_rng(83).standard_normal((n, n))
+    _assert_batched_comparator_is_per_rectangle(A, make_mask(AllOnes(), n), P, 20)
+
+
 def test_batched_comparator_with_the_svds_driver(monkeypatch):
     import scipy.sparse.linalg
 
