@@ -28,12 +28,10 @@ the trial count. There _gt walks the samples round by round, drawing one
 key per round rather than one per tree node, and a composed family walks
 each later call only on the samples that read it. It, protocol_matrix and
 protocol_cube read only outputs, so no transcript code is built for them.
-The row stripes of _gt and the sample chunks are the striped loops:
-_striped runs their items in interleaved shares on the calling thread and
-a pool of one thread per further CPU, inline on one CPU, and the loops'
-results are the same on any thread count. A partition or a cover takes its rectangles only as
-Boxes: a label per box and, per axis, int64 offsets into one int64 index
-array (CSR).
+_gt's row stripes and the sample chunks, of at most _STRIPE_CELLS cells,
+run one at a time on the calling thread. A partition or a cover takes its
+rectangles only as Boxes: a label per box and, per axis, int64 offsets
+into one int64 index array (CSR).
 Certificates, comparators, bitmaps and dumps read those arrays.
 .rectangles is a read-only sequence view over the boxes: its len() is the
 box count, and Rectangle objects are built one at a time, only when it is
@@ -59,9 +57,7 @@ import functools
 import itertools
 import math
 import operator
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +76,8 @@ from .linalg import as_bitmap
 ENUM_CELLS = 2**24
 
 # cells per row stripe of a greater-than walk, and samples per error-rate
-# chunk, on one or two threads, so that their working arrays stay in cache
+# chunk, so that their working arrays stay in cache
 _STRIPE_CELLS = 2**15
-
-# threads that share a striped loop, the calling thread included
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-# (pid, workers, executor) of the pool that runs the other threads' shares; a
-# forked child inherits the executor but not its threads, so it builds its own
-_pool = (None, 0, None)
 
 ONE_SIDED_FAMILIES = ("equality-hash", "eq-mod-p", "sparse-set-eq", "neq3-multiparty")
 
@@ -187,44 +175,7 @@ def neq3_multiparty(n: int, delta: float) -> ProtocolSpec:
 
 
 # ---------------------------------------------------------------------------
-# striped loops
-
-def _stripe_cells() -> int:
-    """Cells per stripe or chunk of a striped loop: _STRIPE_CELLS, cut so
-    that the _WORKERS threads hold at most 2 * _STRIPE_CELLS at once."""
-    return min(_STRIPE_CELLS, 2 * _STRIPE_CELLS // _WORKERS)
-
-
-def _striped(fn, items) -> list:
-    """fn's results on every item, computed in _WORKERS interleaved shares.
-
-    The calling thread runs share 0 and a module-level pool of _WORKERS - 1
-    threads the others; with one worker or one item everything runs inline.
-    The results come share by share, so callers combine them in an
-    order-free way (integer sums), and fn writes a shared array only in a
-    slice no other item writes. Every share has finished when this returns
-    or raises. fn must not itself call _striped on more than one item: a pool
-    thread that waits on the pool can wait forever.
-    """
-    global _pool
-    workers = min(_WORKERS, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    if _pool[:2] != (os.getpid(), _WORKERS):
-        _pool = (os.getpid(), _WORKERS, ThreadPoolExecutor(_WORKERS - 1))
-
-    def run(share):
-        return [fn(item) for item in share]
-
-    futures = [_pool[2].submit(run, items[s::workers]) for s in range(1, workers)]
-    try:
-        out = run(items[::workers])
-    finally:
-        wait(futures)
-    for f in futures:
-        out += f.result()
-    return out
-
+# sampled keys
 
 class _Lazy:
     """A sequence whose item j is get(j), computed when it is indexed."""
@@ -391,10 +342,9 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
     output plane is the OR over leaves of (reach, the row's bit at the
     leaf's shift, the complement of the column's), with the parties' roles
     swapped for "b>a", and the leaf id is kept as ceil(log2(m + 1)) OR
-    planes. The planes are built in row stripes of about _stripe_cells() / 8
+    planes. The planes are built in row stripes of about _STRIPE_CELLS / 8
     words and unpacked, with the codes gathered, in row stripes of at most
-    _stripe_cells() cells; _striped shares both loops among the threads,
-    and each stripe writes only its own rows. A cell's transcript (the
+    _STRIPE_CELLS cells, one stripe at a time. A cell's transcript (the
     row's hash at each node met, the answers, the row's final bit, the
     output) is fixed by its leaf, its row and its output. Codes are >= 1
     and follow the transcripts' order, shorter first, then bitwise. They
@@ -420,12 +370,14 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
         key = keys(rounds)
         # bits below node j's (j + 1)-bit prefix; a leaf's hashes go unread
         drop = np.maximum(m - 1 - np.arange(2 * m + 1), 0)
-        node = np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), m - 1, dtype=np.uint8)
+        # nodes as intp, which take reads several times faster than uint8
+        to = child.astype(np.intp)
+        node = np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), m - 1, dtype=np.intp)
         for r in range(rounds):
             k, d = key[r], drop.take(node)
             eq = _hash_buckets(a >> d, k, 1 << c) == _hash_buckets(b >> d, k, 1 << c)
-            node = child.take(node * 2 + eq)
-        leaf = node - np.uint8(m)
+            node = to.take(node * 2 + eq)
+        leaf = node - m
         xd, yd = (a >> shift[leaf]) & 1, (b >> shift[leaf]) & 1
         return None, ((xd > yd) if direction == "a>b" else (yd > xd)).view(np.uint8)
     if np.ndim(a) != 2 or np.ndim(b) != 2 or np.shape(a)[1] != 1 or np.shape(b)[0] != 1:
@@ -483,8 +435,10 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
                     if i >> bit & 1:
                         ids[bit, cut] |= reach
 
-    step = max(1, _stripe_cells() // (8 * words))
-    _striped(planes, range(0, R, step))
+    # one call per stripe, so that only one stripe's arrays are held at once
+    step = max(1, _STRIPE_CELLS // (8 * words))
+    for lo in range(0, R, step):
+        planes(lo)
     del eq_rows, eq_of
 
     gathered = None
@@ -518,8 +472,9 @@ def _gt(a, b, m: int, delta: float, keys, direction: str = "a>b", codes: bool = 
             at += np.arange(lo, lo + len(at))[:, None] * (2 * (m + 1))
             np.take(by_byte, at, out=gathered[cut])
 
-    step = max(1, _stripe_cells() // S)
-    _striped(unpack, range(0, R, step))
+    step = max(1, _STRIPE_CELLS // S)
+    for lo in range(0, R, step):
+        unpack(lo)
     return gathered, o.view(np.uint8)
 
 
@@ -736,14 +691,13 @@ def _decide(spec: ProtocolSpec, idx, keys, codes: bool):
         if sampled:
             # one call on every sample, on its own branch's values; a "b>a"
             # call gives the outputs of "a>b" with the parties swapped, as
-            # the hash comparison is symmetric
-            av, bv = np.empty_like(ahi), np.empty_like(ahi)
-            for (ba, bb), branch in branches.items():
-                sel = (oA == ba) & (oB == bb)
-                u, v, direction = branch()
-                if direction == "b>a":
-                    u, v = v, u
-                av[sel], bv[sel] = u[sel], v[sel]
+            # the hash comparison is symmetric. Each party's values are
+            # gathered from a stack of the four branches' at 2 * oA + oB, as
+            # masked copies through random masks are several times slower
+            lanes = [branches[ba, bb]() for ba in (0, 1) for bb in (0, 1)]
+            lanes = [(v, u) if direction == "b>a" else (u, v) for u, v, direction in lanes]
+            at = (2 * oA + oB).astype(np.intp)[None]
+            av, bv = (np.take_along_axis(np.stack(side), at, 0)[0] for side in zip(*lanes))
             return None, gt(av, bv, m3, d, keys)[1]
         codes3 = np.zeros(oA.shape, dtype=np.int64) if codes else None
         out3 = np.zeros(oA.shape, dtype=np.uint8)
@@ -1129,10 +1083,8 @@ def empirical_error_rates(
     The cells are drawn first, one index array per axis (8 * order bytes
     per trial); bounded draws use rejection sampling, so the raw outputs
     they consume depend on the values, and they are not split. _decide then
-    runs on chunks of _stripe_cells() samples, shared by the calling thread
-    and the pool's (_striped): _STRIPE_CELLS on one or two threads, fewer on
-    more, so that at most 2 * _STRIPE_CELLS samples are in flight and keys
-    and decisions take O(_STRIPE_CELLS) memory on any core count. A chunk's
+    runs on one chunk of _STRIPE_CELLS samples at a time, so that keys and
+    decisions take O(_STRIPE_CELLS) memory at any trial count. A chunk's
     keys are its slice of the (2, count, trials) uint64 block that one draw
     per keys call would give, read by the chunk's own PCG64 set to the
     slice's stream position, as each uint64 is one raw output. They are read
@@ -1140,8 +1092,8 @@ def empirical_error_rates(
     reads one key per search round, when that round runs, and a key no
     round reads is never drawn. _decide's sequence of keys counts does not
     depend on the data, and nothing else draws after the cells, so the
-    rates do not depend on the chunk size or the thread count: each chunk
-    returns its integer tally, and the tallies are summed.
+    rates do not depend on the chunk size: each chunk returns its integer
+    tally, and the tallies are summed.
     """
     if trials < 1:
         raise ParameterError(f"trials={trials} must be positive")
@@ -1149,7 +1101,7 @@ def empirical_error_rates(
     bitmap = as_bitmap(W, np.uint8, shape)
     rng = np.random.default_rng(seed)
     idx = tuple(rng.integers(0, spec.n, size=trials) for _ in shape)
-    start, chunk = rng.bit_generator.state, _stripe_cells()
+    start, chunk = rng.bit_generator.state, _STRIPE_CELLS
 
     def chunk_tally(s0):
         # samples per (W, disagrees) in the chunk from s0, on its own PCG64
@@ -1171,7 +1123,7 @@ def empirical_error_rates(
         w = bitmap[cut]
         return np.bincount(w.astype(np.intp) * 2 + (out != w), minlength=4)
 
-    tally = sum(_striped(chunk_tally, range(0, trials, chunk)))
+    tally = sum(chunk_tally(s0) for s0 in range(0, trials, chunk))
     return tuple(int(t[1]) / int(t.sum()) if t.any() else 0.0 for t in tally.reshape(2, 2)[::-1])
 
 

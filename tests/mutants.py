@@ -110,10 +110,10 @@ MUTANTS = (
         "",
     ),
     (
-        "striped loop returns only the calling thread's share",
+        "error-rate chunk loop skips a partial last chunk",
         "src/maskedlra/protocols.py",
-        "        out += f.result()\n",
-        "        f.result()\n",
+        "for s0 in range(0, trials, chunk))",
+        "for s0 in range(0, trials - trials % chunk or 1, chunk))",
     ),
     (
         "target_bitmap runs the hashed decision",

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import multiprocessing
 import struct
 import tracemalloc
 
@@ -416,8 +415,9 @@ def test_default_rng_keys_are_raw_pcg64_outputs():
 
 def test_error_rate_memory_does_not_grow_with_keys():
     # at 10**6 trials the sampled cells' indices take 16 MB; with keys and
-    # decisions made per chunk the call peaked at 24.4 MB in all, and at
-    # 269 MB with every key drawn in one block
+    # decisions made one chunk at a time the call peaks at 22.1 MB in all,
+    # 24.4 MB with two chunks in flight, and 269 MB with every key drawn in
+    # one block
     spec = banded2d_gt(256, 2, 0.25)
     W = target_bitmap(spec)
     trials = 10**6
@@ -431,54 +431,36 @@ def test_error_rate_memory_does_not_grow_with_keys():
 
 
 # ---------------------------------------------------------------------------
-# striped loops on every worker count
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4, 8])
-def test_error_rate_memory_stays_bounded_on_any_worker_count(workers, monkeypatch):
-    # the bound of test_error_rate_memory_does_not_grow_with_keys: chunks
-    # shrink as threads are added, so at most 2 * _STRIPE_CELLS samples are
-    # in flight on any worker count
-    monkeypatch.setattr(protocols, "_WORKERS", workers)
-    spec = banded2d_gt(256, 2, 0.25)
-    W = target_bitmap(spec)
-    trials = 10**6
-    tracemalloc.start()
-    try:
-        empirical_error_rates(spec, W, trials)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * trials + 12 * 10**6
+# stripe and chunk sizes
 
 
 @pytest.mark.parametrize("spec", _one_spec_per_family(), ids=lambda s: s.family)
 def test_error_rates_are_the_same_on_any_worker_count(spec, monkeypatch):
-    """Chunks shared among 2, 4 or 8 threads give the inline rates bit for
-    bit: at one sample, at one full inline chunk and at many chunks."""
+    """Chunks of 1000, 4096 or 2^16 samples give the rates of the default
+    2^15 bit for bit: at one sample, at one full default chunk (which 1000
+    cuts with a partial last chunk) and at many chunks."""
     order = 3 if spec.family == "neq3-multiparty" else 2
     W = np.random.default_rng(1).integers(0, 2, size=(spec.n,) * order, dtype=np.uint8)
-    monkeypatch.setattr(protocols, "_WORKERS", 1)
     want = {t: empirical_error_rates(spec, W, t, seed=4) for t in (1, 2**15, 200_001)}
-    for workers in (2, 4, 8):
-        monkeypatch.setattr(protocols, "_WORKERS", workers)
+    for chunk in (1000, 4096, 2**16):
+        monkeypatch.setattr(protocols, "_STRIPE_CELLS", chunk)
         for trials, rates in want.items():
-            assert empirical_error_rates(spec, W, trials, seed=4) == rates, (workers, trials)
+            assert empirical_error_rates(spec, W, trials, seed=4) == rates, (chunk, trials)
 
 
 def test_gt_dumps_are_the_same_on_any_worker_count(tmp_path, monkeypatch):
-    """Greater-than grids of at least three row stripes, walked by 1, 2, 4
-    or 8 threads, dump the same partitions byte for byte."""
+    """Greater-than grids walked in row stripes of 2^15, 4096 or 999 cells,
+    at least three stripes each, dump the same partitions byte for byte."""
     rng = np.random.default_rng(3)
     specs = [greater_than(300, 0.25), banded_gt(300, 4, 0.25), banded2d_gt(324, 2, 0.25),
              monotone_gt(tuple(int(v) for v in rng.integers(0, 301, size=300)), 0.25)]
     for spec in specs:
         dumps = set()
-        for workers in (1, 2, 4, 8):
-            monkeypatch.setattr(protocols, "_WORKERS", workers)
-            rows = max(1, protocols._stripe_cells() // spec.n)
+        for stripe in (2**15, 4096, 999):
+            monkeypatch.setattr(protocols, "_STRIPE_CELLS", stripe)
+            rows = max(1, stripe // spec.n)
             assert -(-spec.n // rows) >= 3  # stripes
-            path = tmp_path / f"{workers}.part"
+            path = tmp_path / f"{stripe}.part"
             write_partition(path, sample_partition(spec, seed=5))
             dumps.add(path.read_bytes())
         assert len(dumps) == 1, spec.describe()
@@ -487,37 +469,9 @@ def test_gt_dumps_are_the_same_on_any_worker_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("spec", _one_spec_per_family(), ids=lambda s: s.family)
 def test_golden_digests_hold_on_many_threads(spec, tmp_path, monkeypatch):
     """The golden digests with the n = 16 grids cut into two row stripes
-    and the 20 000 trials into chunks of 128 samples, shared by two
-    threads."""
-    monkeypatch.setattr(protocols, "_WORKERS", 2)
+    and the 20 000 trials into chunks of 128 samples."""
     monkeypatch.setattr(protocols, "_STRIPE_CELLS", 128)
     test_golden_partitions_and_error_rates(spec, tmp_path)
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_runs_its_own_pool(monkeypatch):
-    """A child forked after the pool started inherits an executor whose
-    threads do not exist; its striped loops must still finish, with the
-    parent's rates."""
-    monkeypatch.setattr(protocols, "_WORKERS", 2)
-    spec = banded2d_gt(256, 2, 0.25)
-    W = target_bitmap(spec)
-    want = empirical_error_rates(spec, W, 10**5)
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=lambda: send.send(empirical_error_rates(spec, W, 10**5)))
-    child.start()
-    try:
-        assert recv.poll(30), "the forked child did not finish"
-        assert recv.recv() == want
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0
 
 
 def test_nondet_cover_neq_bits():
@@ -1390,11 +1344,14 @@ def test_gt_codes_stay_within_the_table_bound(monkeypatch):
 
 
 def test_banded_gt_partition_memory():
-    # 22.1 traced bytes per grid cell with banded-gt's code pairs in int32
-    # and the grouping's one argsort into CSR arrays, 26.0 with the pairs in
-    # int64, 71.4 with the np.unique grouping and its Rectangle list, 118
-    # with the per-cell search; the bound is 10% above the first
+    # 17.1 traced bytes per grid cell, in the grouping's splits, with
+    # banded-gt's code pairs in int32; 22.1 with the grouping's argsort into
+    # CSR arrays, 26.0 with the pairs in int64, 71.4 with the np.unique
+    # grouping and its Rectangle list, 118 with the per-cell search; the
+    # bound is 10% above the first. A first call at a small n loads the
+    # modules numpy imports on first use, which tracemalloc would count
     n = 512
+    sample_partition(banded_gt(64, 4, 0.25))
     tracemalloc.start()
     try:
         P = sample_partition(banded_gt(n, 4, 0.25))
@@ -1402,7 +1359,7 @@ def test_banded_gt_partition_memory():
     finally:
         tracemalloc.stop()
     assert P.n == n
-    assert peak < 24.3 * n * n
+    assert peak < 18.8 * n * n
 
 
 def test_banded_gt_partition_memory_with_int32_pairs():
